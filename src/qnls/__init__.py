@@ -4,8 +4,7 @@ Newton-type solver of polynomial systems."""
 from .block_encoding import (BlockEncoding, CostLedger, be_amplify,
                              be_from_sparse, be_from_vector, be_identity,
                              be_of_matrix, be_outer, be_product, be_rescale,
-                             be_sum, be_tensor, be_transpose, debug_enabled,
-                             extract_block)
+                             be_sum, be_tensor, be_transpose, debug_enabled)
 from .classical_oracle import ClassicalTrace, classical_newton, residual
 from .errors import (AmplificationOverflowError, CompositionError,
                      ConditioningError, ConfigError, DegenerateReferenceError,
@@ -26,10 +25,9 @@ from .problems import (GpeParams, LvParams, gpe_default_guess, gpe_discretize,
                        random_system)
 from .quantum_newton import (NewtonState, NewtonTrace, TraceRow,
                              build_A_blockdiag, build_M_blockdiag, build_P,
-                             inhomogeneous_term_be, init_heuristic,
-                             jacobian_be, jacobian_sandwich_be, newton_solve,
-                             newton_step, norm_estimate, recover_vector,
-                             rhs_be, system_evaluators)
+                             init_heuristic, jacobian_be, jacobian_sandwich_be,
+                             newton_solve, newton_step, norm_estimate,
+                             recover_vector, rhs_be, system_evaluators)
 from .svt import (InversionConfig, OddPolynomial, backend_inverse_poly,
                   build_inverse_poly, degree_budget, max_eigenvalue,
                   min_eigenvalue, min_singular_value, sv_invert)

@@ -21,9 +21,8 @@ import numpy as np
 from .errors import (AmplificationOverflowError, CompositionError,
                      DeskScaleError, DimensionMismatchError, InputError,
                      InvariantViolationError, RescaleRequiredError)
-from .poly_system import SparseMatrix
+from .poly_system import DESK_SCALE_CAP, SparseMatrix
 
-DESK_SCALE_CAP = 4096
 _EPS_FLOOR = 1e-16
 _UNITARITY_TOL = 1e-10
 
@@ -158,11 +157,6 @@ class BlockEncoding:
         if stream is not None:
             stream.write(text)
         return text
-
-
-def extract_block(be: BlockEncoding) -> np.ndarray:
-    """alpha * TopLeftBlock(U), the matrix the encoding stands for."""
-    return be.extract()
 
 
 def _mk(block: np.ndarray, alpha: float, eps: float, intended, cost: float,

@@ -9,10 +9,9 @@ verification inside every encoding operation.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,13 +23,15 @@ from .errors import (ConditioningError, DegenerateReferenceError, InputError,
                      SingularJacobianError)
 from .poly_system import (InhomogeneousSystem, MixedSystem, PolynomialSystem,
                           canonicalize, canonicalize_mixed, euler_check,
-                          evaluate, gradient_inhomogeneous, gradient_md)
-from .problem_io import parse_problem_file, problem_kind, write_problem_file
+                          eval_inhomogeneous, evaluate, gradient_inhomogeneous,
+                          gradient_md)
+from .problem_io import (atomic_write, parse_problem_file, problem_kind,
+                         write_problem_file)
 from .problems import (GpeParams, LvParams, gpe_default_guess, gpe_discretize,
                        lv_default_guess, lv_discretize, random_system)
 from .quantum_newton import (NewtonTrace, TraceRow, newton_solve,
                              system_evaluators)
-from .svt import InversionConfig, inversion_charge
+from .svt import InversionConfig, degree_budget
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,19 +80,6 @@ class RunConfig:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _build_parser() -> _Parser:
@@ -179,6 +167,8 @@ def _initial_guess(problem, cfg: RunConfig) -> np.ndarray:
         vals = np.loadtxt(cfg.x0, ndmin=1)
         if vals.shape != (problem.n,):
             raise InputError(f"guess file must hold {problem.n} values")
+        if not np.all(np.isfinite(vals)):
+            raise InputError("guess file values must be finite")
         return vals
     rng = np.random.default_rng(cfg.seed)
     v = rng.normal(size=problem.n)
@@ -213,8 +203,7 @@ def _run_solver(problem, cfg: RunConfig):
         trace = NewtonTrace(rows, halted)
         final_cost = 0.0
         return trace, ledger, final_cost
-    inv_cfg = InversionConfig(cfg.sigma_floor, cfg.eps,
-                              "polynomial" if cfg.backend == "poly" else "exact")
+    inv_cfg = InversionConfig(cfg.sigma_floor, cfg.eps, cfg.backend)
     state, trace = newton_solve(problem, x0, cfg.iters, inv_cfg,
                                 gamma_reference=cfg.gamma_ref, ledger=ledger)
     return trace, state.ledger, state.be_xxT.cost
@@ -251,7 +240,7 @@ def _report_text(problem, cfg: RunConfig, ledger: CostLedger,
     lines.append(f"quantum.dominant_term = {dominant:.17g}")
     lines.append(
         "quantum.inversion_charge_unit = "
-        f"{inversion_charge(cfg.sigma_floor, cfg.eps):.17g}")
+        f"{degree_budget(cfg.sigma_floor, cfg.eps):.17g}")
     lines.append("classical.K = not represented")
     lines.append(f"classical.n3 = {n ** 3}")
     lines.append(f"classical.Kp2ns_unit = {p * p * n * s}")
@@ -281,11 +270,11 @@ def _cmd_solve(args) -> int:
         print(f"note: {note}", file=sys.stderr)
     trace, ledger, dominant = _run_solver(problem, cfg)
     if cfg.trace:
-        _atomic_write(cfg.trace, trace.to_csv())
+        atomic_write(cfg.trace, trace.to_csv())
     else:
         sys.stdout.write(trace.to_csv())
     if cfg.report:
-        _atomic_write(cfg.report, _report_text(problem, cfg, ledger, dominant))
+        atomic_write(cfg.report, _report_text(problem, cfg, ledger, dominant))
     if trace.halted:
         print(f"halted: {trace.halted}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -306,7 +295,7 @@ def _cmd_resources(args) -> int:
     trace, ledger, dominant = _run_solver(problem, cfg)
     text = _report_text(problem, cfg, ledger, dominant)
     if args.out:
-        _atomic_write(args.out, text)
+        atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_NUMERIC if trace.halted else EXIT_OK
@@ -349,16 +338,18 @@ def _homogeneous_part(problem):
 
 
 def _run_check(name: str, problem, rng) -> tuple[bool, str]:
+    if name == "gradient" and isinstance(problem, InhomogeneousSystem):
+        return _check_gradient(problem.n, [
+            (partial(eval_inhomogeneous, g), partial(gradient_inhomogeneous, g))
+            for g in problem.equations], rng)
     nl = _homogeneous_part(problem)
+    if nl is None:
+        return True, "no homogeneous part"
     if name == "appendixA":
-        if nl is None:
-            return True, "no homogeneous part"
         lhs = nl.p * nl.max_norm()
         rhs = np.sqrt(nl.n)
         return lhs <= rhs + 1e-9, f"p*max||A|| = {lhs:.6g} vs sqrt(n) = {rhs:.6g}"
     if name == "appendixB":
-        if nl is None:
-            return True, "no homogeneous part"
         worst = 0.0
         bound_ref = np.sqrt(nl.n) * nl.max_norm()
         for _ in range(20):
@@ -369,8 +360,6 @@ def _run_check(name: str, problem, rng) -> tuple[bool, str]:
             worst = max(worst, fn - bound)
         return worst <= 1e-9, f"max ||F|| excess over bound = {worst:.3g}"
     if name == "euler":
-        if nl is None:
-            return True, "no homogeneous part"
         worst = 0.0
         for _ in range(20):
             x = rng.normal(size=nl.n)
@@ -379,10 +368,10 @@ def _run_check(name: str, problem, rng) -> tuple[bool, str]:
             worst = max(worst, rel)
         return worst <= 1e-10, f"max relative Euler defect = {worst:.3g}"
     if name == "gradient":
-        return _check_gradient(problem, rng)
+        return _check_gradient(nl.n, [
+            (lambda x, i=i: evaluate(nl, x)[i], partial(gradient_md, nl, i))
+            for i in range(nl.n)], rng)
     if name == "scaling":
-        if nl is None:
-            return True, "no homogeneous part"
         worst = 0.0
         for _ in range(10):
             x = rng.normal(size=nl.n)
@@ -395,46 +384,33 @@ def _run_check(name: str, problem, rng) -> tuple[bool, str]:
     raise InputError(f"unknown check {name}")
 
 
-def _check_gradient(problem, rng) -> tuple[bool, str]:
+def _check_gradient(n: int, equations, rng) -> tuple[bool, str]:
+    """Each (f, grad f) pair against central differences at one random x."""
     h = 1e-5
     worst = 0.0
-    if isinstance(problem, InhomogeneousSystem):
-        for g in problem.equations:
-            x = rng.uniform(-1.0, 1.0, problem.n)
-            grad = gradient_inhomogeneous(g, x)
-            fd = np.zeros(problem.n)
-            from .poly_system import eval_inhomogeneous
-            for k in range(problem.n):
-                e = np.zeros(problem.n)
-                e[k] = h
-                fd[k] = (eval_inhomogeneous(g, x + e)
-                         - eval_inhomogeneous(g, x - e)) / (2 * h)
-            worst = max(worst, np.linalg.norm(grad - fd)
-                        / max(1.0, np.linalg.norm(fd)))
-        return worst <= 1e-6, f"max relative FD gap = {worst:.3g}"
-    nl = _homogeneous_part(problem)
-    if nl is None:
-        return True, "no homogeneous part"
-    for i in range(nl.n):
-        x = rng.uniform(-1.0, 1.0, nl.n)
-        grad = gradient_md(nl, i, x)
-        fd = np.zeros(nl.n)
-        for k in range(nl.n):
-            e = np.zeros(nl.n)
+    for f, grad_f in equations:
+        x = rng.uniform(-1.0, 1.0, n)
+        grad = grad_f(x)
+        fd = np.zeros(n)
+        for k in range(n):
+            e = np.zeros(n)
             e[k] = h
-            fd[k] = (evaluate(nl, x + e)[i] - evaluate(nl, x - e)[i]) / (2 * h)
+            fd[k] = (f(x + e) - f(x - e)) / (2 * h)
         worst = max(worst, np.linalg.norm(grad - fd)
                     / max(1.0, np.linalg.norm(fd)))
     return worst <= 1e-6, f"max relative FD gap = {worst:.3g}"
 
 
+def _write_with_guess(problem, guess: np.ndarray, out: str) -> None:
+    """Write the problem file and its one-value-per-line `.x0` guess file."""
+    write_problem_file(problem, out)
+    atomic_write(out + ".x0", "\n".join(f"{v:.17g}" for v in guess) + "\n")
+
+
 def _cmd_gen_lv(args) -> int:
     params = LvParams(args.alpha, args.beta, args.gamma, args.delta,
                       args.dt, args.steps, args.v0, args.p0, args.scale)
-    ms = lv_discretize(params)
-    write_problem_file(ms, args.out)
-    guess = lv_default_guess(params)
-    _atomic_write(args.out + ".x0", "\n".join(f"{v:.17g}" for v in guess) + "\n")
+    _write_with_guess(lv_discretize(params), lv_default_guess(params), args.out)
     return EXIT_OK
 
 
@@ -444,10 +420,8 @@ def _cmd_gen_gpe(args) -> int:
     params = GpeParams(args.nx, args.hbar2m, args.g,
                        np.full(args.nx, args.vconst), args.dt, args.dx, psi,
                        args.scale)
-    ms = gpe_discretize(params)
-    write_problem_file(ms, args.out)
-    guess = gpe_default_guess(params)
-    _atomic_write(args.out + ".x0", "\n".join(f"{v:.17g}" for v in guess) + "\n")
+    _write_with_guess(gpe_discretize(params), gpe_default_guess(params),
+                      args.out)
     return EXIT_OK
 
 
@@ -457,6 +431,16 @@ def _cmd_gen_random(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "solve": _cmd_solve,
+    "check": _cmd_check,
+    "gen-lv": _cmd_gen_lv,
+    "gen-gpe": _cmd_gen_gpe,
+    "gen-random": _cmd_gen_random,
+    "resources": _cmd_resources,
+}
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -464,22 +448,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "gen-lv":
-            return _cmd_gen_lv(args)
-        if args.command == "gen-gpe":
-            return _cmd_gen_gpe(args)
-        if args.command == "gen-random":
-            return _cmd_gen_random(args)
-        if args.command == "resources":
-            return _cmd_resources(args)
-        raise InputError(f"unknown command {args.command}")
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _COMMANDS[args.command](args)
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_CHECK

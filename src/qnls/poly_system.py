@@ -47,6 +47,8 @@ class SparseMatrix:
         vals = np.asarray(self.vals, dtype=np.float64).ravel()
         if not (rows.shape == cols.shape == vals.shape):
             raise InputError("rows, cols and vals must have equal length")
+        if not np.all(np.isfinite(vals)):
+            raise InputError("matrix entries must be finite")
         if self.dim_rows <= 0 or self.dim_cols <= 0:
             raise InputError("matrix dimensions must be positive")
         keep = vals != 0.0
@@ -75,6 +77,16 @@ class SparseMatrix:
         cols = np.array([e[1] for e in ent], dtype=np.int64)
         vals = np.array([e[2] for e in ent], dtype=np.float64)
         return cls(dim_rows, dim_cols, rows, cols, vals)
+
+    @classmethod
+    def summed(cls, dim_rows: int, dim_cols: int, rows: np.ndarray,
+               cols: np.ndarray, vals: np.ndarray) -> "SparseMatrix":
+        """Matrix whose entry at each position is the sum of the given values there."""
+        keys = rows * dim_cols + cols
+        uniq, inv = np.unique(keys, return_inverse=True)
+        acc = np.zeros(uniq.size)
+        np.add.at(acc, inv, vals)
+        return cls(dim_rows, dim_cols, uniq // dim_cols, uniq % dim_cols, acc)
 
     @classmethod
     def from_dense(cls, m: np.ndarray, tol: float = 0.0) -> "SparseMatrix":
@@ -138,15 +150,10 @@ class SparseMatrix:
         """(A + A^T) / 2 with merged entry pattern."""
         if self.dim_rows != self.dim_cols:
             raise InputError("symmetrization needs a square matrix")
-        rows = np.concatenate([self.rows, self.cols])
-        cols = np.concatenate([self.cols, self.rows])
-        vals = np.concatenate([self.vals, self.vals]) * 0.5
-        keys = rows * self.dim_cols + cols
-        uniq, inv = np.unique(keys, return_inverse=True)
-        acc = np.zeros(uniq.size)
-        np.add.at(acc, inv, vals)
-        return SparseMatrix(self.dim_rows, self.dim_cols,
-                            uniq // self.dim_cols, uniq % self.dim_cols, acc)
+        return SparseMatrix.summed(self.dim_rows, self.dim_cols,
+                                   np.concatenate([self.rows, self.cols]),
+                                   np.concatenate([self.cols, self.rows]),
+                                   np.concatenate([self.vals, self.vals]) * 0.5)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros(self.dim_rows)
@@ -240,20 +247,21 @@ class PolynomialSystem:
         """M_D^i = sum_{j=1}^p Q_j A_i Q_j as one merged sparse matrix."""
         a = self.equations[i]
         d = self.n ** self.p
-        rows, cols, vals = [], [], []
-        for j in range(1, self.p + 1):
-            q = FactorPermutation(self.p, self.n, j)
-            rows.append(q.apply(a.rows))
-            cols.append(q.apply(a.cols))
-            vals.append(a.vals)
-        r = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        c = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-        v = np.concatenate(vals) if vals else np.zeros(0)
-        keys = r * d + c
-        uniq, inv = np.unique(keys, return_inverse=True)
-        acc = np.zeros(uniq.size)
-        np.add.at(acc, inv, v)
-        return SparseMatrix(d, d, uniq // d, uniq % d, acc)
+        qs = [FactorPermutation(self.p, self.n, j) for j in range(1, self.p + 1)]
+        return SparseMatrix.summed(d, d,
+                                   np.concatenate([q.apply(a.rows) for q in qs]),
+                                   np.concatenate([q.apply(a.cols) for q in qs]),
+                                   np.concatenate([a.vals] * self.p))
+
+
+def _canonical_factor(n: int, p: int, norm: float, ent: float) -> float:
+    """min(1, sqrt(n) / (p norm), 1 / ent), a zero norm or entry imposing nothing."""
+    c = 1.0
+    if norm > 0:
+        c = min(c, np.sqrt(n) / (p * norm))
+    if ent > 0:
+        c = min(c, 1.0 / ent)
+    return c
 
 
 def canonicalize(system: PolynomialSystem) -> tuple[PolynomialSystem, float]:
@@ -262,13 +270,8 @@ def canonicalize(system: PolynomialSystem) -> tuple[PolynomialSystem, float]:
 
     The factor is returned; roots are unchanged by a common rescale.
     """
-    norm = system.max_norm()
-    ent = system.max_entry()
-    c = 1.0
-    if norm > 0:
-        c = min(c, np.sqrt(system.n) / (system.p * norm))
-    if ent > 0:
-        c = min(c, 1.0 / ent)
+    c = _canonical_factor(system.n, system.p, system.max_norm(),
+                          system.max_entry())
     if c >= 1.0:
         return system, 1.0
     eqs = tuple(a.scaled(c) for a in system.equations)
@@ -339,6 +342,8 @@ class InhomogeneousPolynomial:
             c = np.asarray(c, dtype=np.float64)
             if c.ndim != 1:
                 raise InputError("term vector c must be one-dimensional")
+            if not np.all(np.isfinite(c)):
+                raise InputError("term vector c must be finite")
             if nvars is None:
                 nvars = c.size
             elif c.size != nvars:
@@ -422,6 +427,8 @@ class MixedSystem:
         b = np.asarray(self.constants, dtype=np.float64)
         if b.shape != (self.n,):
             raise DimensionMismatchError("constants must have length n")
+        if not np.all(np.isfinite(b)):
+            raise InputError("constants must be finite")
         if self.linear.dim_rows != self.n or self.linear.dim_cols != self.n:
             raise DimensionMismatchError("linear part must be n x n")
         if self.nonlinear is not None and self.nonlinear.n != self.n:
@@ -457,16 +464,9 @@ def canonicalize_mixed(ms: MixedSystem) -> tuple[MixedSystem, np.ndarray]:
     if ms.nonlinear is None:
         return ms, factors
     nl = ms.nonlinear
-    rootn = np.sqrt(nl.n)
     for i, a in enumerate(nl.equations):
-        c = 1.0
-        norm = a.spectral_norm()
-        if norm > 0:
-            c = min(c, rootn / (nl.p * norm))
-        ent = a.max_abs_entry()
-        if ent > 0:
-            c = min(c, 1.0 / ent)
-        factors[i] = c
+        factors[i] = _canonical_factor(nl.n, nl.p, a.spectral_norm(),
+                                       a.max_abs_entry())
     if np.all(factors >= 1.0):
         return ms, np.ones(ms.n)
     eqs = tuple(a.scaled(f) for a, f in zip(nl.equations, factors))

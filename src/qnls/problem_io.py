@@ -11,6 +11,7 @@ digits so that write -> parse -> write is bit-identical.
 
 from __future__ import annotations
 
+import io
 import os
 import tempfile
 from typing import TextIO, Union
@@ -93,13 +94,13 @@ def _inhomog_sparsity(problem: InhomogeneousSystem) -> int:
     return s
 
 
-def write_problem_file(problem: Problem, path: str) -> None:
-    """Atomic write (temp file + rename)."""
+def atomic_write(path: str, text: str) -> None:
+    """Write text to path through a temporary file and a rename."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            write_problem(problem, fh)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -107,8 +108,11 @@ def write_problem_file(problem: Problem, path: str) -> None:
         raise
 
 
+def write_problem_file(problem: Problem, path: str) -> None:
+    atomic_write(path, dumps_problem(problem))
+
+
 def dumps_problem(problem: Problem) -> str:
-    import io
     buf = io.StringIO()
     write_problem(problem, buf)
     return buf.getvalue()

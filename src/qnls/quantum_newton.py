@@ -120,29 +120,30 @@ def _require_canonical(system: PolynomialSystem) -> None:
             "p * max ||A_i|| exceeds sqrt(n); canonicalize first")
 
 
+def _blockdiag(blocks: list[SparseMatrix]) -> SparseMatrix:
+    """blockdiag(blocks[0] .. blocks[-1]) for equally sized square blocks."""
+    d = blocks[0].dim_rows
+    big = len(blocks) * d
+    return SparseMatrix(big, big,
+                        np.concatenate([b.rows + i * d for i, b in enumerate(blocks)]),
+                        np.concatenate([b.cols + i * d for i, b in enumerate(blocks)]),
+                        np.concatenate([b.vals for b in blocks]))
+
+
 def build_M_blockdiag(system: PolynomialSystem,
                       ledger: CostLedger | None = None) -> BlockEncoding:
     """Encoding of blockdiag(M_D^1 .. M_D^n) / (p s), via per-permutation sums."""
     _require_canonical(system)
     n, p, s = system.n, system.p, system.sparsity
     d = n ** p
-    big = n * d
     parts = []
     for j in range(1, p + 1):
-        rows, cols, vals = [], [], []
         q = FactorPermutation(p, n, j)
-        for i, a in enumerate(system.equations):
-            rows.append(q.apply(a.rows) + i * d)
-            cols.append(q.apply(a.cols) + i * d)
-            vals.append(a.vals)
-        mdj = SparseMatrix(big, big,
-                           np.concatenate(rows) if rows else np.zeros(0, int),
-                           np.concatenate(cols) if cols else np.zeros(0, int),
-                           np.concatenate(vals) if vals else np.zeros(0))
+        mdj = _blockdiag([q.conjugate(a) for a in system.equations])
         parts.append(be_from_sparse(mdj, s, ledger))
     out = be_sum(parts, ledger=ledger)
     if debug_enabled():
-        intended = np.zeros((big, big))
+        intended = np.zeros((n * d, n * d))
         for i in range(n):
             md = system.m_d(i).to_dense()
             intended[i * d:(i + 1) * d, i * d:(i + 1) * d] = md
@@ -154,13 +155,8 @@ def build_M_blockdiag(system: PolynomialSystem,
 def build_A_blockdiag(system: PolynomialSystem,
                       ledger: CostLedger | None = None) -> BlockEncoding:
     """Encoding of blockdiag(A_1/2 .. A_n/2) / s."""
-    n, p, s = system.n, system.p, system.sparsity
-    d = n ** p
-    big = n * d
-    rows = np.concatenate([a.rows + i * d for i, a in enumerate(system.equations)])
-    cols = np.concatenate([a.cols + i * d for i, a in enumerate(system.equations)])
-    vals = np.concatenate([0.5 * a.vals for a in system.equations])
-    return be_from_sparse(SparseMatrix(big, big, rows, cols, vals), s, ledger)
+    blocks = [a.scaled(0.5) for a in system.equations]
+    return be_from_sparse(_blockdiag(blocks), system.sparsity, ledger)
 
 
 def build_P(be_m: BlockEncoding, be_xxT: BlockEncoding, p: int, n: int,
@@ -173,18 +169,45 @@ def build_P(be_m: BlockEncoding, be_xxT: BlockEncoding, p: int, n: int,
     return be_product(left, be_product(be_m, right, ledger), ledger)
 
 
-def _reference_unit(n: int, x_ref: np.ndarray | None) -> np.ndarray:
+def _a_sandwich(be_a: BlockEncoding, be_xxT: BlockEncoding, n: int, p: int,
+                ledger: CostLedger | None) -> BlockEncoding:
+    """(I x (xx^T)^{p}) A (I x (xx^T)^{p}) for the block-diagonal value operator A."""
+    tens = be_tensor([be_identity(n)] + [be_xxT] * p, ledger)
+    return be_product(tens, be_product(be_a, tens, ledger), ledger)
+
+
+def _reference_overlap(n: int, be_xxT: BlockEncoding, x_ref: np.ndarray | None,
+                       x_hint: np.ndarray | None
+                       ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Unit reference r (e_1 when x_ref is None), the iterate x and gamma = r.x.
+
+    x is x_hint when given, else recovered from the encoding.  An overlap
+    below GAMMA_FLOOR raises DegenerateReferenceError.
+    """
     if x_ref is None:
-        r = np.zeros(n)
-        r[0] = 1.0
-        return r
-    r = np.asarray(x_ref, dtype=np.float64)
-    if r.shape != (n,):
-        raise InputError("reference vector has wrong length")
-    nrm = float(np.linalg.norm(r))
-    if nrm == 0:
-        raise DegenerateReferenceError("zero reference vector")
-    return r / nrm
+        refu = np.zeros(n)
+        refu[0] = 1.0
+    else:
+        refu = np.asarray(x_ref, dtype=np.float64)
+        if refu.shape != (n,):
+            raise InputError("reference vector has wrong length")
+        nrm = float(np.linalg.norm(refu))
+        if nrm == 0:
+            raise DegenerateReferenceError("zero reference vector")
+        refu = refu / nrm
+    x = x_hint if x_hint is not None else recover_vector(be_xxT, refu)
+    gamma = float(np.dot(refu, x))
+    if abs(gamma) < GAMMA_FLOOR:
+        raise DegenerateReferenceError(f"overlap {gamma:.2e} below {GAMMA_FLOOR}")
+    return refu, x, gamma
+
+
+def _amplify_to_unit(be: BlockEncoding,
+                     ledger: CostLedger | None) -> BlockEncoding:
+    """Amplify toward alpha = 1 as far as the block norm leaves headroom."""
+    nrm = float(np.linalg.norm(be.block, 2))
+    factor = min(be.alpha, (1.0 - 1e-6) / max(nrm, 1e-300))
+    return be_amplify(be, factor, ledger) if factor > 1.0 else be
 
 
 def jacobian_sandwich_be(system: PolynomialSystem, be_xxT: BlockEncoding,
@@ -199,13 +222,7 @@ def jacobian_sandwich_be(system: PolynomialSystem, be_xxT: BlockEncoding,
     the extracted matrix is gamma^{2p-1} J(x)^T / sqrt(n).
     """
     n, p = system.n, system.p
-    refu = _reference_unit(n, x_ref)
-    x = x_hint if x_hint is not None else recover_vector(be_xxT, refu)
-    gamma = float(np.dot(refu, x))
-    if abs(gamma) < GAMMA_FLOOR:
-        raise DegenerateReferenceError(
-            f"overlap {gamma:.2e} below {GAMMA_FLOOR}; move the reference "
-            "state closer to the iterate")
+    refu, x, gamma = _reference_overlap(n, be_xxT, x_ref, x_hint)
     be_m = build_M_blockdiag(system, ledger)
     be_p = build_P(be_m, be_xxT, p, n, ledger)
     a_anc = be_p.ancilla_dim
@@ -242,12 +259,7 @@ def jacobian_be(system: PolynomialSystem, be_xxT: BlockEncoding,
     """Encoding of gamma^{2p-1} J(x) / sqrt(n), amplified toward alpha = 1."""
     sand, gamma = jacobian_sandwich_be(system, be_xxT, x_ref,
                                        x_hint=x_hint, ledger=ledger)
-    be_j = be_transpose(sand)
-    nrm = float(np.linalg.norm(be_j.block, 2))
-    factor = min(be_j.alpha, (1.0 - 1e-6) / max(nrm, 1e-300))
-    if factor > 1.0:
-        be_j = be_amplify(be_j, factor, ledger)
-    return be_j, gamma
+    return _amplify_to_unit(be_transpose(sand), ledger), gamma
 
 
 def rhs_be(system: PolynomialSystem, be_xxT: BlockEncoding,
@@ -256,15 +268,8 @@ def rhs_be(system: PolynomialSystem, be_xxT: BlockEncoding,
            ledger: CostLedger | None = None) -> BlockEncoding:
     """Encoding of gamma^{2p-1} F(x) x^T / sqrt(n) via the A sandwich."""
     n, p = system.n, system.p
-    refu = _reference_unit(n, x_ref)
-    x = x_hint if x_hint is not None else recover_vector(be_xxT, refu)
-    gamma = float(np.dot(refu, x))
-    if abs(gamma) < GAMMA_FLOOR:
-        raise DegenerateReferenceError(
-            f"overlap {gamma:.2e} below {GAMMA_FLOOR}")
-    be_a = build_A_blockdiag(system, ledger)
-    tens = be_tensor([be_identity(n)] + [be_xxT] * p, ledger)
-    be_r = be_product(tens, be_product(be_a, tens, ledger), ledger)
+    refu, x, gamma = _reference_overlap(n, be_xxT, x_ref, x_hint)
+    be_r = _a_sandwich(build_A_blockdiag(system, ledger), be_xxT, n, p, ledger)
     a_anc = be_r.ancilla_dim
     # axes: 0 ancilla, 1 equation index, 2..p leading x-registers, p+1 last
     dims = (a_anc, n) + (n,) * (p - 1) + (n,)
@@ -387,11 +392,7 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
     p_half = poly.p if poly is not None else 1
     floor = cfg.sigma_floor
     nx2 = norm_estimate(state.be_xxT, cfg.eps, led)
-    refu = _reference_unit(n, x_ref)
-    x = state.x
-    gamma = float(np.dot(refu, x))
-    if abs(gamma) < GAMMA_FLOOR:
-        raise DegenerateReferenceError(f"overlap {gamma:.2e} below {GAMMA_FLOOR}")
+    refu, x, gamma = _reference_overlap(n, state.be_xxT, x_ref, state.x)
     ghat = gamma ** (2 * p_half - 1)
     rootn = np.sqrt(n)
 
@@ -439,11 +440,7 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
 
     terms = [be_rescale(state.be_xxT, scale), t2, t3, be_rescale(t4, 1.0 / scale)]
     summed = be_sum(terms, [1, -1, -1, 1], led)            # scale * x' x'^T
-    out = be_rescale(summed, 1.0 / scale)
-    nrm = float(np.linalg.norm(out.block, 2))
-    factor = min(out.alpha, (1.0 - 1e-6) / max(nrm, 1e-300))
-    if factor > 1.0:
-        out = be_amplify(out, factor, led)
+    out = _amplify_to_unit(be_rescale(summed, 1.0 / scale), led)
 
     x_next = recover_vector(out, sign_reference=x)
     if debug_enabled():
@@ -476,6 +473,8 @@ def newton_solve(system, x0: np.ndarray, t: int, cfg: InversionConfig, *,
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (system.n,):
         raise InputError(f"x0 must have length {system.n}")
+    if not np.all(np.isfinite(x0)):
+        raise InputError("x0 must be finite")
     if np.linalg.norm(x0) > 1.0 + 1e-12:
         raise InputError("||x0|| must be at most 1")
     led = ledger.copy() if ledger is not None else CostLedger()
@@ -535,8 +534,7 @@ def init_heuristic(system: PolynomialSystem, candidates, eps: float = 1e-6,
         if np.linalg.norm(c) > 1.0 + 1e-12:
             raise InputError("candidates must have norm at most 1")
         be_c = be_from_vector(c, ledger)
-        tens = be_tensor([be_identity(n)] + [be_c] * p, ledger)
-        op = be_product(tens, be_product(be_a, tens, ledger), ledger)
+        op = _a_sandwich(be_a, be_c, n, p, ledger)
         sq = be_product(op, be_transpose(op), ledger)
         m2 = max_eigenvalue(sq, eps, ledger)
         nx2 = norm_estimate(be_c, eps, ledger)
@@ -546,80 +544,3 @@ def init_heuristic(system: PolynomialSystem, candidates, eps: float = 1e-6,
             values.append(float(np.sqrt(max(m2, 0.0)) / nx2 ** p))
     best = int(np.argmin(values))
     return cands[best], values
-
-
-# ---------------------------------------------------------------------------
-# Single-function inhomogeneous building block (experimental)
-# ---------------------------------------------------------------------------
-
-def inhomogeneous_term_be(c: np.ndarray, bs, be_xxT: BlockEncoding,
-                          ledger: CostLedger | None = None) -> BlockEncoding:
-    """Encoding of (xx^T)^{(p-1)} (x) x c^T (x) grad g(x) x^T for one term
-    g(x) = (c^T x) * prod_k (x^T B_k x), with c a unit vector.
-
-    Verified building block for the inhomogeneous extension; the n-function
-    assembly on top of it is deliberately not part of the solver pipeline.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    if abs(np.linalg.norm(c) - 1.0) > 1e-9:
-        raise InputError("c must be a unit vector (state-preparation input)")
-    bs = list(bs)
-    if not bs:
-        raise InputError("need at least one quadratic factor")
-    p = len(bs)
-    n = c.size
-    big = SparseMatrix.from_dense(_kron_all([b.to_dense() for b in bs]))
-    be_cc = be_from_vector(c, ledger)
-    # route 1: b(x) * (xx^T)^{p-1} (x) x c^T (x) c x^T
-    big_sym = big.symmetrized()
-    be_b = _encode_matrix_auto(big_sym, ledger)
-    emb_b = be_tensor([be_b, be_identity(n)], ledger)
-    t_all = be_tensor([be_xxT] * p + [be_cc], ledger)
-    prod1 = be_product(t_all, be_product(emb_b, t_all, ledger), ledger)
-    swap_last = _swap_last_two_registers(n ** (p - 1), n)
-    s1 = be_product(prod1, swap_last, ledger)
-    # route 2: (x^T c) * (xx^T)^{p-1} (x) x c^T (x) grad b(x) x^T
-    md_rows, md_cols, md_vals = [], [], []
-    for j in range(1, p + 1):
-        q = FactorPermutation(p, n, j)
-        md_rows.append(q.apply(big_sym.rows))
-        md_cols.append(q.apply(big_sym.cols))
-        md_vals.append(big_sym.vals)
-    md = _merge_entries(n ** p, np.concatenate(md_rows),
-                        np.concatenate(md_cols), np.concatenate(md_vals))
-    be_md = _encode_matrix_auto(md, ledger)
-    left = be_tensor([be_xxT] * (p - 1) + [be_identity(n)], ledger)
-    right = be_tensor([be_xxT] * p, ledger)
-    # the M_D sandwich carries grad of (1/2) x^{op T} B x^{op}; b(x) lacks the 1/2
-    grad_obj = be_rescale(
-        be_product(left, be_product(be_md, right, ledger), ledger), 2.0)
-    tens2 = be_tensor([grad_obj, be_cc], ledger)
-    conj = be_product(swap_last, be_product(tens2, swap_last, ledger), ledger)
-    be_xc = be_product(be_xxT, be_cc, ledger)
-    emb = be_tensor([be_identity(n ** (p - 1)), be_xc, be_identity(n)], ledger)
-    s2 = be_product(emb, conj, ledger)
-    return be_sum([s1, s2], ledger=ledger)
-
-
-def _kron_all(mats) -> np.ndarray:
-    out = np.ones((1, 1))
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
-def _merge_entries(d: int, rows: np.ndarray, cols: np.ndarray,
-                   vals: np.ndarray) -> SparseMatrix:
-    keys = rows * d + cols
-    uniq, inv = np.unique(keys, return_inverse=True)
-    acc = np.zeros(uniq.size)
-    np.add.at(acc, inv, vals)
-    return SparseMatrix(d, d, uniq // d, uniq % d, acc)
-
-
-def _swap_last_two_registers(head_dim: int, n: int) -> BlockEncoding:
-    d = head_dim * n * n
-    order = _perm_order((head_dim, n, n), (0, 2, 1))
-    u = np.zeros((d, d))
-    u[np.arange(d), order] = 1.0
-    return BlockEncoding(d, 1, u, 1.0, 0.0, u.copy(), 1.0)

@@ -18,7 +18,6 @@ from .block_encoding import (BlockEncoding, CostLedger, _eps_units, _log2,
                              _mk, be_product, be_transpose, debug_enabled)
 from .errors import ConditioningError, ConfigError, InputError
 
-_MAX_POLY_DEGREE = 10 ** 5
 _LP_DEGREE_CAP = 1200      # practical cap of the LP-based minimax builder
 _HERMITIAN_TOL = 1e-9
 
@@ -36,12 +35,12 @@ class InversionConfig:
             raise InputError("sigma_floor must lie in (0, 1)")
         if not self.eps > 0:
             raise InputError("eps must be positive")
-        if self.backend not in ("exact", "polynomial", "poly"):
+        if self.backend not in ("exact", "poly"):
             raise InputError(f"unknown backend {self.backend!r}")
 
     @property
     def polynomial(self) -> bool:
-        return self.backend in ("polynomial", "poly")
+        return self.backend == "poly"
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,7 +144,7 @@ def build_inverse_poly(sigma: float, eps: float) -> OddPolynomial:
         raise InputError("sigma must lie in (0, 1)")
     if not eps > 0:
         raise InputError("eps must be positive")
-    q = _search_inverse_poly(float(sigma), float(eps), 1.0, _MAX_POLY_DEGREE)
+    q = _search_inverse_poly(float(sigma), float(eps), 1.0, _LP_DEGREE_CAP)
     if q is None:
         raise ConfigError("inverse polynomial degree budget exhausted")
     return q
@@ -170,8 +169,7 @@ def backend_inverse_poly(sigma: float, eps: float) -> tuple[OddPolynomial, float
     """
     if not (0.0 < sigma < 1.0):
         raise InputError("sigma must lie in (0, 1)")
-    cap = int(np.ceil(4.0 * degree_budget(sigma, eps)))
-    cap = min(max(cap, 3), _MAX_POLY_DEGREE)
+    cap = max(int(np.ceil(4.0 * degree_budget(sigma, eps))), 3)
     # the saturated fit converges only like 1/degree near the cap, so do not
     # chase it past a few hundred before switching to the headroom target
     q = _search_inverse_poly(float(sigma), float(eps), 1.0, min(cap, 257))
@@ -185,11 +183,6 @@ def backend_inverse_poly(sigma: float, eps: float) -> tuple[OddPolynomial, float
             f"degree beyond the desk-scale LP cap {_LP_DEGREE_CAP}; raise "
             "sigma_floor or eps, or use the exact backend")
     return q, _HEADROOM
-
-
-def inversion_charge(sigma: float, eps: float) -> float:
-    """(1/sigma) * polylog(1/(sigma eps)) symbolic units."""
-    return (1.0 / sigma) * _log2(1.0 / (sigma * _eps_units(eps)))
 
 
 def sv_invert(be: BlockEncoding, cfg: InversionConfig,
@@ -213,27 +206,23 @@ def sv_invert(be: BlockEncoding, cfg: InversionConfig,
         raise ConditioningError(
             f"singular value {worst:.3e} in the dead band [sigma/2, sigma); "
             f"condition exceeds 1/sigma = {1.0 / sigma:.3e}")
+    with np.errstate(divide="ignore"):
+        g_exact = np.where(alive, np.clip(
+            np.where(s > 0, sigma / np.maximum(s, 1e-300), 0.0), 0.0, 1.0), 0.0)
     alpha_out = 1.0
+    g = g_exact
     if cfg.polynomial:
         q, headroom = backend_inverse_poly(sigma, cfg.eps)
-        g = np.asarray(q(s), dtype=np.float64)
+        g = np.where(alive, np.asarray(q(s), dtype=np.float64), 0.0)
         alpha_out = 1.0 / headroom
         if ledger is not None:
             ledger.charge("inverse_poly_degree", note=float(q.degree))
-    else:
-        with np.errstate(divide="ignore"):
-            g = np.where(s > 0, sigma / np.maximum(s, 1e-300), 0.0)
-        g = np.clip(g, -1.0, 1.0)
-    g = np.where(alive, g, 0.0)
     out_block = (vh.conj().T * g) @ u.conj().T
-    charge = be.cost * inversion_charge(sigma, cfg.eps)
+    charge = be.cost * degree_budget(sigma, cfg.eps)
     if ledger is not None:
         ledger.charge("inversion", primitive=charge)
     intended = None
     if be.intended is not None or debug_enabled():
-        with np.errstate(divide="ignore"):
-            g_exact = np.where(alive, np.clip(
-                np.where(s > 0, sigma / np.maximum(s, 1e-300), 0.0), 0.0, 1.0), 0.0)
         intended = (vh.conj().T * g_exact) @ u.conj().T
     eps_out = be.eps / sigma + (cfg.eps if cfg.polynomial else 0.0)
     return _mk(out_block, alpha_out, eps_out, intended, charge)

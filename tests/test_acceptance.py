@@ -13,8 +13,8 @@ from scipy.stats import ortho_group
 from qnls import (CostLedger, InversionConfig, NewtonState,
                   backend_inverse_poly, be_amplify, be_from_vector,
                   be_of_matrix, be_product, be_rescale, be_sum, be_transpose,
-                  classical_newton, degree_budget, evaluate, extract_block,
-                  gradient_md, homogenize_odd, jacobian, jacobian_sandwich_be,
+                  classical_newton, degree_budget, evaluate, gradient_md,
+                  homogenize_odd, jacobian, jacobian_sandwich_be,
                   newton_solve, newton_step, sv_invert)
 from qnls.classical_oracle import residual as residual_of
 from qnls.poly_system import evaluate_monomials
@@ -45,17 +45,17 @@ def test_criterion_01_block_encoding_soundness():
     for trial in range(100):
         d = int(rng.choice([2, 3, 4, 8, 16]))
         be = be_of_matrix(rng.uniform(-0.5, 0.5, (d, d)) / np.sqrt(d))
-        dense = extract_block(be)
+        dense = be.extract()
         for _ in range(int(rng.integers(2, 5))):
             op = rng.integers(0, 5)
             if op == 0:
                 other = be_of_matrix(rng.uniform(-0.5, 0.5, (d, d)) / np.sqrt(d))
-                be, dense = be_product(be, other), dense @ extract_block(other)
+                be, dense = be_product(be, other), dense @ other.extract()
             elif op == 1:
                 other = be_of_matrix(rng.uniform(-0.5, 0.5, (d, d)) / np.sqrt(d))
                 sign = int(rng.choice([-1, 1]))
                 be = be_sum([be, other], [1, sign])
-                dense = dense + sign * extract_block(other)
+                dense = dense + sign * other.extract()
             elif op == 2:
                 be, dense = be_transpose(be), dense.T
             elif op == 3:
@@ -65,7 +65,7 @@ def test_criterion_01_block_encoding_soundness():
                     be = be_amplify(be, factor)
             else:
                 be, dense = be_rescale(be, 0.5), 0.5 * dense
-        assert np.linalg.norm(extract_block(be) - dense, 2) <= 1e-9
+        assert np.linalg.norm(be.extract() - dense, 2) <= 1e-9
         u = be.unitary
         assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2) <= 1e-10
     elapsed = time.perf_counter() - t0
@@ -140,7 +140,7 @@ def test_criterion_05_inversion_backends():
     q, headroom = backend_inverse_poly(0.3, 1e-3)
     assert q.degree <= 4.0 * degree_budget(0.3, 1e-3)
     cfg_e = InversionConfig(0.3, 1e-3, "exact")
-    cfg_p = InversionConfig(0.3, 1e-3, "polynomial")
+    cfg_p = InversionConfig(0.3, 1e-3, "poly")
     led = CostLedger()
     for trial in range(50):
         d = int(rng.choice([4, 6, 8]))
@@ -150,7 +150,7 @@ def test_criterion_05_inversion_backends():
         be = be_of_matrix(m)
         ex = sv_invert(be, cfg_e)
         po = sv_invert(be, cfg_p, led)
-        gap = np.linalg.norm(extract_block(ex) - extract_block(po), 2)
+        gap = np.linalg.norm(ex.extract() - po.extract(), 2)
         assert gap <= 1e-3
     assert led.notes["inverse_poly_degree"] / 50 <= 4.0 * degree_budget(0.3, 1e-3)
     report(5, "inversion backends agree within eps, degree within budget")
@@ -178,7 +178,7 @@ def test_criterion_06_homogeneous_contraction():
             continue
         factor = 1.0 - 1.0 / (2.0 * p)
         assert np.linalg.norm(nxt.x - factor * x) <= 1e-8
-        assert np.linalg.norm(extract_block(nxt.be_xxT)
+        assert np.linalg.norm(nxt.be_xxT.extract()
                               - factor ** 2 * np.outer(x, x), 2) <= 1e-8
         checked += 1
     assert checked >= 8
@@ -238,7 +238,7 @@ def _run_trace_comparison(system, x0, gamma_reference):
     quantum_resids = []
     for st, cx in zip(states, classical.iterates):
         assert np.linalg.norm(st.x - cx) <= 1e-6
-        assert np.linalg.norm(extract_block(st.be_xxT) - np.outer(cx, cx),
+        assert np.linalg.norm(st.be_xxT.extract() - np.outer(cx, cx),
                               2) <= 1e-6
         quantum_resids.append(residual_of(f_eval, st.x))
     for rq, rc in zip(quantum_resids, classical.residuals):

@@ -9,7 +9,7 @@ from qnls import (AmplificationOverflowError, BlockEncoding, CostLedger,
                   DimensionMismatchError, InputError, RescaleRequiredError,
                   SparseMatrix, be_amplify, be_from_sparse, be_from_vector,
                   be_identity, be_of_matrix, be_outer, be_product, be_rescale,
-                  be_sum, be_tensor, be_transpose, extract_block)
+                  be_sum, be_tensor, be_transpose)
 
 
 def random_contraction(rng, d, scale=0.4):
@@ -87,11 +87,11 @@ def test_pipeline_ledger_equals_merge_of_steps():
 def test_from_sparse_identity_and_flip():
     be = be_from_sparse(SparseMatrix.identity(2), 1)
     assert be.alpha == 1.0
-    assert np.allclose(extract_block(be), np.eye(2))
+    assert np.allclose(be.extract(), np.eye(2))
     be.verify()
     flip = SparseMatrix.from_entries(2, 2, [(0, 1, 1.0), (1, 0, 1.0)])
     be = be_from_sparse(flip, 1)
-    assert np.allclose(extract_block(be), [[0, 1], [1, 0]])
+    assert np.allclose(be.extract(), [[0, 1], [1, 0]])
 
 
 def test_from_sparse_random_recovers_matrix():
@@ -115,10 +115,10 @@ def test_from_sparse_rejects_large_entries_and_nonsquare():
 
 def test_from_vector_basis_and_uniform():
     be = be_from_vector(np.array([1.0, 0.0]))
-    assert np.allclose(extract_block(be), np.diag([1.0, 0.0]))
+    assert np.allclose(be.extract(), np.diag([1.0, 0.0]))
     v = np.full(2, 1 / np.sqrt(2))
     be = be_from_vector(v)
-    assert np.allclose(extract_block(be), np.full((2, 2), 0.5))
+    assert np.allclose(be.extract(), np.full((2, 2), 0.5))
 
 
 def test_from_vector_subunit_embedding():
@@ -126,7 +126,7 @@ def test_from_vector_subunit_embedding():
     x = rng.normal(size=3)
     x *= 0.6 / np.linalg.norm(x)
     be = be_from_vector(x)
-    assert np.allclose(extract_block(be), np.outer(x, x), atol=1e-12)
+    assert np.allclose(be.extract(), np.outer(x, x), atol=1e-12)
     be.verify()
     with pytest.raises(InputError):
         be_from_vector(1.2 * x / 0.6)
@@ -136,7 +136,7 @@ def test_outer_encoding():
     u = np.array([2.0, -1.0])
     v = np.array([0.5, 0.25])
     be = be_outer(u, v)
-    assert np.allclose(extract_block(be), np.outer(u, v), atol=1e-12)
+    assert np.allclose(be.extract(), np.outer(u, v), atol=1e-12)
     be.verify()
 
 
@@ -146,18 +146,18 @@ def test_outer_encoding():
 
 def test_product_identity_and_scalar_blocks():
     be_i = be_identity(2)
-    assert np.allclose(extract_block(be_product(be_i, be_i)), np.eye(2))
+    assert np.allclose(be_product(be_i, be_i).extract(), np.eye(2))
     half = be_of_matrix(0.5 * np.eye(2))
     sq = be_product(half, half)
-    assert np.allclose(extract_block(sq), 0.25 * np.eye(2))
+    assert np.allclose(sq.extract(), 0.25 * np.eye(2))
 
 
 def test_product_random_pair_and_dim_mismatch():
     rng = np.random.default_rng(3)
     a, b = random_contraction(rng, 4), random_contraction(rng, 4)
     prod = be_product(a, b)
-    assert np.linalg.norm(extract_block(prod)
-                          - extract_block(a) @ extract_block(b), 2) <= 1e-10
+    assert np.linalg.norm(prod.extract()
+                          - a.extract() @ b.extract(), 2) <= 1e-10
     assert prod.alpha == a.alpha * b.alpha
     with pytest.raises(DimensionMismatchError):
         be_product(a, random_contraction(rng, 2))
@@ -171,35 +171,35 @@ def test_tensor_single_identity_and_triple():
     be_x = be_from_vector(x)
     bi = be_identity(2)
     t = be_tensor([bi, be_x])
-    assert np.allclose(extract_block(t), np.kron(np.eye(2), np.outer(x, x)),
+    assert np.allclose(t.extract(), np.kron(np.eye(2), np.outer(x, x)),
                        atol=1e-11)
     factors = [random_contraction(rng, 2) for _ in range(3)]
     t3 = be_tensor(factors)
-    expected = extract_block(factors[0])
+    expected = factors[0].extract()
     for f in factors[1:]:
-        expected = np.kron(expected, extract_block(f))
-    assert np.linalg.norm(extract_block(t3) - expected, 2) <= 1e-10
+        expected = np.kron(expected, f.extract())
+    assert np.linalg.norm(t3.extract() - expected, 2) <= 1e-10
 
 
 def test_sum_single_cancellation_and_signs():
     rng = np.random.default_rng(5)
     a = random_contraction(rng, 3)
     single = be_sum([a])
-    assert np.allclose(extract_block(single), extract_block(a), atol=1e-11)
+    assert np.allclose(single.extract(), a.extract(), atol=1e-11)
     cancel = be_sum([a, a], [1, -1])
-    assert np.linalg.norm(extract_block(cancel), 2) <= 1e-11
+    assert np.linalg.norm(cancel.extract(), 2) <= 1e-11
     terms = [random_contraction(rng, 3) for _ in range(4)]
     signs = [1, -1, 1, -1]
     s = be_sum(terms, signs)
-    expected = sum(sg * extract_block(t) for t, sg in zip(terms, signs))
-    assert np.linalg.norm(extract_block(s) - expected, 2) <= 1e-10
+    expected = sum(sg * t.extract() for t, sg in zip(terms, signs))
+    assert np.linalg.norm(s.extract() - expected, 2) <= 1e-10
     assert s.alpha == pytest.approx(4 * max(t.alpha for t in terms))
 
 
 def test_amplify_content_invariance_and_overflow():
     be = be_of_matrix(np.diag([0.1, 0.1]))
     amped = be_amplify(be, 5.0)
-    assert np.allclose(extract_block(amped), np.diag([0.1, 0.1]), atol=1e-12)
+    assert np.allclose(amped.extract(), np.diag([0.1, 0.1]), atol=1e-12)
     assert amped.alpha == pytest.approx(0.2)
     assert be_amplify(be, 1.0) is be
     with pytest.raises(AmplificationOverflowError):
@@ -212,8 +212,8 @@ def test_transpose_involution_and_content():
     rng = np.random.default_rng(6)
     a = random_contraction(rng, 3)
     t = be_transpose(a)
-    assert np.allclose(extract_block(t), extract_block(a).T)
-    assert np.allclose(extract_block(be_transpose(t)), extract_block(a))
+    assert np.allclose(t.extract(), a.extract().T)
+    assert np.allclose(be_transpose(t).extract(), a.extract())
     t.verify()
 
 
@@ -221,9 +221,9 @@ def test_rescale_both_signs():
     rng = np.random.default_rng(7)
     a = random_contraction(rng, 2)
     up = be_rescale(a, 3.0)
-    assert np.allclose(extract_block(up), 3 * extract_block(a), atol=1e-12)
+    assert np.allclose(up.extract(), 3 * a.extract(), atol=1e-12)
     down = be_rescale(a, -0.5)
-    assert np.allclose(extract_block(down), -0.5 * extract_block(a), atol=1e-11)
+    assert np.allclose(down.extract(), -0.5 * a.extract(), atol=1e-11)
 
 
 def test_composition_soundness_randomized():
@@ -232,17 +232,17 @@ def test_composition_soundness_randomized():
     for trial in range(30):
         d = int(rng.choice([2, 3, 4]))
         be = random_contraction(rng, d)
-        dense = extract_block(be)
+        dense = be.extract()
         for _ in range(4):
             op = rng.integers(0, 5)
             if op == 0:
                 other = random_contraction(rng, d)
                 be = be_product(be, other)
-                dense = dense @ extract_block(other)
+                dense = dense @ other.extract()
             elif op == 1:
                 other = random_contraction(rng, d)
                 be = be_sum([be, other], [1, -1])
-                dense = dense - extract_block(other)
+                dense = dense - other.extract()
             elif op == 2:
                 be = be_transpose(be)
                 dense = dense.T
@@ -254,7 +254,7 @@ def test_composition_soundness_randomized():
             else:
                 be = be_rescale(be, 0.5)
                 dense = 0.5 * dense
-        assert np.linalg.norm(extract_block(be) - dense, 2) <= 1e-9
+        assert np.linalg.norm(be.extract() - dense, 2) <= 1e-9
         u = be.unitary
         assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2) <= 1e-10
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from qnls.cli import main
 
@@ -109,6 +110,32 @@ def test_solve_corrupt_problem_is_parse_error(tmp_path):
     bad.write_text("version 1\nkind mixed\nn notanumber\n")
     rc = main(["solve", "--problem", str(bad), "--iters", "1"])
     assert rc == 2
+
+
+def test_solve_nan_guess_is_input_error(tmp_path, capsys):
+    path = lv_file(tmp_path)
+    guess = tmp_path / "x0.txt"
+    guess.write_text("nan\n" + "0.1\n" * 5)
+    rc = main(["solve", "--problem", str(path), "--iters", "1",
+               "--x0", str(guess)])
+    assert rc == 1
+    assert "error: guess file values must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("directive", ["a", "const"])
+@pytest.mark.parametrize("command", ["solve", "check"])
+def test_nan_coefficient_is_parse_error(tmp_path, capsys, directive, command):
+    path = lv_file(tmp_path)
+    lines = path.read_text().splitlines()
+    k = next(i for i, line in enumerate(lines)
+             if line.startswith(directive + " "))
+    lines[k] = " ".join(lines[k].split()[:-1] + ["nan"])
+    path.write_text("\n".join(lines) + "\n")
+    args = (["--iters", "1", "--x0", str(path) + ".x0"] if command == "solve"
+            else ["--suite", "all"])
+    rc = main([command, "--problem", str(path)] + args)
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_solve_singular_halt_exit_code(tmp_path, capsys):

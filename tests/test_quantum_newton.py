@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from qnls import (CostLedger, DegenerateReferenceError, InputError,
-                  InhomogeneousPolynomial, InversionConfig,
-                  NewtonState, PolynomialSystem, RescaleRequiredError,
-                  SparseMatrix, be_from_vector, be_product, be_transpose,
-                  build_A_blockdiag, build_M_blockdiag, build_P,
-                  classical_newton, evaluate, extract_block,
-                  gradient_inhomogeneous, gradient_md,
-                  inhomogeneous_term_be, init_heuristic, jacobian,
+                  InversionConfig, NewtonState, PolynomialSystem,
+                  RescaleRequiredError, SparseMatrix, be_from_vector,
+                  be_product, be_transpose, build_A_blockdiag,
+                  build_M_blockdiag, build_P, classical_newton, evaluate,
+                  gradient_md, init_heuristic, jacobian,
                   jacobian_be, jacobian_sandwich_be, newton_solve,
                   newton_step, norm_estimate, recover_vector, rhs_be,
                   sv_invert)
@@ -35,7 +33,7 @@ def test_build_m_p1_is_blockdiag_of_equations(diag_system):
     expected = np.zeros((4, 4))
     expected[:2, :2] = diag_system.equations[0].to_dense()
     expected[2:, 2:] = diag_system.equations[1].to_dense()
-    assert np.allclose(extract_block(be_m), expected, atol=1e-11)
+    assert np.allclose(be_m.extract(), expected, atol=1e-11)
     assert be_m.alpha == pytest.approx(diag_system.p * diag_system.sparsity)
 
 
@@ -44,7 +42,7 @@ def test_build_m_identity_p2_doubles():
     eye = SparseMatrix.identity(16)
     system = PolynomialSystem(4, 2, 1, (eye,) * 4)
     be_m = build_M_blockdiag(system)
-    assert np.allclose(extract_block(be_m), 2.0 * np.eye(64), atol=1e-11)
+    assert np.allclose(be_m.extract(), 2.0 * np.eye(64), atol=1e-11)
     assert be_m.alpha == pytest.approx(2.0)
 
 
@@ -55,7 +53,7 @@ def test_build_m_matches_dense_assembly_random():
     expected = np.zeros((8, 8))
     for i in range(2):
         expected[i * d:(i + 1) * d, i * d:(i + 1) * d] = system.m_d(i).to_dense()
-    assert np.linalg.norm(extract_block(be_m) - expected, 2) <= 1e-9
+    assert np.linalg.norm(be_m.extract() - expected, 2) <= 1e-9
 
 
 def test_build_m_requires_canonical():
@@ -69,26 +67,26 @@ def test_build_a_halves_blocks():
     a1 = SparseMatrix.from_dense(2.0 * np.eye(1))
     system = PolynomialSystem(1, 1, 1, (a1,))
     be_a = build_A_blockdiag(system)
-    assert np.allclose(extract_block(be_a), np.eye(1))
+    assert np.allclose(be_a.extract(), np.eye(1))
     system2 = random_system(2, 1, 2, seed=2)
     be_a2 = build_A_blockdiag(system2)
     expected = np.zeros((4, 4))
     expected[:2, :2] = 0.5 * system2.equations[0].to_dense()
     expected[2:, 2:] = 0.5 * system2.equations[1].to_dense()
-    assert np.linalg.norm(extract_block(be_a2) - expected, 2) <= 1e-10
+    assert np.linalg.norm(be_a2.extract() - expected, 2) <= 1e-10
 
 
 def test_build_p_zero_point_and_basis(diag_system):
     be_m = build_M_blockdiag(diag_system)
     be0 = be_from_vector(np.zeros(2))
     p0 = build_P(be_m, be0, 1, 2)
-    assert np.linalg.norm(extract_block(p0), 2) <= 1e-11
+    assert np.linalg.norm(p0.extract(), 2) <= 1e-11
     bex = be_from_vector(np.array([1.0, 0.0]))
     p1 = build_P(be_m, bex, 1, 2)
     expected = np.zeros((4, 4))
     expected[:2, :2] = np.outer(gradient_md(diag_system, 0, np.array([1.0, 0.0])),
                                 [1.0, 0.0])
-    assert np.allclose(extract_block(p1), expected, atol=1e-10)
+    assert np.allclose(p1.extract(), expected, atol=1e-10)
 
 
 def test_build_p_random_matches_gradient_oracle():
@@ -103,7 +101,7 @@ def test_build_p_random_matches_gradient_oracle():
     for i in range(2):
         block = np.kron(xxt, np.outer(gradient_md(system, i, x), x))
         expected[i * 4:(i + 1) * 4, i * 4:(i + 1) * 4] = block
-    assert np.linalg.norm(extract_block(be_p) - expected, 2) <= 1e-9
+    assert np.linalg.norm(be_p.extract() - expected, 2) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +113,7 @@ def test_jacobian_be_basis_point(diag_system):
     be_j, gamma = jacobian_be(diag_system, bex)
     assert gamma == pytest.approx(1.0)
     expected = jacobian(diag_system, np.array([1.0, 0.0])) / np.sqrt(2)
-    assert np.allclose(extract_block(be_j), expected, atol=1e-10)
+    assert np.allclose(be_j.extract(), expected, atol=1e-10)
 
 
 def test_jacobian_be_diag_overlap(diag_system):
@@ -123,7 +121,7 @@ def test_jacobian_be_diag_overlap(diag_system):
     be_j, gamma = jacobian_be(diag_system, be_from_vector(x))
     assert gamma == pytest.approx(0.6)
     expected = 0.6 * jacobian(diag_system, x) / np.sqrt(2)
-    assert np.allclose(extract_block(be_j), expected, atol=1e-10)
+    assert np.allclose(be_j.extract(), expected, atol=1e-10)
 
 
 def test_jacobian_be_random_general_reference():
@@ -135,7 +133,7 @@ def test_jacobian_be_random_general_reference():
     refu = ref / np.linalg.norm(ref)
     assert gamma == pytest.approx(float(refu @ x))
     expected = gamma ** 3 * jacobian(system, x) / np.sqrt(3)
-    assert np.linalg.norm(extract_block(be_j) - expected, 2) <= 1e-8
+    assert np.linalg.norm(be_j.extract() - expected, 2) <= 1e-8
     # generic headroom allows amplifying the full p*s factor away
     assert be_j.alpha == pytest.approx(1.0)
 
@@ -169,9 +167,9 @@ def test_rhs_be_zero_and_diag(diag_system):
     gamma = x[0]
     f = evaluate(diag_system, x)
     expected = gamma * np.outer(f, x) / np.sqrt(2)
-    assert np.allclose(extract_block(be_r), expected, atol=1e-10)
+    assert np.allclose(be_r.extract(), expected, atol=1e-10)
     # transpose gives x F(x)^T
-    assert np.allclose(extract_block(be_transpose(be_r)), expected.T, atol=1e-10)
+    assert np.allclose(be_transpose(be_r).extract(), expected.T, atol=1e-10)
 
 
 def test_rhs_be_random():
@@ -181,7 +179,7 @@ def test_rhs_be_random():
     x[0] = 0.4
     be_r = rhs_be(system, be_from_vector(x), x_hint=x)
     expected = x[0] ** 3 * np.outer(evaluate(system, x), x) / np.sqrt(3)
-    assert np.linalg.norm(extract_block(be_r) - expected, 2) <= 1e-8
+    assert np.linalg.norm(be_r.extract() - expected, 2) <= 1e-8
 
 
 def test_factor_cancellation_invariant():
@@ -191,13 +189,13 @@ def test_factor_cancellation_invariant():
     x = rng.uniform(0.2, 0.6, 2)
     bex = be_from_vector(x)
     be_j, gamma = jacobian_be(system, bex, x_hint=x)
-    sigma = 0.5 * np.linalg.svd(extract_block(be_j), compute_uv=False)[-1]
+    sigma = 0.5 * np.linalg.svd(be_j.extract(), compute_uv=False)[-1]
     cfg = InversionConfig(sigma / be_j.alpha, 1e-8)
     inv = sv_invert(be_j, cfg)
     be_r = rhs_be(system, bex, x_hint=x)
     prod = be_product(inv, be_r)
     delta = np.linalg.solve(jacobian(system, x), evaluate(system, x))
-    assert np.linalg.norm(extract_block(prod) - sigma * np.outer(delta, x),
+    assert np.linalg.norm(prod.extract() - sigma * np.outer(delta, x),
                           2) <= 1e-8
 
 
@@ -230,10 +228,10 @@ def test_step_homogeneous_contraction(diag_system):
     x = np.array([0.6, 0.6])
     nxt = newton_step(diag_system, state_for(x), CFG)
     assert np.allclose(nxt.x, 0.5 * x, atol=1e-10)
-    assert np.allclose(extract_block(nxt.be_xxT), 0.25 * np.outer(x, x),
+    assert np.allclose(nxt.be_xxT.extract(), 0.25 * np.outer(x, x),
                        atol=1e-10)
     # rank-one preservation
-    w = np.linalg.eigvalsh(extract_block(nxt.be_xxT))
+    w = np.linalg.eigvalsh(nxt.be_xxT.extract())
     assert abs(w[:-1]).max() <= 1e-7
 
 
@@ -253,7 +251,7 @@ def test_step_lv_matches_classical_newton():
     f, j = system_evaluators(ms)
     x_classical = x0 - np.linalg.solve(j(x0), f(x0))
     nxt = newton_step(ms, state_for(x0), CFG, x_ref=x0)
-    assert np.linalg.norm(extract_block(nxt.be_xxT)
+    assert np.linalg.norm(nxt.be_xxT.extract()
                           - np.outer(x_classical, x_classical)) <= 1e-6
     assert np.allclose(nxt.x, x_classical, atol=1e-8)
 
@@ -303,6 +301,8 @@ def test_solve_rejects_bad_inputs(diag_system):
     with pytest.raises(InputError):
         newton_solve(diag_system, np.array([2.0, 0.0]), 1, CFG)
     with pytest.raises(InputError):
+        newton_solve(diag_system, np.array([np.nan, 0.1]), 1, CFG)
+    with pytest.raises(InputError):
         newton_solve(diag_system, np.array([0.1, 0.1]), -1, CFG)
     with pytest.raises(InputError):
         newton_solve(diag_system, np.array([0.1, 0.1]), 1, CFG,
@@ -313,12 +313,12 @@ def test_poly_backend_step_matches_exact():
     params = LvParams(1.0, 1.0, 1.0, 1.0, 0.1, 3, 1.2, 0.9)
     ms = lv_discretize(params)
     x0 = lv_default_guess(params) + 0.03
-    cfg_poly = InversionConfig(0.03, 1e-3, "polynomial")
+    cfg_poly = InversionConfig(0.03, 1e-3, "poly")
     cfg_exact = InversionConfig(0.03, 1e-3, "exact")
     nxt_p = newton_step(ms, state_for(x0), cfg_poly, x_ref=x0)
     nxt_e = newton_step(ms, state_for(x0), cfg_exact, x_ref=x0)
-    assert np.linalg.norm(extract_block(nxt_p.be_xxT)
-                          - extract_block(nxt_e.be_xxT), 2) <= 5e-3
+    assert np.linalg.norm(nxt_p.be_xxT.extract()
+                          - nxt_e.be_xxT.extract(), 2) <= 5e-3
 
 
 # ---------------------------------------------------------------------------
@@ -357,32 +357,3 @@ def test_init_heuristic_rejects_empty_and_large():
         init_heuristic(system, [])
     with pytest.raises(InputError):
         init_heuristic(system, [np.array([1.2, 0.0])])
-
-
-# ---------------------------------------------------------------------------
-# experimental inhomogeneous building block
-# ---------------------------------------------------------------------------
-
-def test_inhomogeneous_term_encoding_matches_classical():
-    rng = np.random.default_rng(50)
-    x = np.array([0.5, 0.3])
-    bex = be_from_vector(x)
-    c = rng.uniform(-1, 1, 2)
-    c /= np.linalg.norm(c)
-    b1 = SparseMatrix.from_dense(rng.uniform(-0.6, 0.6, (2, 2)))
-    b2 = SparseMatrix.from_dense(rng.uniform(-0.6, 0.6, (2, 2)))
-    for bs in ([b1], [b1, b2]):
-        enc = inhomogeneous_term_be(c, bs, bex)
-        g = InhomogeneousPolynomial(((c, tuple(bs)),))
-        grad = gradient_inhomogeneous(g, x)
-        target = np.outer(grad, x)
-        expected = np.kron(np.outer(x, c), target)
-        for _ in range(len(bs) - 1):
-            expected = np.kron(np.outer(x, x), expected)
-        assert np.linalg.norm(extract_block(enc) - expected, 2) <= 1e-9
-
-
-def test_inhomogeneous_term_requires_unit_c():
-    with pytest.raises(InputError):
-        inhomogeneous_term_be(np.array([2.0, 0.0]), [SparseMatrix.identity(2)],
-                              be_from_vector(np.array([0.5, 0.0])))

@@ -4,10 +4,8 @@ from scipy.stats import ortho_group
 
 from qnls import (ConditioningError, CostLedger, InputError, InversionConfig,
                   OddPolynomial, backend_inverse_poly, be_of_matrix,
-                  build_inverse_poly, degree_budget, extract_block,
-                  max_eigenvalue, min_eigenvalue, min_singular_value,
-                  sv_invert)
-from qnls.svt import inversion_charge
+                  build_inverse_poly, degree_budget, max_eigenvalue,
+                  min_eigenvalue, min_singular_value, sv_invert)
 
 
 def spectrum_matrix(d, lo, hi, seed):
@@ -71,13 +69,13 @@ def test_backend_poly_budget_and_accuracy():
 def test_invert_identity():
     be = be_of_matrix(np.eye(3))
     out = sv_invert(be, InversionConfig(0.5, 1e-4))
-    assert np.allclose(extract_block(out), 0.5 * np.eye(3), atol=1e-10)
+    assert np.allclose(out.extract(), 0.5 * np.eye(3), atol=1e-10)
 
 
 def test_invert_diagonal_scaling():
     be = be_of_matrix(np.diag([1.0, 0.5]))
     out = sv_invert(be, InversionConfig(0.5, 1e-4))
-    assert np.allclose(extract_block(out), np.diag([0.5, 1.0]), atol=1e-10)
+    assert np.allclose(out.extract(), np.diag([0.5, 1.0]), atol=1e-10)
 
 
 def test_invert_backends_agree():
@@ -85,15 +83,15 @@ def test_invert_backends_agree():
         m = spectrum_matrix(8, 0.3, 1.0, seed=seed)
         be = be_of_matrix(m)
         ex = sv_invert(be, InversionConfig(0.3, 1e-3, "exact"))
-        po = sv_invert(be, InversionConfig(0.3, 1e-3, "polynomial"))
-        assert np.linalg.norm(extract_block(ex) - extract_block(po), 2) <= 1e-3
+        po = sv_invert(be, InversionConfig(0.3, 1e-3, "poly"))
+        assert np.linalg.norm(ex.extract() - po.extract(), 2) <= 1e-3
 
 
 def test_invert_row_space_projector():
     m = spectrum_matrix(6, 0.4, 1.0, seed=17)
     be = be_of_matrix(m)
     out = sv_invert(be, InversionConfig(0.4, 1e-4))
-    prod = extract_block(out) @ (extract_block(be) / be.alpha)
+    prod = out.extract() @ (be.extract() / be.alpha)
     assert np.linalg.norm(prod - 0.4 * np.eye(6), 2) <= 2e-4
 
 
@@ -101,7 +99,7 @@ def test_invert_pseudoinverse_cutoff():
     # singular values below sigma/2 are treated as exact zeros
     m = np.diag([1.0, 0.6, 0.1])
     out = sv_invert(be_of_matrix(m), InversionConfig(0.5, 1e-4))
-    assert np.allclose(extract_block(out), np.diag([0.5, 0.5 / 0.6, 0.0]),
+    assert np.allclose(out.extract(), np.diag([0.5, 0.5 / 0.6, 0.0]),
                        atol=1e-10)
 
 
@@ -117,7 +115,7 @@ def test_inversion_cost_scaling():
     sv_invert(be_of_matrix(m), InversionConfig(0.5, 1e-4), led_a)
     sv_invert(be_of_matrix(m), InversionConfig(0.25, 1e-4), led_b)
     assert led_b.notes["inversion"] >= 2.0 * led_a.notes["inversion"]
-    assert inversion_charge(0.25, 1e-4) >= 2.0 * inversion_charge(0.5, 1e-4)
+    assert degree_budget(0.25, 1e-4) >= 2.0 * degree_budget(0.5, 1e-4)
 
 
 # ---------------------------------------------------------------------------
