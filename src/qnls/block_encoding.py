@@ -1,10 +1,12 @@
-"""Block-encoding calculus on explicit unitary matrices.
+"""Block-encoding calculus on explicit contraction blocks.
 
-A block encoding stores a unitary whose top-left ``logical_dim`` block,
-scaled by the subnormalization ``alpha``, is the intended matrix.  Every
-composition computes the exact target block and re-completes it to a
-unitary by a contraction dilation, so the calculus identities hold to
-float precision while alpha and eps follow the closed-form bookkeeping.
+A block encoding is its top-left block B, a contraction, and the
+subnormalization ``alpha``: the encoded matrix is ``alpha * B``.  Every
+composition computes the exact target block, so the calculus identities
+hold to float precision while alpha and eps follow the closed-form
+bookkeeping.  The unitary around the block is only a witness that B is a
+contraction; ``unitary`` builds it by a contraction dilation on first read
+(``verify``, ``dump_text``), so the solver path never forms it.
 
 With QNLS_DEBUG=1 every operation carries the intended matrix through
 and re-checks the encoding definition after each step.
@@ -15,6 +17,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,24 +105,21 @@ def _dilate(block: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BlockEncoding:
-    """Unitary with a designated top-left block: extract() = alpha * block."""
+    """Contraction block with a subnormalization: extract() = alpha * block."""
 
-    logical_dim: int
-    ancilla_dim: int
-    unitary: np.ndarray
+    block: np.ndarray
     alpha: float
     eps: float = 0.0
     intended: np.ndarray | None = None
     cost: float = 1.0
 
     def __post_init__(self):
-        d, a = self.logical_dim, self.ancilla_dim
-        if d <= 0 or a <= 0:
-            raise InputError("dimensions must be positive")
-        if d > DESK_SCALE_CAP:
-            raise DeskScaleError(f"logical_dim {d} exceeds cap {DESK_SCALE_CAP}")
-        if self.unitary.shape != (a * d, a * d):
-            raise DimensionMismatchError("unitary must be (ancilla*logical) square")
+        b = self.block
+        if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] == 0:
+            raise InputError("block must be a non-empty square matrix")
+        if b.shape[0] > DESK_SCALE_CAP:
+            raise DeskScaleError(
+                f"logical_dim {b.shape[0]} exceeds cap {DESK_SCALE_CAP}")
         if not self.alpha > 0:
             raise InputError("alpha must be positive")
         if self.eps < 0:
@@ -128,10 +128,13 @@ class BlockEncoding:
             self.verify()
 
     @property
-    def block(self) -> np.ndarray:
-        """Top-left logical block of the unitary (ancilla index 0 in and out)."""
-        d = self.logical_dim
-        return self.unitary[:d, :d]
+    def logical_dim(self) -> int:
+        return self.block.shape[0]
+
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        """Unitary dilation of the block (see _dilate), built on first read."""
+        return _dilate(self.block)
 
     def extract(self) -> np.ndarray:
         return self.alpha * self.block
@@ -159,21 +162,20 @@ class BlockEncoding:
         return text
 
 
-def _mk(block: np.ndarray, alpha: float, eps: float, intended, cost: float,
-        d: int | None = None) -> BlockEncoding:
-    """Complete a contraction block to a fresh two-ancilla encoding."""
-    d = block.shape[0] if d is None else d
+def _mk(block: np.ndarray, alpha: float, eps: float, intended,
+        cost: float) -> BlockEncoding:
+    """Encoding of a contraction block; a roundoff excess over norm 1 is divided out."""
     nrm = np.linalg.norm(block, 2)
     if nrm > 1.0 + 1e-9:
         raise CompositionError(f"block norm {nrm:.6f} exceeds 1; cannot dilate")
     if nrm > 1.0:
         block = block / nrm
-    return BlockEncoding(d, 2, _dilate(block), alpha, eps, intended, cost)
+    return BlockEncoding(block, alpha, eps, intended, cost)
 
 
 def be_identity(d: int) -> BlockEncoding:
-    """Exact encoding of the d-dimensional identity (trivial ancilla)."""
-    return BlockEncoding(d, 1, np.eye(d), 1.0, 0.0, np.eye(d), 1.0)
+    """Exact encoding of the d-dimensional identity."""
+    return BlockEncoding(np.eye(d), 1.0, 0.0, np.eye(d), 1.0)
 
 
 def be_of_matrix(m: np.ndarray, *, alpha: float = 1.0, eps: float = 0.0,
@@ -209,36 +211,25 @@ def be_from_vector(x: np.ndarray,
                    ledger: CostLedger | None = None) -> BlockEncoding:
     """Exact encoding of the outer product x x^T for ||x|| <= 1.
 
-    A strictly subunit vector is first embedded in a one-dimension-larger
-    space where it is a unit state; only the top-left n x n block is read.
+    A unit vector's block is the projector x x^T / ||x||^2, which divides
+    out the roundoff in its norm; a strictly subunit x x^T is already a
+    contraction.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise InputError("x must be a vector")
-    n = x.size
+    if not np.all(np.isfinite(x)):
+        raise InputError("x must be finite")
     nrm = float(np.linalg.norm(x))
     if nrm > 1.0 + 1e-12:
         raise InputError(f"||x|| = {nrm:.6f} exceeds 1")
+    block = np.outer(x, x)
     if nrm >= 1.0 - 1e-12:
-        proj = np.outer(x, x) / (nrm * nrm) if nrm > 0 else np.outer(x, x)
-        u0 = np.block([[proj, np.eye(n) - proj],
-                       [np.eye(n) - proj, -proj]])
-        total = 2 * n
-    else:
-        pad = np.sqrt(max(0.0, 1.0 - nrm * nrm))
-        xt = np.concatenate([x, [pad]])
-        proj = np.outer(xt, xt)
-        m = n + 1
-        u0 = np.block([[proj, np.eye(m) - proj],
-                       [np.eye(m) - proj, -proj]])
-        total = 2 * m
-    anc = -(-total // n)          # ceil division
-    u = np.eye(anc * n)
-    u[:total, :total] = u0
-    cost = _log2(n) + 1.0
+        block = block / (nrm * nrm)
+    cost = _log2(x.size) + 1.0
     if ledger is not None:
         ledger.charge("state_encode", primitive=cost)
-    return BlockEncoding(n, anc, u, 1.0, 0.0, np.outer(x, x), cost)
+    return BlockEncoding(block, 1.0, 0.0, np.outer(x, x), cost)
 
 
 def be_outer(u: np.ndarray, v: np.ndarray,
@@ -355,10 +346,9 @@ def be_amplify(be: BlockEncoding, factor: float,
 
 
 def be_transpose(be: BlockEncoding) -> BlockEncoding:
-    """Encoding of the transposed block (U^T is unitary; same alpha, eps)."""
+    """Encoding of the transposed block (same alpha, eps)."""
     intended = be.intended.T if be.intended is not None else None
-    return BlockEncoding(be.logical_dim, be.ancilla_dim, be.unitary.T.copy(),
-                         be.alpha, be.eps, intended, be.cost)
+    return BlockEncoding(be.block.T.copy(), be.alpha, be.eps, intended, be.cost)
 
 
 def be_rescale(be: BlockEncoding, c: float) -> BlockEncoding:
@@ -372,6 +362,6 @@ def be_rescale(be: BlockEncoding, c: float) -> BlockEncoding:
         raise InputError("rescale factor must be finite and nonzero")
     intended = c * be.intended if be.intended is not None else None
     if c > 0:
-        return BlockEncoding(be.logical_dim, be.ancilla_dim, be.unitary,
-                             be.alpha * c, be.eps * c, intended, be.cost)
+        return BlockEncoding(be.block, be.alpha * c, be.eps * c, intended,
+                             be.cost)
     return _mk(-be.block, be.alpha * (-c), be.eps * (-c), intended, be.cost)

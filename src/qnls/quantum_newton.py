@@ -23,7 +23,8 @@ from .block_encoding import (BlockEncoding, CostLedger, _eps_units, _log2,
                              be_amplify, be_from_sparse, be_from_vector,
                              be_identity, be_outer, be_product, be_rescale,
                              be_sum, be_tensor, be_transpose, debug_enabled)
-from .errors import (DegenerateReferenceError, InputError,
+from .errors import (CompositionError, ConditioningError,
+                     DegenerateReferenceError, InputError,
                      InvariantViolationError, RescaleRequiredError,
                      SingularJacobianError)
 from .poly_system import (FactorPermutation, InhomogeneousSystem, MixedSystem,
@@ -225,27 +226,23 @@ def jacobian_sandwich_be(system: PolynomialSystem, be_xxT: BlockEncoding,
     refu, x, gamma = _reference_overlap(n, be_xxT, x_ref, x_hint)
     be_m = build_M_blockdiag(system, ledger)
     be_p = build_P(be_m, be_xxT, p, n, ledger)
-    a_anc = be_p.ancilla_dim
-    dims_in = (a_anc,) + (n,) * (p - 1) + (n, n)
-    dims_up = (a_anc, n) + (n,) * (p - 1) + (n,)
-    dims_out = dims_in
-    axes1 = (0, p + 1) + tuple(range(1, p)) + (p,)
-    axes2 = (0,) + tuple(range(2, p + 1)) + (1, p + 1)
-    sigma1 = _perm_order(dims_in, axes1)
-    sigma2 = _perm_order(dims_up, axes2)
-    w = be_p.unitary[:, np.argsort(sigma1)][sigma2, :]
-    w = _apply_left(_householder_uniform(n), w, dims_out, p)
+    # P's block acts on registers 0 (equation index) and 1..p (tensor factors)
+    dims = (n,) * (p + 1)
+    sigma1 = _perm_order(dims, (p,) + tuple(range(p - 1)) + (p - 1,))
+    sigma2 = _perm_order(dims, tuple(range(1, p)) + (0, p))
+    w = be_p.block[:, np.argsort(sigma1)][sigma2, :]
+    w = _apply_left(_householder_uniform(n), w, dims, p - 1)
     vref = None if x_ref is None else _householder_map(refu)
     if vref is not None:
-        for ax in range(1, p):
-            w = _apply_left(vref, w, dims_out, ax)
-            w = _apply_right(w, vref, dims_in, ax)
-        w = _apply_right(w, vref, dims_in, p)
+        for ax in range(p - 1):
+            w = _apply_left(vref, w, dims, ax)
+            w = _apply_right(w, vref, dims, ax)
+        w = _apply_right(w, vref, dims, p - 1)
     intended = None
     if debug_enabled():
         intended = gamma ** (2 * p - 1) * jacobian(system, x).T / np.sqrt(n)
-    out = BlockEncoding(n, w.shape[0] // n, w, be_p.alpha, be_p.eps,
-                        intended, be_p.cost + 2.0)
+    out = BlockEncoding(w[:n, :n].copy(), be_p.alpha, be_p.eps, intended,
+                        be_p.cost + 2.0)
     if ledger is not None:
         ledger.charge("gradient_sandwich", primitive=2.0)
     return out, gamma
@@ -270,27 +267,24 @@ def rhs_be(system: PolynomialSystem, be_xxT: BlockEncoding,
     n, p = system.n, system.p
     refu, x, gamma = _reference_overlap(n, be_xxT, x_ref, x_hint)
     be_r = _a_sandwich(build_A_blockdiag(system, ledger), be_xxT, n, p, ledger)
-    a_anc = be_r.ancilla_dim
-    # axes: 0 ancilla, 1 equation index, 2..p leading x-registers, p+1 last
-    dims = (a_anc, n) + (n,) * (p - 1) + (n,)
-    axes3 = (0, p + 1) + tuple(range(2, p + 1)) + (1,)
-    sigma3 = _perm_order(dims, axes3)
-    w = be_r.unitary
-    w = _apply_right(w, _householder_uniform(n), dims, 1)
+    # registers: 0 equation index, 1..p-1 leading x-registers, p last
+    dims = (n,) * (p + 1)
+    sigma3 = _perm_order(dims, (p,) + tuple(range(1, p)) + (0,))
+    w = _apply_right(be_r.block, _householder_uniform(n), dims, 0)
     vref = None if x_ref is None else _householder_map(refu)
     if vref is not None:
-        for ax in range(2, p + 1):
+        for ax in range(1, p):
             w = _apply_right(w, vref, dims, ax)
     w = w[sigma3, :]
     if vref is not None:
-        for ax in range(1, p + 1):
+        for ax in range(p):
             w = _apply_left(vref, w, dims, ax)
     intended = None
     if debug_enabled():
         intended = (gamma ** (2 * p - 1) * np.outer(evaluate(system, x), x)
                     / np.sqrt(n))
-    out = BlockEncoding(n, w.shape[0] // n, w, be_r.alpha, be_r.eps,
-                        intended, be_r.cost + 2.0)
+    out = BlockEncoding(w[:n, :n].copy(), be_r.alpha, be_r.eps, intended,
+                        be_r.cost + 2.0)
     if ledger is not None:
         ledger.charge("rhs_sandwich", primitive=2.0)
     return out
@@ -463,8 +457,10 @@ def newton_solve(system, x0: np.ndarray, t: int, cfg: InversionConfig, *,
     gamma_reference picks the sandwich reference state: 'e1' (first basis
     vector, gamma = first iterate component), 'x0' (frozen initial state),
     or 'previous' (re-referenced to the current iterate each step).
-    Returns the final state and the per-iteration trace; a singular
-    Jacobian stops early and is recorded on the trace instead of raising.
+    Returns the final state and the per-iteration trace.  A numerical
+    failure (singular Jacobian, degenerate overlap, failed composition,
+    conditioning or linear algebra) stops early and is recorded on the
+    trace as the halt reason instead of raising.
     """
     if t < 0:
         raise InputError("iteration count must be non-negative")
@@ -493,7 +489,9 @@ def newton_solve(system, x0: np.ndarray, t: int, cfg: InversionConfig, *,
             ref = states[-1].x
         try:
             states.append(newton_step(system, states[-1], step_cfg, x_ref=ref))
-        except (SingularJacobianError, DegenerateReferenceError) as exc:
+        except (SingularJacobianError, DegenerateReferenceError,
+                CompositionError, ConditioningError,
+                np.linalg.LinAlgError) as exc:
             halted = str(exc)
             break
     f_eval, _ = system_evaluators(system)

@@ -119,6 +119,7 @@ def test_from_vector_basis_and_uniform():
     v = np.full(2, 1 / np.sqrt(2))
     be = be_from_vector(v)
     assert np.allclose(be.extract(), np.full((2, 2), 0.5))
+    be.verify()
 
 
 def test_from_vector_subunit_embedding():
@@ -130,6 +131,8 @@ def test_from_vector_subunit_embedding():
     be.verify()
     with pytest.raises(InputError):
         be_from_vector(1.2 * x / 0.6)
+    with pytest.raises(InputError):
+        be_from_vector(np.array([np.nan, 0.1]))
 
 
 def test_outer_encoding():
@@ -282,4 +285,4 @@ def test_dump_text_golden_roundtrip(tmp_path):
 def test_desk_scale_cap():
     from qnls import DeskScaleError
     with pytest.raises(DeskScaleError):
-        BlockEncoding(5000, 1, np.eye(5000), 1.0)
+        BlockEncoding(np.eye(5000), 1.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qnls.cli import main
+from qnls import CompositionError, ConditioningError
 
 
 def run_cli(*args, capsys=None):
@@ -149,6 +150,31 @@ def test_solve_singular_halt_exit_code(tmp_path, capsys):
                "--x0", str(guess), "--sigma-floor", "0.5",
                "--trace", str(tmp_path / "t.csv")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("error", [CompositionError, ConditioningError,
+                                   np.linalg.LinAlgError])
+def test_numerical_failure_mid_run_keeps_partial_trace(tmp_path, capsys,
+                                                       monkeypatch, error):
+    import qnls.quantum_newton as qn
+
+    real = qn.sv_invert
+    calls = []
+
+    def failing_second_call(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise error("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qn, "sv_invert", failing_second_call)
+    path = lv_file(tmp_path)
+    trace = tmp_path / "t.csv"
+    rc = main(["solve", "--problem", str(path), "--iters", "3",
+               "--x0", str(path) + ".x0", "--trace", str(trace)])
+    assert rc == 3
+    assert len(read_rows(trace)) == 2
+    assert "halted: injected failure" in capsys.readouterr().err
 
 
 def test_usage_errors(tmp_path, capsys):

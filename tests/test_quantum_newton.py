@@ -288,6 +288,21 @@ def test_solve_lv_trace_against_classical():
     assert r[2] <= 100.0 * r[1] ** 2
 
 
+def test_solver_path_builds_no_unitary(monkeypatch):
+    # encodings carry only their blocks; only verify/dump_text dilate
+    def no_dilation(block):
+        raise AssertionError("the solver path built a unitary")
+
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    monkeypatch.setattr("qnls.block_encoding._dilate", no_dilation)
+    params = LvParams(1.0, 1.0, 1.0, 1.0, 0.1, 3, 1.2, 0.9)
+    ms = lv_discretize(params)
+    state, trace = newton_solve(ms, lv_default_guess(params), 2, CFG,
+                                gamma_reference="previous")
+    assert trace.halted is None
+    assert state.k == 2
+
+
 def test_solve_halts_below_sigma_floor(diag_system):
     # at x = 0 the homogeneous Jacobian vanishes
     x0 = np.array([1e-4, 1e-4])
