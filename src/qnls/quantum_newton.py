@@ -14,15 +14,15 @@ right-hand-side encoding by construction and never needs amplification.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .block_encoding import (BlockEncoding, CostLedger, _eps_units, _log2,
-                             be_amplify, be_from_sparse, be_from_vector,
-                             be_identity, be_outer, be_product, be_rescale,
-                             be_sum, be_tensor, be_transpose, debug_enabled)
+                             _share_block, be_amplify, be_from_sparse,
+                             be_from_vector, be_identity, be_outer,
+                             be_product, be_rescale, be_sum, be_tensor,
+                             be_transpose, debug_enabled)
 from .errors import (CompositionError, ConditioningError,
                      DegenerateReferenceError, InputError,
                      InvariantViolationError, RescaleRequiredError,
@@ -148,7 +148,7 @@ def build_M_blockdiag(system: PolynomialSystem,
         for i in range(n):
             md = system.m_d(i).to_dense()
             intended[i * d:(i + 1) * d, i * d:(i + 1) * d] = md
-        out = dataclasses.replace(out, intended=intended)
+        out = _share_block(out, intended=intended)
         out.verify()
     return out
 
@@ -440,8 +440,7 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
     if debug_enabled():
         f_eval, j_eval = system_evaluators(system)
         x_classical = x - np.linalg.solve(j_eval(x), f_eval(x))
-        out = dataclasses.replace(out,
-                                  intended=np.outer(x_classical, x_classical))
+        out = _share_block(out, intended=np.outer(x_classical, x_classical))
         out.verify()
     return NewtonState(state.k + 1, out, x_next,
                        float(np.dot(x_next, x_next)),

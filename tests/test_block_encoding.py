@@ -1,15 +1,18 @@
 import io
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnls import (AmplificationOverflowError, BlockEncoding, CostLedger,
-                  DimensionMismatchError, InputError, RescaleRequiredError,
-                  SparseMatrix, be_amplify, be_from_sparse, be_from_vector,
-                  be_identity, be_of_matrix, be_outer, be_product, be_rescale,
-                  be_sum, be_tensor, be_transpose)
+from qnls import (AmplificationOverflowError, BlockEncoding,
+                  CompositionError, CostLedger, DimensionMismatchError,
+                  InputError, QnlsError, RescaleRequiredError, SparseMatrix,
+                  be_amplify, be_from_sparse, be_from_vector, be_identity,
+                  be_of_matrix, be_outer, be_product, be_rescale, be_sum,
+                  be_tensor, be_transpose)
+from qnls.block_encoding import _dilate, _mk
 
 
 def random_contraction(rng, d, scale=0.4):
@@ -286,3 +289,87 @@ def test_desk_scale_cap():
     from qnls import DeskScaleError
     with pytest.raises(DeskScaleError):
         BlockEncoding(np.eye(5000), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the norm guard of _mk
+# ---------------------------------------------------------------------------
+
+def _mk_svd_always(block, alpha, eps, intended, cost):
+    """Reference: _mk with the dense spectral norm computed on every block."""
+    nrm = np.linalg.norm(block, 2)
+    if nrm > 1.0 + 1e-9:
+        raise CompositionError(f"block norm {nrm:.6f} exceeds 1; cannot dilate")
+    if nrm > 1.0:
+        block = block / nrm
+    return BlockEncoding(block, alpha, eps, intended, cost)
+
+
+def _block_with_norm(kind, d, seed, target):
+    """A d x d block of the given structure, scaled to spectral norm ~target."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        a = rng.standard_normal((d, d))
+    elif kind == "diagonal":
+        a = np.diag(rng.uniform(-1.0, 1.0, d))
+    elif kind == "orthogonal":
+        a = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    else:
+        a = np.outer(rng.standard_normal(d), rng.standard_normal(d))
+    nrm = np.linalg.norm(a, 2)
+    return a * (target / nrm) if nrm > 0 else a
+
+
+@given(st.sampled_from(["dense", "diagonal", "orthogonal", "rank_one"]),
+       st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.floats(0.0, 1.0 - 1e-8), st.floats(1.0 - 1e-8, 1.0),
+                 st.just(1.0), st.floats(1.0, 1.0 + 1e-9),
+                 st.floats(1.0 + 1e-9, 1.0 + 1e-6), st.floats(1.0 + 1e-6, 3.0)))
+@settings(max_examples=300, deadline=None)
+def test_mk_matches_svd_on_every_block(kind, d, seed, target):
+    """Same block bytes, or the same error, as the SVD-only guard.
+
+    The error is a CompositionError, or under QNLS_DEBUG=1 the verify's
+    InvariantViolationError.
+    """
+    block = _block_with_norm(kind, d, seed, target)
+    try:
+        want = _mk_svd_always(block.copy(), 2.0, 0.125, None, 3.0)
+    except QnlsError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            _mk(block.copy(), 2.0, 0.125, None, 3.0)
+        return
+    got = _mk(block.copy(), 2.0, 0.125, None, 3.0)
+    assert got.block.tobytes() == want.block.tobytes()
+    assert (got.alpha, got.eps, got.cost) == (want.alpha, want.eps, want.cost)
+
+
+def test_mk_renormalizes_roundoff_excess(monkeypatch):
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    block = np.diag([1.0 + 5e-10, 0.25])
+    nrm = np.linalg.norm(block, 2)
+    assert nrm > 1.0
+    out = _mk(block, 1.0, 0.0, None, 1.0)
+    assert out.block.tobytes() == (block / nrm).tobytes()
+    assert np.linalg.norm(out.block, 2) <= 1.0
+
+
+def test_mk_rejects_norm_above_tolerance(monkeypatch):
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    with pytest.raises(CompositionError, match="exceeds 1; cannot dilate"):
+        _mk(np.diag([1.0 + 2e-9, 0.0]), 1.0, 0.0, None, 1.0)
+
+
+def test_rescale_takes_over_the_dilation(monkeypatch):
+    # under QNLS_DEBUG every encoding verifies its dilation when built; one
+    # that shares its parent's block reuses the parent's dilation
+    monkeypatch.setenv("QNLS_DEBUG", "1")
+    be = be_of_matrix(np.diag([0.3, -0.2]))
+    dilated = []
+    monkeypatch.setattr("qnls.block_encoding._dilate",
+                        lambda b: dilated.append(b) or _dilate(b))
+    up = be_rescale(be, 3.0)
+    assert up.unitary is be.unitary
+    assert dilated == []
+    be_rescale(be, -1.0)         # a new block is dilated
+    assert len(dilated) == 1

@@ -10,7 +10,8 @@ from qnls import (CostLedger, DegenerateReferenceError, InputError,
                   jacobian_be, jacobian_sandwich_be, newton_solve,
                   newton_step, norm_estimate, recover_vector, rhs_be,
                   sv_invert)
-from qnls.problems import (LvParams, lv_default_guess, lv_discretize,
+from qnls.problems import (GpeParams, LvParams, gpe_default_guess,
+                           gpe_discretize, lv_default_guess, lv_discretize,
                            random_system)
 from qnls.quantum_newton import system_evaluators
 
@@ -303,6 +304,30 @@ def test_solver_path_builds_no_unitary(monkeypatch):
     assert state.k == 2
 
 
+def test_certified_blocks_skip_the_norm_svd(monkeypatch):
+    # every n^{p+1}-dimensional block of a GPE step is certified a
+    # contraction by a cheap norm bound, so _mk runs no dense 2-norm on it
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    psi = np.array([0.3 + 0.1j, -0.2 + 0.25j, 0.15 - 0.3j])
+    params = GpeParams(3, 0.5, 1.0, np.full(3, 0.2), 0.05, 0.5, psi)
+    system = gpe_discretize(params)
+    big = system.n ** (system.nonlinear.p + 1)
+    real_norm = np.linalg.norm
+    two_norm_dims = []
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            two_norm_dims.append(np.shape(x)[0])
+        return real_norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    state, trace = newton_solve(system, gpe_default_guess(params), 1, CFG)
+    assert trace.halted is None
+    assert state.k == 1
+    assert two_norm_dims                 # the n x n checks still run
+    assert big not in two_norm_dims
+
+
 def test_solve_halts_below_sigma_floor(diag_system):
     # at x = 0 the homogeneous Jacobian vanishes
     x0 = np.array([1e-4, 1e-4])
@@ -324,6 +349,7 @@ def test_solve_rejects_bad_inputs(diag_system):
                      gamma_reference="nope")
 
 
+@pytest.mark.slow
 def test_poly_backend_step_matches_exact():
     params = LvParams(1.0, 1.0, 1.0, 1.0, 0.1, 3, 1.2, 0.9)
     ms = lv_discretize(params)

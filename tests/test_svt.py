@@ -47,6 +47,7 @@ def test_build_inverse_poly_odd_symmetry():
     assert np.allclose(q(-xs), -q(xs))
 
 
+@pytest.mark.slow
 def test_build_inverse_poly_degree_growth():
     d_half = build_inverse_poly(0.5, 1e-3).degree
     d_quarter = build_inverse_poly(0.25, 1e-3).degree
