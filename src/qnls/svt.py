@@ -3,6 +3,11 @@
 Pseudoinversion with a spectral threshold (exact SVD backend and an odd
 polynomial backend approximating sigma/x), plus extremal eigenvalue and
 singular value estimation with the matching symbolic cost charges.
+
+The polynomial's degree is searched in doubling rounds d -> 2d + 1.  Inside
+a round, a secant on log(minimax deviation) against the degree predicts the
+smallest passing odd degree, and the search fits only the degrees that
+confirm it: it ends on a passing fit at d above a failing fit at d - 2.
 """
 
 from __future__ import annotations
@@ -50,11 +55,13 @@ class OddPolynomial:
     cheb_coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.cheb_coeffs, dtype=np.float64)
+        # a copy: the search memo hands this polynomial to every caller
+        c = np.array(self.cheb_coeffs, dtype=np.float64)
         if c.ndim != 1 or c.size == 0:
             raise InputError("need a 1-d coefficient array")
         if np.any(c[0::2] != 0.0):
             raise InputError("even-index Chebyshev coefficients must vanish")
+        c.flags.writeable = False
         object.__setattr__(self, "cheb_coeffs", c)
 
     @property
@@ -103,39 +110,66 @@ def _minimax_fit(sigma: float, degree: int,
     return coeffs, float(res.x[-1])
 
 
+def _log_secant(lower: tuple[int, float], upper: tuple[int, float],
+                eps: float) -> float | None:
+    """Degree where the line through two fits in (degree, log deviation)
+    meets log eps, or None when the deviation does not fall between them."""
+    (d0, dev0), (d1, dev1) = lower, upper
+    if not 0.0 < dev1 < dev0:
+        return None
+    slope = (np.log(dev1) - np.log(dev0)) / (d1 - d0)
+    return d1 + (np.log(eps) - np.log(dev1)) / slope
+
+
 @lru_cache(maxsize=64)
 def _search_inverse_poly(sigma: float, eps: float, shrink: float,
                          degree_cap: int) -> OddPolynomial | None:
-    """Doubling search plus bisection for the smallest passing odd degree."""
-    if degree_cap > _LP_DEGREE_CAP:
-        degree_cap = _LP_DEGREE_CAP
-    d = max(3, int(np.ceil(1.0 / sigma)))
-    if d % 2 == 0:
-        d += 1
-    best = None
-    lo = 1
-    while d <= degree_cap:
+    """Smallest passing odd degree of the first doubling round that has one.
+
+    The rounds double the degree d -> 2d + 1 from max(3, 1/sigma) up to the
+    cap; a round's bracket runs from the previous round's failing doubling
+    degree (1 in the first round) to its own.  The minimax deviation falls
+    about geometrically in the degree (the log(1/eps)/sigma scale of
+    `degree_budget`), so each fit goes to the odd ceiling of the degree where
+    log(deviation), drawn as a straight line, crosses log(eps):
+    - no passing fit in the round yet: extrapolated from the last two
+      failing fits, capped at the round's doubling degree, which is fitted
+      when the guess reaches it or when no two failing fits show a decrease;
+    - a passing fit: interpolated between it and the highest failing fit,
+      or the degree just below the pass when the line predicts the pass.
+    The bisection midpoint replaces a guess that is missing or not above
+    the highest failing degree.  The search stops at a passing fit at d
+    with a failing fit at d - 2: the smallest passing degree of the bracket
+    when the deviation falls monotonically in the degree.
+    """
+    degree_cap = min(degree_cap, _LP_DEGREE_CAP)
+    top = max(3, int(np.ceil(1.0 / sigma))) | 1   # the round's doubling degree
+    lo = 1                # highest failing degree; degree 1 is never fitted
+    fails: list[tuple[int, float]] = []   # failing (degree, deviation)
+    best = None           # lowest passing (degree, deviation, coefficients)
+    while best is None or best[0] - lo > 2:
+        if best is None:
+            if top > degree_cap:
+                return None
+            hi = ceiling = top
+            guess = _log_secant(*fails[-2:], eps) if len(fails) >= 2 else None
+            if guess is None:
+                guess = top
+        else:
+            hi, ceiling = best[0], best[0] - 2
+            guess = _log_secant(fails[-1], best[:2], eps) if fails else None
+        d = None if guess is None else int(np.ceil(min(guess, ceiling))) | 1
+        if d is None or d <= lo:
+            d = (lo + hi) // 2 | 1          # bisection safeguard
         coeffs, dev = _minimax_fit(sigma, d, shrink)
         if dev <= eps:
-            best = (d, coeffs)
-            break
-        lo = d
-        d = 2 * d + 1
-    if best is None:
-        return None
-    hi = best[0]
-    while hi - lo > 2:
-        mid = (lo + hi) // 2
-        if mid % 2 == 0:
-            mid += 1
-        if mid >= hi:
-            break
-        coeffs, dev = _minimax_fit(sigma, mid, shrink)
-        if dev <= eps:
-            hi, best = mid, (mid, coeffs)
+            best = (d, dev, coeffs)
         else:
-            lo = mid
-    return OddPolynomial(best[1])
+            fails.append((d, dev))
+            lo = d
+            if d == top:
+                top = 2 * top + 1
+    return OddPolynomial(best[2])
 
 
 def build_inverse_poly(sigma: float, eps: float) -> OddPolynomial:

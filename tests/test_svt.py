@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ortho_group
 
 from qnls import (ConditioningError, CostLedger, InputError, InversionConfig,
                   OddPolynomial, backend_inverse_poly, be_of_matrix,
                   build_inverse_poly, degree_budget, max_eigenvalue,
-                  min_eigenvalue, min_singular_value, sv_invert)
+                  min_eigenvalue, min_singular_value, sv_invert, svt)
 
 
 def spectrum_matrix(d, lo, hi, seed):
@@ -31,6 +33,27 @@ def test_inversion_config_validation():
 def test_odd_polynomial_rejects_even_coefficients():
     with pytest.raises(InputError):
         OddPolynomial(np.array([0.5, 1.0]))
+
+
+def test_odd_polynomial_owns_read_only_coefficients():
+    c = np.array([0.0, 0.5])
+    q = OddPolynomial(c)
+    c[1] = 0.0
+    assert q(1.0) == 0.5
+    with pytest.raises(ValueError):
+        q.cheb_coeffs[1] = 0.0
+
+
+def test_memoized_polynomial_cannot_be_corrupted():
+    svt._search_inverse_poly.cache_clear()
+    try:
+        q, _ = backend_inverse_poly(0.5, 0.1)
+        with pytest.raises(ValueError):
+            q.cheb_coeffs[:] = 0.0
+        again, headroom = backend_inverse_poly(0.5, 0.1)
+        assert abs(again(0.7) / headroom - 0.5 / 0.7) <= 0.1
+    finally:
+        svt._search_inverse_poly.cache_clear()
 
 
 def test_build_inverse_poly_deviation_grid():
@@ -61,6 +84,127 @@ def test_backend_poly_budget_and_accuracy():
     assert np.max(np.abs(q(xs) / headroom - 0.3 / xs)) <= 1e-3
     full = np.linspace(-1.0, 1.0, 4001)
     assert np.max(np.abs(q(full))) <= 1.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the degree search
+# ---------------------------------------------------------------------------
+
+def _doubling_bisection_search(sigma, eps, shrink, degree_cap):
+    """Reference: double the degree until a fit passes, then bisect back."""
+    degree_cap = min(degree_cap, svt._LP_DEGREE_CAP)
+    d = max(3, int(np.ceil(1.0 / sigma)))
+    if d % 2 == 0:
+        d += 1
+    best = None
+    lo = 1
+    while d <= degree_cap:
+        coeffs, dev = svt._minimax_fit(sigma, d, shrink)
+        if dev <= eps:
+            best = (d, coeffs)
+            break
+        lo = d
+        d = 2 * d + 1
+    if best is None:
+        return None
+    hi = best[0]
+    while hi - lo > 2:
+        mid = (lo + hi) // 2
+        if mid % 2 == 0:
+            mid += 1
+        if mid >= hi:
+            break
+        coeffs, dev = svt._minimax_fit(sigma, mid, shrink)
+        if dev <= eps:
+            hi, best = mid, (mid, coeffs)
+        else:
+            lo = mid
+    return OddPolynomial(best[1])
+
+
+def _backend_searches(sigma, eps):
+    """The saturated and the headroom search of backend_inverse_poly."""
+    cap = max(int(np.ceil(4.0 * degree_budget(sigma, eps))), 3)
+    return [(sigma, eps, 1.0, min(cap, 257)),
+            (sigma, svt._HEADROOM * eps, svt._HEADROOM, cap)]
+
+
+def _assert_same_search(sigma, eps, shrink, degree_cap):
+    want = _doubling_bisection_search(sigma, eps, shrink, degree_cap)
+    svt._search_inverse_poly.cache_clear()
+    got = svt._search_inverse_poly(sigma, eps, shrink, degree_cap)
+    svt._search_inverse_poly.cache_clear()
+    if want is None:
+        assert got is None
+    else:
+        assert got.cheb_coeffs.tobytes() == want.cheb_coeffs.tobytes()
+
+
+@pytest.mark.parametrize("sigma,eps,shrink,degree_cap", [
+    *(args for sigma in (0.2, 0.3, 0.5) for eps in (1e-1, 1e-2, 1e-3)
+      for args in _backend_searches(sigma, eps)),
+    (0.3, 1e-3, 1.0, 40),        # the cap stops the doubling: None
+    (0.2, 1e-3, 0.75, 40),       # None; degree 33 passes in round (23, 47]
+    (0.2, 1e-3, 0.75, 50),       # degree 33, in the last round under the cap
+])
+def test_search_matches_doubling_bisection(sigma, eps, shrink, degree_cap):
+    _assert_same_search(sigma, eps, shrink, degree_cap)
+
+
+@pytest.mark.slow
+def test_search_matches_doubling_bisection_on_lv_poly():
+    _assert_same_search(*_backend_searches(0.025, 3e-2 / 9)[1])
+
+
+def test_lv_poly_search_fits(monkeypatch):
+    fits = []
+    minimax_fit = svt._minimax_fit
+
+    def counted(sigma, degree, shrink=1.0):
+        fits.append((degree, shrink))
+        return minimax_fit(sigma, degree, shrink)
+
+    monkeypatch.setattr(svt, "_minimax_fit", counted)
+    svt._search_inverse_poly.cache_clear()
+    try:
+        q, headroom = backend_inverse_poly(0.025, 3e-2 / 9)
+    finally:
+        svt._search_inverse_poly.cache_clear()
+    assert (q.degree, headroom) == (229, svt._HEADROOM)
+    assert len(fits) <= 8                        # 13 for doubling + bisection
+    assert max(d for d, shrink in fits if shrink == 1.0) <= 257
+
+
+@given(st.floats(0.15, 0.6), st.floats(1e-3, 5e-2),
+       st.sampled_from([1.0, svt._HEADROOM]))
+@settings(max_examples=25, deadline=None)
+def test_search_returns_a_locally_minimal_degree(sigma, eps, shrink):
+    deviation = {}
+    minimax_fit = svt._minimax_fit
+
+    def recorded(sigma, degree, shrink=1.0):
+        coeffs, dev = minimax_fit(sigma, degree, shrink)
+        deviation[degree] = dev
+        return coeffs, dev
+
+    svt._minimax_fit = recorded
+    svt._search_inverse_poly.cache_clear()
+    try:
+        # cap 65 keeps the slowly converging saturated fits cheap
+        q = svt._search_inverse_poly(sigma, eps, shrink, 65)
+    finally:
+        svt._minimax_fit = minimax_fit
+        svt._search_inverse_poly.cache_clear()
+    if q is None:               # the last doubling degree under the cap failed
+        top = max(3, int(np.ceil(1.0 / sigma))) | 1
+        while 2 * top + 1 <= 65:
+            top = 2 * top + 1
+        assert deviation[top] > eps
+        return
+    d = q.cheb_coeffs.size - 1
+    assert deviation[d] <= eps
+    if d > 3:                   # the search never fits degree 1
+        assert deviation[d - 2] > eps
 
 
 # ---------------------------------------------------------------------------
