@@ -90,24 +90,20 @@ class CostLedger:
                           self.amplification_cost, dict(self.notes))
 
 
-def _sqrt_psd(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def _dilate(block: np.ndarray) -> np.ndarray:
-    """Unitary completion [[B, (I-BB*)^1/2], [(I-B*B)^1/2, -B*]] of a contraction."""
+    """Unitary completion [[B, (I-BB*)^1/2], [(I-B*B)^1/2, -B*]] of a contraction.
+
+    With B = U S V*, the roots are U C U* and V C V* for C = (I-S^2)^1/2, so
+    a singular value at 1 adds no roundoff-size square root to the defect.
+    """
     d = block.shape[0]
-    bdag = block.conj().T
-    eye = np.eye(d)
-    top_right = _sqrt_psd(eye - block @ bdag)
-    bot_left = _sqrt_psd(eye - bdag @ block)
+    u_b, sv, vh = np.linalg.svd(block)
+    c = np.sqrt(np.clip(1.0 - sv * sv, 0.0, None))
     u = np.zeros((2 * d, 2 * d), dtype=np.result_type(block, float))
     u[:d, :d] = block
-    u[:d, d:] = top_right
-    u[d:, :d] = bot_left
-    u[d:, d:] = -bdag
+    u[:d, d:] = (u_b * c) @ u_b.conj().T
+    u[d:, :d] = (vh.conj().T * c) @ vh
+    u[d:, d:] = -block.conj().T
     return u
 
 

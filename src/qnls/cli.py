@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -44,39 +43,6 @@ class _UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Solver-run setup shared by the solve and resources commands."""
-
-    problem: str
-    iters: int
-    backend: str = "exact"
-    eps: float = 1e-6
-    sigma_floor: float = 1e-3
-    x0: str | None = None          # initial-guess file; None = random
-    seed: int = 0                  # seed for the random guess
-    gamma_ref: str = "previous"
-    trace: str | None = None
-    report: str | None = None
-
-    def __post_init__(self):
-        if self.iters < 0:
-            raise InputError("iterations must be non-negative")
-        if not self.eps > 0:
-            raise InputError("eps must be positive")
-        if not (0.0 < self.sigma_floor < 1.0):
-            raise InputError("sigma_floor must lie in (0, 1)")
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(problem=args.problem, iters=args.iters,
-                   backend=args.backend, eps=args.eps,
-                   sigma_floor=args.sigma_floor, x0=args.x0, seed=args.seed,
-                   gamma_ref=args.gamma_ref,
-                   trace=getattr(args, "trace", None),
-                   report=getattr(args, "report", None))
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -90,6 +56,7 @@ def _build_parser() -> _Parser:
     solve = sub.add_parser("solve", help="run the Newton solver on a problem file")
     _add_run_args(solve)
     solve.add_argument("--trace", help="trace CSV output path")
+    solve.add_argument("--report", help="resource report output path")
 
     check = sub.add_parser("check", help="run invariant suites on a problem file")
     check.add_argument("--problem", required=True)
@@ -144,11 +111,20 @@ def _add_run_args(p) -> None:
                    help="seed for the random initial guess")
     p.add_argument("--gamma-ref", choices=("e1", "x0", "previous"),
                    default="previous")
-    p.add_argument("--report", help="resource report output path")
 
 
-def _load_problem(path: str):
-    problem = parse_problem_file(path)
+def _load_run(args):
+    """Check the run options; return the canonical problem and rescale note."""
+    if args.iters < 0:
+        raise InputError("iterations must be non-negative")
+    if not args.eps > 0:
+        raise InputError("eps must be positive")
+    if not (0.0 < args.sigma_floor < 1.0):
+        raise InputError("sigma_floor must lie in (0, 1)")
+    problem = parse_problem_file(args.problem)
+    if isinstance(problem, InhomogeneousSystem) and args.backend != "classical":
+        raise InputError("encoded pipeline for inhomogeneous systems is "
+                         "experimental; use --backend classical")
     factors_note = None
     if isinstance(problem, PolynomialSystem):
         problem, factor = canonicalize(problem)
@@ -162,36 +138,32 @@ def _load_problem(path: str):
     return problem, factors_note
 
 
-def _initial_guess(problem, cfg: RunConfig) -> np.ndarray:
-    if cfg.x0:
-        vals = np.loadtxt(cfg.x0, ndmin=1)
+def _initial_guess(problem, args) -> np.ndarray:
+    if args.x0:
+        vals = np.loadtxt(args.x0, ndmin=1)
         if vals.shape != (problem.n,):
             raise InputError(f"guess file must hold {problem.n} values")
         if not np.all(np.isfinite(vals)):
             raise InputError("guess file values must be finite")
         return vals
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     v = rng.normal(size=problem.n)
     return 0.9 * v / np.linalg.norm(v)
 
 
-def _run_solver(problem, cfg: RunConfig):
-    x0 = _initial_guess(problem, cfg)
+def _run_solver(problem, args):
+    x0 = _initial_guess(problem, args)
     ledger = CostLedger()
-    if cfg.backend == "classical":
+    if args.backend == "classical":
         f_eval, j_eval = system_evaluators(problem)
         try:
-            tr = classical_newton(f_eval, j_eval, x0, cfg.iters, tol=0.0)
+            tr = classical_newton(f_eval, j_eval, x0, args.iters, tol=0.0)
             halted = None
-            iterates = tr.iterates
-            residuals = tr.residuals
         except SingularJacobianError as exc:
-            halted = str(exc)
-            iterates = exc.partial.iterates
-            residuals = exc.partial.residuals
+            tr, halted = exc.partial, str(exc)
         n, p, s = _problem_nps(problem)
         rows = []
-        for k, (x, r) in enumerate(zip(iterates, residuals)):
+        for k, (x, r) in enumerate(zip(tr.iterates, tr.residuals)):
             if k > 0:
                 ledger.charge("classical_lu", primitive=float(n ** 3))
                 ledger.charge("classical_gradient", primitive=float(p * p * n * s))
@@ -200,37 +172,40 @@ def _run_solver(problem, cfg: RunConfig):
             rows.append(TraceRow(k, float(r), float(np.dot(x, x)), None, None,
                                  ledger.oracle_queries, ledger.primitive_ops,
                                  ledger.amplification_cost))
-        trace = NewtonTrace(rows, halted)
-        final_cost = 0.0
-        return trace, ledger, final_cost
-    inv_cfg = InversionConfig(cfg.sigma_floor, cfg.eps, cfg.backend)
-    state, trace = newton_solve(problem, x0, cfg.iters, inv_cfg,
-                                gamma_reference=cfg.gamma_ref, ledger=ledger)
+        return NewtonTrace(rows, halted), ledger, 0.0
+    inv_cfg = InversionConfig(args.sigma_floor, args.eps, args.backend)
+    state, trace = newton_solve(problem, x0, args.iters, inv_cfg,
+                                gamma_reference=args.gamma_ref, ledger=ledger)
     return trace, state.ledger, state.be_xxT.cost
 
 
-def _problem_nps(problem) -> tuple[int, int, int]:
+def _homogeneous_part(problem):
     if isinstance(problem, PolynomialSystem):
-        return problem.n, problem.p, problem.sparsity
+        return problem
     if isinstance(problem, MixedSystem):
-        nl = problem.nonlinear
-        return problem.n, (nl.p if nl else 1), (nl.sparsity if nl else 1)
-    return problem.n, 1, 1
+        return problem.nonlinear
+    return None
 
 
-def _report_text(problem, cfg: RunConfig, ledger: CostLedger,
-                 dominant: float) -> str:
+def _problem_nps(problem) -> tuple[int, int, int]:
+    nl = _homogeneous_part(problem)
+    if nl is None:
+        return problem.n, 1, 1
+    return problem.n, nl.p, nl.sparsity
+
+
+def _report_text(problem, args, ledger: CostLedger, dominant: float) -> str:
     n, p, s = _problem_nps(problem)
-    t = cfg.iters
+    t = args.iters
     lines = [
         f"problem.kind = {problem_kind(problem)}",
         f"problem.n = {n}",
         f"problem.p = {p}",
         f"problem.s = {s}",
         f"run.iters = {t}",
-        f"run.backend = {cfg.backend}",
-        f"run.eps = {cfg.eps:.17g}",
-        f"run.sigma_floor = {cfg.sigma_floor:.17g}",
+        f"run.backend = {args.backend}",
+        f"run.eps = {args.eps:.17g}",
+        f"run.sigma_floor = {args.sigma_floor:.17g}",
         f"ledger.oracle_queries = {ledger.oracle_queries:.17g}",
         f"ledger.primitive_ops = {ledger.primitive_ops:.17g}",
         f"ledger.amplification_cost = {ledger.amplification_cost:.17g}",
@@ -240,7 +215,7 @@ def _report_text(problem, cfg: RunConfig, ledger: CostLedger,
     lines.append(f"quantum.dominant_term = {dominant:.17g}")
     lines.append(
         "quantum.inversion_charge_unit = "
-        f"{degree_budget(cfg.sigma_floor, cfg.eps):.17g}")
+        f"{degree_budget(args.sigma_floor, args.eps):.17g}")
     lines.append("classical.K = not represented")
     lines.append(f"classical.n3 = {n ** 3}")
     lines.append(f"classical.Kp2ns_unit = {p * p * n * s}")
@@ -252,29 +227,20 @@ def _report_text(problem, cfg: RunConfig, ledger: CostLedger,
 
 
 def _cmd_solve(args) -> int:
-    cfg = RunConfig.from_args(args)
-    try:
-        problem, note = _load_problem(cfg.problem)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    problem, note = _load_run(args)
     if problem_kind(problem) == "homogeneous":
         print("warning: purely homogeneous systems contract toward the "
               "origin under Newton; use a mixed problem unless the "
               "contraction itself is under test", file=sys.stderr)
-    if isinstance(problem, InhomogeneousSystem) and cfg.backend != "classical":
-        print("error: encoded pipeline for inhomogeneous systems is "
-              "experimental; use --backend classical", file=sys.stderr)
-        return EXIT_USAGE
     if note:
         print(f"note: {note}", file=sys.stderr)
-    trace, ledger, dominant = _run_solver(problem, cfg)
-    if cfg.trace:
-        atomic_write(cfg.trace, trace.to_csv())
+    trace, ledger, dominant = _run_solver(problem, args)
+    if args.trace:
+        atomic_write(args.trace, trace.to_csv())
     else:
         sys.stdout.write(trace.to_csv())
-    if cfg.report:
-        atomic_write(cfg.report, _report_text(problem, cfg, ledger, dominant))
+    if args.report:
+        atomic_write(args.report, _report_text(problem, args, ledger, dominant))
     if trace.halted:
         print(f"halted: {trace.halted}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -282,18 +248,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_resources(args) -> int:
-    cfg = RunConfig.from_args(args)
-    try:
-        problem, _ = _load_problem(cfg.problem)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if isinstance(problem, InhomogeneousSystem) and cfg.backend != "classical":
-        print("error: use --backend classical for inhomogeneous problems",
-              file=sys.stderr)
-        return EXIT_USAGE
-    trace, ledger, dominant = _run_solver(problem, cfg)
-    text = _report_text(problem, cfg, ledger, dominant)
+    problem, _ = _load_run(args)
+    trace, ledger, dominant = _run_solver(problem, args)
+    text = _report_text(problem, args, ledger, dominant)
     if args.out:
         atomic_write(args.out, text)
     else:
@@ -315,11 +272,7 @@ def _cmd_check(args) -> int:
         if name not in _SUITES:
             print(f"error: unknown suite {name!r}", file=sys.stderr)
             return EXIT_USAGE
-    try:
-        problem = parse_problem_file(args.problem)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    problem = parse_problem_file(args.problem)
     rng = np.random.default_rng(args.seed)
     ok = True
     for name in names:
@@ -327,14 +280,6 @@ def _cmd_check(args) -> int:
         ok = ok and passed
         print(f"CHECK {name} {'PASS' if passed else 'FAIL'} {detail}")
     return EXIT_OK if ok else EXIT_CHECK
-
-
-def _homogeneous_part(problem):
-    if isinstance(problem, PolynomialSystem):
-        return problem
-    if isinstance(problem, MixedSystem):
-        return problem.nonlinear
-    return None
 
 
 def _run_check(name: str, problem, rng) -> tuple[bool, str]:

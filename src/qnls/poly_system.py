@@ -147,9 +147,16 @@ class SparseMatrix:
                             self.cols, self.rows, self.vals)
 
     def symmetrized(self) -> "SparseMatrix":
-        """(A + A^T) / 2 with merged entry pattern."""
+        """(A + A^T) / 2 with merged entry pattern; A itself when symmetric.
+
+        Halving a subnormal entry and adding the halves back can change it.
+        """
         if self.dim_rows != self.dim_cols:
             raise InputError("symmetrization needs a square matrix")
+        t = self.transpose()
+        if (np.array_equal(t.rows, self.rows) and np.array_equal(t.cols, self.cols)
+                and np.array_equal(t.vals, self.vals)):
+            return self
         return SparseMatrix.summed(self.dim_rows, self.dim_cols,
                                    np.concatenate([self.rows, self.cols]),
                                    np.concatenate([self.cols, self.rows]),
@@ -416,7 +423,10 @@ class InhomogeneousSystem:
 
 @dataclass(frozen=True, eq=False)
 class MixedSystem:
-    """Equation i evaluates as b_i + (L x)_i + f_i(x); Jacobian L + J_nl."""
+    """Equation i evaluates as b_i + (L x)_i + f_i(x); Jacobian L + J_nl.
+
+    A nonlinear part with no entries is stored as None, as files store it.
+    """
 
     n: int
     constants: np.ndarray
@@ -433,6 +443,9 @@ class MixedSystem:
             raise DimensionMismatchError("linear part must be n x n")
         if self.nonlinear is not None and self.nonlinear.n != self.n:
             raise DimensionMismatchError("nonlinear part must share n")
+        if self.nonlinear is not None and not any(
+                a.nnz for a in self.nonlinear.equations):
+            object.__setattr__(self, "nonlinear", None)
         object.__setattr__(self, "constants", b)
 
 

@@ -80,7 +80,8 @@ def write_problem(problem: Problem, stream: TextIO) -> None:
                     if cv != 0.0:
                         stream.write(f"c {j} {_fmt(float(cv))}\n")
                 for k, bmat in enumerate(bs):
-                    for r, c, v in bmat.entries():
+                    # a zero entry keeps an all-zero factor's index in the file
+                    for r, c, v in bmat.entries() if bmat.nnz else [(0, 0, 0.0)]:
                         stream.write(f"B {k} {r} {c} {_fmt(v)}\n")
             stream.write("end\n")
 
@@ -169,8 +170,12 @@ def parse_problem(stream: TextIO) -> Problem:
 
 
 def parse_problem_file(path: str) -> Problem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh)
+    """Parse a problem file; an unreadable file is a ParseError too."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_problem(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read problem file: {exc}") from exc
 
 
 def _parse_equation_block(lines: _Lines, expected_index: int):

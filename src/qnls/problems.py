@@ -139,22 +139,20 @@ def lv_discretize(params: LvParams) -> MixedSystem:
             add_quad(eq_p, iv(t), ip(t), -params.dt * params.delta * lam)
 
     linear = SparseMatrix.from_entries(n, n, lin)
-    nonlinear = None
-    if quads:
-        eqs = []
-        for eq in range(n):
-            acc = quads.get(eq, {})
-            entries = []
-            for (a, c), coef in acc.items():
-                if a == c:
-                    entries.append((a, a, 2.0 * coef))
-                else:
-                    entries.append((a, c, coef))
-                    entries.append((c, a, coef))
-            eqs.append(SparseMatrix.from_entries(n, n, entries))
-        s = max(max(a.row_nnz_max(), a.col_nnz_max()) for a in eqs) or 1
-        nonlinear = PolynomialSystem(n, 1, s, tuple(eqs))
-    ms = MixedSystem(n, b, linear, nonlinear)
+    eqs = []
+    for eq in range(n):
+        acc = quads.get(eq, {})
+        entries = []
+        for (a, c), coef in acc.items():
+            if a == c:
+                entries.append((a, a, 2.0 * coef))
+            else:
+                entries.append((a, c, coef))
+                entries.append((c, a, coef))
+        eqs.append(SparseMatrix.from_entries(n, n, entries))
+    s = max(max(a.row_nnz_max(), a.col_nnz_max()) for a in eqs) or 1
+    # with no quadratic entries MixedSystem stores no nonlinear part
+    ms = MixedSystem(n, b, linear, PolynomialSystem(n, 1, s, tuple(eqs)))
     ms, _ = canonicalize_mixed(ms)
     return ms
 

@@ -24,10 +24,11 @@ from .block_encoding import (BlockEncoding, CostLedger, _eps_units, _log2,
                              be_product, be_rescale, be_sum, be_tensor,
                              be_transpose, debug_enabled)
 from .errors import (CompositionError, ConditioningError,
-                     DegenerateReferenceError, InputError,
+                     DegenerateReferenceError, DeskScaleError, InputError,
                      InvariantViolationError, RescaleRequiredError,
                      SingularJacobianError)
-from .poly_system import (FactorPermutation, InhomogeneousSystem, MixedSystem,
+from .poly_system import (DESK_SCALE_CAP, FactorPermutation,
+                          InhomogeneousSystem, MixedSystem,
                           PolynomialSystem, SparseMatrix, evaluate, jacobian,
                           mixed_evaluate, mixed_jacobian)
 from .svt import (InversionConfig, max_eigenvalue, min_singular_value,
@@ -177,13 +178,11 @@ def _a_sandwich(be_a: BlockEncoding, be_xxT: BlockEncoding, n: int, p: int,
     return be_product(tens, be_product(be_a, tens, ledger), ledger)
 
 
-def _reference_overlap(n: int, be_xxT: BlockEncoding, x_ref: np.ndarray | None,
-                       x_hint: np.ndarray | None
-                       ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Unit reference r (e_1 when x_ref is None), the iterate x and gamma = r.x.
+def _reference(n: int, x_ref: np.ndarray | None,
+               x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit reference r (e_1 when x_ref is None) and gamma = r.x.
 
-    x is x_hint when given, else recovered from the encoding.  An overlap
-    below GAMMA_FLOOR raises DegenerateReferenceError.
+    An overlap below GAMMA_FLOOR raises DegenerateReferenceError.
     """
     if x_ref is None:
         refu = np.zeros(n)
@@ -196,11 +195,10 @@ def _reference_overlap(n: int, be_xxT: BlockEncoding, x_ref: np.ndarray | None,
         if nrm == 0:
             raise DegenerateReferenceError("zero reference vector")
         refu = refu / nrm
-    x = x_hint if x_hint is not None else recover_vector(be_xxT, refu)
     gamma = float(np.dot(refu, x))
     if abs(gamma) < GAMMA_FLOOR:
         raise DegenerateReferenceError(f"overlap {gamma:.2e} below {GAMMA_FLOOR}")
-    return refu, x, gamma
+    return refu, gamma
 
 
 def _amplify_to_unit(be: BlockEncoding,
@@ -212,18 +210,17 @@ def _amplify_to_unit(be: BlockEncoding,
 
 
 def jacobian_sandwich_be(system: PolynomialSystem, be_xxT: BlockEncoding,
-                         x_ref: np.ndarray | None = None, *,
-                         x_hint: np.ndarray | None = None,
+                         x: np.ndarray, x_ref: np.ndarray | None = None, *,
                          ledger: CostLedger | None = None
                          ) -> tuple[BlockEncoding, float]:
-    """The U_m U_p construction around the P encoding.
+    """The U_m U_p construction around the P encoding of the iterate x.
 
     Matrix element (i, k) of the returned top-left block equals
     gamma^{2p-1} (grad f_k(x))_i / (sqrt(n) * alpha_P); with alpha = alpha_P
     the extracted matrix is gamma^{2p-1} J(x)^T / sqrt(n).
     """
     n, p = system.n, system.p
-    refu, x, gamma = _reference_overlap(n, be_xxT, x_ref, x_hint)
+    refu, gamma = _reference(n, x_ref, x)
     be_m = build_M_blockdiag(system, ledger)
     be_p = build_P(be_m, be_xxT, p, n, ledger)
     # P's block acts on registers 0 (equation index) and 1..p (tensor factors)
@@ -249,23 +246,20 @@ def jacobian_sandwich_be(system: PolynomialSystem, be_xxT: BlockEncoding,
 
 
 def jacobian_be(system: PolynomialSystem, be_xxT: BlockEncoding,
-                x_ref: np.ndarray | None = None, *,
-                x_hint: np.ndarray | None = None,
+                x: np.ndarray, x_ref: np.ndarray | None = None, *,
                 ledger: CostLedger | None = None
                 ) -> tuple[BlockEncoding, float]:
     """Encoding of gamma^{2p-1} J(x) / sqrt(n), amplified toward alpha = 1."""
-    sand, gamma = jacobian_sandwich_be(system, be_xxT, x_ref,
-                                       x_hint=x_hint, ledger=ledger)
+    sand, gamma = jacobian_sandwich_be(system, be_xxT, x, x_ref, ledger=ledger)
     return _amplify_to_unit(be_transpose(sand), ledger), gamma
 
 
-def rhs_be(system: PolynomialSystem, be_xxT: BlockEncoding,
+def rhs_be(system: PolynomialSystem, be_xxT: BlockEncoding, x: np.ndarray,
            x_ref: np.ndarray | None = None, *,
-           x_hint: np.ndarray | None = None,
            ledger: CostLedger | None = None) -> BlockEncoding:
     """Encoding of gamma^{2p-1} F(x) x^T / sqrt(n) via the A sandwich."""
     n, p = system.n, system.p
-    refu, x, gamma = _reference_overlap(n, be_xxT, x_ref, x_hint)
+    refu, gamma = _reference(n, x_ref, x)
     be_r = _a_sandwich(build_A_blockdiag(system, ledger), be_xxT, n, p, ledger)
     # registers: 0 equation index, 1..p-1 leading x-registers, p last
     dims = (n,) * (p + 1)
@@ -386,7 +380,8 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
     p_half = poly.p if poly is not None else 1
     floor = cfg.sigma_floor
     nx2 = norm_estimate(state.be_xxT, cfg.eps, led)
-    refu, x, gamma = _reference_overlap(n, state.be_xxT, x_ref, state.x)
+    x = state.x
+    refu, gamma = _reference(n, x_ref, x)
     ghat = gamma ** (2 * p_half - 1)
     rootn = np.sqrt(n)
 
@@ -394,7 +389,7 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
 
     j_parts = []
     if poly is not None:
-        be_jnl, _ = jacobian_be(poly, state.be_xxT, x_ref, x_hint=x, ledger=led)
+        be_jnl, _ = jacobian_be(poly, state.be_xxT, x, x_ref, ledger=led)
         j_parts.append(be_jnl)
     if be_lin is not None:
         j_parts.append(be_rescale(be_lin, ghat / rootn))
@@ -413,7 +408,7 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
 
     r_parts = []
     if poly is not None:
-        r_parts.append(rhs_be(poly, state.be_xxT, x_ref, x_hint=x, ledger=led))
+        r_parts.append(rhs_be(poly, state.be_xxT, x, x_ref, ledger=led))
     if be_lin is not None:
         r_parts.append(be_rescale(be_product(be_lin, state.be_xxT, led),
                                   ghat / rootn))
@@ -459,7 +454,9 @@ def newton_solve(system, x0: np.ndarray, t: int, cfg: InversionConfig, *,
     Returns the final state and the per-iteration trace.  A numerical
     failure (singular Jacobian, degenerate overlap, failed composition,
     conditioning or linear algebra) stops early and is recorded on the
-    trace as the halt reason instead of raising.
+    trace as the halt reason instead of raising.  A system whose sandwich
+    dimension n^{p+1} (n without a nonlinear part) exceeds DESK_SCALE_CAP
+    raises DeskScaleError before any encoding is built.
     """
     if t < 0:
         raise InputError("iteration count must be non-negative")
@@ -472,6 +469,10 @@ def newton_solve(system, x0: np.ndarray, t: int, cfg: InversionConfig, *,
         raise InputError("x0 must be finite")
     if np.linalg.norm(x0) > 1.0 + 1e-12:
         raise InputError("||x0|| must be at most 1")
+    poly = _split_system(system)[0]
+    dim = system.n ** (poly.p + 1) if poly is not None else system.n
+    if dim > DESK_SCALE_CAP:
+        raise DeskScaleError(f"logical_dim {dim} exceeds cap {DESK_SCALE_CAP}")
     led = ledger.copy() if ledger is not None else CostLedger()
     be0 = be_from_vector(x0, led)
     eps_step = cfg.eps / (3.0 * max(t, 1))

@@ -360,6 +360,19 @@ def test_mk_rejects_norm_above_tolerance(monkeypatch):
         _mk(np.diag([1.0 + 2e-9, 0.0]), 1.0, 0.0, None, 1.0)
 
 
+@pytest.mark.parametrize("d, target", [(2, 1.0), (4, 1.0), (4, 1.0 + 5e-10),
+                                       (16, 1.0)])
+def test_debug_accepts_contractions_at_norm_one(monkeypatch, d, target):
+    # QNLS_DEBUG verifies each new encoding's dilation; at norm 1 it must
+    # stay unitary within the unchanged _UNITARITY_TOL
+    monkeypatch.setenv("QNLS_DEBUG", "1")
+    for seed in range(5):
+        block = _block_with_norm("dense", d, seed, target)
+        be = _mk(block, 1.0, 0.0, None, 1.0)
+        u = be.unitary
+        assert np.linalg.norm(u.T @ u - np.eye(2 * d), 2) <= 1e-13
+
+
 def test_rescale_takes_over_the_dilation(monkeypatch):
     # under QNLS_DEBUG every encoding verifies its dilation when built; one
     # that shares its parent's block reuses the parent's dilation

@@ -106,6 +106,19 @@ def test_solve_missing_problem_is_parse_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8\n"])
+@pytest.mark.parametrize("command", ["solve", "check", "resources"])
+def test_unreadable_problem_is_parse_error(tmp_path, capsys, command, content):
+    path = tmp_path / "p.qnls"
+    if content is not None:
+        path.write_bytes(content)
+    args = ["--suite", "all"] if command == "check" else ["--iters", "1"]
+    rc = main([command, "--problem", str(path)] + args)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "parse error: cannot read problem file:")
+
+
 def test_solve_corrupt_problem_is_parse_error(tmp_path):
     bad = tmp_path / "bad.qnls"
     bad.write_text("version 1\nkind mixed\nn notanumber\n")
@@ -225,6 +238,52 @@ def test_resources_report_keys_and_t0(tmp_path):
     assert float(keys["classical.total"]) == 0.0
 
 
+def test_resources_rejects_report_option(tmp_path, capsys):
+    path = lv_file(tmp_path)
+    rep = tmp_path / "rep.txt"
+    rc = main(["resources", "--problem", str(path), "--iters", "0",
+               "--x0", str(path) + ".x0", "--report", str(rep)])
+    assert rc == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("backend", ["exact", "classical"])
+def test_solve_report_matches_resources_out(tmp_path, backend):
+    path = lv_file(tmp_path)
+    run = ["--problem", str(path), "--iters", "2", "--backend", backend,
+           "--x0", str(path) + ".x0", "--sigma-floor", "0.01"]
+    from_solve, from_resources = tmp_path / "s.txt", tmp_path / "r.txt"
+    assert main(["solve", *run, "--trace", str(tmp_path / "t.csv"),
+                 "--report", str(from_solve)]) == 0
+    assert main(["resources", *run, "--out", str(from_resources)]) == 0
+    assert from_solve.read_bytes() == from_resources.read_bytes()
+
+
+def test_cap_rejected_before_the_first_step(tmp_path, capsys, monkeypatch):
+    import qnls.quantum_newton as qn
+
+    def no_step(*args, **kwargs):
+        pytest.fail("newton_step ran")
+
+    monkeypatch.setattr(qn, "newton_step", no_step)
+    path = tmp_path / "big.qnls"
+    assert main(["gen-random", "--n", "65", "--p", "1", "--s", "1",
+                 "--seed", "1", "--out", str(path)]) == 0
+    out = tmp_path / "out.txt"
+    for command, flag in (("solve", "--trace"), ("resources", "--out")):
+        rc = main([command, "--problem", str(path), "--iters", "1",
+                   flag, str(out)])
+        assert rc == 1
+        assert ("error: logical_dim 4225 exceeds cap 4096"
+                in capsys.readouterr().err)
+        assert not out.exists()
+    rc = main(["solve", "--problem", str(path), "--iters", "1",
+               "--backend", "classical", "--trace", str(out)])
+    assert rc in (0, 3)
+    assert len(read_rows(out)) >= 1
+
+
 def test_resources_inversion_scales_with_floor(tmp_path):
     path = lv_file(tmp_path)
     vals = {}
@@ -266,7 +325,7 @@ def test_debug_mode_runs_clean(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_inhomogeneous_classical_only(tmp_path):
+def test_inhomogeneous_classical_only(tmp_path, capsys):
     from qnls import InhomogeneousPolynomial, InhomogeneousSystem, SparseMatrix
     from qnls.problem_io import write_problem_file
     b = SparseMatrix.from_dense(np.array([[0.4, 0.1], [0.1, 0.3]]))
@@ -286,9 +345,12 @@ def test_inhomogeneous_classical_only(tmp_path):
     rows = read_rows(trace)
     assert float(rows[-1]["residual"]) <= 1e-9
     # the encoded pipeline refuses inhomogeneous systems (experimental)
-    rc = main(["solve", "--problem", str(path), "--iters", "1",
-               "--backend", "exact", "--x0", str(guess)])
-    assert rc == 1
+    for command in ("solve", "resources"):
+        rc = main([command, "--problem", str(path), "--iters", "1",
+                   "--backend", "exact", "--x0", str(guess)])
+        assert rc == 1
+        assert ("error: encoded pipeline for inhomogeneous systems"
+                in capsys.readouterr().err)
     rc = main(["check", "--problem", str(path), "--suite", "gradient"])
     assert rc == 0
 

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnls import (InhomogeneousPolynomial, InhomogeneousSystem, MixedSystem,
                   ParseError, PolynomialSystem, SparseMatrix)
@@ -95,3 +97,57 @@ def test_float_precision_survives():
     sys0 = PolynomialSystem(2, 1, 2, (a1, a2))
     parsed = parse_problem(io.StringIO(dumps_problem(sys0)))
     assert np.array_equal(parsed.equations[0].vals, sys0.equations[0].vals)
+
+
+# ---------------------------------------------------------------------------
+# write -> parse -> write fuzzing
+# ---------------------------------------------------------------------------
+
+_VALUES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _sparse(draw, d):
+    index = st.integers(0, d - 1)
+    cells = draw(st.lists(st.tuples(index, index), max_size=5, unique=True))
+    return SparseMatrix.from_entries(d, d, [(r, c, draw(_VALUES))
+                                            for r, c in cells])
+
+
+@st.composite
+def _homogeneous(draw, n):
+    p = draw(st.integers(1, 2))
+    eqs = [draw(_sparse(n ** p)) for _ in range(n)]
+    used = max(max(m.row_nnz_max(), m.col_nnz_max())
+               for m in (a.symmetrized() for a in eqs))
+    s = max(1, used) + draw(st.integers(0, 2))
+    return PolynomialSystem(n, p, s, tuple(eqs))
+
+
+@st.composite
+def _problems(draw):
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["homogeneous", "mixed", "inhomogeneous"]))
+    if kind == "homogeneous":
+        return draw(_homogeneous(n))
+    if kind == "mixed":
+        constants = draw(st.lists(_VALUES, min_size=n, max_size=n))
+        nonlinear = draw(st.none() | _homogeneous(n))
+        return MixedSystem(n, np.array(constants), draw(_sparse(n)), nonlinear)
+    equations = []
+    for _ in range(n):
+        terms = []
+        for _ in range(draw(st.integers(0, 2))):
+            c = draw(st.lists(_VALUES, min_size=n, max_size=n))
+            factors = draw(st.integers(0, 2))
+            bs = tuple(draw(_sparse(n)) for _ in range(factors))
+            terms.append((np.array(c), bs))
+        equations.append(InhomogeneousPolynomial(tuple(terms)))
+    return InhomogeneousSystem(n, tuple(equations))
+
+
+@given(_problems())
+@settings(max_examples=300, deadline=None)
+def test_write_parse_write_is_identical(problem):
+    text = dumps_problem(problem)
+    assert dumps_problem(parse_problem(io.StringIO(text))) == text

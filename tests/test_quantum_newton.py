@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from qnls import (CostLedger, DegenerateReferenceError, InputError,
-                  InversionConfig, NewtonState, PolynomialSystem,
-                  RescaleRequiredError, SparseMatrix, be_from_vector,
-                  be_product, be_transpose, build_A_blockdiag,
-                  build_M_blockdiag, build_P, classical_newton, evaluate,
-                  gradient_md, init_heuristic, jacobian,
-                  jacobian_be, jacobian_sandwich_be, newton_solve,
+from qnls import (CostLedger, DegenerateReferenceError, DeskScaleError,
+                  InputError, InversionConfig, MixedSystem, NewtonState,
+                  PolynomialSystem, RescaleRequiredError, SparseMatrix,
+                  be_from_vector, be_product, be_transpose,
+                  build_A_blockdiag, build_M_blockdiag, build_P,
+                  classical_newton, evaluate, gradient_md, init_heuristic,
+                  jacobian, jacobian_be, jacobian_sandwich_be, newton_solve,
                   newton_step, norm_estimate, recover_vector, rhs_be,
                   sv_invert)
 from qnls.problems import (GpeParams, LvParams, gpe_default_guess,
@@ -110,16 +110,16 @@ def test_build_p_random_matches_gradient_oracle():
 # ---------------------------------------------------------------------------
 
 def test_jacobian_be_basis_point(diag_system):
-    bex = be_from_vector(np.array([1.0, 0.0]))
-    be_j, gamma = jacobian_be(diag_system, bex)
+    x = np.array([1.0, 0.0])
+    be_j, gamma = jacobian_be(diag_system, be_from_vector(x), x)
     assert gamma == pytest.approx(1.0)
-    expected = jacobian(diag_system, np.array([1.0, 0.0])) / np.sqrt(2)
+    expected = jacobian(diag_system, x) / np.sqrt(2)
     assert np.allclose(be_j.extract(), expected, atol=1e-10)
 
 
 def test_jacobian_be_diag_overlap(diag_system):
     x = np.array([0.6, 0.8])
-    be_j, gamma = jacobian_be(diag_system, be_from_vector(x))
+    be_j, gamma = jacobian_be(diag_system, be_from_vector(x), x)
     assert gamma == pytest.approx(0.6)
     expected = 0.6 * jacobian(diag_system, x) / np.sqrt(2)
     assert np.allclose(be_j.extract(), expected, atol=1e-10)
@@ -130,7 +130,7 @@ def test_jacobian_be_random_general_reference():
     rng = np.random.default_rng(10)
     x = rng.uniform(-0.4, 0.4, 3)
     ref = rng.uniform(0.2, 1.0, 3)
-    be_j, gamma = jacobian_be(system, be_from_vector(x), ref, x_hint=x)
+    be_j, gamma = jacobian_be(system, be_from_vector(x), x, ref)
     refu = ref / np.linalg.norm(ref)
     assert gamma == pytest.approx(float(refu @ x))
     expected = gamma ** 3 * jacobian(system, x) / np.sqrt(3)
@@ -144,7 +144,7 @@ def test_appendix_c_matrix_elements():
     rng = np.random.default_rng(21)
     x = rng.uniform(-0.4, 0.4, 3)
     x[0] = 0.45
-    sand, gamma = jacobian_sandwich_be(system, be_from_vector(x))
+    sand, gamma = jacobian_sandwich_be(system, be_from_vector(x), x)
     block = sand.block
     for k in range(3):
         grad = gradient_md(system, k, x)
@@ -156,15 +156,15 @@ def test_appendix_c_matrix_elements():
 def test_degenerate_reference_raises(diag_system):
     x = np.array([0.0, 0.7])
     with pytest.raises(DegenerateReferenceError):
-        jacobian_be(diag_system, be_from_vector(x), x_hint=x)
+        jacobian_be(diag_system, be_from_vector(x), x)
 
 
 def test_rhs_be_zero_and_diag(diag_system):
     be0 = be_from_vector(np.zeros(2))
     with pytest.raises(DegenerateReferenceError):
-        rhs_be(diag_system, be0)            # gamma = 0 at the origin
+        rhs_be(diag_system, be0, np.zeros(2))   # gamma = 0 at the origin
     x = np.array([0.6, 0.8])
-    be_r = rhs_be(diag_system, be_from_vector(x))
+    be_r = rhs_be(diag_system, be_from_vector(x), x)
     gamma = x[0]
     f = evaluate(diag_system, x)
     expected = gamma * np.outer(f, x) / np.sqrt(2)
@@ -178,7 +178,7 @@ def test_rhs_be_random():
     rng = np.random.default_rng(31)
     x = rng.uniform(-0.4, 0.4, 3)
     x[0] = 0.4
-    be_r = rhs_be(system, be_from_vector(x), x_hint=x)
+    be_r = rhs_be(system, be_from_vector(x), x)
     expected = x[0] ** 3 * np.outer(evaluate(system, x), x) / np.sqrt(3)
     assert np.linalg.norm(be_r.extract() - expected, 2) <= 1e-8
 
@@ -189,11 +189,11 @@ def test_factor_cancellation_invariant():
     rng = np.random.default_rng(34)
     x = rng.uniform(0.2, 0.6, 2)
     bex = be_from_vector(x)
-    be_j, gamma = jacobian_be(system, bex, x_hint=x)
+    be_j, gamma = jacobian_be(system, bex, x)
     sigma = 0.5 * np.linalg.svd(be_j.extract(), compute_uv=False)[-1]
     cfg = InversionConfig(sigma / be_j.alpha, 1e-8)
     inv = sv_invert(be_j, cfg)
-    be_r = rhs_be(system, bex, x_hint=x)
+    be_r = rhs_be(system, bex, x)
     prod = be_product(inv, be_r)
     delta = np.linalg.solve(jacobian(system, x), evaluate(system, x))
     assert np.linalg.norm(prod.extract() - sigma * np.outer(delta, x),
@@ -347,6 +347,25 @@ def test_solve_rejects_bad_inputs(diag_system):
     with pytest.raises(InputError):
         newton_solve(diag_system, np.array([0.1, 0.1]), 1, CFG,
                      gamma_reference="nope")
+
+
+def test_solve_checks_the_cap_before_any_encoding(monkeypatch):
+    import qnls.quantum_newton as qn
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("the solve went past its checks")
+
+    monkeypatch.setattr(qn, "newton_step", no_call)
+    monkeypatch.setattr(qn, "be_from_vector", no_call)
+    x0 = np.full(65, 0.1)
+    system = random_system(65, 1, 1, seed=4)        # n^{p+1} = 4225
+    with pytest.raises(DeskScaleError,
+                       match="logical_dim 4225 exceeds cap 4096"):
+        newton_solve(system, x0, 1, CFG)
+    # without a nonlinear part the encoded dimension is n itself
+    linear = MixedSystem(65, np.zeros(65), SparseMatrix.identity(65), None)
+    with pytest.raises(AssertionError, match="went past its checks"):
+        newton_solve(linear, x0, 1, CFG)
 
 
 @pytest.mark.slow
