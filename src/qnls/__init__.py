@@ -29,7 +29,7 @@ from .quantum_newton import (NewtonState, NewtonTrace, TraceRow,
                              newton_solve, newton_step, norm_estimate,
                              recover_vector, rhs_be, system_evaluators)
 from .svt import (InversionConfig, OddPolynomial, backend_inverse_poly,
-                  build_inverse_poly, degree_budget, max_eigenvalue,
-                  min_eigenvalue, min_singular_value, sv_invert)
+                  degree_budget, max_eigenvalue, min_eigenvalue,
+                  min_singular_value, sv_invert)
 
 __version__ = "0.1.0"

@@ -14,8 +14,8 @@ The guard first tries cheap upper bounds on the spectral norm (Frobenius,
 sqrt(||B||_1 ||B||_inf), then the Gram row-sum bound) and runs the dense
 spectral-norm SVD only for a block they cannot certify; see ``_mk``.
 
-With QNLS_DEBUG=1 every operation carries the intended matrix through
-and re-checks the encoding definition after each step.
+Only under QNLS_DEBUG=1 do the leaf constructors attach the intended
+matrix; every operation carries it through and re-checks the encoding.
 """
 
 from __future__ import annotations
@@ -226,7 +226,8 @@ def _mk(block: np.ndarray, alpha: float, eps: float, intended,
 
 def be_identity(d: int) -> BlockEncoding:
     """Exact encoding of the d-dimensional identity."""
-    return BlockEncoding(np.eye(d), 1.0, 0.0, np.eye(d), 1.0)
+    return BlockEncoding(np.eye(d), 1.0, 0.0,
+                         np.eye(d) if debug_enabled() else None, 1.0)
 
 
 def be_of_matrix(m: np.ndarray, *, alpha: float = 1.0, eps: float = 0.0,
@@ -255,7 +256,8 @@ def be_from_sparse(a: SparseMatrix, s: int,
     if ledger is not None:
         ledger.charge("sparse_encode", oracle=cost)
     dense = a.to_dense()
-    return _mk(dense / s, float(s), 0.0, dense, cost)
+    return _mk(dense / s, float(s), 0.0, dense if debug_enabled() else None,
+               cost)
 
 
 def be_from_vector(x: np.ndarray,
@@ -280,7 +282,8 @@ def be_from_vector(x: np.ndarray,
     cost = _log2(x.size) + 1.0
     if ledger is not None:
         ledger.charge("state_encode", primitive=cost)
-    return BlockEncoding(block, 1.0, 0.0, np.outer(x, x), cost)
+    return BlockEncoding(block, 1.0, 0.0,
+                         np.outer(x, x) if debug_enabled() else None, cost)
 
 
 def be_outer(u: np.ndarray, v: np.ndarray,
@@ -295,7 +298,7 @@ def be_outer(u: np.ndarray, v: np.ndarray,
     cost = _log2(u.size) + 1.0
     if ledger is not None:
         ledger.charge("state_encode", primitive=cost)
-    return _mk(m / alpha, alpha, 0.0, m, cost)
+    return _mk(m / alpha, alpha, 0.0, m if debug_enabled() else None, cost)
 
 
 def be_product(left: BlockEncoding, right: BlockEncoding,

@@ -117,10 +117,7 @@ def _load_run(args):
     """Check the run options; return the canonical problem and rescale note."""
     if args.iters < 0:
         raise InputError("iterations must be non-negative")
-    if not args.eps > 0:
-        raise InputError("eps must be positive")
-    if not (0.0 < args.sigma_floor < 1.0):
-        raise InputError("sigma_floor must lie in (0, 1)")
+    InversionConfig(args.sigma_floor, args.eps)   # range-checks both
     problem = parse_problem_file(args.problem)
     if isinstance(problem, InhomogeneousSystem) and args.backend != "classical":
         raise InputError("encoded pipeline for inhomogeneous systems is "
@@ -161,14 +158,13 @@ def _run_solver(problem, args):
             halted = None
         except SingularJacobianError as exc:
             tr, halted = exc.partial, str(exc)
-        n, p, s = _problem_nps(problem)
+        lu, grad, ev = _classical_counts(problem)
         rows = []
         for k, (x, r) in enumerate(zip(tr.iterates, tr.residuals)):
             if k > 0:
-                ledger.charge("classical_lu", primitive=float(n ** 3))
-                ledger.charge("classical_gradient", primitive=float(p * p * n * s))
-                ledger.charge("classical_evaluate",
-                              oracle=float(n ** (p + 1) * s))
+                ledger.charge("classical_lu", primitive=float(lu))
+                ledger.charge("classical_gradient", primitive=float(grad))
+                ledger.charge("classical_evaluate", oracle=float(ev))
             rows.append(TraceRow(k, float(r), float(np.dot(x, x)), None, None,
                                  ledger.oracle_queries, ledger.primitive_ops,
                                  ledger.amplification_cost))
@@ -194,6 +190,12 @@ def _problem_nps(problem) -> tuple[int, int, int]:
     return problem.n, nl.p, nl.sparsity
 
 
+def _classical_counts(problem) -> tuple[int, int, int]:
+    """Per-iteration classical counts: LU n^3, gradient p^2 n s, F n^{p+1} s."""
+    n, p, s = _problem_nps(problem)
+    return n ** 3, p * p * n * s, n ** (p + 1) * s
+
+
 def _report_text(problem, args, ledger: CostLedger, dominant: float) -> str:
     n, p, s = _problem_nps(problem)
     t = args.iters
@@ -217,10 +219,11 @@ def _report_text(problem, args, ledger: CostLedger, dominant: float) -> str:
         "quantum.inversion_charge_unit = "
         f"{degree_budget(args.sigma_floor, args.eps):.17g}")
     lines.append("classical.K = not represented")
-    lines.append(f"classical.n3 = {n ** 3}")
-    lines.append(f"classical.Kp2ns_unit = {p * p * n * s}")
-    lines.append(f"classical.np1s = {n ** (p + 1) * s}")
-    total = n ** 3 + p * p * n * s + n ** (p + 1) * s
+    lu, grad, ev = _classical_counts(problem)
+    lines.append(f"classical.n3 = {lu}")
+    lines.append(f"classical.Kp2ns_unit = {grad}")
+    lines.append(f"classical.np1s = {ev}")
+    total = lu + grad + ev
     lines.append(f"classical.total_per_iter = {total}")
     lines.append(f"classical.total = {t * total}")
     return "\n".join(lines) + "\n"

@@ -495,18 +495,12 @@ def newton_solve(system, x0: np.ndarray, t: int, cfg: InversionConfig, *,
             halted = str(exc)
             break
     f_eval, _ = system_evaluators(system)
-    rows = []
-    for i, st in enumerate(states):
-        nxt = states[i + 1] if i + 1 < len(states) else None
-        rows.append(TraceRow(
-            k=st.k,
-            residual=float(np.linalg.norm(f_eval(st.x))),
-            x_norm_sq=st.x_norm_sq,
-            sigma_k=nxt.sigma_k if nxt is not None else None,
-            gamma_k=nxt.gamma_k if nxt is not None else None,
-            oracle_queries=st.ledger.oracle_queries,
-            primitive_ops=st.ledger.primitive_ops,
-            amplification_cost=st.ledger.amplification_cost))
+    rows = [TraceRow(st.k, float(np.linalg.norm(f_eval(st.x))), st.x_norm_sq,
+                     nxt.sigma_k if nxt else None,
+                     nxt.gamma_k if nxt else None,
+                     st.ledger.oracle_queries, st.ledger.primitive_ops,
+                     st.ledger.amplification_cost)
+            for st, nxt in zip(states, states[1:] + [None])]
     return states[-1], NewtonTrace(rows, halted)
 
 

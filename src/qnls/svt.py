@@ -1,8 +1,9 @@
 """Singular value transformation on block encodings.
 
 Pseudoinversion with a spectral threshold (exact SVD backend and an odd
-polynomial backend approximating sigma/x), plus extremal eigenvalue and
-singular value estimation with the matching symbolic cost charges.
+polynomial backend approximating 0.75*sigma/x, whose 4/3 goes into the
+output alpha), plus extremal eigenvalue and singular value estimation with
+the matching symbolic cost charges.
 
 The polynomial's degree is searched in doubling rounds d -> 2d + 1.  Inside
 a round, a secant on log(minimax deviation) against the degree predicts the
@@ -38,8 +39,8 @@ class InversionConfig:
     def __post_init__(self):
         if not (0.0 < self.sigma_floor < 1.0):
             raise InputError("sigma_floor must lie in (0, 1)")
-        if not self.eps > 0:
-            raise InputError("eps must be positive")
+        if not 0.0 < self.eps < np.inf:
+            raise InputError("eps must be positive and finite")
         if self.backend not in ("exact", "poly"):
             raise InputError(f"unknown backend {self.backend!r}")
 
@@ -172,18 +173,6 @@ def _search_inverse_poly(sigma: float, eps: float, shrink: float,
     return OddPolynomial(best[2])
 
 
-def build_inverse_poly(sigma: float, eps: float) -> OddPolynomial:
-    """Odd q with |q(x) - sigma/x| <= eps on [sigma, 1] and |q| <= 1 on [-1, 1]."""
-    if not (0.0 < sigma < 1.0):
-        raise InputError("sigma must lie in (0, 1)")
-    if not eps > 0:
-        raise InputError("eps must be positive")
-    q = _search_inverse_poly(float(sigma), float(eps), 1.0, _LP_DEGREE_CAP)
-    if q is None:
-        raise ConfigError("inverse polynomial degree budget exhausted")
-    return q
-
-
 def degree_budget(sigma: float, eps: float) -> float:
     """(1/sigma) * log2(1/(sigma eps)), the inversion Lemma's degree scale."""
     return (1.0 / sigma) * _log2(1.0 / (sigma * _eps_units(eps)))
@@ -193,22 +182,15 @@ _HEADROOM = 0.75
 
 
 def backend_inverse_poly(sigma: float, eps: float) -> tuple[OddPolynomial, float]:
-    """Polynomial actually used by the inversion backend, with its headroom.
+    """Odd q of the poly backend, with its headroom h = 0.75.
 
-    The fully saturated target sigma/x (value 1 at the threshold) collides
-    with the unit sup-norm cap and needs far higher degree at small eps, so
-    the backend falls back to the standard trick of approximating
-    0.75*sigma/x and absorbing the 4/3 into the output subnormalization.
-    The returned headroom h satisfies |q(x)/h - sigma/x| <= eps on [sigma, 1].
+    The fit targets 0.75*sigma/x, not the saturated sigma/x whose value 1
+    at the threshold collides with the unit sup-norm cap; the output
+    subnormalization absorbs the 4/3.  So |q(x)/h - sigma/x| <= eps on
+    [sigma, 1] and |q| <= 1 on [-1, 1].
     """
-    if not (0.0 < sigma < 1.0):
-        raise InputError("sigma must lie in (0, 1)")
+    InversionConfig(sigma, eps, "poly")          # range-checks sigma and eps
     cap = max(int(np.ceil(4.0 * degree_budget(sigma, eps))), 3)
-    # the saturated fit converges only like 1/degree near the cap, so do not
-    # chase it past a few hundred before switching to the headroom target
-    q = _search_inverse_poly(float(sigma), float(eps), 1.0, min(cap, 257))
-    if q is not None:
-        return q, 1.0
     q = _search_inverse_poly(float(sigma), float(_HEADROOM * eps),
                              _HEADROOM, cap)
     if q is None:
@@ -255,9 +237,8 @@ def sv_invert(be: BlockEncoding, cfg: InversionConfig,
     charge = be.cost * degree_budget(sigma, cfg.eps)
     if ledger is not None:
         ledger.charge("inversion", primitive=charge)
-    intended = None
-    if be.intended is not None or debug_enabled():
-        intended = (vh.conj().T * g_exact) @ u.conj().T
+    intended = ((vh.conj().T * g_exact) @ u.conj().T if debug_enabled()
+                else None)
     eps_out = be.eps / sigma + (cfg.eps if cfg.polynomial else 0.0)
     return _mk(out_block, alpha_out, eps_out, intended, charge)
 

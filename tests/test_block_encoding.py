@@ -386,3 +386,12 @@ def test_rescale_takes_over_the_dilation(monkeypatch):
     assert dilated == []
     be_rescale(be, -1.0)         # a new block is dilated
     assert len(dilated) == 1
+
+
+def test_intended_witness_only_under_debug(monkeypatch):
+    # leaf encodings form no intended matrix unless QNLS_DEBUG=1 asks for it
+    a = SparseMatrix.from_dense(np.diag([0.5, -0.25]))
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    assert be_from_sparse(a, 1).intended is None
+    monkeypatch.setenv("QNLS_DEBUG", "1")
+    assert np.array_equal(be_from_sparse(a, 1).intended, a.to_dense())

@@ -190,6 +190,23 @@ def test_numerical_failure_mid_run_keeps_partial_trace(tmp_path, capsys,
     assert "halted: injected failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", [
+    ("--eps", "inf"), ("--eps", "inf", "--backend", "classical"),
+    ("--eps", "inf", "--backend", "poly"), ("--eps", "nan"), ("--eps", "0"),
+    ("--sigma-floor", "1")], ids=["eps-inf", "eps-inf-classical", "eps-inf-poly",
+                                  "eps-nan", "eps-0", "sigma-floor-1"])
+@pytest.mark.parametrize("command", ["solve", "resources"])
+def test_bad_run_option_is_input_error(tmp_path, capsys, command, option):
+    path = lv_file(tmp_path)
+    out = tmp_path / "out.txt"
+    flag = "--trace" if command == "solve" else "--out"
+    rc = main([command, "--problem", str(path), "--iters", "1",
+               "--x0", str(path) + ".x0", *option, flag, str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["solve"]) == 1                       # missing required args
     assert main(["frobnicate"]) == 1                  # unknown command

@@ -6,8 +6,8 @@ from scipy.stats import ortho_group
 
 from qnls import (ConditioningError, CostLedger, InputError, InversionConfig,
                   OddPolynomial, backend_inverse_poly, be_of_matrix,
-                  build_inverse_poly, degree_budget, max_eigenvalue,
-                  min_eigenvalue, min_singular_value, sv_invert, svt)
+                  degree_budget, max_eigenvalue, min_eigenvalue,
+                  min_singular_value, sv_invert, svt)
 
 
 def spectrum_matrix(d, lo, hi, seed):
@@ -24,8 +24,9 @@ def spectrum_matrix(d, lo, hi, seed):
 def test_inversion_config_validation():
     with pytest.raises(InputError):
         InversionConfig(0.0, 1e-3)
-    with pytest.raises(InputError):
-        InversionConfig(0.5, -1.0)
+    for eps in (-1.0, np.inf, np.nan):
+        with pytest.raises(InputError):
+            InversionConfig(0.5, eps)
     with pytest.raises(InputError):
         InversionConfig(0.5, 1e-3, "magic")
 
@@ -56,25 +57,40 @@ def test_memoized_polynomial_cannot_be_corrupted():
         svt._search_inverse_poly.cache_clear()
 
 
-def test_build_inverse_poly_deviation_grid():
-    q = build_inverse_poly(0.5, 0.1)
+def test_backend_inverse_poly_deviation_grid():
+    q, headroom = backend_inverse_poly(0.5, 0.1)
     xs = np.linspace(0.5, 1.0, 1000)
-    assert np.max(np.abs(q(xs) - 0.5 / xs)) <= 0.1
+    assert np.max(np.abs(q(xs) / headroom - 0.5 / xs)) <= 0.1
     full = np.linspace(-1.0, 1.0, 2001)
     assert np.max(np.abs(q(full))) <= 1.0 + 1e-9
 
 
-def test_build_inverse_poly_odd_symmetry():
-    q = build_inverse_poly(0.5, 0.1)
+def test_backend_inverse_poly_odd_symmetry():
+    q, headroom = backend_inverse_poly(0.5, 0.1)
     xs = np.linspace(-1.0, 1.0, 501)
-    assert np.allclose(q(-xs), -q(xs))
+    assert np.allclose(q(-xs) / headroom, -q(xs) / headroom)
 
 
-@pytest.mark.slow
-def test_build_inverse_poly_degree_growth():
-    d_half = build_inverse_poly(0.5, 1e-3).degree
-    d_quarter = build_inverse_poly(0.25, 1e-3).degree
+def test_backend_inverse_poly_degree_growth():
+    d_half = backend_inverse_poly(0.5, 1e-3)[0].degree
+    d_quarter = backend_inverse_poly(0.25, 1e-3)[0].degree
     assert d_quarter <= 2.5 * d_half
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+def test_backend_inverse_poly_rejects_bad_eps(eps):
+    with pytest.raises(InputError):
+        backend_inverse_poly(0.5, eps)
+
+
+@pytest.mark.parametrize("sigma,eps", [(0.5, 1e-2), (0.3, 1e-2), (0.2, 3e-2)])
+def test_backend_degree_at_most_saturated(sigma, eps):
+    # where the saturated sigma/x fit passes under degree 257, the headroom
+    # kernel 0.75*sigma/x needs no higher degree
+    cap = max(int(np.ceil(4.0 * degree_budget(sigma, eps))), 3)
+    saturated = svt._search_inverse_poly(sigma, eps, 1.0, min(cap, 257))
+    assert saturated is not None
+    assert backend_inverse_poly(sigma, eps)[0].degree <= saturated.degree
 
 
 def test_backend_poly_budget_and_accuracy():
@@ -123,7 +139,7 @@ def _doubling_bisection_search(sigma, eps, shrink, degree_cap):
 
 
 def _backend_searches(sigma, eps):
-    """The saturated and the headroom search of backend_inverse_poly."""
+    """A saturated sigma/x search capped at 257, and the backend's search."""
     cap = max(int(np.ceil(4.0 * degree_budget(sigma, eps))), 3)
     return [(sigma, eps, 1.0, min(cap, 257)),
             (sigma, svt._HEADROOM * eps, svt._HEADROOM, cap)]
@@ -171,8 +187,8 @@ def test_lv_poly_search_fits(monkeypatch):
     finally:
         svt._search_inverse_poly.cache_clear()
     assert (q.degree, headroom) == (229, svt._HEADROOM)
-    assert len(fits) <= 8                        # 13 for doubling + bisection
-    assert max(d for d, shrink in fits if shrink == 1.0) <= 257
+    assert len(fits) <= 5
+    assert all(shrink == svt._HEADROOM for _, shrink in fits)
 
 
 @given(st.floats(0.15, 0.6), st.floats(1e-3, 5e-2),
