@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Digest of every CLI artifact of a fixed command set, for byte-identity checks.
+
+Runs the README's CLI commands, the `--gamma-ref e1` and `x0` solves (LV
+and GPE) and a classical `resources` run through `qnls.cli.main` in a
+temporary directory. Prints one `exit <code>  <command name>` line per
+command, then one `<sha256>  <name>` line per written file and per
+captured stdout and stderr. To check that a change keeps every artifact,
+run it against both trees and compare:
+
+    PYTHONPATH=old/src python3 scripts/artifact_digest.py > old.txt
+    PYTHONPATH=new/src python3 scripts/artifact_digest.py > new.txt
+    diff old.txt new.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+from pathlib import Path
+
+from qnls import cli
+
+LV_RUN = "--problem lv.qnls --x0 lv.qnls.x0"
+GPE_RUN = "--problem gpe.qnls --x0 gpe.qnls.x0 --iters 1"
+COMMANDS = [
+    ("gen-lv", "gen-lv --alpha 1 --beta 1 --gamma 1 --delta 1 --dt 0.1 "
+               "--steps 3 --v0 1.2 --p0 0.9 --out lv.qnls"),
+    ("gen-gpe", "gen-gpe --nx 4 --g 1 --dt 0.05 --dx 0.5 --out gpe.qnls"),
+    ("gen-random", "gen-random --n 3 --p 2 --s 2 --seed 7 --out rnd.qnls"),
+    ("solve", f"solve {LV_RUN} --iters 5 --trace trace.csv"),
+    ("solve-classical", f"solve {LV_RUN} --iters 5 --backend classical"),
+    ("check", "check --problem lv.qnls --suite all"),
+    ("resources", f"resources {LV_RUN} --iters 3 --out report.txt"),
+    ("resources-classical",
+     f"resources {LV_RUN} --iters 3 --backend classical --out report_classical.txt"),
+    ("solve-lv-e1", f"solve {LV_RUN} --iters 5 --gamma-ref e1 "
+                    "--trace lv_e1.csv --report lv_e1.txt"),
+    ("solve-lv-x0", f"solve {LV_RUN} --iters 5 --gamma-ref x0 "
+                    "--trace lv_x0.csv --report lv_x0.txt"),
+    # gamma = x_1 = 0.067 puts sigma near 2.5e-5, below the default floor
+    ("solve-gpe-e1", f"solve {GPE_RUN} --gamma-ref e1 --sigma-floor 1e-5 "
+                     "--trace gpe_e1.csv --report gpe_e1.txt"),
+    ("solve-gpe-x0", f"solve {GPE_RUN} --gamma-ref x0 "
+                     "--trace gpe_x0.csv --report gpe_x0.txt"),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> None:
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            streams = {}
+            for name, cmd in COMMANDS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = cli.main(cmd.split())
+                print(f"exit {rc}  {name}")
+                streams[f"{name}.stdout"] = out.getvalue().encode()
+                streams[f"{name}.stderr"] = err.getvalue().encode()
+            for path in sorted(Path(tmp).iterdir()):
+                print(f"{_sha(path.read_bytes())}  {path.name}")
+            for key, data in streams.items():
+                print(f"{_sha(data)}  {key}")
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    main()

@@ -137,7 +137,10 @@ def _load_run(args):
 
 def _initial_guess(problem, args) -> np.ndarray:
     if args.x0:
-        vals = np.loadtxt(args.x0, ndmin=1)
+        try:
+            vals = np.loadtxt(args.x0, ndmin=1)
+        except ValueError as exc:     # UnicodeDecodeError included
+            raise InputError(f"malformed guess file: {exc}") from exc
         if vals.shape != (problem.n,):
             raise InputError(f"guess file must hold {problem.n} values")
         if not np.all(np.isfinite(vals)):

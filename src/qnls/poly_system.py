@@ -23,6 +23,13 @@ DESK_SCALE_CAP = 4096
 Monomial = tuple[float, tuple[int, ...]]
 
 
+def capped_dim(n: int, p: int) -> int:
+    """n^p, the p-fold tensor dimension; DeskScaleError above DESK_SCALE_CAP."""
+    if n ** p > DESK_SCALE_CAP:
+        raise DeskScaleError(f"n^p = {n ** p} exceeds desk-scale cap {DESK_SCALE_CAP}")
+    return n ** p
+
+
 def tensor_power(x: np.ndarray, k: int) -> np.ndarray:
     """k-fold Kronecker power of a vector (k = 0 gives the scalar 1)."""
     out = np.ones(1)
@@ -224,12 +231,9 @@ class PolynomialSystem:
     def __post_init__(self):
         if self.n <= 0 or self.p <= 0:
             raise InputError("n and p must be positive")
-        if self.n ** self.p > DESK_SCALE_CAP:
-            raise DeskScaleError(
-                f"n^p = {self.n ** self.p} exceeds desk-scale cap {DESK_SCALE_CAP}")
+        d = capped_dim(self.n, self.p)
         if len(self.equations) != self.n:
             raise InputError("need exactly n coefficient matrices")
-        d = self.n ** self.p
         sym = []
         for a in self.equations:
             if a.dim_rows != d or a.dim_cols != d:
@@ -515,24 +519,33 @@ def monomials_to_matrix(nvars: int, p: int,
     sorted digit blocks; system construction symmetrizes afterwards, which
     leaves the represented polynomial unchanged.
     """
-    d = nvars ** p
-    acc: dict[tuple[int, int], float] = {}
+    d = capped_dim(nvars, p)
+    keys: list[tuple[int, int]] = []
+    vals: list[float] = []
     for coef, powers in monomials:
         if coef == 0.0:
             continue
         if len(powers) != nvars or sum(powers) != 2 * p:
             raise InputError("monomial degree must equal 2p over nvars variables")
-        digits: list[int] = []
-        for var, e in enumerate(powers):
-            digits.extend([var] * e)
-        row = 0
+        digits = [var for var, e in enumerate(powers) for _ in range(e)]
+        row = col = 0
         for dgt in digits[:p]:
             row = row * nvars + dgt
-        col = 0
         for dgt in digits[p:]:
             col = col * nvars + dgt
-        acc[(row, col)] = acc.get((row, col), 0.0) + 2.0 * coef
-    return SparseMatrix.from_entries(d, d, [(r, c, v) for (r, c), v in acc.items()])
+        keys.append((row, col))
+        vals.append(2.0 * coef)
+    idx = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    return SparseMatrix.summed(d, d, idx[:, 0], idx[:, 1],
+                               np.array(vals, dtype=np.float64))
+
+
+def symmetrized_system(n: int, p: int,
+                       mats: Sequence[SparseMatrix]) -> PolynomialSystem:
+    """System of the symmetrized matrices; s is their measured sparsity, at least 1."""
+    sym = tuple(a.symmetrized() for a in mats)
+    s = max(max(a.row_nnz_max(), a.col_nnz_max()) for a in sym) or 1
+    return PolynomialSystem(n, p, s, sym)
 
 
 def evaluate_monomials(equations: Sequence[Sequence[Monomial]],
@@ -587,6 +600,4 @@ def homogenize_odd(equations: Sequence[Sequence[Monomial]]) -> PolynomialSystem:
     for _ in range((degree - 1) // 2):
         aux = _poly_mul(aux, norm_sq)
     mats.append(monomials_to_matrix(n_out, p_out, [(c, k) for k, c in aux.items()]))
-    sym = [a.symmetrized() for a in mats]
-    s = max(max(a.row_nnz_max(), a.col_nnz_max()) for a in sym)
-    return PolynomialSystem(n_out, p_out, s, tuple(sym))
+    return symmetrized_system(n_out, p_out, mats)

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ParseError
 from .poly_system import (InhomogeneousPolynomial, InhomogeneousSystem,
-                          MixedSystem, PolynomialSystem, SparseMatrix)
+                          MixedSystem, PolynomialSystem, SparseMatrix,
+                          capped_dim)
 
 Problem = Union[PolynomialSystem, MixedSystem, InhomogeneousSystem]
 
@@ -213,23 +214,27 @@ def _parse_equation_block(lines: _Lines, expected_index: int):
     return rows
 
 
+def _homogeneous_system(n: int, p: int, s: int, a_entries) -> PolynomialSystem:
+    """System of the parsed `a` entries; the cap is checked before any n^p matrix."""
+    d = capped_dim(n, p)
+    return PolynomialSystem(n, p, s, tuple(
+        SparseMatrix.from_entries(d, d, ent) for ent in a_entries))
+
+
 def _parse_homogeneous(lines: _Lines, n: int, p: int, s: int) -> PolynomialSystem:
-    d = n ** p
-    eqs = []
+    a_entries = []
     for i in range(n):
         rows = _parse_equation_block(lines, i)
         if rows["lin"] or rows["const"] or rows["term"]:
             raise ParseError("homogeneous problems carry only 'a' entries")
-        eqs.append(SparseMatrix.from_entries(d, d, rows["a"]))
-    return PolynomialSystem(n, p, s, tuple(eqs))
+        a_entries.append(rows["a"])
+    return _homogeneous_system(n, p, s, a_entries)
 
 
 def _parse_mixed(lines: _Lines, n: int, p: int, s: int) -> MixedSystem:
-    d = n ** p
     b = np.zeros(n)
     lin_entries = []
-    eqs = []
-    any_a = False
+    a_entries = []
     for i in range(n):
         rows = _parse_equation_block(lines, i)
         if rows["term"]:
@@ -238,10 +243,8 @@ def _parse_mixed(lines: _Lines, n: int, p: int, s: int) -> MixedSystem:
             b[i] += cval
         for j, v in rows["lin"]:
             lin_entries.append((i, j, v))
-        if rows["a"]:
-            any_a = True
-        eqs.append(SparseMatrix.from_entries(d, d, rows["a"]))
-    nonlinear = PolynomialSystem(n, p, s, tuple(eqs)) if any_a else None
+        a_entries.append(rows["a"])
+    nonlinear = _homogeneous_system(n, p, s, a_entries) if any(a_entries) else None
     return MixedSystem(n, b, SparseMatrix.from_entries(n, n, lin_entries),
                        nonlinear)
 

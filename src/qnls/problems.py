@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeskScaleError, InputError
-from .poly_system import (DESK_SCALE_CAP, Monomial, MixedSystem,
-                          PolynomialSystem, SparseMatrix, canonicalize,
-                          canonicalize_mixed, monomials_to_matrix)
+from .errors import InputError
+from .poly_system import (Monomial, MixedSystem, PolynomialSystem,
+                          SparseMatrix, canonicalize, canonicalize_mixed,
+                          capped_dim, monomials_to_matrix,
+                          symmetrized_system)
 
 GPE_AUX_VALUE = 0.5          # pinned value of the homogenization variable
 _TARGET_ROOT_NORM = 0.45     # scaled solution norm aimed for by auto-scaling
@@ -65,6 +66,10 @@ class GpeParams:
                            np.asarray(self.psi_prev, dtype=np.complex128))
         if self.nx < 3:
             raise InputError("nx must be at least 3")
+        if not all(np.all(np.isfinite(v)) for v in (
+                self.dt, self.dx, self.hbar2_over_2m, self.g,
+                self.potential, self.psi_prev)):
+            raise InputError("parameters must be finite")
         if self.dt <= 0 or self.dx <= 0:
             raise InputError("dt and dx must be positive")
         if self.potential.shape != (self.nx,):
@@ -115,13 +120,7 @@ def lv_discretize(params: LvParams) -> MixedSystem:
     ip = lambda t: size + t - 1     # index of p_t
     b = np.zeros(n)
     lin: list[tuple[int, int, float]] = []
-    quads: dict[int, dict[tuple[int, int], float]] = {}
-
-    def add_quad(eq: int, a: int, c: int, coef: float) -> None:
-        acc = quads.setdefault(eq, {})
-        key = (a, c) if a <= c else (c, a)
-        acc[key] = acc.get(key, 0.0) + coef
-
+    quads: list[list[Monomial]] = [[] for _ in range(n)]
     v0s, p0s = params.v0 / lam, params.p0 / lam
     for t in range(params.steps):
         eq_v, eq_p = iv(t + 1), ip(t + 1)
@@ -135,24 +134,14 @@ def lv_discretize(params: LvParams) -> MixedSystem:
         else:
             lin.append((eq_v, iv(t), -1.0 - params.dt * params.alpha))
             lin.append((eq_p, ip(t), -1.0 + params.dt * params.gamma))
-            add_quad(eq_v, iv(t), ip(t), params.dt * params.beta * lam)
-            add_quad(eq_p, iv(t), ip(t), -params.dt * params.delta * lam)
+            vp = _mono(n, {iv(t): 1, ip(t): 1})
+            quads[eq_v].append((params.dt * params.beta * lam, vp))
+            quads[eq_p].append((-params.dt * params.delta * lam, vp))
 
-    linear = SparseMatrix.from_entries(n, n, lin)
-    eqs = []
-    for eq in range(n):
-        acc = quads.get(eq, {})
-        entries = []
-        for (a, c), coef in acc.items():
-            if a == c:
-                entries.append((a, a, 2.0 * coef))
-            else:
-                entries.append((a, c, coef))
-                entries.append((c, a, coef))
-        eqs.append(SparseMatrix.from_entries(n, n, entries))
-    s = max(max(a.row_nnz_max(), a.col_nnz_max()) for a in eqs) or 1
+    nonlinear = symmetrized_system(
+        n, 1, [monomials_to_matrix(n, 1, q) for q in quads])
     # with no quadratic entries MixedSystem stores no nonlinear part
-    ms = MixedSystem(n, b, linear, PolynomialSystem(n, 1, s, tuple(eqs)))
+    ms = MixedSystem(n, b, SparseMatrix.from_entries(n, n, lin), nonlinear)
     ms, _ = canonicalize_mixed(ms)
     return ms
 
@@ -252,14 +241,8 @@ def gpe_discretize(params: GpeParams) -> MixedSystem:
         # auxiliary pin: mu^4 - GPE_AUX_VALUE^4 = 0
         b[idx_m] = -GPE_AUX_VALUE ** 4
         cubics[idx_m] = [(1.0, _mono(n, {idx_m: 4}))]
-        if (n ** 2) > DESK_SCALE_CAP:
-            raise DeskScaleError("GPE instance exceeds the desk-scale cap")
-        eqs = []
-        for eq in range(n):
-            eqs.append(monomials_to_matrix(n, 2, cubics.get(eq, [])))
-        sym = [a.symmetrized() for a in eqs]
-        s = max(max(a.row_nnz_max(), a.col_nnz_max()) for a in sym) or 1
-        nonlinear = PolynomialSystem(n, 2, s, tuple(sym))
+        nonlinear = symmetrized_system(
+            n, 2, [monomials_to_matrix(n, 2, cubics.get(eq, [])) for eq in range(n)])
     ms = MixedSystem(n, b, SparseMatrix.from_entries(n, n, lin), nonlinear)
     ms, _ = canonicalize_mixed(ms)
     return ms
@@ -289,10 +272,8 @@ def random_system(n: int, p: int, s: int, seed: int) -> PolynomialSystem:
     """Seeded random s-sparse symmetric system, canonically rescaled."""
     if n <= 0 or p <= 0 or s <= 0:
         raise InputError("n, p, s must be positive")
-    if n ** p > DESK_SCALE_CAP:
-        raise DeskScaleError(f"n^p = {n ** p} exceeds cap {DESK_SCALE_CAP}")
+    d = capped_dim(n, p)
     rng = np.random.default_rng(seed)
-    d = n ** p
     budget = max(1, s // 2)
     eqs = []
     for _ in range(n):

@@ -229,12 +229,11 @@ def jacobian_sandwich_be(system: PolynomialSystem, be_xxT: BlockEncoding,
     sigma2 = _perm_order(dims, tuple(range(1, p)) + (0, p))
     w = be_p.block[:, np.argsort(sigma1)][sigma2, :]
     w = _apply_left(_householder_uniform(n), w, dims, p - 1)
-    vref = None if x_ref is None else _householder_map(refu)
-    if vref is not None:
-        for ax in range(p - 1):
-            w = _apply_left(vref, w, dims, ax)
-            w = _apply_right(w, vref, dims, ax)
-        w = _apply_right(w, vref, dims, p - 1)
+    vref = _householder_map(refu)
+    for ax in range(p - 1):
+        w = _apply_left(vref, w, dims, ax)
+        w = _apply_right(w, vref, dims, ax)
+    w = _apply_right(w, vref, dims, p - 1)
     intended = None
     if debug_enabled():
         intended = gamma ** (2 * p - 1) * jacobian(system, x).T / np.sqrt(n)
@@ -265,14 +264,12 @@ def rhs_be(system: PolynomialSystem, be_xxT: BlockEncoding, x: np.ndarray,
     dims = (n,) * (p + 1)
     sigma3 = _perm_order(dims, (p,) + tuple(range(1, p)) + (0,))
     w = _apply_right(be_r.block, _householder_uniform(n), dims, 0)
-    vref = None if x_ref is None else _householder_map(refu)
-    if vref is not None:
-        for ax in range(1, p):
-            w = _apply_right(w, vref, dims, ax)
+    vref = _householder_map(refu)
+    for ax in range(1, p):
+        w = _apply_right(w, vref, dims, ax)
     w = w[sigma3, :]
-    if vref is not None:
-        for ax in range(p):
-            w = _apply_left(vref, w, dims, ax)
+    for ax in range(p):
+        w = _apply_left(vref, w, dims, ax)
     intended = None
     if debug_enabled():
         intended = (gamma ** (2 * p - 1) * np.outer(evaluate(system, x), x)

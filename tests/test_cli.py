@@ -54,6 +54,19 @@ def test_gen_gpe_small_grid_usage_error(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("option", [["--dt", "inf"], ["--hbar2m", "nan"]],
+                         ids=["dt-inf", "hbar2m-nan"])
+def test_gen_gpe_non_finite_parameter_is_input_error(tmp_path, capsys, option):
+    base = {"--nx": "3", "--g": "1", "--dt": "0.05", "--dx": "0.5"}
+    base[option[0]] = option[1]
+    out = tmp_path / "g.qnls"
+    rc = main(["gen-gpe", *[t for kv in base.items() for t in kv],
+               "--out", str(out)])
+    assert rc == 1
+    assert "error: parameters must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_classical_writes_trace(tmp_path):
     path = lv_file(tmp_path)
     trace = tmp_path / "t.csv"
@@ -134,6 +147,22 @@ def test_solve_nan_guess_is_input_error(tmp_path, capsys):
                "--x0", str(guess)])
     assert rc == 1
     assert "error: guess file values must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    b"0.1\nabc\n" + b"0.1\n" * 4,
+    b"0.1 0.2\n0.3\n",
+    b"0.1\n\xff\xfe0.2\n" + b"0.1\n" * 4,
+], ids=["non-numeric", "ragged", "non-utf8"])
+@pytest.mark.parametrize("command", ["solve", "resources"])
+def test_malformed_guess_is_input_error(tmp_path, capsys, command, content):
+    path = lv_file(tmp_path)
+    guess = tmp_path / "x0.txt"
+    guess.write_bytes(content)
+    rc = main([command, "--problem", str(path), "--iters", "1",
+               "--x0", str(guess)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: malformed guess file:")
 
 
 @pytest.mark.parametrize("directive", ["a", "const"])
@@ -299,6 +328,16 @@ def test_cap_rejected_before_the_first_step(tmp_path, capsys, monkeypatch):
                "--backend", "classical", "--trace", str(out)])
     assert rc in (0, 3)
     assert len(read_rows(out)) >= 1
+
+
+def test_problem_file_above_the_cap_is_input_error(tmp_path, capsys):
+    path = tmp_path / "big.qnls"
+    path.write_text("version 1\nkind homogeneous\nn 2\np 100\ns 1\n"
+                    "equation 0\na 0 0 1\nend\nequation 1\nend\n")
+    rc = main(["solve", "--problem", str(path), "--iters", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: n^p = {2 ** 100} exceeds desk-scale cap 4096")
 
 
 def test_resources_inversion_scales_with_floor(tmp_path):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +19,21 @@ def test_demo_runs(demo, marker):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert marker in proc.stdout
+
+
+def test_artifact_digest_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("QNLS_DEBUG", None)
+    proc = subprocess.run([sys.executable,
+                           str(ROOT / "scripts" / "artifact_digest.py")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    exits = [ln for ln in lines if ln.startswith("exit ")]
+    digests = [ln for ln in lines if not ln.startswith("exit ")]
+    assert exits and all(re.fullmatch(r"exit 0  [\w-]+", ln) for ln in exits)
+    assert digests and all(re.fullmatch(r"[0-9a-f]{64}  [\w.-]+", ln)
+                           for ln in digests)
+    names = [ln.split("  ")[1] for ln in digests]
+    assert len(names) == len(set(names))
+    assert {"trace.csv", "report.txt", "gpe_e1.csv", "lv_x0.csv"} <= set(names)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnls import (InhomogeneousPolynomial, InhomogeneousSystem, MixedSystem,
-                  ParseError, PolynomialSystem, SparseMatrix)
+from qnls import (DeskScaleError, InhomogeneousPolynomial,
+                  InhomogeneousSystem, MixedSystem, ParseError,
+                  PolynomialSystem, SparseMatrix)
 from qnls.problem_io import (dumps_problem, parse_problem, parse_problem_file,
                              problem_kind, write_problem_file)
 
@@ -80,6 +81,25 @@ def test_parse_rejects_misplaced_sections():
     bad = good.replace("equation 0\n", "equation 0\nconst 1.0\n")
     with pytest.raises(ParseError):
         parse_problem(io.StringIO(bad))
+
+
+def _two_equation_file(kind, p, a_line):
+    return (f"version 1\nkind {kind}\nn 2\np {p}\ns 1\n"
+            f"equation 0\n{a_line}end\nequation 1\nend\n")
+
+
+@pytest.mark.parametrize("kind", ["homogeneous", "mixed"])
+@pytest.mark.parametrize("p", [13, 100])
+def test_parse_checks_the_cap_before_building(kind, p):
+    text = _two_equation_file(kind, p, "a 0 0 1\n")
+    with pytest.raises(DeskScaleError,
+                       match=f"n\\^p = {2 ** p} exceeds desk-scale cap 4096"):
+        parse_problem(io.StringIO(text))
+
+
+def test_parse_mixed_without_a_lines_ignores_p():
+    parsed = parse_problem(io.StringIO(_two_equation_file("mixed", 100, "")))
+    assert isinstance(parsed, MixedSystem) and parsed.nonlinear is None
 
 
 def test_file_roundtrip_atomic(tmp_path):

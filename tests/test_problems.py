@@ -118,6 +118,20 @@ def test_gpe_rejects_small_grid():
         GpeParams(2, 0.5, 1.0, np.zeros(2), 0.05, 0.5, np.zeros(2, complex))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dt", np.inf), ("dx", np.nan), ("hbar2_over_2m", np.nan), ("g", np.inf),
+    ("potential", np.array([0.0, np.nan, 0.0])),
+    ("psi_prev", np.array([0.1, complex(0.0, np.inf), 0.1])),
+], ids=["dt-inf", "dx-nan", "hbar2m-nan", "g-inf", "potential-nan",
+        "psi-inf"])
+def test_gpe_rejects_non_finite_parameters(field, value):
+    kw = dict(nx=3, hbar2_over_2m=0.5, g=1.0, potential=np.zeros(3), dt=0.05,
+              dx=0.5, psi_prev=np.full(3, 0.1 + 0.1j))
+    kw[field] = value
+    with pytest.raises(InputError, match="parameters must be finite"):
+        GpeParams(**kw)
+
+
 def test_gpe_guess_stays_subunit():
     params = gpe_params(seed=3)
     assert np.linalg.norm(gpe_default_guess(params)) < 1.0

@@ -153,6 +153,20 @@ def test_appendix_c_matrix_elements():
             assert block[i, k] == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_e1_reference_matches_default(p):
+    system = random_system(3, p, 2, seed=20)
+    x = np.array([0.45, -0.2, 0.3])
+    be = be_from_vector(x)
+    e1 = np.array([1.0, 0.0, 0.0])
+    sand, gamma = jacobian_sandwich_be(system, be, x)
+    sand_e1, gamma_e1 = jacobian_sandwich_be(system, be, x, e1)
+    assert gamma == gamma_e1 == 0.45
+    assert np.array_equal(sand.block, sand_e1.block)
+    assert np.array_equal(rhs_be(system, be, x).block,
+                          rhs_be(system, be, x, e1).block)
+
+
 def test_degenerate_reference_raises(diag_system):
     x = np.array([0.0, 0.7])
     with pytest.raises(DegenerateReferenceError):
@@ -287,6 +301,38 @@ def test_solve_lv_trace_against_classical():
     # residual decays quadratically until float noise
     r = [row.residual for row in trace.rows]
     assert r[2] <= 100.0 * r[1] ** 2
+
+
+def _lv_t3():
+    params = LvParams(1.0, 1.0, 1.0, 1.0, 0.1, 3, 1.2, 0.9)
+    return lv_discretize(params), lv_default_guess(params), 3
+
+
+def _gpe_nx3():
+    params = GpeParams(3, 0.5, 1.0, np.zeros(3), 0.05, 0.5,
+                       np.array([0.3 + 0.1j, 0.2 - 0.2j, -0.1 + 0.3j]))
+    return gpe_discretize(params), gpe_default_guess(params), 1
+
+
+@pytest.mark.parametrize("make, ref", [
+    (_lv_t3, "e1"), (_lv_t3, "x0"), (_lv_t3, "previous"),
+    (_gpe_nx3, "previous")], ids=["lv-e1", "lv-x0", "lv-previous",
+                                  "gpe-previous"])
+def test_debug_checks_pass_and_leave_the_trace(monkeypatch, make, ref):
+    # QNLS_DEBUG=1 runs M's intended assembly, the sandwiches' intended
+    # matrices and the classical-step check on every step
+    system, x0, steps = make()
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    _, plain = newton_solve(system, x0, steps, CFG, gamma_reference=ref)
+    monkeypatch.setenv("QNLS_DEBUG", "1")
+    _, debug = newton_solve(system, x0, steps, CFG, gamma_reference=ref)
+    assert plain.halted is None and debug.halted is None
+    assert debug.to_csv() == plain.to_csv()
+    if make is _lv_t3 and ref != "e1":
+        f, j = system_evaluators(system)
+        ctr = classical_newton(f, j, x0, steps, tol=0.0)
+        for row, res in zip(plain.rows, ctr.residuals):
+            assert abs(row.residual - res) <= 1e-6
 
 
 def test_solver_path_builds_no_unitary(monkeypatch):
