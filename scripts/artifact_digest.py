@@ -2,7 +2,8 @@
 """Digest of every CLI artifact of a fixed command set, for byte-identity checks.
 
 Runs the README's CLI commands, the `--gamma-ref e1` and `x0` solves (LV
-and GPE) and a classical `resources` run through `qnls.cli.main` in a
+and GPE), a 3-step GPE solve (whose later steps reuse the encodings built
+on the first) and a classical `resources` run through `qnls.cli.main` in a
 temporary directory. Prints one `exit <code>  <command name>` line per
 command, then one `<sha256>  <name>` line per written file and per
 captured stdout and stderr. To check that a change keeps every artifact,
@@ -44,6 +45,8 @@ COMMANDS = [
                      "--trace gpe_e1.csv --report gpe_e1.txt"),
     ("solve-gpe-x0", f"solve {GPE_RUN} --gamma-ref x0 "
                      "--trace gpe_x0.csv --report gpe_x0.txt"),
+    ("solve-gpe3", "solve --problem gpe.qnls --x0 gpe.qnls.x0 --iters 3 "
+                   "--trace gpe3.csv --report gpe3.txt"),
 ]
 
 

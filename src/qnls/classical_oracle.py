@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import InputError, SingularJacobianError
 
@@ -38,6 +37,7 @@ def classical_newton(f: Callable, jac: Callable, x0: np.ndarray, t: int,
     Stops early once the residual drops to tol.  A pivot below 1e-12 in the
     LU factorization raises SingularJacobianError carrying the partial trace.
     """
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
     if t < 0:
         raise InputError("iteration count must be non-negative")
     x = np.atleast_1d(np.asarray(x0, dtype=np.float64)).copy()

@@ -10,6 +10,7 @@ used by the PDE discretizations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -25,9 +26,13 @@ Monomial = tuple[float, tuple[int, ...]]
 
 def capped_dim(n: int, p: int) -> int:
     """n^p, the p-fold tensor dimension; DeskScaleError above DESK_SCALE_CAP."""
-    if n ** p > DESK_SCALE_CAP:
-        raise DeskScaleError(f"n^p = {n ** p} exceeds desk-scale cap {DESK_SCALE_CAP}")
-    return n ** p
+    if n <= 0 or p <= 0:
+        raise InputError("n and p must be positive")
+    d = n ** min(p, DESK_SCALE_CAP.bit_length())     # n >= 2: n^13 is above the cap
+    if d <= DESK_SCALE_CAP:
+        return d
+    shown = n ** p if p * math.log10(n) < 4000 else f"{n}^{p}"    # printable digits
+    raise DeskScaleError(f"n^p = {shown} exceeds desk-scale cap {DESK_SCALE_CAP}")
 
 
 def tensor_power(x: np.ndarray, k: int) -> np.ndarray:
@@ -229,8 +234,6 @@ class PolynomialSystem:
     equations: tuple[SparseMatrix, ...]
 
     def __post_init__(self):
-        if self.n <= 0 or self.p <= 0:
-            raise InputError("n and p must be positive")
         d = capped_dim(self.n, self.p)
         if len(self.equations) != self.n:
             raise InputError("need exactly n coefficient matrices")

@@ -88,6 +88,27 @@ def _encode_matrix_auto(m: SparseMatrix,
     return be_rescale(be_from_sparse(m.scaled(1.0 / ent), s, ledger), ent)
 
 
+class _ChargeLog(list):
+    """Ledger stand-in that records each charge's label and amounts."""
+
+    def charge(self, label: str, **amounts) -> None:
+        self.append((label, amounts))
+
+
+def _built_once(build, owner, ledger: CostLedger | None, *args) -> BlockEncoding:
+    """build(owner, *args), built once per owner, args and QNLS_DEBUG mode;
+    every call replays the build's ledger charges in their order.  The memo
+    is kept in the owner's instance dict, so it dies with the owner."""
+    memo = vars(owner).setdefault("_built", {})
+    key = (build, debug_enabled(), *args)
+    if key not in memo:
+        memo[key] = build(owner, *args, ledger=(log := _ChargeLog())), log
+    be, log = memo[key]
+    for label, amounts in log if ledger is not None else ():
+        ledger.charge(label, **amounts)
+    return be
+
+
 def recover_vector(be_xxT: BlockEncoding,
                    sign_reference: np.ndarray | None = None) -> np.ndarray:
     """Dominant eigenvector of the encoded rank-one operator, scaled to x.
@@ -161,20 +182,24 @@ def build_A_blockdiag(system: PolynomialSystem,
     return be_from_sparse(_blockdiag(blocks), system.sparsity, ledger)
 
 
+def _xxT_tensor(be_xxT: BlockEncoding, p: int, ledger=None) -> BlockEncoding:
+    """I x (xx^T)^{p}, shared by build_P and _a_sandwich within one step."""
+    return be_tensor([be_identity(be_xxT.logical_dim)] + [be_xxT] * p, ledger)
+
+
 def build_P(be_m: BlockEncoding, be_xxT: BlockEncoding, p: int, n: int,
             ledger: CostLedger | None = None) -> BlockEncoding:
     """Encoding of (I x (xx^T)^{p-1} x I) M (I x (xx^T)^{p}), alpha = p s."""
-    left_factors = [be_identity(n)] + [be_xxT] * (p - 1) + [be_identity(n)]
-    right_factors = [be_identity(n)] + [be_xxT] * p
-    left = be_tensor(left_factors, ledger)
-    right = be_tensor(right_factors, ledger)
+    left = be_tensor([be_identity(n)] + [be_xxT] * (p - 1) + [be_identity(n)],
+                     ledger)
+    right = _built_once(_xxT_tensor, be_xxT, ledger, p)
     return be_product(left, be_product(be_m, right, ledger), ledger)
 
 
 def _a_sandwich(be_a: BlockEncoding, be_xxT: BlockEncoding, n: int, p: int,
                 ledger: CostLedger | None) -> BlockEncoding:
     """(I x (xx^T)^{p}) A (I x (xx^T)^{p}) for the block-diagonal value operator A."""
-    tens = be_tensor([be_identity(n)] + [be_xxT] * p, ledger)
+    tens = _built_once(_xxT_tensor, be_xxT, ledger, p)
     return be_product(tens, be_product(be_a, tens, ledger), ledger)
 
 
@@ -221,7 +246,7 @@ def jacobian_sandwich_be(system: PolynomialSystem, be_xxT: BlockEncoding,
     """
     n, p = system.n, system.p
     refu, gamma = _reference(n, x_ref, x)
-    be_m = build_M_blockdiag(system, ledger)
+    be_m = _built_once(build_M_blockdiag, system, ledger)
     be_p = build_P(be_m, be_xxT, p, n, ledger)
     # P's block acts on registers 0 (equation index) and 1..p (tensor factors)
     dims = (n,) * (p + 1)
@@ -259,7 +284,8 @@ def rhs_be(system: PolynomialSystem, be_xxT: BlockEncoding, x: np.ndarray,
     """Encoding of gamma^{2p-1} F(x) x^T / sqrt(n) via the A sandwich."""
     n, p = system.n, system.p
     refu, gamma = _reference(n, x_ref, x)
-    be_r = _a_sandwich(build_A_blockdiag(system, ledger), be_xxT, n, p, ledger)
+    be_a = _built_once(build_A_blockdiag, system, ledger)
+    be_r = _a_sandwich(be_a, be_xxT, n, p, ledger)
     # registers: 0 equation index, 1..p-1 leading x-registers, p last
     dims = (n,) * (p + 1)
     sigma3 = _perm_order(dims, (p,) + tuple(range(1, p)) + (0,))
@@ -382,7 +408,7 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
     ghat = gamma ** (2 * p_half - 1)
     rootn = np.sqrt(n)
 
-    be_lin = _encode_matrix_auto(lin, led) if lin is not None else None
+    be_lin = _built_once(_encode_matrix_auto, lin, led) if lin is not None else None
 
     j_parts = []
     if poly is not None:
@@ -428,6 +454,7 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
     summed = be_sum(terms, [1, -1, -1, 1], led)            # scale * x' x'^T
     out = _amplify_to_unit(be_rescale(summed, 1.0 / scale), led)
 
+    vars(state.be_xxT).pop("_built", None)    # free the step's I x (xx^T)^{p}
     x_next = recover_vector(out, sign_reference=x)
     if debug_enabled():
         f_eval, j_eval = system_evaluators(system)

@@ -18,7 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.optimize import linprog
 
 from .block_encoding import (BlockEncoding, CostLedger, _eps_units, _log2,
                              _mk, be_product, be_transpose, debug_enabled)
@@ -81,6 +80,7 @@ def _minimax_fit(sigma: float, degree: int,
     Linear program: minimize the sup deviation t on a Chebyshev-node grid of
     the approximation interval, subject to a unit cap on a grid of [0, 1].
     """
+    from scipy.optimize import linprog     # loaded by the poly backend only
     ks = np.arange(1, degree + 1, 2)
     m_fit = max(600, 4 * degree)
     nodes = np.cos(np.pi * (np.arange(m_fit) + 0.5) / m_fit)

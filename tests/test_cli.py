@@ -340,6 +340,37 @@ def test_problem_file_above_the_cap_is_input_error(tmp_path, capsys):
         f"error: n^p = {2 ** 100} exceeds desk-scale cap 4096")
 
 
+def test_problem_file_far_above_the_cap_is_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.qnls"
+    path.write_text("version 1\nkind homogeneous\nn 2\np 100000\ns 1\n"
+                    "equation 0\na 0 0 1\nend\nequation 1\nend\n")
+    rc = main(["solve", "--problem", str(path), "--iters", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: n^p = 2^100000 exceeds desk-scale cap 4096")
+
+
+def test_exact_commands_import_no_scipy(tmp_path):
+    # scipy is loaded only by the poly backend's LP and the classical oracle
+    lv, gpe = tmp_path / "lv.qnls", tmp_path / "gpe.qnls"
+    commands = [
+        ["gen-lv", "--alpha", "1", "--beta", "1", "--gamma", "1", "--delta",
+         "1", "--dt", "0.1", "--steps", "3", "--v0", "1.2", "--p0", "0.9",
+         "--out", str(lv)],
+        ["gen-gpe", "--nx", "3", "--g", "1", "--dt", "0.05", "--dx", "0.5",
+         "--out", str(gpe)],
+        ["solve", "--problem", str(lv), "--x0", f"{lv}.x0", "--iters", "2",
+         "--trace", str(tmp_path / "t.csv")]]
+    script = ("import sys\nfrom qnls.cli import main\n"
+              f"assert [main(c) for c in {commands!r}] == [0, 0, 0]\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = {k: v for k, v in os.environ.items() if k != "QNLS_DEBUG"}
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_resources_inversion_scales_with_floor(tmp_path):
     path = lv_file(tmp_path)
     vals = {}

@@ -97,6 +97,15 @@ def test_parse_checks_the_cap_before_building(kind, p):
         parse_problem(io.StringIO(text))
 
 
+@pytest.mark.parametrize("kind", ["homogeneous", "mixed"])
+def test_parse_names_an_unprintable_power_above_the_cap(kind):
+    # 2^100000 has more digits than int-to-str conversion allows
+    text = _two_equation_file(kind, 100000, "a 0 0 1\n")
+    with pytest.raises(DeskScaleError,
+                       match="n\\^p = 2\\^100000 exceeds desk-scale cap 4096"):
+        parse_problem(io.StringIO(text))
+
+
 def test_parse_mixed_without_a_lines_ignores_p():
     parsed = parse_problem(io.StringIO(_two_equation_file("mixed", 100, "")))
     assert isinstance(parsed, MixedSystem) and parsed.nonlinear is None

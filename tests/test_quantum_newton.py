@@ -335,6 +335,59 @@ def test_debug_checks_pass_and_leave_the_trace(monkeypatch, make, ref):
             assert abs(row.residual - res) <= 1e-6
 
 
+def test_step_invariant_encodings_are_built_once_per_system(monkeypatch):
+    # M (p sparse encodings), A and the linear part are built on the first
+    # step only; every later step replays their ledger charges
+    import qnls.quantum_newton as qn
+
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    real = qn.be_from_sparse
+    monkeypatch.setattr(qn, "be_from_sparse", counting)
+    counts, ledgers = {}, {}
+    for steps in (1, 3):
+        system, x0, _ = _gpe_nx3()
+        assert system.nonlinear.p == 2
+        calls.clear()
+        state, trace = newton_solve(system, x0, steps, CFG)
+        assert trace.halted is None and state.k == steps
+        counts[steps], ledgers[steps] = len(calls), trace.rows
+    assert counts[1] == counts[3] == 4
+    # the second step is charged as the first
+    r0, r1, r2 = ledgers[3][:3]
+    assert r2.oracle_queries - r1.oracle_queries == pytest.approx(
+        r1.oracle_queries - r0.oracle_queries, rel=1e-12)
+
+
+def test_debug_after_a_plain_solve_still_verifies_m(monkeypatch):
+    # the memo is keyed on QNLS_DEBUG, so a debug solve of a system first
+    # solved without it still builds M with its intended matrix
+    import qnls.quantum_newton as qn
+
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    real = qn.build_M_blockdiag
+    monkeypatch.setattr(qn, "build_M_blockdiag", recording)
+    system, x0, steps = _lv_t3()
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    _, plain = newton_solve(system, x0, steps, CFG)
+    assert [be.intended for be in built] == [None]
+    monkeypatch.setenv("QNLS_DEBUG", "1")
+    _, debug = newton_solve(system, x0, steps, CFG)
+    assert len(built) == 2 and built[1].intended is not None
+    built[1].verify()
+    assert plain.halted is None and debug.to_csv() == plain.to_csv()
+
+
 def test_solver_path_builds_no_unitary(monkeypatch):
     # encodings carry only their blocks; only verify/dump_text dilate
     def no_dilation(block):
