@@ -3,7 +3,8 @@
 
 Runs the README's CLI commands, the `--gamma-ref e1` and `x0` solves (LV
 and GPE), a 3-step GPE solve (whose later steps reuse the encodings built
-on the first) and a classical `resources` run through `qnls.cli.main` in a
+on the first), a classical `resources` run and an LV solve with
+QNLS_DEBUG=1 (set for that command only) through `qnls.cli.main` in a
 temporary directory. Prints one `exit <code>  <command name>` line per
 command, then one `<sha256>  <name>` line per written file and per
 captured stdout and stderr. To check that a change keeps every artifact,
@@ -20,6 +21,7 @@ import io
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from qnls import cli
 
@@ -47,7 +49,11 @@ COMMANDS = [
                      "--trace gpe_x0.csv --report gpe_x0.txt"),
     ("solve-gpe3", "solve --problem gpe.qnls --x0 gpe.qnls.x0 --iters 3 "
                    "--trace gpe3.csv --report gpe3.txt"),
+    ("solve-lv-debug", f"solve {LV_RUN} --iters 5 --trace lv_debug.csv "
+                       "--report lv_debug.txt"),
 ]
+# commands run with QNLS_DEBUG=1, which every encoding verifies under
+DEBUG_COMMANDS = {"solve-lv-debug"}
 
 
 def _sha(data: bytes) -> str:
@@ -62,7 +68,10 @@ def main() -> None:
             streams = {}
             for name, cmd in COMMANDS:
                 out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                debug = {"QNLS_DEBUG": "1"} if name in DEBUG_COMMANDS else {}
+                with (mock.patch.dict(os.environ, debug),
+                      contextlib.redirect_stdout(out),
+                      contextlib.redirect_stderr(err)):
                     rc = cli.main(cmd.split())
                 print(f"exit {rc}  {name}")
                 streams[f"{name}.stdout"] = out.getvalue().encode()

@@ -10,9 +10,11 @@ contraction; ``unitary`` builds it by a contraction dilation on first read
 
 Products, tensor products and sums of contractions are contractions, so
 each new block is checked against norm 1 only as a guard against roundoff.
-The guard first tries cheap upper bounds on the spectral norm (Frobenius,
-sqrt(||B||_1 ||B||_inf), then the Gram row-sum bound) and runs the dense
-spectral-norm SVD only for a block they cannot certify; see ``_mk``.
+That guard, ``verify``'s two checks and the Hermitian check of eigenvalue
+estimation all ask ``_norm_above``: cheap upper bounds on the spectral
+norm (Frobenius, sqrt(||B||_1 ||B||_inf), then the Gram row-sum bound)
+first, and the dense spectral-norm SVD only for a matrix they cannot
+place below the bound.
 
 Only under QNLS_DEBUG=1 do the leaf constructors attach the intended
 matrix; every operation carries it through and re-checks the encoding.
@@ -34,8 +36,10 @@ from .poly_system import DESK_SCALE_CAP, SparseMatrix
 
 _EPS_FLOOR = 1e-16
 _UNITARITY_TOL = 1e-10
-# a block whose cheap norm bounds stay this far below 1 skips the SVD in _mk
+# relative margins below a bound that skip the dense 2-norm; see
+# _norm_above for why each suffices at its matrix size
 _CERTIFY_MARGIN = 1e-9
+_VERIFY_MARGIN = 0.5
 
 
 def debug_enabled() -> bool:
@@ -143,14 +147,16 @@ class BlockEncoding:
     def extract(self) -> np.ndarray:
         return self.alpha * self.block
 
-    def verify(self, unitarity_tol: float = _UNITARITY_TOL) -> None:
+    def verify(self) -> None:
         u = self.unitary
-        defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2)
-        if defect > unitarity_tol:
+        defect = _norm_above(u.conj().T @ u - np.eye(u.shape[0]),
+                             _UNITARITY_TOL, _VERIFY_MARGIN)
+        if defect is not None:
             raise InvariantViolationError(f"unitarity defect {defect:.3e}")
         if self.intended is not None:
-            err = np.linalg.norm(self.extract() - self.intended, 2)
-            if err > self.eps + 1e-9:
+            err = _norm_above(self.extract() - self.intended, self.eps + 1e-9,
+                              _VERIFY_MARGIN)
+            if err is not None:
                 raise InvariantViolationError(
                     f"encoded block off intended by {err:.3e} (budget {self.eps:.3e})")
 
@@ -181,46 +187,61 @@ def _share_block(be: BlockEncoding, **changes) -> BlockEncoding:
     return out
 
 
-def _certified_contraction(block: np.ndarray) -> bool:
-    """True when a cheap upper bound proves ||block||_2 <= 1 - _CERTIFY_MARGIN.
+def _norm_above(m: np.ndarray, bound: float,
+                margin: float = _CERTIFY_MARGIN) -> float | None:
+    """||m||_2 when it exceeds bound, else None.
 
-    Tries min(||B||_F, sqrt(||B||_1 ||B||_inf)), which costs O(d^2), and
-    then sqrt(||B^* B||_inf), which costs one matrix product.  A NaN or inf
-    bound fails every comparison, so such a block is never certified.
+    A cheap upper bound that proves ||m||_2 <= bound (1 - margin) answers
+    None at once: min(||m||_F, sqrt(||m||_1 ||m||_inf)), which costs O(k^2)
+    on a k x k matrix, then sqrt(||m^* m||_inf), which costs one matrix
+    product.  Only when neither certifies does the dense spectral-norm SVD
+    run and decide.  A NaN or inf bound fails every comparison, so such a
+    matrix is never certified.
+
+    A certified m is one whose dense norm would also come out <= bound, so
+    skipping the SVD changes no verdict.  With u = 2^-53, the Frobenius norm
+    sums k^2 squares and is within (k^2/2) u of the true value; the 1- and
+    inf-norm sums are within k u; and the Gram bound is within (k^2/2) u
+    too, since the rounding of m^* m is at most k u ||m||_1 ||m||_inf <=
+    k^2 u ||m||_2^2.  Underflow in the squares adds under 1e-300, far below
+    the smallest squared bound here (1e-20).  The SVD's own error is a small
+    multiple of k u ||m||_2, so a margin above (k^2/2) u by that much
+    suffices:
+    - ``_mk`` and the Hermitian check, k <= 4096 (the desk-scale cap):
+      (k^2/2) u ~ 9.3e-10, so a block certified at _CERTIFY_MARGIN = 1e-9
+      has ||m||_2 <= (1 - 1e-9)(1 + 9.4e-10) bound < (1 - 6e-11) bound;
+    - ``verify``'s dilation defect, k = 2d <= 8192: (k^2/2) u ~ 3.7e-9,
+      more than 1e-9, so verify certifies only at half its tolerances
+      (_VERIFY_MARGIN = 0.5), for the d x d intended-matrix error too.
     """
-    bound = 1.0 - _CERTIFY_MARGIN
-    if np.linalg.norm(block) <= bound:
-        return True
-    a = np.abs(block)
-    if np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()) <= bound:
-        return True
-    gram = block.conj().T @ block
-    return np.sqrt(np.abs(gram, out=gram).sum(axis=1).max()) <= bound
+    certified = bound * (1.0 - margin)
+    if np.linalg.norm(m) <= certified:
+        return None
+    a = np.abs(m)
+    if np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()) <= certified:
+        return None
+    gram = m.conj().T @ m
+    if np.sqrt(np.abs(gram, out=gram).sum(axis=1).max()) <= certified:
+        return None
+    nrm = np.linalg.norm(m, 2)
+    return nrm if nrm > bound else None
 
 
 def _mk(block: np.ndarray, alpha: float, eps: float, intended,
         cost: float) -> BlockEncoding:
     """Encoding of a contraction block; a roundoff excess over norm 1 is divided out.
 
-    The dense spectral norm runs only on a block that
-    ``_certified_contraction`` cannot place at ||B||_2 <= 1 - _CERTIFY_MARGIN;
-    there a norm above 1 + 1e-9 raises CompositionError and a norm in
-    (1, 1 + 1e-9] is divided out.  A certified block is one whose computed
-    spectral norm would be <= 1.0, so skipping the SVD changes no block,
-    alpha, eps or exception.  With u = 2^-53 and d <= 4096 (the desk-scale
-    cap), the Frobenius norm sums d^2 squares and is within (d^2/2) u ~
-    9.3e-10 of the true value; the 1- and inf-norm sums are within d u ~
-    4.5e-13; and the Gram bound is within (d^2/2) u too, since the rounding
-    of B^* B is at most d u ||B||_1 ||B||_inf <= d^2 u ||B||_2^2.  A
-    certified block thus has ||B||_2 <= (1 - 1e-9)(1 + 9.4e-10) < 1 - 6e-11,
-    a margin far above the SVD's own error, a small multiple of d u ||B||_2.
+    A spectral norm above 1 + 1e-9 raises CompositionError, and one in
+    (1, 1 + 1e-9] is divided out; ``_norm_above`` runs the dense SVD only
+    on a block its cheap bounds cannot place at ||B||_2 <= 1 -
+    _CERTIFY_MARGIN, so skipping it changes no block, alpha, eps or
+    exception.
     """
-    if not _certified_contraction(block):
-        nrm = np.linalg.norm(block, 2)
+    nrm = _norm_above(block, 1.0)
+    if nrm is not None:
         if nrm > 1.0 + 1e-9:
             raise CompositionError(f"block norm {nrm:.6f} exceeds 1; cannot dilate")
-        if nrm > 1.0:
-            block = block / nrm
+        block = block / nrm
     return BlockEncoding(block, alpha, eps, intended, cost)
 
 

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from qnls import (AmplificationOverflowError, BlockEncoding,
                   CompositionError, CostLedger, DimensionMismatchError,
-                  InputError, QnlsError, RescaleRequiredError, SparseMatrix,
-                  be_amplify, be_from_sparse, be_from_vector, be_identity,
-                  be_of_matrix, be_outer, be_product, be_rescale, be_sum,
-                  be_tensor, be_transpose)
-from qnls.block_encoding import _dilate, _mk
+                  InputError, InvariantViolationError, QnlsError,
+                  RescaleRequiredError, SparseMatrix, be_amplify,
+                  be_from_sparse, be_from_vector, be_identity, be_of_matrix,
+                  be_outer, be_product, be_rescale, be_sum, be_tensor,
+                  be_transpose, min_eigenvalue)
+from qnls.block_encoding import _UNITARITY_TOL, _dilate, _mk
 
 
 def random_contraction(rng, d, scale=0.4):
@@ -271,7 +272,6 @@ def test_invariants_unitarity_and_intended():
     # deliberately corrupt the intended matrix; with QNLS_DEBUG=1 the
     # constructor itself raises, otherwise the explicit verify does
     import dataclasses
-    from qnls import InvariantViolationError
     with pytest.raises(InvariantViolationError):
         bad = dataclasses.replace(be, intended=np.diag([0.5, 0.5]))
         bad.verify()
@@ -342,6 +342,90 @@ def test_mk_matches_svd_on_every_block(kind, d, seed, target):
     got = _mk(block.copy(), 2.0, 0.125, None, 3.0)
     assert got.block.tobytes() == want.block.tobytes()
     assert (got.alpha, got.eps, got.cost) == (want.alpha, want.eps, want.cost)
+
+
+def _verify_svd_always(be):
+    """Reference: verify with the dense spectral norm computed on every check."""
+    u = be.unitary
+    defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2)
+    if defect > _UNITARITY_TOL:
+        raise InvariantViolationError(f"unitarity defect {defect:.3e}")
+    if be.intended is not None:
+        err = np.linalg.norm(be.extract() - be.intended, 2)
+        if err > be.eps + 1e-9:
+            raise InvariantViolationError(
+                f"encoded block off intended by {err:.3e} (budget {be.eps:.3e})")
+
+
+def _direction(d, seed, spread):
+    """A d x d matrix of spectral norm 1: rank one, or with a flat spectrum."""
+    rng = np.random.default_rng(seed)
+    if spread:
+        m = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    else:
+        m = np.outer(rng.standard_normal(d), rng.standard_normal(d))
+    return m / np.linalg.norm(m, 2)
+
+
+@given(st.sampled_from(["dense", "diagonal", "orthogonal", "rank_one"]),
+       st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.floats(0.0, 1.0 - 1e-8), st.floats(1.0 - 1e-8, 1.0),
+                 st.just(1.0), st.floats(1.0, 1.0 + 1e-9)),
+       st.sampled_from(["block", "intended", "defect"]),
+       st.one_of(st.floats(0.0, 0.49), st.floats(0.49, 0.51),
+                 st.floats(1.0 - 1e-6, 1.0), st.just(1.0),
+                 st.floats(1.0, 1.0 + 1e-6), st.floats(1.0 + 1e-6, 3.0)),
+       st.sampled_from([0.0, 1e-9, 0.125]), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_verify_matches_svd_on_every_check(kind, d, seed, target, case,
+                                           factor, eps, spread):
+    """Same verdict, exception type and message as the SVD-only verify.
+
+    "block" checks the dilation of a block at or near norm 1; "intended"
+    perturbs the intended matrix by factor * (eps + 1e-9) in 2-norm;
+    "defect" puts a unitary with defect factor * _UNITARITY_TOL in the
+    ``unitary`` cache slot.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("QNLS_DEBUG", raising=False)
+        block = _block_with_norm(kind, d, seed, target)
+        direction = _direction(d, seed + 1, spread)
+        intended = None
+        if case == "intended":
+            intended = 2.0 * block - factor * (eps + 1e-9) * direction
+        be = BlockEncoding(block, 2.0, eps, intended, 1.0)
+        if case == "defect":
+            # u^T u = q diag(1 + t, 1) q^T, so the defect is max |t|
+            t = factor * _UNITARITY_TOL * (np.sign(np.diag(direction))
+                                           if spread else np.eye(d)[0])
+            q = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+                (2 * d, 2 * d)))[0]
+            stretch = np.concatenate([t, np.zeros(d)])
+            be.__dict__["unitary"] = (_dilate(block) @ (q * np.sqrt(1 + stretch))
+                                      @ q.T)
+        try:
+            _verify_svd_always(be)
+        except QnlsError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                be.verify()
+            return
+        be.verify()
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.4, 0.99, 1.0, 1.01, 3.0])
+def test_hermitian_check_matches_svd(factor):
+    # the eigenvalue estimates reject a block whose skew part exceeds 1e-9
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((6, 6))
+    skew = a - a.T
+    skew *= factor * 1e-9 / np.linalg.norm(skew, 2)
+    block = 0.05 * np.eye(6) + skew
+    be = BlockEncoding(block, 1.0)
+    if np.linalg.norm(block - block.T, 2) > 1e-9:
+        with pytest.raises(InputError, match="not Hermitian"):
+            min_eigenvalue(be, 1e-3)
+    else:
+        assert min_eigenvalue(be, 1e-3) == pytest.approx(0.05)
 
 
 def test_mk_renormalizes_roundoff_excess(monkeypatch):

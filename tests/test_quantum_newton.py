@@ -427,6 +427,38 @@ def test_certified_blocks_skip_the_norm_svd(monkeypatch):
     assert big not in two_norm_dims
 
 
+def test_debug_verify_runs_no_dense_norm(monkeypatch):
+    # under QNLS_DEBUG every encoding is verified when built; the cheap norm
+    # bounds settle both of verify's checks, so it runs no 2-norm SVD
+    from qnls import BlockEncoding
+
+    monkeypatch.setenv("QNLS_DEBUG", "1")
+    inside, verified, two_norms = [0], [0], []
+    real_verify, real_norm = BlockEncoding.verify, np.linalg.norm
+
+    def counting_verify(self):
+        inside[0] += 1
+        try:
+            real_verify(self)
+        finally:
+            inside[0] -= 1
+        verified[0] += 1
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if inside[0] and ord == 2:
+            two_norms.append(np.shape(x))
+        return real_norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(BlockEncoding, "verify", counting_verify)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    params = LvParams(1.0, 1.0, 1.0, 1.0, 0.1, 2, 1.2, 0.9)
+    state, trace = newton_solve(lv_discretize(params), lv_default_guess(params),
+                                2, CFG)
+    assert trace.halted is None and state.k == 2
+    assert verified[0] > 0
+    assert two_norms == []
+
+
 def test_solve_halts_below_sigma_floor(diag_system):
     # at x = 0 the homogeneous Jacobian vanishes
     x0 = np.array([1e-4, 1e-4])
