@@ -4,9 +4,10 @@ A block encoding is its top-left block B, a contraction, and the
 subnormalization ``alpha``: the encoded matrix is ``alpha * B``.  Every
 composition computes the exact target block, so the calculus identities
 hold to float precision while alpha and eps follow the closed-form
-bookkeeping.  The unitary around the block is only a witness that B is a
-contraction; ``unitary`` builds it by a contraction dilation on first read
-(``verify``, ``dump_text``), so the solver path never forms it.
+bookkeeping.  A contraction is exactly a matrix with a unitary dilation,
+so ``verify`` checks ||B||_2 <= 1 on the block itself; ``unitary`` builds
+the dilation only when a caller reads it, and neither the solver path nor
+``verify`` does.
 
 Products, tensor products and sums of contractions are contractions, so
 each new block is checked against norm 1 only as a guard against roundoff.
@@ -22,9 +23,8 @@ matrix; every operation carries it through and re-checks the encoding.
 
 from __future__ import annotations
 
-import io
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -36,10 +36,6 @@ from .poly_system import DESK_SCALE_CAP, SparseMatrix
 
 _EPS_FLOOR = 1e-16
 _UNITARITY_TOL = 1e-10
-# relative margins below a bound that skip the dense 2-norm; see
-# _norm_above for why each suffices at its matrix size
-_CERTIFY_MARGIN = 1e-9
-_VERIFY_MARGIN = 0.5
 
 
 def debug_enabled() -> bool:
@@ -148,47 +144,19 @@ class BlockEncoding:
         return self.alpha * self.block
 
     def verify(self) -> None:
-        u = self.unitary
-        defect = _norm_above(u.conj().T @ u - np.eye(u.shape[0]),
-                             _UNITARITY_TOL, _VERIFY_MARGIN)
-        if defect is not None:
-            raise InvariantViolationError(f"unitarity defect {defect:.3e}")
+        # B has a unitary dilation iff ||B||_2 <= 1, and _dilate's defect
+        # ||U*U - I||_2 is max(||B||_2^2 - 1, 0)
+        nrm = _norm_above(self.block, np.sqrt(1.0 + _UNITARITY_TOL))
+        if nrm is not None:
+            raise InvariantViolationError(f"unitarity defect {nrm * nrm - 1.0:.3e}")
         if self.intended is not None:
-            err = _norm_above(self.extract() - self.intended, self.eps + 1e-9,
-                              _VERIFY_MARGIN)
+            err = _norm_above(self.extract() - self.intended, self.eps + 1e-9)
             if err is not None:
                 raise InvariantViolationError(
                     f"encoded block off intended by {err:.3e} (budget {self.eps:.3e})")
 
-    def dump_text(self, stream=None) -> str:
-        """Row-major scientific dump of the unitary, 17 significant digits."""
-        buf = io.StringIO()
-        for row in self.unitary:
-            buf.write(" ".join(f"{v:.16e}" for v in np.real_if_close(row)))
-            buf.write("\n")
-        text = buf.getvalue()
-        if stream is not None:
-            stream.write(text)
-        return text
 
-
-def _share_block(be: BlockEncoding, **changes) -> BlockEncoding:
-    """``dataclasses.replace(be, **changes)`` for fields other than the block.
-
-    The copy holds be's block array, so be's dilation is its dilation too:
-    when be has built it, the copy takes it over before ``__post_init__``,
-    and a QNLS_DEBUG ``verify`` of the copy does not build it again.
-    """
-    out = object.__new__(BlockEncoding)
-    if "unitary" in be.__dict__:        # cached_property's slot
-        out.__dict__["unitary"] = be.unitary
-    kwargs = {f.name: getattr(be, f.name) for f in fields(be) if f.name != "block"}
-    out.__init__(be.block, **(kwargs | changes))
-    return out
-
-
-def _norm_above(m: np.ndarray, bound: float,
-                margin: float = _CERTIFY_MARGIN) -> float | None:
+def _norm_above(m: np.ndarray, bound: float) -> float | None:
     """||m||_2 when it exceeds bound, else None.
 
     A cheap upper bound that proves ||m||_2 <= bound (1 - margin) answers
@@ -205,16 +173,13 @@ def _norm_above(m: np.ndarray, bound: float,
     too, since the rounding of m^* m is at most k u ||m||_1 ||m||_inf <=
     k^2 u ||m||_2^2.  Underflow in the squares adds under 1e-300, far below
     the smallest squared bound here (1e-20).  The SVD's own error is a small
-    multiple of k u ||m||_2, so a margin above (k^2/2) u by that much
-    suffices:
-    - ``_mk`` and the Hermitian check, k <= 4096 (the desk-scale cap):
-      (k^2/2) u ~ 9.3e-10, so a block certified at _CERTIFY_MARGIN = 1e-9
-      has ||m||_2 <= (1 - 1e-9)(1 + 9.4e-10) bound < (1 - 6e-11) bound;
-    - ``verify``'s dilation defect, k = 2d <= 8192: (k^2/2) u ~ 3.7e-9,
-      more than 1e-9, so verify certifies only at half its tolerances
-      (_VERIFY_MARGIN = 0.5), for the d x d intended-matrix error too.
+    multiple of k u ||m||_2, so margin = (k^2/2 + 64 k) u suffices: a
+    certified m has ||m||_2 <= (1 - margin)(1 + (k^2/2) u) bound
+    < (1 - 64 k u) bound.  The margin is 3.5e-11 at k = 729 and 9.6e-10 at
+    the desk-scale cap k = 4096.
     """
-    certified = bound * (1.0 - margin)
+    k = max(m.shape)
+    certified = bound * (1.0 - (k * k / 2 + 64 * k) * 2.0 ** -53)
     if np.linalg.norm(m) <= certified:
         return None
     a = np.abs(m)
@@ -233,9 +198,9 @@ def _mk(block: np.ndarray, alpha: float, eps: float, intended,
 
     A spectral norm above 1 + 1e-9 raises CompositionError, and one in
     (1, 1 + 1e-9] is divided out; ``_norm_above`` runs the dense SVD only
-    on a block its cheap bounds cannot place at ||B||_2 <= 1 -
-    _CERTIFY_MARGIN, so skipping it changes no block, alpha, eps or
-    exception.
+    on a block its cheap bounds cannot place at ||B||_2 <= 1 - margin, at
+    most 9.6e-10 for a k x k block, so skipping it changes no block,
+    alpha, eps or exception.
     """
     nrm = _norm_above(block, 1.0)
     if nrm is not None:
@@ -437,6 +402,6 @@ def be_rescale(be: BlockEncoding, c: float) -> BlockEncoding:
         raise InputError("rescale factor must be finite and nonzero")
     intended = c * be.intended if be.intended is not None else None
     if c > 0:
-        return _share_block(be, alpha=be.alpha * c, eps=be.eps * c,
-                            intended=intended)
+        return replace(be, alpha=be.alpha * c, eps=be.eps * c,
+                       intended=intended)
     return _mk(-be.block, be.alpha * (-c), be.eps * (-c), intended, be.cost)

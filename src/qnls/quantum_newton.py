@@ -14,15 +14,14 @@ right-hand-side encoding by construction and never needs amplification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .block_encoding import (BlockEncoding, CostLedger, _eps_units, _log2,
-                             _share_block, be_amplify, be_from_sparse,
-                             be_from_vector, be_identity, be_outer,
-                             be_product, be_rescale, be_sum, be_tensor,
-                             be_transpose, debug_enabled)
+                             be_amplify, be_from_sparse, be_from_vector,
+                             be_identity, be_outer, be_product, be_rescale,
+                             be_sum, be_tensor, be_transpose, debug_enabled)
 from .errors import (CompositionError, ConditioningError,
                      DegenerateReferenceError, DeskScaleError, InputError,
                      InvariantViolationError, RescaleRequiredError,
@@ -170,8 +169,7 @@ def build_M_blockdiag(system: PolynomialSystem,
         for i in range(n):
             md = system.m_d(i).to_dense()
             intended[i * d:(i + 1) * d, i * d:(i + 1) * d] = md
-        out = _share_block(out, intended=intended)
-        out.verify()
+        out = replace(out, intended=intended)      # verified on creation
     return out
 
 
@@ -459,8 +457,8 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
     if debug_enabled():
         f_eval, j_eval = system_evaluators(system)
         x_classical = x - np.linalg.solve(j_eval(x), f_eval(x))
-        out = _share_block(out, intended=np.outer(x_classical, x_classical))
-        out.verify()
+        # the copy is verified on creation, against the classical step
+        out = replace(out, intended=np.outer(x_classical, x_classical))
     return NewtonState(state.k + 1, out, x_next,
                        float(np.dot(x_next, x_next)),
                        float(sigma_meas), gamma, led)

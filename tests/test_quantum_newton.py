@@ -388,12 +388,17 @@ def test_debug_after_a_plain_solve_still_verifies_m(monkeypatch):
     assert plain.halted is None and debug.to_csv() == plain.to_csv()
 
 
-def test_solver_path_builds_no_unitary(monkeypatch):
-    # encodings carry only their blocks; only verify/dump_text dilate
+@pytest.mark.parametrize("debug", [False, True], ids=["plain", "debug"])
+def test_solver_path_builds_no_unitary(monkeypatch, debug):
+    # encodings carry only their blocks, and verify checks the block's
+    # norm, so no solve dilates, with or without QNLS_DEBUG
     def no_dilation(block):
         raise AssertionError("the solver path built a unitary")
 
-    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    if debug:
+        monkeypatch.setenv("QNLS_DEBUG", "1")
+    else:
+        monkeypatch.delenv("QNLS_DEBUG", raising=False)
     monkeypatch.setattr("qnls.block_encoding._dilate", no_dilation)
     params = LvParams(1.0, 1.0, 1.0, 1.0, 0.1, 3, 1.2, 0.9)
     ms = lv_discretize(params)
