@@ -23,7 +23,9 @@ matrix; every operation carries it through and re-checks the encoding.
 
 from __future__ import annotations
 
+import math
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -126,7 +128,7 @@ class BlockEncoding:
                 f"logical_dim {b.shape[0]} exceeds cap {DESK_SCALE_CAP}")
         if not self.alpha > 0:
             raise InputError("alpha must be positive")
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise InputError("eps must be non-negative")
         if debug_enabled():
             self.verify()
@@ -163,8 +165,8 @@ def _norm_above(m: np.ndarray, bound: float) -> float | None:
     None at once: min(||m||_F, sqrt(||m||_1 ||m||_inf)), which costs O(k^2)
     on a k x k matrix, then sqrt(||m^* m||_inf), which costs one matrix
     product.  Only when neither certifies does the dense spectral-norm SVD
-    run and decide.  A NaN or inf bound fails every comparison, so such a
-    matrix is never certified.
+    run and decide.  A NaN bound or a non-finite m fails every comparison,
+    so neither is ever certified.
 
     A certified m is one whose dense norm would also come out <= bound, so
     skipping the SVD changes no verdict.  With u = 2^-53, the Frobenius norm
@@ -189,7 +191,7 @@ def _norm_above(m: np.ndarray, bound: float) -> float | None:
     if np.sqrt(np.abs(gram, out=gram).sum(axis=1).max()) <= certified:
         return None
     nrm = np.linalg.norm(m, 2)
-    return nrm if nrm > bound else None
+    return None if nrm <= bound else nrm
 
 
 def _mk(block: np.ndarray, alpha: float, eps: float, intended,
@@ -287,20 +289,38 @@ def be_outer(u: np.ndarray, v: np.ndarray,
     return _mk(m / alpha, alpha, 0.0, m if debug_enabled() else None, cost)
 
 
+_Budget = namedtuple("_Budget", "alpha eps cost")    # an encoding minus its block
+
+
+def _product_budget(left, right, ledger: CostLedger | None) -> _Budget:
+    """Budget of the product of two encodings (or budgets); charges it."""
+    if ledger is not None:
+        ledger.charge("product", primitive=1.0)
+    return _Budget(left.alpha * right.alpha,
+                   left.alpha * right.eps + right.alpha * left.eps,
+                   left.cost + right.cost + 1.0)
+
+
+def _tensor_budget(factors, ledger: CostLedger | None) -> _Budget:
+    """Budget of the Kronecker product of two or more factors; charges it."""
+    alphas = [f.alpha for f in factors]
+    eps = sum(math.prod(alphas[:i] + alphas[i + 1:]) * f.eps
+              for i, f in enumerate(factors))
+    if ledger is not None:
+        ledger.charge("tensor", primitive=1.0)
+    return _Budget(math.prod(alphas), eps, sum(f.cost for f in factors) + 1.0)
+
+
 def be_product(left: BlockEncoding, right: BlockEncoding,
                ledger: CostLedger | None = None) -> BlockEncoding:
     """Encoding of the product: blocks multiply, alphas multiply."""
     if left.logical_dim != right.logical_dim:
         raise DimensionMismatchError("product operands must share logical_dim")
-    block = left.block @ right.block
-    alpha = left.alpha * right.alpha
-    eps = left.alpha * right.eps + right.alpha * left.eps
     intended = None
     if left.intended is not None and right.intended is not None:
         intended = left.intended @ right.intended
-    if ledger is not None:
-        ledger.charge("product", primitive=1.0)
-    return _mk(block, alpha, eps, intended, left.cost + right.cost + 1.0)
+    b = _product_budget(left, right, ledger)
+    return _mk(left.block @ right.block, b.alpha, b.eps, intended, b.cost)
 
 
 def be_tensor(factors: list[BlockEncoding],
@@ -312,22 +332,12 @@ def be_tensor(factors: list[BlockEncoding],
         return factors[0]
     block = factors[0].block
     intended = factors[0].intended
-    alpha = factors[0].alpha
     for f in factors[1:]:
         block = np.kron(block, f.block)
-        alpha *= f.alpha
         intended = (np.kron(intended, f.intended)
                     if intended is not None and f.intended is not None else None)
-    eps = 0.0
-    for i, f in enumerate(factors):
-        scale = 1.0
-        for j, g in enumerate(factors):
-            if j != i:
-                scale *= g.alpha
-        eps += scale * f.eps
-    if ledger is not None:
-        ledger.charge("tensor", primitive=1.0)
-    return _mk(block, alpha, eps, intended, sum(f.cost for f in factors) + 1.0)
+    b = _tensor_budget(factors, ledger)
+    return _mk(block, b.alpha, b.eps, intended, b.cost)
 
 
 def be_sum(terms: list[BlockEncoding], signs: list[int] | None = None,

@@ -19,9 +19,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .block_encoding import (BlockEncoding, CostLedger, _eps_units, _log2,
-                             be_amplify, be_from_sparse, be_from_vector,
-                             be_identity, be_outer, be_product, be_rescale,
-                             be_sum, be_tensor, be_transpose, debug_enabled)
+                             _mk, _product_budget, _tensor_budget, be_amplify,
+                             be_from_sparse, be_from_vector, be_identity,
+                             be_outer, be_product, be_rescale, be_sum,
+                             be_transpose, debug_enabled)
 from .errors import (CompositionError, ConditioningError,
                      DegenerateReferenceError, DeskScaleError, InputError,
                      InvariantViolationError, RescaleRequiredError,
@@ -55,26 +56,15 @@ def _householder_uniform(n: int) -> np.ndarray:
     return _householder_map(np.full(n, 1.0 / np.sqrt(n)))
 
 
-def _perm_order(dims: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
-    return np.arange(int(np.prod(dims))).reshape(dims).transpose(axes).ravel()
-
-
-def _apply_left(op: np.ndarray, mat: np.ndarray, dims: tuple[int, ...],
-                axis: int) -> np.ndarray:
-    """(I x .. op .. x I) @ mat, op acting on row register `axis`."""
-    rows, cols = mat.shape
-    t = np.moveaxis(mat.reshape(dims + (cols,)), axis, 0)
-    shp = t.shape
-    t = (op @ t.reshape(shp[0], -1)).reshape(shp)
-    return np.moveaxis(t, 0, axis).reshape(rows, cols)
-
-
-def _apply_right(mat: np.ndarray, op: np.ndarray, dims: tuple[int, ...],
-                 axis: int) -> np.ndarray:
-    """mat @ (I x .. op .. x I), op acting on column register `axis`."""
-    rows, cols = mat.shape
-    t = np.tensordot(mat.reshape((rows,) + dims), op, axes=([1 + axis], [0]))
-    return np.moveaxis(t, -1, 1 + axis).reshape(rows, cols)
+def _kron_apply(ops, cols: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """(ops[0] x ops[1] x ..) @ cols, one contraction per register
+    (register 0 most significant); a None op is the identity."""
+    k = cols.shape[1]
+    t = cols.reshape(dims + (k,))
+    for ax, op in enumerate(ops):
+        if op is not None:
+            t = np.moveaxis(np.tensordot(op, t, axes=([1], [ax])), 0, ax)
+    return t.reshape(-1, k)
 
 
 def _encode_matrix_auto(m: SparseMatrix,
@@ -180,25 +170,38 @@ def build_A_blockdiag(system: PolynomialSystem,
     return be_from_sparse(_blockdiag(blocks), system.sparsity, ledger)
 
 
-def _xxT_tensor(be_xxT: BlockEncoding, p: int, ledger=None) -> BlockEncoding:
-    """I x (xx^T)^{p}, shared by build_P and _a_sandwich within one step."""
-    return be_tensor([be_identity(be_xxT.logical_dim)] + [be_xxT] * p, ledger)
+def _sandwich(be_mid: BlockEncoding, be_xxT: BlockEncoding, p: int, k: int,
+              g: np.ndarray, f: np.ndarray, ledger: CostLedger | None,
+              intended: np.ndarray | None = None,
+              extra_cost: float = 0.0) -> BlockEncoding:
+    """Encoding of G^T L Mid R F, L = I x (xx^T)^{k} x I^{p-k}, R = I x (xx^T)^{p}.
+
+    L and R act through their Kronecker factors on the m columns of G and
+    F: O(N^2 m) for N = n^{p+1}, not the O(N^3) of L Mid R.  Budget (plus
+    extra_cost) and charges are those of L (Mid R), L = R when k = p; the
+    operands' intended matrices give the default intended."""
+    eye = be_identity(be_xxT.logical_dim)
+    left = _tensor_budget([eye] + [be_xxT] * k + [eye] * (p - k), ledger)
+    right = left if k == p else _tensor_budget([eye] + [be_xxT] * p, ledger)
+    b = _product_budget(left, _product_budget(be_mid, right, ledger), ledger)
+    dims = (be_xxT.logical_dim,) * (p + 1)
+
+    def corner(x, mid):
+        lg = _kron_apply([None] + [x.T] * k + [None] * (p - k), g, dims)
+        return lg.T @ (mid @ _kron_apply([None] + [x] * p, f, dims))
+
+    if intended is None and be_mid.intended is not None \
+            and be_xxT.intended is not None:
+        intended = corner(be_xxT.intended, be_mid.intended)
+    return _mk(corner(be_xxT.block, be_mid.block), b.alpha, b.eps, intended,
+               b.cost + extra_cost)
 
 
 def build_P(be_m: BlockEncoding, be_xxT: BlockEncoding, p: int, n: int,
             ledger: CostLedger | None = None) -> BlockEncoding:
     """Encoding of (I x (xx^T)^{p-1} x I) M (I x (xx^T)^{p}), alpha = p s."""
-    left = be_tensor([be_identity(n)] + [be_xxT] * (p - 1) + [be_identity(n)],
-                     ledger)
-    right = _built_once(_xxT_tensor, be_xxT, ledger, p)
-    return be_product(left, be_product(be_m, right, ledger), ledger)
-
-
-def _a_sandwich(be_a: BlockEncoding, be_xxT: BlockEncoding, n: int, p: int,
-                ledger: CostLedger | None) -> BlockEncoding:
-    """(I x (xx^T)^{p}) A (I x (xx^T)^{p}) for the block-diagonal value operator A."""
-    tens = _built_once(_xxT_tensor, be_xxT, ledger, p)
-    return be_product(tens, be_product(be_a, tens, ledger), ledger)
+    eye = np.eye(n ** (p + 1))
+    return _sandwich(be_m, be_xxT, p, p - 1, eye, eye, ledger)
 
 
 def _reference(n: int, x_ref: np.ndarray | None,
@@ -245,23 +248,17 @@ def jacobian_sandwich_be(system: PolynomialSystem, be_xxT: BlockEncoding,
     n, p = system.n, system.p
     refu, gamma = _reference(n, x_ref, x)
     be_m = _built_once(build_M_blockdiag, system, ledger)
-    be_p = build_P(be_m, be_xxT, p, n, ledger)
-    # P's block acts on registers 0 (equation index) and 1..p (tensor factors)
-    dims = (n,) * (p + 1)
-    sigma1 = _perm_order(dims, (p,) + tuple(range(p - 1)) + (p - 1,))
-    sigma2 = _perm_order(dims, tuple(range(1, p)) + (0, p))
-    w = be_p.block[:, np.argsort(sigma1)][sigma2, :]
-    w = _apply_left(_householder_uniform(n), w, dims, p - 1)
-    vref = _householder_map(refu)
-    for ax in range(p - 1):
-        w = _apply_left(vref, w, dims, ax)
-        w = _apply_right(w, vref, dims, ax)
-    w = _apply_right(w, vref, dims, p - 1)
-    intended = None
-    if debug_enabled():
-        intended = gamma ** (2 * p - 1) * jacobian(system, x).T / np.sqrt(n)
-    out = BlockEncoding(w[:n, :n].copy(), be_p.alpha, be_p.eps, intended,
-                        be_p.cost + 2.0)
+    # P acts on registers 0 (equation index) and 1..p (tensor factors).  After
+    # the register permutations, column j of the corner is e_j on register 0
+    # and row i is e_i on register p; Householders rotate e_0 on the others.
+    dims, vref = (n,) * (p + 1), _householder_map(refu)
+    f = _kron_apply([None] + [vref] * p, np.kron(np.eye(n), np.eye(n ** p, 1)),
+                    dims)
+    g = _kron_apply([_householder_uniform(n).T] + [vref.T] * (p - 1) + [None],
+                    np.eye(n ** (p + 1), n), dims)
+    intended = (gamma ** (2 * p - 1) * jacobian(system, x).T / np.sqrt(n)
+                if debug_enabled() else None)
+    out = _sandwich(be_m, be_xxT, p, p - 1, g, f, ledger, intended, 2.0)
     if ledger is not None:
         ledger.charge("gradient_sandwich", primitive=2.0)
     return out, gamma
@@ -283,23 +280,16 @@ def rhs_be(system: PolynomialSystem, be_xxT: BlockEncoding, x: np.ndarray,
     n, p = system.n, system.p
     refu, gamma = _reference(n, x_ref, x)
     be_a = _built_once(build_A_blockdiag, system, ledger)
-    be_r = _a_sandwich(be_a, be_xxT, n, p, ledger)
-    # registers: 0 equation index, 1..p-1 leading x-registers, p last
-    dims = (n,) * (p + 1)
-    sigma3 = _perm_order(dims, (p,) + tuple(range(1, p)) + (0,))
-    w = _apply_right(be_r.block, _householder_uniform(n), dims, 0)
-    vref = _householder_map(refu)
-    for ax in range(1, p):
-        w = _apply_right(w, vref, dims, ax)
-    w = w[sigma3, :]
-    for ax in range(p):
-        w = _apply_left(vref, w, dims, ax)
-    intended = None
-    if debug_enabled():
-        intended = (gamma ** (2 * p - 1) * np.outer(evaluate(system, x), x)
-                    / np.sqrt(n))
-    out = BlockEncoding(w[:n, :n].copy(), be_r.alpha, be_r.eps, intended,
-                        be_r.cost + 2.0)
+    # registers as in jacobian_sandwich_be; for T A T, T = I x (xx^T)^{p},
+    # column j is e_j on register p and row i is e_i on register 0
+    dims, vref = (n,) * (p + 1), _householder_map(refu)
+    f = _kron_apply([_householder_uniform(n)] + [vref] * (p - 1) + [None],
+                    np.eye(n ** (p + 1), n), dims)
+    g = _kron_apply([None] + [vref.T] * p,
+                    np.kron(np.eye(n), np.eye(n ** p, 1)), dims)
+    intended = (gamma ** (2 * p - 1) * np.outer(evaluate(system, x), x)
+                / np.sqrt(n) if debug_enabled() else None)
+    out = _sandwich(be_a, be_xxT, p, p, g, f, ledger, intended, 2.0)
     if ledger is not None:
         ledger.charge("rhs_sandwich", primitive=2.0)
     return out
@@ -452,7 +442,6 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
     summed = be_sum(terms, [1, -1, -1, 1], led)            # scale * x' x'^T
     out = _amplify_to_unit(be_rescale(summed, 1.0 / scale), led)
 
-    vars(state.be_xxT).pop("_built", None)    # free the step's I x (xx^T)^{p}
     x_next = recover_vector(out, sign_reference=x)
     if debug_enabled():
         f_eval, j_eval = system_evaluators(system)
@@ -541,6 +530,7 @@ def init_heuristic(system: PolynomialSystem, candidates, eps: float = 1e-6,
         raise InputError("need at least one candidate")
     n, p = system.n, system.p
     be_a = build_A_blockdiag(system, ledger)
+    eye = np.eye(n ** (p + 1))
     values = []
     for c in cands:
         if c.shape != (n,):
@@ -548,7 +538,7 @@ def init_heuristic(system: PolynomialSystem, candidates, eps: float = 1e-6,
         if np.linalg.norm(c) > 1.0 + 1e-12:
             raise InputError("candidates must have norm at most 1")
         be_c = be_from_vector(c, ledger)
-        op = _a_sandwich(be_a, be_c, n, p, ledger)
+        op = _sandwich(be_a, be_c, p, p, eye, eye, ledger)
         sq = be_product(op, be_transpose(op), ledger)
         m2 = max_eigenvalue(sq, eps, ledger)
         nx2 = norm_estimate(be_c, eps, ledger)

@@ -12,7 +12,7 @@ from qnls import (AmplificationOverflowError, BlockEncoding,
                   be_from_sparse, be_from_vector, be_identity, be_of_matrix,
                   be_outer, be_product, be_rescale, be_sum, be_tensor,
                   be_transpose, min_eigenvalue)
-from qnls.block_encoding import _UNITARITY_TOL, _mk
+from qnls.block_encoding import _UNITARITY_TOL, _mk, _norm_above
 
 
 def random_contraction(rng, d, scale=0.4):
@@ -274,6 +274,23 @@ def test_invariants_unitarity_and_intended():
     with pytest.raises(InvariantViolationError):
         bad = dataclasses.replace(be, intended=np.diag([0.5, 0.5]))
         bad.verify()
+
+
+def test_nan_eps_is_rejected_and_never_certified():
+    nan = float("nan")
+    with pytest.raises(InputError, match="eps must be non-negative"):
+        BlockEncoding(0.5 * np.eye(2), 1.0, nan, 5 * np.eye(2))
+    with pytest.raises(InputError, match="eps must be non-negative"):
+        be_of_matrix(0.5 * np.eye(2), eps=nan)
+    # a NaN bound certifies no matrix, not even zero
+    assert _norm_above(np.zeros((2, 2)), nan) == 0.0
+    assert _norm_above(0.5 * np.eye(3), nan) == pytest.approx(0.5)
+    # so verify rejects an intended matrix against a NaN budget
+    be = be_of_matrix(0.5 * np.eye(2))
+    object.__setattr__(be, "eps", nan)
+    object.__setattr__(be, "intended", 5 * np.eye(2))
+    with pytest.raises(InvariantViolationError, match="budget nan"):
+        be.verify()
 
 
 def test_desk_scale_cap():

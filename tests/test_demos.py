@@ -37,3 +37,28 @@ def test_artifact_digest_runs():
     names = [ln.split("  ")[1] for ln in digests]
     assert len(names) == len(set(names))
     assert {"trace.csv", "report.txt", "gpe_e1.csv", "lv_x0.csv"} <= set(names)
+
+
+def _drift(tmp_path, old, new):
+    (tmp_path / "old.csv").write_text(old)
+    (tmp_path / "new.csv").write_text(new)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "trace_drift.py"),
+                           str(tmp_path / "old.csv"), str(tmp_path / "new.csv")],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_trace_drift_prints_each_column(tmp_path):
+    header = "iter,residual,x_norm_sq,sigma_k,gamma_k\n"
+    old = header + "0,0.01,0.5,0.25,0.5\n1,1e-16,0.5,,\n"
+    new = header + "0,0.01,0.5000001,0.25,0.5\n1,3e-16,0.5,,0.5\n"
+    proc = _drift(tmp_path, old, new)
+    assert proc.returncode == 0, proc.stderr
+    got = dict(line.split("  ") for line in proc.stdout.splitlines())
+    assert list(got) == header.strip().split(",")
+    assert float(got["iter"]) == 0.0 and float(got["sigma_k"]) == 0.0
+    # a converged residual is scaled by the row-0 residual, not by itself
+    assert float(got["residual"]) == pytest.approx(2e-14, rel=1e-2)
+    assert float(got["x_norm_sq"]) == pytest.approx(2e-7, rel=1e-2)
+    assert got["gamma_k"] == "inf"          # an empty cell became a number
+    proc = _drift(tmp_path, old, header + "0,0.01,0.5,0.25,0.5\n")
+    assert proc.returncode == 2 and "row count" in proc.stderr

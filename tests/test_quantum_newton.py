@@ -1,19 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from qnls import (CostLedger, DegenerateReferenceError, DeskScaleError,
-                  InputError, InversionConfig, MixedSystem, NewtonState,
-                  PolynomialSystem, RescaleRequiredError, SparseMatrix,
-                  be_from_vector, be_product, be_transpose,
-                  build_A_blockdiag, build_M_blockdiag, build_P,
-                  classical_newton, evaluate, gradient_md, init_heuristic,
-                  jacobian, jacobian_be, jacobian_sandwich_be, newton_solve,
-                  newton_step, norm_estimate, recover_vector, rhs_be,
-                  sv_invert)
+from qnls import (BlockEncoding, CostLedger, DegenerateReferenceError,
+                  DeskScaleError, InputError, InversionConfig, MixedSystem,
+                  NewtonState, PolynomialSystem, RescaleRequiredError,
+                  SparseMatrix, be_from_vector, be_identity, be_product,
+                  be_tensor, be_transpose, build_A_blockdiag,
+                  build_M_blockdiag, build_P, classical_newton, evaluate,
+                  gradient_md, init_heuristic, jacobian, jacobian_be,
+                  jacobian_sandwich_be, newton_solve, newton_step,
+                  norm_estimate, recover_vector, rhs_be, sv_invert)
 from qnls.problems import (GpeParams, LvParams, gpe_default_guess,
                            gpe_discretize, lv_default_guess, lv_discretize,
                            random_system)
-from qnls.quantum_newton import system_evaluators
+from qnls.quantum_newton import (_built_once, _householder_map,
+                                 _householder_uniform, _reference,
+                                 system_evaluators)
 
 
 def state_for(x, k=0):
@@ -502,6 +506,162 @@ def test_solve_checks_the_cap_before_any_encoding(monkeypatch):
     linear = MixedSystem(65, np.zeros(65), SparseMatrix.identity(65), None)
     with pytest.raises(AssertionError, match="went past its checks"):
         newton_solve(linear, x0, 1, CFG)
+
+
+# ---------------------------------------------------------------------------
+# the sandwich corners against the dense construction they replace
+# ---------------------------------------------------------------------------
+
+def _dense_perm_order(dims, axes):
+    return np.arange(int(np.prod(dims))).reshape(dims).transpose(axes).ravel()
+
+
+def _dense_apply_left(op, mat, dims, axis):
+    """(I x .. op .. x I) @ mat, op acting on row register `axis`."""
+    rows, cols = mat.shape
+    t = np.moveaxis(mat.reshape(dims + (cols,)), axis, 0)
+    shp = t.shape
+    t = (op @ t.reshape(shp[0], -1)).reshape(shp)
+    return np.moveaxis(t, 0, axis).reshape(rows, cols)
+
+
+def _dense_apply_right(mat, op, dims, axis):
+    """mat @ (I x .. op .. x I), op acting on column register `axis`."""
+    rows, cols = mat.shape
+    t = np.tensordot(mat.reshape((rows,) + dims), op, axes=([1 + axis], [0]))
+    return np.moveaxis(t, -1, 1 + axis).reshape(rows, cols)
+
+
+def _dense_jacobian_sandwich(system, be_xxT, x, x_ref, ledger):
+    """Block, alpha, eps, cost of the sandwich corner from the whole P."""
+    n, p = system.n, system.p
+    refu, _ = _reference(n, x_ref, x)
+    be_m = _built_once(build_M_blockdiag, system, ledger)
+    left = be_tensor([be_identity(n)] + [be_xxT] * (p - 1) + [be_identity(n)],
+                     ledger)
+    right = be_tensor([be_identity(n)] + [be_xxT] * p, ledger)
+    be_p = be_product(left, be_product(be_m, right, ledger), ledger)
+    dims = (n,) * (p + 1)
+    sigma1 = _dense_perm_order(dims, (p,) + tuple(range(p - 1)) + (p - 1,))
+    sigma2 = _dense_perm_order(dims, tuple(range(1, p)) + (0, p))
+    w = be_p.block[:, np.argsort(sigma1)][sigma2, :]
+    w = _dense_apply_left(_householder_uniform(n), w, dims, p - 1)
+    vref = _householder_map(refu)
+    for ax in range(p - 1):
+        w = _dense_apply_left(vref, w, dims, ax)
+        w = _dense_apply_right(w, vref, dims, ax)
+    w = _dense_apply_right(w, vref, dims, p - 1)
+    ledger.charge("gradient_sandwich", primitive=2.0)
+    return w[:n, :n], be_p.alpha, be_p.eps, be_p.cost + 2.0
+
+
+def _dense_rhs_sandwich(system, be_xxT, x, x_ref, ledger):
+    """Block, alpha, eps, cost of the corner of the whole T A T."""
+    n, p = system.n, system.p
+    refu, _ = _reference(n, x_ref, x)
+    be_a = _built_once(build_A_blockdiag, system, ledger)
+    tens = be_tensor([be_identity(n)] + [be_xxT] * p, ledger)
+    be_r = be_product(tens, be_product(be_a, tens, ledger), ledger)
+    dims = (n,) * (p + 1)
+    sigma3 = _dense_perm_order(dims, (p,) + tuple(range(1, p)) + (0,))
+    w = _dense_apply_right(be_r.block, _householder_uniform(n), dims, 0)
+    vref = _householder_map(refu)
+    for ax in range(1, p):
+        w = _dense_apply_right(w, vref, dims, ax)
+    w = w[sigma3, :]
+    for ax in range(p):
+        w = _dense_apply_left(vref, w, dims, ax)
+    ledger.charge("rhs_sandwich", primitive=2.0)
+    return w[:n, :n], be_r.alpha, be_r.eps, be_r.cost + 2.0
+
+
+def _random_sandwich_case(n, p, ref):
+    system = random_system(n, p, 2, seed=10 * n + p)
+    rng = np.random.default_rng(100 * n + p)
+    x = rng.uniform(-1.0, 1.0, n)
+    x[0] = 0.3 + abs(x[0])                       # keep gamma off the floor
+    x *= 0.9 / np.linalg.norm(x)
+    # a state with alpha != 1 and a nonzero eps, as after a step
+    be = replace(be_from_vector(x), alpha=1.25, eps=3e-7, cost=7.0)
+    return system, be, x, (None if ref == "e1" else rng.uniform(0.2, 1.0, n))
+
+
+def _stepped_sandwich_case(make, ref):
+    system, x0, _ = make()
+    state = newton_step(system, state_for(x0), CFG)
+    return (system.nonlinear, state.be_xxT, state.x,
+            None if ref == "e1" else x0)
+
+
+_SANDWICH_CASES = (
+    [pytest.param(lambda n=n, p=p, r=r: _random_sandwich_case(n, p, r),
+                  id=f"random-n{n}-p{p}-{r}")
+     for n, p in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1),
+                  (4, 2), (4, 3)] for r in ("e1", "ref")]
+    + [pytest.param(lambda m=m, r=r: _stepped_sandwich_case(m, r),
+                    id=f"{m.__name__[1:]}-{r}")
+       for m in (_lv_t3, _gpe_nx3) for r in ("e1", "x0")])
+
+
+@pytest.mark.parametrize("case", _SANDWICH_CASES)
+def test_sandwich_corners_match_the_dense_construction(monkeypatch, case):
+    # the corners from Kronecker column maps equal the corners of the dense
+    # P and T A T sandwiches to 1e-12, with the same budget and charges
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    system, be, x, ref = case()
+    assert system.n ** (system.p + 1) <= 512
+    for fast, dense in ((lambda led: jacobian_sandwich_be(
+                             system, be, x, ref, ledger=led)[0],
+                         _dense_jacobian_sandwich),
+                        (lambda led: rhs_be(system, be, x, ref, ledger=led),
+                         _dense_rhs_sandwich)):
+        led_fast, led_dense = CostLedger(), CostLedger()
+        out = fast(led_fast)
+        block, alpha, eps, cost = dense(system, be, x, ref, led_dense)
+        assert np.max(np.abs(out.block - block)) <= 1e-12
+        assert (out.alpha, out.eps, out.cost) == (alpha, eps, cost)
+        assert led_fast == led_dense
+        assert list(led_fast.notes) == list(led_dense.notes)
+
+
+def _widths(obj):
+    if isinstance(obj, BlockEncoding):
+        yield obj.logical_dim
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2:
+        yield max(obj.shape)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _widths(item)
+
+
+def test_newton_step_composes_no_block_wider_than_n(monkeypatch):
+    # once M and A are built, a p = 2 step composes only n x n blocks: the
+    # sandwiches keep their n columns and never form an n^{p+1}-square one
+    import qnls.block_encoding as be_mod
+    import qnls.quantum_newton as qn
+    import qnls.svt as svt_mod
+
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    system, x0, _ = _gpe_nx3()
+    assert system.nonlinear.p == 2
+    state = newton_step(system, state_for(x0), CFG)      # builds M and A
+    widths = []
+
+    def watch(fn):
+        def watched(*args, **kwargs):
+            widths.extend(_widths(args))
+            out = fn(*args, **kwargs)
+            widths.extend(_widths(out))
+            return out
+        return watched
+
+    for mod in (be_mod, qn, svt_mod):
+        for name in ("be_product", "be_tensor", "_mk"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, watch(getattr(mod, name)))
+    nxt = newton_step(system, state, CFG)
+    assert nxt.k == 2
+    assert widths and max(widths) == system.n
 
 
 @pytest.mark.slow
