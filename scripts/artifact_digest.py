@@ -3,12 +3,13 @@
 
 Runs the README's CLI commands, the `--gamma-ref e1` and `x0` solves (LV
 and GPE), a 3-step GPE solve (whose later steps reuse the encodings built
-on the first), a classical `resources` run and an LV solve with
-QNLS_DEBUG=1 (set for that command only) through `qnls.cli.main` in a
-temporary directory. Prints one `exit <code>  <command name>` line per
-command, then one `<sha256>  <name>` line per written file and per
-captured stdout and stderr. To check that a change keeps every artifact,
-run it against both trees and compare:
+on the first), a classical `resources` run, and an LV solve and the 3-step
+GPE solve with QNLS_DEBUG=1 (set for those commands only) through
+`qnls.cli.main` in a temporary directory. Prints one
+`exit <code>  <command name>` line per command, then one
+`<sha256>  <name>` line per written file and per captured stdout and
+stderr. To check that a change keeps every artifact, run it against both
+trees and compare:
 
     PYTHONPATH=old/src python3 scripts/artifact_digest.py > old.txt
     PYTHONPATH=new/src python3 scripts/artifact_digest.py > new.txt
@@ -51,9 +52,12 @@ COMMANDS = [
                    "--trace gpe3.csv --report gpe3.txt"),
     ("solve-lv-debug", f"solve {LV_RUN} --iters 5 --trace lv_debug.csv "
                        "--report lv_debug.txt"),
+    # p = 2, so M merges two permuted copies of each A_i
+    ("solve-gpe3-debug", "solve --problem gpe.qnls --x0 gpe.qnls.x0 --iters 3 "
+                         "--trace gpe3_debug.csv --report gpe3_debug.txt"),
 ]
 # commands run with QNLS_DEBUG=1, which every encoding verifies under
-DEBUG_COMMANDS = {"solve-lv-debug"}
+DEBUG_COMMANDS = {"solve-lv-debug", "solve-gpe3-debug"}
 
 
 def _sha(data: bytes) -> str:

@@ -227,9 +227,11 @@ def be_of_matrix(m: np.ndarray, *, alpha: float = 1.0, eps: float = 0.0,
     return _mk(m / alpha, alpha, eps, m.copy(), cost)
 
 
-def be_from_sparse(a: SparseMatrix, s: int,
-                   ledger: CostLedger | None = None) -> BlockEncoding:
-    """Encoding of A/s from sparse-entry access; alpha = s, exact at desk scale."""
+_Budget = namedtuple("_Budget", "alpha eps cost")    # an encoding minus its block
+
+
+def _sparse_budget(a: SparseMatrix, s: int, ledger: CostLedger | None) -> _Budget:
+    """Budget of the sparse-access encoding of a/s; checks a and s, charges it."""
     if a.dim_rows != a.dim_cols:
         raise InputError("sparse encoding needs a square matrix")
     if a.max_abs_entry() > 1.0 + 1e-12:
@@ -239,13 +241,19 @@ def be_from_sparse(a: SparseMatrix, s: int,
         raise InputError("per-row/column nonzero count exceeds declared sparsity")
     if s <= 0:
         raise InputError("sparsity must be positive")
-    d = a.dim_rows
-    cost = _log2(d) + _log2(1.0 / _eps_units(0.0)) ** 2.5
+    cost = _log2(a.dim_rows) + _log2(1.0 / _eps_units(0.0)) ** 2.5
     if ledger is not None:
         ledger.charge("sparse_encode", oracle=cost)
+    return _Budget(float(s), 0.0, cost)
+
+
+def be_from_sparse(a: SparseMatrix, s: int,
+                   ledger: CostLedger | None = None) -> BlockEncoding:
+    """Encoding of A/s from sparse-entry access; alpha = s, exact at desk scale."""
+    b = _sparse_budget(a, s, ledger)
     dense = a.to_dense()
-    return _mk(dense / s, float(s), 0.0, dense if debug_enabled() else None,
-               cost)
+    return _mk(dense / s, b.alpha, b.eps, dense if debug_enabled() else None,
+               b.cost)
 
 
 def be_from_vector(x: np.ndarray,
@@ -289,9 +297,6 @@ def be_outer(u: np.ndarray, v: np.ndarray,
     return _mk(m / alpha, alpha, 0.0, m if debug_enabled() else None, cost)
 
 
-_Budget = namedtuple("_Budget", "alpha eps cost")    # an encoding minus its block
-
-
 def _product_budget(left, right, ledger: CostLedger | None) -> _Budget:
     """Budget of the product of two encodings (or budgets); charges it."""
     if ledger is not None:
@@ -309,6 +314,15 @@ def _tensor_budget(factors, ledger: CostLedger | None) -> _Budget:
     if ledger is not None:
         ledger.charge("tensor", primitive=1.0)
     return _Budget(math.prod(alphas), eps, sum(f.cost for f in factors) + 1.0)
+
+
+def _sum_budget(terms, ledger: CostLedger | None) -> _Budget:
+    """Budget of the uniform sum of the terms at their largest alpha; charges it."""
+    m = len(terms)
+    if ledger is not None:
+        ledger.charge("sum", primitive=float(m))
+    return _Budget(m * max(t.alpha for t in terms), sum(t.eps for t in terms),
+                   sum(t.cost for t in terms) + m)
 
 
 def be_product(left: BlockEncoding, right: BlockEncoding,
@@ -367,10 +381,8 @@ def be_sum(terms: list[BlockEncoding], signs: list[int] | None = None,
     intended = None
     if all(t.intended is not None for t in terms):
         intended = sum(s * t.intended for t, s in zip(terms, signs))
-    if ledger is not None:
-        ledger.charge("sum", primitive=float(m))
-    return _mk(block, m * alpha_c, sum(t.eps for t in terms), intended,
-               sum(t.cost for t in terms) + m)
+    b = _sum_budget(terms, ledger)
+    return _mk(block, b.alpha, b.eps, intended, b.cost)
 
 
 def be_amplify(be: BlockEncoding, factor: float,

@@ -161,6 +161,9 @@ def parse_problem(stream: TextIO) -> Problem:
         (p,) = _expect(lines, "p")
         (s,) = _expect(lines, "s")
         n, p, s = int(n), int(p), int(s)
+        if n > (room := (len(lines.raw) - lines.pos) // 2):   # equation .. end
+            raise ParseError(
+                f"n = {n}, but the file has room for {room} equation blocks")
         if kind == "homogeneous":
             return _parse_homogeneous(lines, n, p, s)
         if kind == "mixed":

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .block_encoding import (BlockEncoding, CostLedger, _eps_units, _log2,
-                             _mk, _product_budget, _tensor_budget, be_amplify,
+                             _mk, _product_budget, _sparse_budget,
+                             _sum_budget, _tensor_budget, be_amplify,
                              be_from_sparse, be_from_vector, be_identity,
                              be_outer, be_product, be_rescale, be_sum,
                              be_transpose, debug_enabled)
@@ -27,8 +28,7 @@ from .errors import (CompositionError, ConditioningError,
                      DegenerateReferenceError, DeskScaleError, InputError,
                      InvariantViolationError, RescaleRequiredError,
                      SingularJacobianError)
-from .poly_system import (DESK_SCALE_CAP, FactorPermutation,
-                          InhomogeneousSystem, MixedSystem,
+from .poly_system import (DESK_SCALE_CAP, InhomogeneousSystem, MixedSystem,
                           PolynomialSystem, SparseMatrix, evaluate, jacobian,
                           mixed_evaluate, mixed_jacobian)
 from .svt import (InversionConfig, max_eigenvalue, min_singular_value,
@@ -144,23 +144,17 @@ def _blockdiag(blocks: list[SparseMatrix]) -> SparseMatrix:
 
 def build_M_blockdiag(system: PolynomialSystem,
                       ledger: CostLedger | None = None) -> BlockEncoding:
-    """Encoding of blockdiag(M_D^1 .. M_D^n) / (p s), via per-permutation sums."""
+    """Encoding of blockdiag(M_D^1 .. M_D^n) / (p s) from the merged entries,
+    with the budget and charges of the sum of the p sparse encodings of
+    blockdiag(Q_j A_i Q_j); each has the entries and row/column counts of
+    blockdiag(A_i), which are checked as theirs."""
     _require_canonical(system)
-    n, p, s = system.n, system.p, system.sparsity
-    d = n ** p
-    parts = []
-    for j in range(1, p + 1):
-        q = FactorPermutation(p, n, j)
-        mdj = _blockdiag([q.conjugate(a) for a in system.equations])
-        parts.append(be_from_sparse(mdj, s, ledger))
-    out = be_sum(parts, ledger=ledger)
-    if debug_enabled():
-        intended = np.zeros((n * d, n * d))
-        for i in range(n):
-            md = system.m_d(i).to_dense()
-            intended[i * d:(i + 1) * d, i * d:(i + 1) * d] = md
-        out = replace(out, intended=intended)      # verified on creation
-    return out
+    p, s = system.p, system.sparsity
+    a = _blockdiag(system.equations)
+    b = _sum_budget([_sparse_budget(a, s, ledger) for _ in range(p)], ledger)
+    md = _blockdiag([system.m_d(i) for i in range(system.n)]).to_dense()
+    return _mk(md / (p * s), b.alpha, b.eps, md if debug_enabled() else None,
+               b.cost)
 
 
 def build_A_blockdiag(system: PolynomialSystem,

@@ -350,6 +350,21 @@ def test_problem_file_far_above_the_cap_is_input_error(tmp_path, capsys):
         "error: n^p = 2^100000 exceeds desk-scale cap 4096")
 
 
+@pytest.mark.parametrize("kind, block, room", [
+    ("mixed", "const 1\n", 1), ("inhomogeneous", "term\nc 0 1\nB 0 0 0 1\n", 2)])
+def test_equation_count_beyond_the_file_is_parse_error(tmp_path, capsys, kind,
+                                                       block, room):
+    # an n the remaining lines cannot hold is rejected before n-sized arrays
+    path = tmp_path / "long_n.qnls"
+    path.write_text(f"version 1\nkind {kind}\nn 100000000000\np 1\ns 1\n"
+                    f"equation 0\n{block}end\n")
+    rc = main(["solve", "--problem", str(path), "--iters", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == ("parse error: n = 100000000000, but "
+                                       f"the file has room for {room} "
+                                       "equation blocks\n")
+
+
 def test_exact_commands_import_no_scipy(tmp_path):
     # scipy is loaded only by the poly backend's LP and the classical oracle
     lv, gpe = tmp_path / "lv.qnls", tmp_path / "gpe.qnls"

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from qnls import (BlockEncoding, CostLedger, DegenerateReferenceError,
-                  DeskScaleError, InputError, InversionConfig, MixedSystem,
-                  NewtonState, PolynomialSystem, RescaleRequiredError,
-                  SparseMatrix, be_from_vector, be_identity, be_product,
-                  be_tensor, be_transpose, build_A_blockdiag,
+                  DeskScaleError, FactorPermutation, InputError,
+                  InversionConfig, MixedSystem, NewtonState, PolynomialSystem,
+                  RescaleRequiredError, SparseMatrix, be_from_sparse,
+                  be_from_vector, be_identity, be_product, be_sum, be_tensor,
+                  be_transpose, build_A_blockdiag,
                   build_M_blockdiag, build_P, classical_newton, evaluate,
                   gradient_md, init_heuristic, jacobian, jacobian_be,
                   jacobian_sandwich_be, newton_solve, newton_step,
@@ -15,9 +16,9 @@ from qnls import (BlockEncoding, CostLedger, DegenerateReferenceError,
 from qnls.problems import (GpeParams, LvParams, gpe_default_guess,
                            gpe_discretize, lv_default_guess, lv_discretize,
                            random_system)
-from qnls.quantum_newton import (_built_once, _householder_map,
-                                 _householder_uniform, _reference,
-                                 system_evaluators)
+from qnls.quantum_newton import (_blockdiag, _built_once, _ChargeLog,
+                                 _householder_map, _householder_uniform,
+                                 _reference, system_evaluators)
 
 
 def state_for(x, k=0):
@@ -339,20 +340,23 @@ def test_debug_checks_pass_and_leave_the_trace(monkeypatch, make, ref):
             assert abs(row.residual - res) <= 1e-6
 
 
+def _spy(calls, name, real):
+    """real, appending name to calls on every call."""
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+    return counted
+
+
 def test_step_invariant_encodings_are_built_once_per_system(monkeypatch):
-    # M (p sparse encodings), A and the linear part are built on the first
-    # step only; every later step replays their ledger charges
+    # M, A and the linear part (the last two sparse encodings) are built on
+    # the first step only; every later step replays their ledger charges
     import qnls.quantum_newton as qn
 
     monkeypatch.delenv("QNLS_DEBUG", raising=False)
     calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    real = qn.be_from_sparse
-    monkeypatch.setattr(qn, "be_from_sparse", counting)
+    for name in ("be_from_sparse", "build_M_blockdiag"):
+        monkeypatch.setattr(qn, name, _spy(calls, name, getattr(qn, name)))
     counts, ledgers = {}, {}
     for steps in (1, 3):
         system, x0, _ = _gpe_nx3()
@@ -360,8 +364,8 @@ def test_step_invariant_encodings_are_built_once_per_system(monkeypatch):
         calls.clear()
         state, trace = newton_solve(system, x0, steps, CFG)
         assert trace.halted is None and state.k == steps
-        counts[steps], ledgers[steps] = len(calls), trace.rows
-    assert counts[1] == counts[3] == 4
+        counts[steps], ledgers[steps] = sorted(calls), trace.rows
+    assert counts[1] == counts[3] == ["be_from_sparse"] * 2 + ["build_M_blockdiag"]
     # the second step is charged as the first
     r0, r1, r2 = ledgers[3][:3]
     assert r2.oracle_queries - r1.oracle_queries == pytest.approx(
@@ -622,6 +626,64 @@ def test_sandwich_corners_match_the_dense_construction(monkeypatch, case):
         assert (out.alpha, out.eps, out.cost) == (alpha, eps, cost)
         assert led_fast == led_dense
         assert list(led_fast.notes) == list(led_dense.notes)
+
+
+def _summed_parts_m(system, ledger):
+    """M as the sum of the p sparse encodings of blockdiag(Q_j A_i Q_j)."""
+    n, p, s = system.n, system.p, system.sparsity
+    parts = [be_from_sparse(_blockdiag([FactorPermutation(p, n, j).conjugate(a)
+                                        for a in system.equations]), s, ledger)
+             for j in range(1, p + 1)]
+    return be_sum(parts, ledger=ledger)
+
+
+@pytest.mark.parametrize("debug", ["", "1"], ids=["plain", "debug"])
+@pytest.mark.parametrize("case", [
+    pytest.param(lambda n=n, p=p: [random_system(n, p, s, seed=100 * s + 10 * p + n)
+                                   for s in (1, 2, 3)], id=f"random-n{n}-p{p}")
+    for n in (2, 3, 4) for p in (1, 2, 3)]
+    + [pytest.param(lambda m=m: [m()[0].nonlinear], id=m.__name__[1:])
+       for m in (_lv_t3, _gpe_nx3)])
+def test_m_from_merged_entries_matches_the_summed_parts(monkeypatch, case,
+                                                        debug):
+    # one encoding of the merged M_D^i has the block of the per-permutation
+    # sum (bitwise when p s is a power of two), its budget and its charges
+    monkeypatch.setenv("QNLS_DEBUG", debug)
+    for system in case():
+        assert system.n ** (system.p + 1) <= 512
+        log, ref_log = _ChargeLog(), _ChargeLog()
+        out, ref = build_M_blockdiag(system, log), _summed_parts_m(system, ref_log)
+        ps = system.p * system.sparsity
+        if ps & (ps - 1) == 0:
+            assert np.array_equal(out.block, ref.block)
+        assert np.max(np.abs(out.block - ref.block)) <= 1e-15
+        assert (out.alpha, out.eps, out.cost) == (ref.alpha, ref.eps, ref.cost)
+        assert log == ref_log and len(log) == system.p + 1
+        assert (out.intended is None) == (ref.intended is None) == (not debug)
+        if debug:
+            assert np.array_equal(out.intended, ref.intended)
+
+
+def test_m_keeps_the_sparse_input_checks():
+    # entries above 1 are test_build_m_requires_canonical's case
+    zero = SparseMatrix(2, 2, np.zeros(0, int), np.zeros(0, int), np.zeros(0))
+    with pytest.raises(InputError, match="sparsity must be positive"):
+        build_M_blockdiag(PolynomialSystem(2, 1, 0, (zero, zero)))
+
+
+def test_m_is_one_encoding_of_the_merged_entries(monkeypatch):
+    # a p = 2 M is one _mk call, not p sparse encodings and their sum
+    import qnls.block_encoding as be_mod
+    import qnls.quantum_newton as qn
+
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    calls = []
+    for mod in (be_mod, qn):
+        for name in ("_mk", "be_from_sparse", "be_sum"):
+            monkeypatch.setattr(mod, name, _spy(calls, name, getattr(mod, name)))
+    system = random_system(3, 2, 2, seed=3)
+    build_M_blockdiag(system)
+    assert calls == ["_mk"]
 
 
 def _widths(obj):
