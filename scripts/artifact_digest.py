@@ -3,9 +3,11 @@
 
 Runs the README's CLI commands, the `--gamma-ref e1` and `x0` solves (LV
 and GPE), a 3-step GPE solve (whose later steps reuse the encodings built
-on the first), a classical `resources` run, and an LV solve and the 3-step
-GPE solve with QNLS_DEBUG=1 (set for those commands only) through
-`qnls.cli.main` in a temporary directory. Prints one
+on the first), a classical `resources` run, an LV solve and the 3-step
+GPE solve with QNLS_DEBUG=1 (set for those commands only), and a classical
+solve and a check of a small inhomogeneous problem with a nonzero root
+(written by this script) through `qnls.cli.main` in a temporary
+directory. Prints one
 `exit <code>  <command name>` line per command, then one
 `<sha256>  <name>` line per written file and per captured stdout and
 stderr. To check that a change keeps every artifact, run it against both
@@ -26,6 +28,29 @@ from unittest import mock
 
 from qnls import cli
 
+# g_1 = x_1 - 4 x_1 x_1^2 and g_2 = x_2 - 2 x_1 (x_1^2 + x_1 x_2): root (0.5, 0.5)
+INHOMOGENEOUS = """version 1
+kind inhomogeneous
+n 2
+p 1
+s 2
+equation 0
+term
+c 0 1
+term
+c 0 -4
+B 0 0 0 1
+end
+equation 1
+term
+c 1 1
+term
+c 0 -2
+B 0 0 0 1
+B 0 0 1 0.5
+B 0 1 0 0.5
+end
+"""
 LV_RUN = "--problem lv.qnls --x0 lv.qnls.x0"
 GPE_RUN = "--problem gpe.qnls --x0 gpe.qnls.x0 --iters 1"
 COMMANDS = [
@@ -55,6 +80,10 @@ COMMANDS = [
     # p = 2, so M merges two permuted copies of each A_i
     ("solve-gpe3-debug", "solve --problem gpe.qnls --x0 gpe.qnls.x0 --iters 3 "
                          "--trace gpe3_debug.csv --report gpe3_debug.txt"),
+    ("solve-inhomogeneous", "solve --problem inh.qnls --x0 inh.qnls.x0 "
+                            "--iters 3 --backend classical --trace inh.csv "
+                            "--report inh.txt"),
+    ("check-inhomogeneous", "check --problem inh.qnls --suite all"),
 ]
 # commands run with QNLS_DEBUG=1, which every encoding verifies under
 DEBUG_COMMANDS = {"solve-lv-debug", "solve-gpe3-debug"}
@@ -69,6 +98,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            Path("inh.qnls").write_text(INHOMOGENEOUS)
+            Path("inh.qnls.x0").write_text("0.6\n0.4\n")
             streams = {}
             for name, cmd in COMMANDS:
                 out, err = io.StringIO(), io.StringIO()

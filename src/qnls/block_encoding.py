@@ -57,9 +57,9 @@ def _eps_units(eps: float) -> float:
 class CostLedger:
     """Symbolic tally of oracle queries and encoding-primitive invocations.
 
-    Counters only grow; ``merge`` is associative and commutative.  ``notes``
-    keeps labeled cost terms (estimation-error charges are deliberately kept
-    under separate labels rather than summed into the encoding-error terms).
+    Counters only grow.  ``notes`` keeps labeled cost terms
+    (estimation-error charges are deliberately kept under separate labels
+    rather than summed into the encoding-error terms).
     """
 
     oracle_queries: float = 0.0
@@ -77,15 +77,6 @@ class CostLedger:
         amount = note if note is not None else oracle + primitive + amplification
         if amount:
             self.notes[label] = self.notes.get(label, 0.0) + amount
-
-    def merge(self, other: "CostLedger") -> "CostLedger":
-        notes = dict(self.notes)
-        for k, v in other.notes.items():
-            notes[k] = notes.get(k, 0.0) + v
-        return CostLedger(self.oracle_queries + other.oracle_queries,
-                          self.primitive_ops + other.primitive_ops,
-                          self.amplification_cost + other.amplification_cost,
-                          notes)
 
     def copy(self) -> "CostLedger":
         return CostLedger(self.oracle_queries, self.primitive_ops,
@@ -218,13 +209,12 @@ def be_identity(d: int) -> BlockEncoding:
                          np.eye(d) if debug_enabled() else None, 1.0)
 
 
-def be_of_matrix(m: np.ndarray, *, alpha: float = 1.0, eps: float = 0.0,
-                 cost: float = 1.0) -> BlockEncoding:
-    """Encode an explicit contraction m/alpha directly (artifact plumbing)."""
+def be_of_matrix(m: np.ndarray, *, eps: float = 0.0) -> BlockEncoding:
+    """Encode an explicit contraction m directly (artifact plumbing)."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError("need a square matrix")
-    return _mk(m / alpha, alpha, eps, m.copy(), cost)
+    return _mk(m.copy(), 1.0, eps, m.copy(), 1.0)
 
 
 _Budget = namedtuple("_Budget", "alpha eps cost")    # an encoding minus its block
@@ -403,8 +393,9 @@ def be_amplify(be: BlockEncoding, factor: float,
     charge = factor * _log2(factor / _eps_units(be.eps))
     if ledger is not None:
         ledger.charge("amplify", amplification=charge)
-    return _mk(factor * be.block, be.alpha / factor, be.eps, be.intended,
-               be.cost * max(charge, 1.0))
+    # the check above leaves the new block a contraction: no _mk guard
+    return BlockEncoding(factor * be.block, be.alpha / factor, be.eps,
+                         be.intended, be.cost * max(charge, 1.0))
 
 
 def be_transpose(be: BlockEncoding) -> BlockEncoding:

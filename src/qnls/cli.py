@@ -153,8 +153,8 @@ def _initial_guess(problem, args) -> np.ndarray:
 
 def _run_solver(problem, args):
     x0 = _initial_guess(problem, args)
-    ledger = CostLedger()
     if args.backend == "classical":
+        ledger = CostLedger()
         f_eval, j_eval = system_evaluators(problem)
         try:
             tr = classical_newton(f_eval, j_eval, x0, args.iters, tol=0.0)
@@ -174,7 +174,7 @@ def _run_solver(problem, args):
         return NewtonTrace(rows, halted), ledger, 0.0
     inv_cfg = InversionConfig(args.sigma_floor, args.eps, args.backend)
     state, trace = newton_solve(problem, x0, args.iters, inv_cfg,
-                                gamma_reference=args.gamma_ref, ledger=ledger)
+                                gamma_reference=args.gamma_ref)
     return trace, state.ledger, state.be_xxT.cost
 
 

@@ -101,15 +101,15 @@ class SparseMatrix:
         return cls(dim_rows, dim_cols, uniq // dim_cols, uniq % dim_cols, acc)
 
     @classmethod
-    def from_dense(cls, m: np.ndarray, tol: float = 0.0) -> "SparseMatrix":
+    def from_dense(cls, m: np.ndarray) -> "SparseMatrix":
         m = np.asarray(m, dtype=np.float64)
-        rows, cols = np.nonzero(np.abs(m) > tol)
+        rows, cols = np.nonzero(np.abs(m) > 0.0)
         return cls(m.shape[0], m.shape[1], rows, cols, m[rows, cols])
 
     @classmethod
-    def identity(cls, d: int, scale: float = 1.0) -> "SparseMatrix":
+    def identity(cls, d: int) -> "SparseMatrix":
         idx = np.arange(d)
-        return cls(d, d, idx, idx, np.full(d, scale))
+        return cls(d, d, idx, idx, np.ones(d))
 
     # -- basic queries -------------------------------------------------
 
@@ -246,10 +246,6 @@ class PolynomialSystem:
             if max(a.row_nnz_max(), a.col_nnz_max()) > self.sparsity:
                 raise InputError("declared sparsity exceeded after symmetrization")
         object.__setattr__(self, "equations", tuple(sym))
-
-    @property
-    def degree(self) -> int:
-        return 2 * self.p
 
     def max_norm(self) -> float:
         return max(a.spectral_norm() for a in self.equations)

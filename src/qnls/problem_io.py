@@ -129,15 +129,11 @@ class _Lines:
                 self.raw.append((lineno, body))
         self.pos = 0
 
-    def peek(self):
-        return self.raw[self.pos] if self.pos < len(self.raw) else None
-
     def next(self):
-        item = self.peek()
-        if item is None:
+        if self.pos == len(self.raw):
             raise ParseError("unexpected end of file")
         self.pos += 1
-        return item
+        return self.raw[self.pos - 1]
 
 
 def _expect(lines: _Lines, keyword: str) -> list[str]:
@@ -165,10 +161,15 @@ def parse_problem(stream: TextIO) -> Problem:
             raise ParseError(
                 f"n = {n}, but the file has room for {room} equation blocks")
         if kind == "homogeneous":
-            return _parse_homogeneous(lines, n, p, s)
-        if kind == "mixed":
-            return _parse_mixed(lines, n, p, s)
-        return _parse_inhomogeneous(lines, n)
+            problem = _parse_homogeneous(lines, n, p, s)
+        elif kind == "mixed":
+            problem = _parse_mixed(lines, n, p, s)
+        else:
+            problem = _parse_inhomogeneous(lines, n)
+        if lines.pos < len(lines.raw):
+            raise ParseError(f"line {lines.raw[lines.pos][0]}: content after "
+                             "the last equation block")
+        return problem
     except (ValueError, IndexError) as exc:
         raise ParseError(f"malformed problem file: {exc}") from exc
 
@@ -260,8 +261,13 @@ def _parse_inhomogeneous(lines: _Lines, n: int) -> InhomogeneousSystem:
             raise ParseError("inhomogeneous problems use term blocks only")
         terms = []
         for term in rows["term"]:
-            c = np.zeros(n)
+            c, seen = np.zeros(n), set()
             for j, v in term["c"]:
+                if not 0 <= j < n:
+                    raise ParseError(f"equation {i}: 'c' index {j} out of range")
+                if j in seen:
+                    raise ParseError(f"equation {i}: repeated 'c' index {j}")
+                seen.add(j)
                 c[j] = v
             ks = sorted({k for k, _, _, _ in term["B"]})
             if ks != list(range(len(ks))):

@@ -39,7 +39,8 @@ class LvParams:
 
     def __post_init__(self):
         vals = (self.alpha, self.beta, self.gamma, self.delta,
-                self.dt, self.v0, self.p0)
+                self.dt, self.v0, self.p0,
+                1.0 if self.scale is None else self.scale)
         if not all(np.isfinite(v) for v in vals):
             raise InputError("parameters must be finite")
         if self.steps < 1:
@@ -68,7 +69,8 @@ class GpeParams:
             raise InputError("nx must be at least 3")
         if not all(np.all(np.isfinite(v)) for v in (
                 self.dt, self.dx, self.hbar2_over_2m, self.g,
-                self.potential, self.psi_prev)):
+                self.potential, self.psi_prev,
+                1.0 if self.scale is None else self.scale)):
             raise InputError("parameters must be finite")
         if self.dt <= 0 or self.dx <= 0:
             raise InputError("dt and dx must be positive")
@@ -76,6 +78,15 @@ class GpeParams:
             raise InputError("potential must have nx entries")
         if self.psi_prev.shape != (self.nx,):
             raise InputError("psi_prev must have nx entries")
+
+
+def _variable_scale(scale: float | None, root: np.ndarray) -> float:
+    """The given variable scale, or one that puts root at norm _TARGET_ROOT_NORM."""
+    if scale is not None:
+        if scale <= 0:
+            raise InputError("scale must be positive")
+        return scale
+    return max(float(np.linalg.norm(root)) / _TARGET_ROOT_NORM, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +106,7 @@ def lv_forward_orbit(params: LvParams) -> np.ndarray:
 
 
 def lv_scale(params: LvParams) -> float:
-    if params.scale is not None:
-        if params.scale <= 0:
-            raise InputError("scale must be positive")
-        return params.scale
-    root = lv_forward_orbit(params)
-    nrm = float(np.linalg.norm(root))
-    return max(nrm / _TARGET_ROOT_NORM, 1e-6)
+    return _variable_scale(params.scale, lv_forward_orbit(params))
 
 
 def lv_discretize(params: LvParams) -> MixedSystem:
@@ -162,13 +167,8 @@ def lv_default_guess(params: LvParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def gpe_scale(params: GpeParams) -> float:
-    if params.scale is not None:
-        if params.scale <= 0:
-            raise InputError("scale must be positive")
-        return params.scale
-    nrm = float(np.linalg.norm(np.concatenate([params.psi_prev.real,
-                                               params.psi_prev.imag])))
-    return max(nrm / _TARGET_ROOT_NORM, 1e-6)
+    return _variable_scale(params.scale, np.concatenate(
+        [params.psi_prev.real, params.psi_prev.imag]))
 
 
 def gpe_discretize(params: GpeParams) -> MixedSystem:
@@ -203,38 +203,29 @@ def gpe_discretize(params: GpeParams) -> MixedSystem:
     lin: list[tuple[int, int, float]] = []
     cubics: dict[int, list[Monomial]] = {}
 
+    coef = 0.5 * g * lam * lam / GPE_AUX_VALUE
     for j in range(nx):
-        re_eq, im_eq = idx_u(j), idx_w(j)
-        # real part: -(W_j - b_j)/dt + kin*(Lap U + Lap a) + V_j (U_j + a_j)/2
-        #            + g/2 (|psi'|^2 + |psi|^2) U_j
-        b[re_eq] += b_prev[j] / params.dt / lam + kin * lap(a_prev, j) / lam \
-            + 0.5 * params.potential[j] * a_prev[j] / lam
-        lin.append((re_eq, idx_w(j), -1.0 / params.dt))
-        lin.append((re_eq, idx_u(j), -2.0 * kin + 0.5 * params.potential[j]
-                    + 0.5 * g * abs2_prev[j]))
-        if j > 0:
-            lin.append((re_eq, idx_u(j - 1), kin))
-        if j < nx - 1:
-            lin.append((re_eq, idx_u(j + 1), kin))
-        # imag part: (U_j - a_j)/dt + kin*(Lap W + Lap b) + V_j (W_j + b_j)/2
-        #            + g/2 (|psi'|^2 + |psi|^2) W_j
-        b[im_eq] += -a_prev[j] / params.dt / lam + kin * lap(b_prev, j) / lam \
-            + 0.5 * params.potential[j] * b_prev[j] / lam
-        lin.append((im_eq, idx_u(j), 1.0 / params.dt))
-        lin.append((im_eq, idx_w(j), -2.0 * kin + 0.5 * params.potential[j]
-                    + 0.5 * g * abs2_prev[j]))
-        if j > 0:
-            lin.append((im_eq, idx_w(j - 1), kin))
-        if j < nx - 1:
-            lin.append((im_eq, idx_w(j + 1), kin))
-        if has_cubic:
-            # g/2 (U^2 + W^2) U  -> lifted by mu / GPE_AUX_VALUE
-            coef = 0.5 * g * lam * lam / GPE_AUX_VALUE
-            for lead, other in ((idx_u(j), idx_w(j)), (idx_w(j), idx_u(j))):
-                eq = re_eq if lead == idx_u(j) else im_eq
-                terms = cubics.setdefault(eq, [])
-                terms.append((coef, _mono(n, {lead: 3, idx_m: 1})))
-                terms.append((coef, _mono(n, {lead: 1, other: 2, idx_m: 1})))
+        # the real row (sign 1) and the imaginary row (sign -1) of own part
+        # S = U, W with other part O = W, U and previous slice s, o:
+        #   -sign (O_j - o_j)/dt + kin*(Lap S + Lap s) + V_j (S_j + s_j)/2
+        #   + g/2 (|psi'|^2 + |psi|^2) S_j
+        for eq, other, own_prev, other_prev, sign in (
+                (idx_u(j), idx_w(j), a_prev, b_prev, 1.0),
+                (idx_w(j), idx_u(j), b_prev, a_prev, -1.0)):
+            b[eq] += sign * other_prev[j] / params.dt / lam \
+                + kin * lap(own_prev, j) / lam \
+                + 0.5 * params.potential[j] * own_prev[j] / lam
+            lin.append((eq, other, -sign / params.dt))
+            lin.append((eq, eq, -2.0 * kin + 0.5 * params.potential[j]
+                        + 0.5 * g * abs2_prev[j]))
+            if j > 0:
+                lin.append((eq, eq - 1, kin))
+            if j < nx - 1:
+                lin.append((eq, eq + 1, kin))
+            if has_cubic:
+                # g/2 (S^2 + O^2) S -> lifted by mu / GPE_AUX_VALUE
+                cubics[eq] = [(coef, _mono(n, {eq: 3, idx_m: 1})),
+                              (coef, _mono(n, {eq: 1, other: 2, idx_m: 1}))]
 
     nonlinear = None
     if has_cubic:
@@ -293,10 +284,8 @@ def random_system(n: int, p: int, s: int, seed: int) -> PolynomialSystem:
                     row_count[c] += 1
         coo = []
         for (r, c), v in entries.items():
-            if r == c:
-                coo.append((r, c, v))
-            else:
-                coo.append((r, c, v))
+            coo.append((r, c, v))
+            if r != c:
                 coo.append((c, r, v))
         eqs.append(SparseMatrix.from_entries(d, d, coo))
     system = PolynomialSystem(n, p, s, tuple(eqs))

@@ -99,7 +99,7 @@ def _built_once(build, owner, ledger: CostLedger | None, *args) -> BlockEncoding
 
 
 def recover_vector(be_xxT: BlockEncoding,
-                   sign_reference: np.ndarray | None = None) -> np.ndarray:
+                   sign_reference: np.ndarray) -> np.ndarray:
     """Dominant eigenvector of the encoded rank-one operator, scaled to x.
 
     The outer product fixes x only up to a global sign; the reference picks
@@ -110,7 +110,7 @@ def recover_vector(be_xxT: BlockEncoding,
     w, v = np.linalg.eigh(m)
     lam = max(float(w[-1]), 0.0)
     x = np.sqrt(lam) * v[:, -1]
-    if sign_reference is not None and float(np.dot(x, sign_reference)) < 0:
+    if float(np.dot(x, sign_reference)) < 0:
         x = -x
     if debug_enabled():
         rest = np.max(np.abs(w[:-1])) if w.size > 1 else 0.0
@@ -191,10 +191,10 @@ def _sandwich(be_mid: BlockEncoding, be_xxT: BlockEncoding, p: int, k: int,
                b.cost + extra_cost)
 
 
-def build_P(be_m: BlockEncoding, be_xxT: BlockEncoding, p: int, n: int,
+def build_P(be_m: BlockEncoding, be_xxT: BlockEncoding, p: int,
             ledger: CostLedger | None = None) -> BlockEncoding:
     """Encoding of (I x (xx^T)^{p-1} x I) M (I x (xx^T)^{p}), alpha = p s."""
-    eye = np.eye(n ** (p + 1))
+    eye = np.eye(be_m.logical_dim)
     return _sandwich(be_m, be_xxT, p, p - 1, eye, eye, ledger)
 
 
@@ -221,6 +221,19 @@ def _reference(n: int, x_ref: np.ndarray | None,
     return refu, gamma
 
 
+def _frame(n: int, p: int, refu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corner columns E[:, j] = e_j x (H_r e_0)^{p}, U[:, i] = H_u e_0 x
+    (H_r e_0)^{p-1} x e_i on registers 0 (equation index, most significant)
+    .. p, H_r the reference's Householder and H_u the uniform one: the
+    Jacobian's corner is U^T P E, the right-hand side's E^T (T A T) U."""
+    dims, vref = (n,) * (p + 1), _householder_map(refu)
+    e = _kron_apply([None] + [vref] * p, np.kron(np.eye(n), np.eye(n ** p, 1)),
+                    dims)
+    u = _kron_apply([_householder_uniform(n)] + [vref] * (p - 1) + [None],
+                    np.eye(n ** (p + 1), n), dims)
+    return e, u
+
+
 def _amplify_to_unit(be: BlockEncoding,
                      ledger: CostLedger | None) -> BlockEncoding:
     """Amplify toward alpha = 1 as far as the block norm leaves headroom."""
@@ -242,17 +255,10 @@ def jacobian_sandwich_be(system: PolynomialSystem, be_xxT: BlockEncoding,
     n, p = system.n, system.p
     refu, gamma = _reference(n, x_ref, x)
     be_m = _built_once(build_M_blockdiag, system, ledger)
-    # P acts on registers 0 (equation index) and 1..p (tensor factors).  After
-    # the register permutations, column j of the corner is e_j on register 0
-    # and row i is e_i on register p; Householders rotate e_0 on the others.
-    dims, vref = (n,) * (p + 1), _householder_map(refu)
-    f = _kron_apply([None] + [vref] * p, np.kron(np.eye(n), np.eye(n ** p, 1)),
-                    dims)
-    g = _kron_apply([_householder_uniform(n).T] + [vref.T] * (p - 1) + [None],
-                    np.eye(n ** (p + 1), n), dims)
+    e, u = _frame(n, p, refu)
     intended = (gamma ** (2 * p - 1) * jacobian(system, x).T / np.sqrt(n)
                 if debug_enabled() else None)
-    out = _sandwich(be_m, be_xxT, p, p - 1, g, f, ledger, intended, 2.0)
+    out = _sandwich(be_m, be_xxT, p, p - 1, u, e, ledger, intended, 2.0)
     if ledger is not None:
         ledger.charge("gradient_sandwich", primitive=2.0)
     return out, gamma
@@ -274,16 +280,10 @@ def rhs_be(system: PolynomialSystem, be_xxT: BlockEncoding, x: np.ndarray,
     n, p = system.n, system.p
     refu, gamma = _reference(n, x_ref, x)
     be_a = _built_once(build_A_blockdiag, system, ledger)
-    # registers as in jacobian_sandwich_be; for T A T, T = I x (xx^T)^{p},
-    # column j is e_j on register p and row i is e_i on register 0
-    dims, vref = (n,) * (p + 1), _householder_map(refu)
-    f = _kron_apply([_householder_uniform(n)] + [vref] * (p - 1) + [None],
-                    np.eye(n ** (p + 1), n), dims)
-    g = _kron_apply([None] + [vref.T] * p,
-                    np.kron(np.eye(n), np.eye(n ** p, 1)), dims)
+    e, u = _frame(n, p, refu)
     intended = (gamma ** (2 * p - 1) * np.outer(evaluate(system, x), x)
                 / np.sqrt(n) if debug_enabled() else None)
-    out = _sandwich(be_a, be_xxT, p, p, g, f, ledger, intended, 2.0)
+    out = _sandwich(be_a, be_xxT, p, p, e, u, ledger, intended, 2.0)
     if ledger is not None:
         ledger.charge("rhs_sandwich", primitive=2.0)
     return out
@@ -448,8 +448,7 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
 
 
 def newton_solve(system, x0: np.ndarray, t: int, cfg: InversionConfig, *,
-                 gamma_reference: str = "e1",
-                 ledger: CostLedger | None = None
+                 gamma_reference: str = "e1"
                  ) -> tuple[NewtonState, NewtonTrace]:
     """Run t simulated Newton steps from the encoding of x0 x0^T.
 
@@ -478,7 +477,7 @@ def newton_solve(system, x0: np.ndarray, t: int, cfg: InversionConfig, *,
     dim = system.n ** (poly.p + 1) if poly is not None else system.n
     if dim > DESK_SCALE_CAP:
         raise DeskScaleError(f"logical_dim {dim} exceeds cap {DESK_SCALE_CAP}")
-    led = ledger.copy() if ledger is not None else CostLedger()
+    led = CostLedger()
     be0 = be_from_vector(x0, led)
     eps_step = cfg.eps / (3.0 * max(t, 1))
     step_cfg = InversionConfig(cfg.sigma_floor, eps_step, cfg.backend)

@@ -44,10 +44,6 @@ class InversionConfig:
         if self.backend not in ("exact", "poly"):
             raise InputError(f"unknown backend {self.backend!r}")
 
-    @property
-    def polynomial(self) -> bool:
-        return self.backend == "poly"
-
 
 @dataclass(frozen=True, eq=False)
 class OddPolynomial:
@@ -225,12 +221,12 @@ def sv_invert(be: BlockEncoding, cfg: InversionConfig,
         raise ConditioningError(
             f"singular value {worst:.3e} in the dead band [sigma/2, sigma); "
             f"condition exceeds 1/sigma = {1.0 / sigma:.3e}")
-    with np.errstate(divide="ignore"):
-        g_exact = np.where(alive, np.clip(
-            np.where(s > 0, sigma / np.maximum(s, 1e-300), 0.0), 0.0, 1.0), 0.0)
+    g_exact = np.where(alive, np.clip(sigma / np.maximum(s, 1e-300), 0.0, 1.0),
+                       0.0)
     alpha_out = 1.0
     g = g_exact
-    if cfg.polynomial:
+    polynomial = cfg.backend == "poly"
+    if polynomial:
         q, headroom = backend_inverse_poly(sigma, cfg.eps)
         g = np.where(alive, np.asarray(q(s), dtype=np.float64), 0.0)
         alpha_out = 1.0 / headroom
@@ -244,7 +240,7 @@ def sv_invert(be: BlockEncoding, cfg: InversionConfig,
                 else None)
     # cfg.eps bounds the polynomial's error on the fit grid only; off the
     # grid it can be slightly larger (see backend_inverse_poly)
-    eps_out = be.eps / sigma + (cfg.eps if cfg.polynomial else 0.0)
+    eps_out = be.eps / sigma + (cfg.eps if polynomial else 0.0)
     return _mk(out_block, alpha_out, eps_out, intended, charge)
 
 

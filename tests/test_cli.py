@@ -54,14 +54,25 @@ def test_gen_gpe_small_grid_usage_error(tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("option", [["--dt", "inf"], ["--hbar2m", "nan"]],
-                         ids=["dt-inf", "hbar2m-nan"])
+@pytest.mark.parametrize("option", [["--dt", "inf"], ["--hbar2m", "nan"],
+                                    ["--scale", "nan"]],
+                         ids=["dt-inf", "hbar2m-nan", "scale-nan"])
 def test_gen_gpe_non_finite_parameter_is_input_error(tmp_path, capsys, option):
     base = {"--nx": "3", "--g": "1", "--dt": "0.05", "--dx": "0.5"}
     base[option[0]] = option[1]
     out = tmp_path / "g.qnls"
     rc = main(["gen-gpe", *[t for kv in base.items() for t in kv],
                "--out", str(out)])
+    assert rc == 1
+    assert "error: parameters must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_lv_non_finite_scale_is_input_error(tmp_path, capsys):
+    out = tmp_path / "lv.qnls"
+    rc = main(["gen-lv", "--alpha", "1", "--beta", "1", "--gamma", "1",
+               "--delta", "1", "--dt", "0.1", "--steps", "3", "--v0", "1.2",
+               "--p0", "0.9", "--scale", "inf", "--out", str(out)])
     assert rc == 1
     assert "error: parameters must be finite" in capsys.readouterr().err
     assert not out.exists()
@@ -363,6 +374,46 @@ def test_equation_count_beyond_the_file_is_parse_error(tmp_path, capsys, kind,
     assert capsys.readouterr().err == ("parse error: n = 100000000000, but "
                                        f"the file has room for {room} "
                                        "equation blocks\n")
+
+
+@pytest.mark.parametrize("extra", ["equation 2\n{block}end\n", "end\n"],
+                         ids=["third-block", "stray-line"])
+@pytest.mark.parametrize("kind, block", [
+    ("homogeneous", "a {i} {i} 1\n"), ("mixed", "const 1\nlin {i} 1\n"),
+    ("inhomogeneous", "term\nc {i} 1\nB 0 {i} {i} 1\n")],
+    ids=["homogeneous", "mixed", "inhomogeneous"])
+def test_content_after_the_last_block_is_parse_error(tmp_path, capsys, kind,
+                                                     block, extra):
+    text = f"version 1\nkind {kind}\nn 2\np 1\ns 1\n" + "".join(
+        f"equation {i}\n{block.format(i=i)}end\n" for i in range(2))
+    path = tmp_path / "extra.qnls"
+    path.write_text(text)
+    assert main(["check", "--problem", str(path), "--suite", "gradient"]) == 0
+    capsys.readouterr()
+    path.write_text(text + extra.format(block=block.format(i=0)))
+    rc = main(["solve", "--problem", str(path), "--iters", "1",
+               "--backend", "classical"])
+    assert rc == 2
+    lineno = text.count("\n") + 1
+    assert capsys.readouterr().err == (
+        f"parse error: line {lineno}: content after the last equation block\n")
+
+
+@pytest.mark.parametrize("c_lines, message", [
+    ("c -1 1\n", "'c' index -1 out of range"),
+    ("c 2 1\n", "'c' index 2 out of range"),
+    ("c 0 1\nc 0 2\n", "repeated 'c' index 0")],
+    ids=["negative", "beyond-n", "repeated"])
+def test_bad_inhomogeneous_c_index_is_parse_error(tmp_path, capsys, c_lines,
+                                                   message):
+    path = tmp_path / "c.qnls"
+    path.write_text("version 1\nkind inhomogeneous\nn 2\np 1\ns 1\n"
+                    f"equation 0\nterm\n{c_lines}B 0 0 0 1\nend\n"
+                    "equation 1\nterm\nc 1 1\nend\n")
+    rc = main(["solve", "--problem", str(path), "--iters", "1",
+               "--backend", "classical"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"parse error: equation 0: {message}\n"
 
 
 def test_exact_commands_import_no_scipy(tmp_path):

@@ -231,7 +231,7 @@ PAPER_CUBIC = [
 
 def test_homogenize_paper_cubic_structure():
     hom = homogenize_odd(PAPER_CUBIC)
-    assert hom.n == 4 and hom.p == 2 and hom.degree == 4
+    assert hom.n == 4 and hom.p == 2
     rng = np.random.default_rng(3)
     for _ in range(10):
         xyz = rng.uniform(-1, 1, 3)

@@ -85,10 +85,10 @@ def test_build_a_halves_blocks():
 def test_build_p_zero_point_and_basis(diag_system):
     be_m = build_M_blockdiag(diag_system)
     be0 = be_from_vector(np.zeros(2))
-    p0 = build_P(be_m, be0, 1, 2)
+    p0 = build_P(be_m, be0, 1)
     assert np.linalg.norm(p0.extract(), 2) <= 1e-11
     bex = be_from_vector(np.array([1.0, 0.0]))
-    p1 = build_P(be_m, bex, 1, 2)
+    p1 = build_P(be_m, bex, 1)
     expected = np.zeros((4, 4))
     expected[:2, :2] = np.outer(gradient_md(diag_system, 0, np.array([1.0, 0.0])),
                                 [1.0, 0.0])
@@ -101,7 +101,7 @@ def test_build_p_random_matches_gradient_oracle():
     x = rng.uniform(-0.5, 0.5, 2)
     bex = be_from_vector(x)
     be_m = build_M_blockdiag(system)
-    be_p = build_P(be_m, bex, 2, 2)
+    be_p = build_P(be_m, bex, 2)
     xxt = np.outer(x, x)
     expected = np.zeros((8, 8))
     for i in range(2):
