@@ -4,10 +4,11 @@
 Runs the README's CLI commands, the `--gamma-ref e1` and `x0` solves (LV
 and GPE), a 3-step GPE solve (whose later steps reuse the encodings built
 on the first), a classical `resources` run, an LV solve and the 3-step
-GPE solve with QNLS_DEBUG=1 (set for those commands only), and a classical
-solve and a check of a small inhomogeneous problem with a nonzero root
-(written by this script) through `qnls.cli.main` in a temporary
-directory. Prints one
+GPE solve with QNLS_DEBUG=1 (set for those commands only), a solve and a
+check of the random homogeneous problem, a one-step poly-backend LV solve,
+and a classical solve and a check of a small inhomogeneous problem with a
+nonzero root (written by this script) through `qnls.cli.main` in a
+temporary directory. Prints one
 `exit <code>  <command name>` line per command, then one
 `<sha256>  <name>` line per written file and per captured stdout and
 stderr. To check that a change keeps every artifact, run it against both
@@ -84,6 +85,14 @@ COMMANDS = [
                             "--iters 3 --backend classical --trace inh.csv "
                             "--report inh.txt"),
     ("check-inhomogeneous", "check --problem inh.qnls --suite all"),
+    # homogeneous: canonicalized on load, and warned about on solve
+    ("solve-random", "solve --problem rnd.qnls --iters 2 --trace rnd.csv "
+                     "--report rnd.txt"),
+    ("check-random", "check --problem rnd.qnls --suite all"),
+    # degree-67 inverse polynomial, one LP search
+    ("solve-lv-poly", f"solve {LV_RUN} --iters 1 --backend poly "
+                      "--sigma-floor 0.07 --eps 0.3 --trace lv_poly.csv "
+                      "--report lv_poly.txt"),
 ]
 # commands run with QNLS_DEBUG=1, which every encoding verifies under
 DEBUG_COMMANDS = {"solve-lv-debug", "solve-gpe3-debug"}

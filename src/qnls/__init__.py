@@ -19,7 +19,7 @@ from .poly_system import (FactorPermutation, InhomogeneousPolynomial,
                           jacobian, mixed_evaluate, mixed_jacobian,
                           monomials_to_matrix, tensor_power)
 from .problem_io import (parse_problem, parse_problem_file, problem_kind,
-                         write_problem, write_problem_file)
+                         write_problem_file)
 from .problems import (GpeParams, LvParams, gpe_default_guess, gpe_discretize,
                        lv_default_guess, lv_discretize, lv_scaled_root,
                        random_system)

@@ -11,11 +11,11 @@ the dilation only when a caller reads it, and neither the solver path nor
 
 Products, tensor products and sums of contractions are contractions, so
 each new block is checked against norm 1 only as a guard against roundoff.
-That guard, ``verify``'s two checks and the Hermitian check of eigenvalue
-estimation all ask ``_norm_above``: cheap upper bounds on the spectral
-norm (Frobenius, sqrt(||B||_1 ||B||_inf), then the Gram row-sum bound)
-first, and the dense spectral-norm SVD only for a matrix they cannot
-place below the bound.
+That guard, ``verify``'s two checks, the overflow check of amplification
+and the Hermitian check of eigenvalue estimation all ask ``_norm_above``:
+two cheap upper bounds on the spectral norm (Frobenius, then
+sqrt(||B||_1 ||B||_inf)) first, and the dense spectral-norm SVD only for
+a matrix they cannot place below the bound.
 
 Only under QNLS_DEBUG=1 do the leaf constructors attach the intended
 matrix; every operation carries it through and re-checks the encoding.
@@ -153,23 +153,20 @@ def _norm_above(m: np.ndarray, bound: float) -> float | None:
     """||m||_2 when it exceeds bound, else None.
 
     A cheap upper bound that proves ||m||_2 <= bound (1 - margin) answers
-    None at once: min(||m||_F, sqrt(||m||_1 ||m||_inf)), which costs O(k^2)
-    on a k x k matrix, then sqrt(||m^* m||_inf), which costs one matrix
-    product.  Only when neither certifies does the dense spectral-norm SVD
-    run and decide.  A NaN bound or a non-finite m fails every comparison,
-    so neither is ever certified.
+    None at once: ||m||_F, then sqrt(||m||_1 ||m||_inf), each O(k^2) on a
+    k x k matrix.  Only when neither certifies does the dense
+    spectral-norm SVD run and decide.  A NaN bound or a non-finite m fails
+    every comparison, so neither is ever certified.
 
     A certified m is one whose dense norm would also come out <= bound, so
     skipping the SVD changes no verdict.  With u = 2^-53, the Frobenius norm
-    sums k^2 squares and is within (k^2/2) u of the true value; the 1- and
-    inf-norm sums are within k u; and the Gram bound is within (k^2/2) u
-    too, since the rounding of m^* m is at most k u ||m||_1 ||m||_inf <=
-    k^2 u ||m||_2^2.  Underflow in the squares adds under 1e-300, far below
-    the smallest squared bound here (1e-20).  The SVD's own error is a small
-    multiple of k u ||m||_2, so margin = (k^2/2 + 64 k) u suffices: a
-    certified m has ||m||_2 <= (1 - margin)(1 + (k^2/2) u) bound
-    < (1 - 64 k u) bound.  The margin is 3.5e-11 at k = 729 and 9.6e-10 at
-    the desk-scale cap k = 4096.
+    sums k^2 squares and is within (k^2/2) u of the true value, and the 1-
+    and inf-norm sums are within k u.  Underflow in the squares adds under
+    1e-300, far below the smallest squared bound here (1e-20).  The SVD's
+    own error is a small multiple of k u ||m||_2, so margin =
+    (k^2/2 + 64 k) u suffices: a certified m has ||m||_2 <= (1 - margin)
+    (1 + (k^2/2) u) bound < (1 - 64 k u) bound.  The margin is 3.5e-11 at
+    k = 729 and 9.6e-10 at the desk-scale cap k = 4096.
     """
     k = max(m.shape)
     certified = bound * (1.0 - (k * k / 2 + 64 * k) * 2.0 ** -53)
@@ -177,9 +174,6 @@ def _norm_above(m: np.ndarray, bound: float) -> float | None:
         return None
     a = np.abs(m)
     if np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()) <= certified:
-        return None
-    gram = m.conj().T @ m
-    if np.sqrt(np.abs(gram, out=gram).sum(axis=1).max()) <= certified:
         return None
     nrm = np.linalg.norm(m, 2)
     return None if nrm <= bound else nrm
@@ -195,8 +189,7 @@ def _mk(block: np.ndarray, alpha: float, eps: float, intended,
     most 9.6e-10 for a k x k block, so skipping it changes no block,
     alpha, eps or exception.
     """
-    nrm = _norm_above(block, 1.0)
-    if nrm is not None:
+    if (nrm := _norm_above(block, 1.0)) is not None:
         if nrm > 1.0 + 1e-9:
             raise CompositionError(f"block norm {nrm:.6f} exceeds 1; cannot dilate")
         block = block / nrm
@@ -382,19 +375,18 @@ def be_amplify(be: BlockEncoding, factor: float,
     The represented matrix extract() is unchanged; only the subnormalization
     headroom is consumed.  Requires factor * ||block|| <= 1 - 1e-6.
     """
-    if factor < 1.0:
-        raise InputError("amplification factor must be >= 1")
+    if not 1.0 <= factor < np.inf:
+        raise InputError("amplification factor must be finite and >= 1")
     if factor == 1.0:
         return be
-    nrm = float(np.linalg.norm(be.block, 2))
-    if factor * nrm > 1.0 - 1e-6 + 1e-9:
+    amped = factor * be.block  # a contraction once the check passes: no _mk guard
+    if (nrm := _norm_above(amped, 1.0 - 1e-6 + 1e-9)) is not None:
         raise AmplificationOverflowError(
-            f"factor {factor:.4g} * block norm {nrm:.4g} exceeds 1 - 1e-6")
+            f"factor {factor:.4g} * block norm {nrm / factor:.4g} exceeds 1 - 1e-6")
     charge = factor * _log2(factor / _eps_units(be.eps))
     if ledger is not None:
         ledger.charge("amplify", amplification=charge)
-    # the check above leaves the new block a contraction: no _mk guard
-    return BlockEncoding(factor * be.block, be.alpha / factor, be.eps,
+    return BlockEncoding(amped, be.alpha / factor, be.eps,
                          be.intended, be.cost * max(charge, 1.0))
 
 

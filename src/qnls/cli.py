@@ -48,6 +48,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of the seed options: numpy rejects a negative seed."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qnls", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -63,7 +70,7 @@ def _build_parser() -> _Parser:
     check.add_argument("--suite", required=True,
                        help="comma list of appendixA,appendixB,euler,gradient,"
                             "scaling or 'all'")
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--seed", type=nonnegative_int, default=0)
 
     lv = sub.add_parser("gen-lv", help="generate a Lotka-Volterra problem")
     for name in ("alpha", "beta", "gamma", "delta", "dt", "v0", "p0"):
@@ -81,7 +88,7 @@ def _build_parser() -> _Parser:
                      help="constant potential value")
     gpe.add_argument("--dt", type=float, required=True)
     gpe.add_argument("--dx", type=float, required=True)
-    gpe.add_argument("--psi-seed", type=int, default=0,
+    gpe.add_argument("--psi-seed", type=nonnegative_int, default=0,
                      help="seed for the random previous slice")
     gpe.add_argument("--scale", type=float, default=None)
     gpe.add_argument("--out", required=True)
@@ -90,7 +97,7 @@ def _build_parser() -> _Parser:
     rnd.add_argument("--n", type=int, required=True)
     rnd.add_argument("--p", type=int, required=True)
     rnd.add_argument("--s", type=int, required=True)
-    rnd.add_argument("--seed", type=int, required=True)
+    rnd.add_argument("--seed", type=nonnegative_int, required=True)
     rnd.add_argument("--out", required=True)
 
     res = sub.add_parser("resources", help="ledger-only run plus classical count")
@@ -107,7 +114,7 @@ def _add_run_args(p) -> None:
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--sigma-floor", type=float, default=1e-3)
     p.add_argument("--x0", help="initial guess file (one value per line)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=nonnegative_int, default=0,
                    help="seed for the random initial guess")
     p.add_argument("--gamma-ref", choices=("e1", "x0", "previous"),
                    default="previous")
@@ -157,20 +164,19 @@ def _run_solver(problem, args):
         ledger = CostLedger()
         f_eval, j_eval = system_evaluators(problem)
         try:
-            tr = classical_newton(f_eval, j_eval, x0, args.iters, tol=0.0)
-            halted = None
+            tr, halted = classical_newton(f_eval, j_eval, x0, args.iters), None
         except SingularJacobianError as exc:
             tr, halted = exc.partial, str(exc)
         lu, grad, ev = _classical_counts(problem)
-        rows = []
-        for k, (x, r) in enumerate(zip(tr.iterates, tr.residuals)):
-            if k > 0:
-                ledger.charge("classical_lu", primitive=float(lu))
-                ledger.charge("classical_gradient", primitive=float(grad))
-                ledger.charge("classical_evaluate", oracle=float(ev))
-            rows.append(TraceRow(k, float(r), float(np.dot(x, x)), None, None,
-                                 ledger.oracle_queries, ledger.primitive_ops,
-                                 ledger.amplification_cost))
+        steps = len(tr.iterates) - 1
+        ledger.charge("classical_lu", primitive=float(steps * lu))
+        ledger.charge("classical_gradient", primitive=float(steps * grad))
+        ledger.charge("classical_evaluate", oracle=float(steps * ev))
+        # the counts are integers far below 2^53 for any n whose dense
+        # Jacobian fits in memory, so these products equal the running sums
+        rows = [TraceRow(k, float(r), float(np.dot(x, x)), None, None,
+                         float(k * ev), float(k * (lu + grad)), 0.0)
+                for k, (x, r) in enumerate(zip(tr.iterates, tr.residuals))]
         return NewtonTrace(rows, halted), ledger, 0.0
     inv_cfg = InversionConfig(args.sigma_floor, args.eps, args.backend)
     state, trace = newton_solve(problem, x0, args.iters, inv_cfg,

@@ -407,6 +407,8 @@ class InhomogeneousSystem:
     equations: tuple[InhomogeneousPolynomial, ...]
 
     def __post_init__(self):
+        if self.n <= 0:
+            raise InputError("n must be positive")
         if len(self.equations) != self.n:
             raise InputError("need n equations")
         for g in self.equations:

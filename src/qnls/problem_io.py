@@ -40,8 +40,9 @@ def problem_kind(problem: Problem) -> str:
     raise ParseError(f"unsupported problem type {type(problem).__name__}")
 
 
-def write_problem(problem: Problem, stream: TextIO) -> None:
+def dumps_problem(problem: Problem) -> str:
     kind = problem_kind(problem)
+    stream = io.StringIO()
     stream.write("version 1\n")
     stream.write(f"kind {kind}\n")
     stream.write(f"n {problem.n}\n")
@@ -85,6 +86,7 @@ def write_problem(problem: Problem, stream: TextIO) -> None:
                     for r, c, v in bmat.entries() if bmat.nnz else [(0, 0, 0.0)]:
                         stream.write(f"B {k} {r} {c} {_fmt(v)}\n")
             stream.write("end\n")
+    return stream.getvalue()
 
 
 def _inhomog_sparsity(problem: InhomogeneousSystem) -> int:
@@ -112,12 +114,6 @@ def atomic_write(path: str, text: str) -> None:
 
 def write_problem_file(problem: Problem, path: str) -> None:
     atomic_write(path, dumps_problem(problem))
-
-
-def dumps_problem(problem: Problem) -> str:
-    buf = io.StringIO()
-    write_problem(problem, buf)
-    return buf.getvalue()
 
 
 class _Lines:

@@ -18,12 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .block_encoding import (BlockEncoding, CostLedger, _eps_units, _log2,
-                             _mk, _product_budget, _sparse_budget,
+from .block_encoding import (BlockEncoding, CostLedger, _Budget, _eps_units,
+                             _log2, _mk, _product_budget, _sparse_budget,
                              _sum_budget, _tensor_budget, be_amplify,
-                             be_from_sparse, be_from_vector, be_identity,
-                             be_outer, be_product, be_rescale, be_sum,
-                             be_transpose, debug_enabled)
+                             be_from_sparse, be_from_vector, be_outer,
+                             be_product, be_rescale, be_sum, be_transpose,
+                             debug_enabled)
 from .errors import (CompositionError, ConditioningError,
                      DegenerateReferenceError, DeskScaleError, InputError,
                      InvariantViolationError, RescaleRequiredError,
@@ -84,14 +84,14 @@ class _ChargeLog(list):
         self.append((label, amounts))
 
 
-def _built_once(build, owner, ledger: CostLedger | None, *args) -> BlockEncoding:
-    """build(owner, *args), built once per owner, args and QNLS_DEBUG mode;
-    every call replays the build's ledger charges in their order.  The memo
-    is kept in the owner's instance dict, so it dies with the owner."""
+def _built_once(build, owner, ledger: CostLedger | None) -> BlockEncoding:
+    """build(owner), built once per owner and QNLS_DEBUG mode; every call
+    replays the build's ledger charges in their order.  The memo is kept in
+    the owner's instance dict, so it dies with the owner."""
     memo = vars(owner).setdefault("_built", {})
-    key = (build, debug_enabled(), *args)
+    key = (build, debug_enabled())
     if key not in memo:
-        memo[key] = build(owner, *args, ledger=(log := _ChargeLog())), log
+        memo[key] = build(owner, ledger=(log := _ChargeLog())), log
     be, log = memo[key]
     for label, amounts in log if ledger is not None else ():
         ledger.charge(label, **amounts)
@@ -167,14 +167,15 @@ def build_A_blockdiag(system: PolynomialSystem,
 def _sandwich(be_mid: BlockEncoding, be_xxT: BlockEncoding, p: int, k: int,
               g: np.ndarray, f: np.ndarray, ledger: CostLedger | None,
               intended: np.ndarray | None = None,
-              extra_cost: float = 0.0) -> BlockEncoding:
+              label: str | None = None) -> BlockEncoding:
     """Encoding of G^T L Mid R F, L = I x (xx^T)^{k} x I^{p-k}, R = I x (xx^T)^{p}.
 
     L and R act through their Kronecker factors on the m columns of G and
-    F: O(N^2 m) for N = n^{p+1}, not the O(N^3) of L Mid R.  Budget (plus
-    extra_cost) and charges are those of L (Mid R), L = R when k = p; the
+    F: O(N^2 m) for N = n^{p+1}, not the O(N^3) of L Mid R.  Budget and
+    charges are those of L (Mid R), L = R when k = p; a labelled sandwich
+    adds 2 to the cost and charges the label 2 primitive ops.  The
     operands' intended matrices give the default intended."""
-    eye = be_identity(be_xxT.logical_dim)
+    eye = _Budget(1.0, 0.0, 1.0)          # an exact identity register
     left = _tensor_budget([eye] + [be_xxT] * k + [eye] * (p - k), ledger)
     right = left if k == p else _tensor_budget([eye] + [be_xxT] * p, ledger)
     b = _product_budget(left, _product_budget(be_mid, right, ledger), ledger)
@@ -187,8 +188,11 @@ def _sandwich(be_mid: BlockEncoding, be_xxT: BlockEncoding, p: int, k: int,
     if intended is None and be_mid.intended is not None \
             and be_xxT.intended is not None:
         intended = corner(be_xxT.intended, be_mid.intended)
-    return _mk(corner(be_xxT.block, be_mid.block), b.alpha, b.eps, intended,
-               b.cost + extra_cost)
+    out = _mk(corner(be_xxT.block, be_mid.block), b.alpha, b.eps, intended,
+              b.cost + (2.0 if label is not None else 0.0))
+    if label is not None and ledger is not None:
+        ledger.charge(label, primitive=2.0)
+    return out
 
 
 def build_P(be_m: BlockEncoding, be_xxT: BlockEncoding, p: int,
@@ -258,10 +262,8 @@ def jacobian_sandwich_be(system: PolynomialSystem, be_xxT: BlockEncoding,
     e, u = _frame(n, p, refu)
     intended = (gamma ** (2 * p - 1) * jacobian(system, x).T / np.sqrt(n)
                 if debug_enabled() else None)
-    out = _sandwich(be_m, be_xxT, p, p - 1, u, e, ledger, intended, 2.0)
-    if ledger is not None:
-        ledger.charge("gradient_sandwich", primitive=2.0)
-    return out, gamma
+    return _sandwich(be_m, be_xxT, p, p - 1, u, e, ledger, intended,
+                     "gradient_sandwich"), gamma
 
 
 def jacobian_be(system: PolynomialSystem, be_xxT: BlockEncoding,
@@ -283,10 +285,7 @@ def rhs_be(system: PolynomialSystem, be_xxT: BlockEncoding, x: np.ndarray,
     e, u = _frame(n, p, refu)
     intended = (gamma ** (2 * p - 1) * np.outer(evaluate(system, x), x)
                 / np.sqrt(n) if debug_enabled() else None)
-    out = _sandwich(be_a, be_xxT, p, p, e, u, ledger, intended, 2.0)
-    if ledger is not None:
-        ledger.charge("rhs_sandwich", primitive=2.0)
-    return out
+    return _sandwich(be_a, be_xxT, p, p, e, u, ledger, intended, "rhs_sandwich")
 
 
 def norm_estimate(be_xxT: BlockEncoding, eps: float,

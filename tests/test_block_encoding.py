@@ -14,6 +14,8 @@ from qnls import (AmplificationOverflowError, BlockEncoding,
                   be_transpose, min_eigenvalue)
 from qnls.block_encoding import _UNITARITY_TOL, _mk, _norm_above
 
+from conftest import count_two_norms
+
 
 def random_contraction(rng, d, scale=0.4):
     return be_of_matrix(rng.uniform(-scale, scale, (d, d)) / np.sqrt(d))
@@ -179,6 +181,13 @@ def test_amplify_content_invariance_and_overflow():
         be_amplify(be, 11.0)
     with pytest.raises(InputError):
         be_amplify(be, 0.5)
+    # the check runs on the amplified block, so a tiny block whose
+    # squares underflow is not certified below the bound by accident
+    with pytest.raises(AmplificationOverflowError):
+        be_amplify(be_of_matrix(1e-170 * np.eye(2)), 1e171)
+    for factor in (np.inf, np.nan):
+        with pytest.raises(InputError):
+            be_amplify(be, factor)
 
 
 @pytest.mark.parametrize("d", [4, 9, 16])
@@ -188,18 +197,23 @@ def test_amplify_runs_one_dense_norm(monkeypatch, d):
     monkeypatch.delenv("QNLS_DEBUG", raising=False)
     be = random_contraction(np.random.default_rng(d), d)
     factor = (1.0 - 1e-6) / np.linalg.norm(be.block, 2)
-    real_norm = np.linalg.norm
-    two_norms = []
-
-    def counting_norm(x, ord=None, *args, **kwargs):
-        if ord == 2:
-            two_norms.append(np.shape(x))
-        return real_norm(x, ord, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    two_norms = count_two_norms(monkeypatch)
     amped = be_amplify(be, factor)
     assert two_norms == [(d, d)]
     assert np.array_equal(amped.block, factor * be.block)
+
+
+def test_amplify_with_headroom_runs_no_dense_norm(monkeypatch):
+    # the overflow check asks _norm_above, whose Frobenius bound already
+    # places the amplified block 0.2 I_4 (Frobenius norm 0.4) below
+    # 1 - 1e-6, so no SVD runs
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    be = be_of_matrix(0.1 * np.eye(4))
+    two_norms = count_two_norms(monkeypatch)
+    amped = be_amplify(be, 2.0)
+    assert two_norms == []
+    assert np.array_equal(amped.block, 0.2 * np.eye(4))
+    assert amped.alpha == 0.5
 
 
 def test_transpose_involution_and_content():

@@ -524,3 +524,37 @@ def test_trace_is_valid_csv_on_halt(tmp_path):
     assert set(rows[0]) == {"iter", "residual", "x_norm_sq", "sigma_k",
                             "gamma_k", "oracle_queries", "primitive_ops",
                             "amplification_cost"}
+
+
+@pytest.mark.parametrize("command, option", [
+    ("solve", "--seed"), ("resources", "--seed"), ("check", "--seed"),
+    ("gen-random", "--seed"), ("gen-gpe", "--psi-seed")])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command, option):
+    # numpy's generators reject a negative seed; the parser says so first
+    path = lv_file(tmp_path)
+    args = {
+        "solve": ["--problem", str(path), "--iters", "1"],
+        "resources": ["--problem", str(path), "--iters", "1"],
+        "check": ["--problem", str(path), "--suite", "all"],
+        "gen-random": ["--n", "2", "--p", "1", "--s", "1",
+                       "--out", str(tmp_path / "r.qnls")],
+        "gen-gpe": ["--nx", "4", "--g", "1", "--dt", "0.05", "--dx", "0.5",
+                    "--out", str(tmp_path / "g.qnls")],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *args, option, "-1"]) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: argument {option}: must be non-negative" in err
+    assert not (tmp_path / "r.qnls").exists()
+    assert not (tmp_path / "g.qnls").exists()
+
+
+def test_empty_inhomogeneous_problem_is_parse_error(tmp_path, capsys):
+    # homogeneous and mixed files with n 0 were already rejected
+    path = tmp_path / "empty.qnls"
+    path.write_text("version 1\nkind inhomogeneous\nn 0\np 0\ns 0\n")
+    for args in (["solve", "--problem", str(path), "--iters", "1",
+                  "--backend", "classical"],
+                 ["check", "--problem", str(path), "--suite", "all"]):
+        assert main(args) == 2
+        assert "parse error" in capsys.readouterr().err

@@ -20,6 +20,8 @@ from qnls.quantum_newton import (_blockdiag, _built_once, _ChargeLog,
                                  _householder_map, _householder_uniform,
                                  _reference, system_evaluators)
 
+from conftest import count_two_norms
+
 
 def state_for(x, k=0):
     led = CostLedger()
@@ -424,20 +426,28 @@ def test_certified_blocks_skip_the_norm_svd(monkeypatch):
     params = GpeParams(3, 0.5, 1.0, np.full(3, 0.2), 0.05, 0.5, psi)
     system = gpe_discretize(params)
     big = system.n ** (system.nonlinear.p + 1)
-    real_norm = np.linalg.norm
-    two_norm_dims = []
-
-    def counting_norm(x, ord=None, *args, **kwargs):
-        if ord == 2 and np.ndim(x) == 2:
-            two_norm_dims.append(np.shape(x)[0])
-        return real_norm(x, ord, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    two_norms = count_two_norms(monkeypatch)
     state, trace = newton_solve(system, gpe_default_guess(params), 1, CFG)
     assert trace.halted is None
     assert state.k == 1
-    assert two_norm_dims                 # the n x n checks still run
-    assert big not in two_norm_dims
+    assert two_norms                     # the n x n checks still run
+    assert all(s[0] != big for s in two_norms)
+
+
+def test_each_amplification_runs_one_dense_norm(monkeypatch):
+    # _amplify_to_unit's 2-norm picks the factor; be_amplify's overflow
+    # check asks _norm_above, so it adds no second n x n 2-norm
+    import qnls.quantum_newton as qn
+
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    system, x0, _ = _gpe_nx3()
+    two_norms, amplified = count_two_norms(monkeypatch), []
+    monkeypatch.setattr(qn, "_amplify_to_unit", _spy(
+        amplified, "amplify", qn._amplify_to_unit))
+    state, trace = newton_solve(system, x0, 3, CFG)
+    assert trace.halted is None and state.k == 3
+    assert len(amplified) == 6                   # two per step
+    assert two_norms.count((system.n, system.n)) == 6
 
 
 def test_debug_verify_runs_no_dense_norm(monkeypatch):
