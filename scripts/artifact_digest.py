@@ -6,9 +6,11 @@ and GPE), a 3-step GPE solve (whose later steps reuse the encodings built
 on the first), a classical `resources` run, an LV solve and the 3-step
 GPE solve with QNLS_DEBUG=1 (set for those commands only), a solve and a
 check of the random homogeneous problem, a one-step poly-backend LV solve,
-and a classical solve and a check of a small inhomogeneous problem with a
-nonzero root (written by this script) through `qnls.cli.main` in a
-temporary directory. Prints one
+an LV generation with a given `--scale`, a `resources` run that prints its
+report, a classical solve and a check of a small inhomogeneous problem with
+a nonzero root, and a solve of a mixed problem with entries above 1 that is
+rescaled on load (both problems written by this script) through
+`qnls.cli.main` in a temporary directory. Prints one
 `exit <code>  <command name>` line per command, then one
 `<sha256>  <name>` line per written file and per captured stdout and
 stderr. To check that a change keeps every artifact, run it against both
@@ -52,6 +54,23 @@ B 0 0 1 0.5
 B 0 1 0 0.5
 end
 """
+# f_i = c_i x_i^2 + x_i - 0.2, c = (1.5, 1): rows rescaled by 1/3 and 1/2
+NON_CANONICAL_MIXED = """version 1
+kind mixed
+n 2
+p 1
+s 1
+equation 0
+a 0 0 3
+lin 0 1
+const -0.2
+end
+equation 1
+a 1 1 2
+lin 1 1
+const -0.2
+end
+"""
 LV_RUN = "--problem lv.qnls --x0 lv.qnls.x0"
 GPE_RUN = "--problem gpe.qnls --x0 gpe.qnls.x0 --iters 1"
 COMMANDS = [
@@ -93,6 +112,13 @@ COMMANDS = [
     ("solve-lv-poly", f"solve {LV_RUN} --iters 1 --backend poly "
                       "--sigma-floor 0.07 --eps 0.3 --trace lv_poly.csv "
                       "--report lv_poly.txt"),
+    ("gen-lv-scale", "gen-lv --alpha 1 --beta 1 --gamma 1 --delta 1 --dt 0.1 "
+                     "--steps 3 --v0 1.2 --p0 0.9 --scale 4 --out lv4.qnls"),
+    # the report goes to stdout
+    ("resources-stdout", f"resources {LV_RUN} --iters 2"),
+    # prints the per-row canonical factors note
+    ("solve-mixed-rescaled", "solve --problem big.qnls --x0 big.qnls.x0 "
+                             "--iters 3 --trace big.csv --report big.txt"),
 ]
 # commands run with QNLS_DEBUG=1, which every encoding verifies under
 DEBUG_COMMANDS = {"solve-lv-debug", "solve-gpe3-debug"}
@@ -109,6 +135,8 @@ def main() -> None:
         try:
             Path("inh.qnls").write_text(INHOMOGENEOUS)
             Path("inh.qnls.x0").write_text("0.6\n0.4\n")
+            Path("big.qnls").write_text(NON_CANONICAL_MIXED)
+            Path("big.qnls.x0").write_text("0.3\n0.2\n")
             streams = {}
             for name, cmd in COMMANDS:
                 out, err = io.StringIO(), io.StringIO()

@@ -2,22 +2,22 @@
 Newton-type solver of polynomial systems."""
 
 from .block_encoding import (BlockEncoding, CostLedger, be_amplify,
-                             be_from_sparse, be_from_vector, be_identity,
-                             be_of_matrix, be_outer, be_product, be_rescale,
-                             be_sum, be_tensor, be_transpose, debug_enabled)
+                             be_from_sparse, be_from_vector, be_of_matrix,
+                             be_outer, be_product, be_rescale, be_sum,
+                             be_tensor, be_transpose, debug_enabled)
 from .classical_oracle import ClassicalTrace, classical_newton, residual
 from .errors import (AmplificationOverflowError, CompositionError,
                      ConditioningError, ConfigError, DegenerateReferenceError,
                      DeskScaleError, DimensionMismatchError, InputError,
                      InvariantViolationError, ParseError, QnlsError,
                      RescaleRequiredError, SingularJacobianError)
-from .poly_system import (FactorPermutation, InhomogeneousPolynomial,
-                          InhomogeneousSystem, MixedSystem, PolynomialSystem,
-                          SparseMatrix, canonicalize, canonicalize_mixed,
-                          euler_check, eval_inhomogeneous, evaluate,
-                          gradient_inhomogeneous, gradient_md, homogenize_odd,
-                          jacobian, mixed_evaluate, mixed_jacobian,
-                          monomials_to_matrix, tensor_power)
+from .poly_system import (InhomogeneousPolynomial, InhomogeneousSystem,
+                          MixedSystem, PolynomialSystem, SparseMatrix,
+                          canonicalize, canonicalize_mixed, euler_check,
+                          eval_inhomogeneous, evaluate, gradient_inhomogeneous,
+                          gradient_md, homogenize_odd, jacobian,
+                          mixed_evaluate, mixed_jacobian, monomials_to_matrix,
+                          tensor_power)
 from .problem_io import (parse_problem, parse_problem_file, problem_kind,
                          write_problem_file)
 from .problems import (GpeParams, LvParams, gpe_default_guess, gpe_discretize,

@@ -196,12 +196,6 @@ def _mk(block: np.ndarray, alpha: float, eps: float, intended,
     return BlockEncoding(block, alpha, eps, intended, cost)
 
 
-def be_identity(d: int) -> BlockEncoding:
-    """Exact encoding of the d-dimensional identity."""
-    return BlockEncoding(np.eye(d), 1.0, 0.0,
-                         np.eye(d) if debug_enabled() else None, 1.0)
-
-
 def be_of_matrix(m: np.ndarray, *, eps: float = 0.0) -> BlockEncoding:
     """Encode an explicit contraction m directly (artifact plumbing)."""
     m = np.asarray(m, dtype=np.float64)

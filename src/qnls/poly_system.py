@@ -180,43 +180,14 @@ class SparseMatrix:
         return out
 
 
-@dataclass(frozen=True)
-class FactorPermutation:
-    """Permutation Q_j of the p-fold tensor space swapping factor j to the last slot.
-
-    Indices over n^p are read as base-n digit strings, most significant
-    digit = factor 1. j is 1-based; j = p is the identity.
-    """
-
-    p: int
-    n: int
-    j: int
-
-    def __post_init__(self):
-        if not (1 <= self.j <= self.p):
-            raise InputError("factor index out of range")
-
-    def apply(self, idx: np.ndarray) -> np.ndarray:
-        """Permute flat tensor indices (vectorized, involutive)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        if self.j == self.p:
-            return idx.copy()
-        n, p, j = self.n, self.p, self.j
-        wj = n ** (p - j)          # place value of digit j
-        dj = (idx // wj) % n
-        dp = idx % n               # digit p
-        return idx + (dp - dj) * wj + (dj - dp)
-
-    def conjugate(self, a: SparseMatrix) -> SparseMatrix:
-        """Q_j A Q_j (Q_j is symmetric, so conjugation = index relabeling)."""
-        return SparseMatrix(a.dim_rows, a.dim_cols,
-                            self.apply(a.rows), self.apply(a.cols), a.vals)
-
-    def matrix(self) -> np.ndarray:
-        d = self.n ** self.p
-        m = np.zeros((d, d))
-        m[self.apply(np.arange(d)), np.arange(d)] = 1.0
-        return m
+def _swap_factor(idx: np.ndarray, n: int, p: int, j: int) -> np.ndarray:
+    """Q_j on flat indices over n^p: swap tensor factor j (1-based) with
+    factor p, reading an index as base-n digits, factor 1 most significant.
+    Q_j is an involution, and Q_p the identity."""
+    wj = n ** (p - j)          # place value of digit j
+    dj = (idx // wj) % n
+    dp = idx % n               # digit p
+    return idx + (dp - dj) * wj + (dj - dp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,13 +226,11 @@ class PolynomialSystem:
 
     def m_d(self, i: int) -> SparseMatrix:
         """M_D^i = sum_{j=1}^p Q_j A_i Q_j as one merged sparse matrix."""
-        a = self.equations[i]
-        d = self.n ** self.p
-        qs = [FactorPermutation(self.p, self.n, j) for j in range(1, self.p + 1)]
-        return SparseMatrix.summed(d, d,
-                                   np.concatenate([q.apply(a.rows) for q in qs]),
-                                   np.concatenate([q.apply(a.cols) for q in qs]),
-                                   np.concatenate([a.vals] * self.p))
+        n, p, a = self.n, self.p, self.equations[i]
+        rows, cols = ([_swap_factor(ix, n, p, j) for j in range(1, p + 1)]
+                      for ix in (a.rows, a.cols))
+        return SparseMatrix.summed(n ** p, n ** p, np.concatenate(rows),
+                                   np.concatenate(cols), np.tile(a.vals, p))
 
 
 def _canonical_factor(n: int, p: int, norm: float, ent: float) -> float:

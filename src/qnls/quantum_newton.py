@@ -15,6 +15,7 @@ right-hand-side encoding by construction and never needs amplification.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import (CompositionError, ConditioningError,
                      SingularJacobianError)
 from .poly_system import (DESK_SCALE_CAP, InhomogeneousSystem, MixedSystem,
                           PolynomialSystem, SparseMatrix, evaluate, jacobian,
-                          mixed_evaluate, mixed_jacobian)
+                          mixed_evaluate, mixed_jacobian, tensor_power)
 from .svt import (InversionConfig, max_eigenvalue, min_singular_value,
                   sv_invert)
 
@@ -41,19 +42,16 @@ GAMMA_FLOOR = 1e-4
 # Register helpers
 # ---------------------------------------------------------------------------
 
-def _householder_map(target: np.ndarray) -> np.ndarray:
-    """Symmetric orthogonal matrix sending e_0 to the given unit vector."""
+def _householder_column(target: np.ndarray) -> np.ndarray:
+    """H e_0 for the symmetric orthogonal (Householder) H sending e_0 to the
+    unit vector along target: e_0 - 2 w w_0 / |w|^2, w = v - e_0."""
     v = target / np.linalg.norm(target)
     w = v.copy()
     w[0] -= 1.0
     nw2 = float(np.dot(w, w))
-    if nw2 < 1e-28:
-        return np.eye(v.size)
-    return np.eye(v.size) - 2.0 * np.outer(w, w) / nw2
-
-
-def _householder_uniform(n: int) -> np.ndarray:
-    return _householder_map(np.full(n, 1.0 / np.sqrt(n)))
+    e0 = np.zeros(v.size)
+    e0[0] = 1.0
+    return e0 if nw2 < 1e-28 else e0 - 2.0 * (w * w[0]) / nw2
 
 
 def _kron_apply(ops, cols: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
@@ -230,11 +228,11 @@ def _frame(n: int, p: int, refu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (H_r e_0)^{p-1} x e_i on registers 0 (equation index, most significant)
     .. p, H_r the reference's Householder and H_u the uniform one: the
     Jacobian's corner is U^T P E, the right-hand side's E^T (T A T) U."""
-    dims, vref = (n,) * (p + 1), _householder_map(refu)
-    e = _kron_apply([None] + [vref] * p, np.kron(np.eye(n), np.eye(n ** p, 1)),
-                    dims)
-    u = _kron_apply([_householder_uniform(n)] + [vref] * (p - 1) + [None],
-                    np.eye(n ** (p + 1), n), dims)
+    h = _householder_column(refu)
+    hu = _householder_column(np.full(n, 1.0 / np.sqrt(n)))
+    e = np.kron(np.eye(n), tensor_power(h, p)[:, None])
+    # fold from H_u e_0: the product grouping of one register at a time
+    u = np.kron(reduce(np.kron, [h] * (p - 1), hu)[:, None], np.eye(n))
     return e, u
 
 
@@ -435,7 +433,9 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
     summed = be_sum(terms, [1, -1, -1, 1], led)            # scale * x' x'^T
     out = _amplify_to_unit(be_rescale(summed, 1.0 / scale), led)
 
-    x_next = recover_vector(out, sign_reference=x)
+    # x' x'^T fixes x' up to sign; tr(scale x x^T) - tr(scale d x^T) = scale x'.x
+    overlap = np.trace(terms[0].extract()) - np.trace(t2.extract())
+    x_next = recover_vector(out, sign_reference=x if overlap >= 0 else -x)
     if debug_enabled():
         f_eval, j_eval = system_evaluators(system)
         x_classical = x - np.linalg.solve(j_eval(x), f_eval(x))

@@ -9,7 +9,7 @@ from qnls import (AmplificationOverflowError, BlockEncoding,
                   CompositionError, CostLedger, DimensionMismatchError,
                   InputError, InvariantViolationError, QnlsError,
                   RescaleRequiredError, SparseMatrix, be_amplify,
-                  be_from_sparse, be_from_vector, be_identity, be_of_matrix,
+                  be_from_sparse, be_from_vector, be_of_matrix,
                   be_outer, be_product, be_rescale, be_sum, be_tensor,
                   be_transpose, min_eigenvalue)
 from qnls.block_encoding import _UNITARITY_TOL, _mk, _norm_above
@@ -120,7 +120,7 @@ def test_outer_encoding():
 # ---------------------------------------------------------------------------
 
 def test_product_identity_and_scalar_blocks():
-    be_i = be_identity(2)
+    be_i = be_of_matrix(np.eye(2))
     assert np.allclose(be_product(be_i, be_i).extract(), np.eye(2))
     half = be_of_matrix(0.5 * np.eye(2))
     sq = be_product(half, half)
@@ -144,7 +144,7 @@ def test_tensor_single_identity_and_triple():
     assert be_tensor([a]) is a
     x = np.array([0.6, 0.8])
     be_x = be_from_vector(x)
-    bi = be_identity(2)
+    bi = be_of_matrix(np.eye(2))
     t = be_tensor([bi, be_x])
     assert np.allclose(t.extract(), np.kron(np.eye(2), np.outer(x, x)),
                        atol=1e-11)

@@ -558,3 +558,77 @@ def test_empty_inhomogeneous_problem_is_parse_error(tmp_path, capsys):
                  ["check", "--problem", str(path), "--suite", "all"]):
         assert main(args) == 2
         assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, block, note", [
+    ("homogeneous", "a {i} {i} 4\n", "note: canonical rescale factor 0.25\n"),
+    ("mixed", "a {i} {i} {v}\nconst 0.1\n",
+     "note: per-row canonical factors in [0.25, 0.5]\n")],
+    ids=["homogeneous", "mixed"])
+def test_non_canonical_problem_prints_its_rescale_note(tmp_path, capsys, kind,
+                                                       block, note):
+    # entries above 1 are rescaled on load, and solve says by how much
+    path = tmp_path / "big.qnls"
+    eqs = "".join(f"equation {i}\n" + block.format(i=i, v=2 + 2 * i) + "end\n"
+                  for i in range(2))
+    path.write_text(f"version 1\nkind {kind}\nn 2\np 1\ns 1\n{eqs}")
+    guess = tmp_path / "x0.txt"
+    guess.write_text("0.5\n0.4\n")
+    rc = main(["solve", "--problem", str(path), "--iters", "1",
+               "--x0", str(guess), "--backend", "classical"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and out.startswith("iter,residual")
+    assert note in err
+
+
+@pytest.mark.parametrize("command, base", [
+    ("gen-lv", ["--alpha", "1", "--beta", "1", "--gamma", "1", "--delta", "1",
+                "--dt", "0.1", "--steps", "3", "--v0", "1.2", "--p0", "0.9"]),
+    ("gen-gpe", ["--nx", "3", "--g", "1", "--dt", "0.05", "--dx", "0.5"])])
+def test_gen_given_scale_divides_the_guess(tmp_path, command, base):
+    # a given --scale is the variable scale: the guess is the physical one
+    # divided by it (GPE keeps its auxiliary unknown at its pin)
+    guesses = {}
+    for scale in ("2", "4"):
+        out = tmp_path / f"s{scale}.qnls"
+        assert main([command, *base, "--scale", scale, "--out", str(out)]) == 0
+        guesses[scale] = np.loadtxt(str(out) + ".x0")
+    head = slice(None) if command == "gen-lv" else slice(0, -1)
+    assert np.allclose(guesses["2"][head], 2.0 * guesses["4"][head],
+                       rtol=1e-15, atol=0)
+    if command == "gen-lv":
+        assert np.allclose(4.0 * guesses["4"], [1.2] * 3 + [0.9] * 3,
+                           rtol=1e-15, atol=0)
+    else:
+        assert guesses["2"][-1] == guesses["4"][-1]
+
+
+def test_solve_classical_singular_jacobian_halts_with_partial_trace(tmp_path,
+                                                                   capsys):
+    # f = x^2 + 0.01 has no real root; from x0 = 0.1 the first Newton step
+    # lands on x = 0 (to roundoff), where the Jacobian 2x is singular
+    path = tmp_path / "noroot.qnls"
+    path.write_text("version 1\nkind mixed\nn 1\np 1\ns 1\n"
+                    "equation 0\nconst 0.01\na 0 0 2\nend\n")
+    guess = tmp_path / "x0.txt"
+    guess.write_text("0.1\n")
+    trace = tmp_path / "t.csv"
+    rc = main(["solve", "--problem", str(path), "--iters", "3", "--x0",
+               str(guess), "--backend", "classical", "--trace", str(trace)])
+    assert rc == 3
+    assert "halted: Jacobian pivot below 1e-12" in capsys.readouterr().err
+    rows = read_rows(trace)
+    assert [r["iter"] for r in rows] == ["0", "1"]
+    assert abs(float(rows[1]["x_norm_sq"])) < 1e-24
+
+
+def test_resources_without_out_prints_the_report(tmp_path, capsys):
+    path = lv_file(tmp_path)
+    run = ["--problem", str(path), "--iters", "2", "--x0", str(path) + ".x0",
+           "--backend", "classical"]
+    rep = tmp_path / "rep.txt"
+    capsys.readouterr()
+    assert main(["resources", *run]) == 0
+    printed = capsys.readouterr().out
+    assert main(["resources", *run, "--out", str(rep)]) == 0
+    assert printed == rep.read_text() and printed.startswith("problem.kind = ")

@@ -3,20 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnls import (DimensionMismatchError, FactorPermutation, InputError,
+from qnls import (DimensionMismatchError, InputError,
                   InhomogeneousPolynomial, MixedSystem, PolynomialSystem,
                   SparseMatrix, canonicalize, euler_check, eval_inhomogeneous,
                   evaluate, gradient_inhomogeneous, gradient_md,
                   homogenize_odd, jacobian, mixed_evaluate, mixed_jacobian,
                   tensor_power)
-from qnls.poly_system import evaluate_monomials, monomials_to_matrix
+from qnls.poly_system import (_swap_factor, evaluate_monomials,
+                              monomials_to_matrix)
 from qnls.problems import random_system
 
 from conftest import fd_gradient, fd_gradient_scalar
 
 
 # ---------------------------------------------------------------------------
-# SparseMatrix and FactorPermutation
+# SparseMatrix and the factor swaps Q_j
 # ---------------------------------------------------------------------------
 
 def test_sparse_rejects_duplicates_and_out_of_range():
@@ -38,22 +39,30 @@ def test_sparse_symmetrize_and_norm():
 def test_factor_permutation_involution(n, p, seed):
     rng = np.random.default_rng(seed)
     j = int(rng.integers(1, p + 1))
-    q = FactorPermutation(p, n, j)
     idx = rng.integers(0, n ** p, size=32)
-    assert np.array_equal(q.apply(q.apply(idx)), idx)
-    # permutation preserves the base-n digit multiset of each index
-    for i in map(int, idx[:8]):
-        digits = sorted(np.base_repr(i, n).zfill(p)) if n > 1 else []
-        moved = sorted(np.base_repr(int(q.apply(np.array([i]))[0]), n).zfill(p))
-        assert digits == moved
+    moved = _swap_factor(idx, n, p, j)
+    assert np.array_equal(_swap_factor(moved, n, p, j), idx)
+    # the swap preserves the base-n digit multiset of each index
+    for i, m in zip(map(int, idx[:8]), map(int, moved[:8])):
+        assert (sorted(np.base_repr(i, n).zfill(p))
+                == sorted(np.base_repr(m, n).zfill(p)))
 
 
-def test_factor_permutation_matrix_is_conjugation():
-    q = FactorPermutation(2, 3, 1)
-    m = np.arange(81, dtype=float).reshape(9, 9)
-    qm = q.matrix()
-    conj = q.conjugate(SparseMatrix.from_dense(m)).to_dense()
-    assert np.allclose(conj, qm @ m @ qm)
+@pytest.mark.parametrize("n, p", [(2, 1), (3, 2), (2, 3), (3, 3)])
+def test_m_d_is_the_sum_of_factor_swap_conjugations(n, p):
+    # M_D^i = sum_j Q_j A_i Q_j with each Q_j the permutation matrix of the swap
+    system = random_system(n, p, 2, seed=10 * n + p)
+    d = n ** p
+    qs = []
+    for j in range(1, p + 1):
+        q = np.zeros((d, d))
+        q[_swap_factor(np.arange(d), n, p, j), np.arange(d)] = 1.0
+        qs.append(q)
+    assert np.array_equal(qs[-1], np.eye(d))
+    for i, a in enumerate(system.equations):
+        dense = a.to_dense()
+        expected = sum(q @ dense @ q for q in qs)
+        assert np.max(np.abs(system.m_d(i).to_dense() - expected)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from qnls import (BlockEncoding, CostLedger, DegenerateReferenceError,
-                  DeskScaleError, FactorPermutation, InputError,
-                  InversionConfig, MixedSystem, NewtonState, PolynomialSystem,
-                  RescaleRequiredError, SparseMatrix, be_from_sparse,
-                  be_from_vector, be_identity, be_product, be_sum, be_tensor,
+                  DeskScaleError, InputError, InversionConfig, MixedSystem,
+                  NewtonState, PolynomialSystem, RescaleRequiredError,
+                  SparseMatrix, be_from_sparse, be_from_vector, be_of_matrix,
+                  be_product, be_sum, be_tensor,
                   be_transpose, build_A_blockdiag,
                   build_M_blockdiag, build_P, classical_newton, evaluate,
                   gradient_md, init_heuristic, jacobian, jacobian_be,
@@ -16,9 +16,9 @@ from qnls import (BlockEncoding, CostLedger, DegenerateReferenceError,
 from qnls.problems import (GpeParams, LvParams, gpe_default_guess,
                            gpe_discretize, lv_default_guess, lv_discretize,
                            random_system)
-from qnls.quantum_newton import (_blockdiag, _built_once, _ChargeLog,
-                                 _householder_map, _householder_uniform,
-                                 _reference, system_evaluators)
+from qnls.poly_system import _swap_factor
+from qnls.quantum_newton import (_blockdiag, _built_once, _ChargeLog, _frame,
+                                 _kron_apply, _reference, system_evaluators)
 
 from conftest import count_two_norms
 
@@ -310,6 +310,30 @@ def test_solve_lv_trace_against_classical():
     assert r[2] <= 100.0 * r[1] ** 2
 
 
+def _mirror_step_system(quadratic):
+    """f_i = 0.5 x_i + 0.1 (+ 0.05 x_i^2): from x0 = (0.3, 0.3) the first
+    Newton step crosses the origin, so x'.x < 0."""
+    eqs = tuple(SparseMatrix.from_entries(2, 2, [(i, i, 0.1)]) for i in range(2))
+    nonlinear = PolynomialSystem(2, 1, 1, eqs) if quadratic else None
+    return MixedSystem(2, np.full(2, 0.1), SparseMatrix.identity(2).scaled(0.5),
+                       nonlinear)
+
+
+@pytest.mark.parametrize("quadratic", [False, True], ids=["linear", "quadratic"])
+def test_step_keeps_the_sign_of_the_newton_iterate(quadratic):
+    # x x^T fixes x' only up to sign; the step's own x'.x picks the branch,
+    # so an iterate that crosses to the far side of the origin is kept
+    system = _mirror_step_system(quadratic)
+    x0 = np.array([0.3, 0.3])
+    _, trace = newton_solve(system, x0, 3, CFG)
+    f, j = system_evaluators(system)
+    res = classical_newton(f, j, x0, 3, tol=0.0).residuals
+    res += res[-1:] * (4 - len(res))          # it stops once at an exact root
+    assert trace.halted is None and len(trace.rows) == 4
+    for row, r in zip(trace.rows, res):
+        assert abs(row.residual - r) <= 1e-9 * res[0]
+
+
 def _lv_t3():
     params = LvParams(1.0, 1.0, 1.0, 1.0, 0.1, 3, 1.2, 0.9)
     return lv_discretize(params), lv_default_guess(params), 3
@@ -526,6 +550,21 @@ def test_solve_checks_the_cap_before_any_encoding(monkeypatch):
 # the sandwich corners against the dense construction they replace
 # ---------------------------------------------------------------------------
 
+def _dense_householder(target):
+    """Symmetric orthogonal matrix sending e_0 to the unit vector along target."""
+    v = target / np.linalg.norm(target)
+    w = v.copy()
+    w[0] -= 1.0
+    nw2 = float(np.dot(w, w))
+    if nw2 < 1e-28:
+        return np.eye(v.size)
+    return np.eye(v.size) - 2.0 * np.outer(w, w) / nw2
+
+
+def _dense_householder_uniform(n):
+    return _dense_householder(np.full(n, 1.0 / np.sqrt(n)))
+
+
 def _dense_perm_order(dims, axes):
     return np.arange(int(np.prod(dims))).reshape(dims).transpose(axes).ravel()
 
@@ -551,16 +590,16 @@ def _dense_jacobian_sandwich(system, be_xxT, x, x_ref, ledger):
     n, p = system.n, system.p
     refu, _ = _reference(n, x_ref, x)
     be_m = _built_once(build_M_blockdiag, system, ledger)
-    left = be_tensor([be_identity(n)] + [be_xxT] * (p - 1) + [be_identity(n)],
-                     ledger)
-    right = be_tensor([be_identity(n)] + [be_xxT] * p, ledger)
+    eye = be_of_matrix(np.eye(n))
+    left = be_tensor([eye] + [be_xxT] * (p - 1) + [eye], ledger)
+    right = be_tensor([eye] + [be_xxT] * p, ledger)
     be_p = be_product(left, be_product(be_m, right, ledger), ledger)
     dims = (n,) * (p + 1)
     sigma1 = _dense_perm_order(dims, (p,) + tuple(range(p - 1)) + (p - 1,))
     sigma2 = _dense_perm_order(dims, tuple(range(1, p)) + (0, p))
     w = be_p.block[:, np.argsort(sigma1)][sigma2, :]
-    w = _dense_apply_left(_householder_uniform(n), w, dims, p - 1)
-    vref = _householder_map(refu)
+    w = _dense_apply_left(_dense_householder_uniform(n), w, dims, p - 1)
+    vref = _dense_householder(refu)
     for ax in range(p - 1):
         w = _dense_apply_left(vref, w, dims, ax)
         w = _dense_apply_right(w, vref, dims, ax)
@@ -574,12 +613,12 @@ def _dense_rhs_sandwich(system, be_xxT, x, x_ref, ledger):
     n, p = system.n, system.p
     refu, _ = _reference(n, x_ref, x)
     be_a = _built_once(build_A_blockdiag, system, ledger)
-    tens = be_tensor([be_identity(n)] + [be_xxT] * p, ledger)
+    tens = be_tensor([be_of_matrix(np.eye(n))] + [be_xxT] * p, ledger)
     be_r = be_product(tens, be_product(be_a, tens, ledger), ledger)
     dims = (n,) * (p + 1)
     sigma3 = _dense_perm_order(dims, (p,) + tuple(range(1, p)) + (0,))
-    w = _dense_apply_right(be_r.block, _householder_uniform(n), dims, 0)
-    vref = _householder_map(refu)
+    w = _dense_apply_right(be_r.block, _dense_householder_uniform(n), dims, 0)
+    vref = _dense_householder(refu)
     for ax in range(1, p):
         w = _dense_apply_right(w, vref, dims, ax)
     w = w[sigma3, :]
@@ -638,11 +677,43 @@ def test_sandwich_corners_match_the_dense_construction(monkeypatch, case):
         assert list(led_fast.notes) == list(led_dense.notes)
 
 
+def _dense_frame(n, p, refu):
+    """E and U as the dense Householders applied to unit columns."""
+    dims, vref = (n,) * (p + 1), _dense_householder(refu)
+    e = _kron_apply([None] + [vref] * p, np.kron(np.eye(n), np.eye(n ** p, 1)),
+                    dims)
+    u = _kron_apply([_dense_householder_uniform(n)] + [vref] * (p - 1) + [None],
+                    np.eye(n ** (p + 1), n), dims)
+    return e, u
+
+
+def test_frame_equals_the_dense_householder_columns():
+    # E and U from Kronecker products of the H e_0 vectors are bitwise the
+    # dense reflections applied to the unit corner columns
+    rng = np.random.default_rng(16)
+    cases = 0
+    for n in range(1, 7):
+        for p in range(1, 5):
+            if n ** (p + 1) > 4096:
+                continue
+            e1 = np.eye(n)[0]
+            for refu in (e1, np.full(n, 1.0 / np.sqrt(n)),
+                         *(r / np.linalg.norm(r)
+                           for r in rng.uniform(-1.0, 1.0, (3, n)))):
+                e, u = _frame(n, p, refu)
+                e_ref, u_ref = _dense_frame(n, p, refu)
+                assert np.array_equal(e, e_ref) and np.array_equal(u, u_ref)
+                cases += 1
+    assert cases == 5 * 23
+
+
 def _summed_parts_m(system, ledger):
     """M as the sum of the p sparse encodings of blockdiag(Q_j A_i Q_j)."""
     n, p, s = system.n, system.p, system.sparsity
-    parts = [be_from_sparse(_blockdiag([FactorPermutation(p, n, j).conjugate(a)
-                                        for a in system.equations]), s, ledger)
+    parts = [be_from_sparse(_blockdiag([
+                 SparseMatrix(a.dim_rows, a.dim_cols, _swap_factor(a.rows, n, p, j),
+                              _swap_factor(a.cols, n, p, j), a.vals)
+                 for a in system.equations]), s, ledger)
              for j in range(1, p + 1)]
     return be_sum(parts, ledger=ledger)
 

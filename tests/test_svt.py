@@ -223,6 +223,31 @@ def test_search_returns_a_locally_minimal_degree(sigma, eps, shrink):
         assert deviation[d - 2] > eps
 
 
+def test_search_falls_back_to_doubling_and_bisection(monkeypatch):
+    # deviations that do not fall leave the secant undefined (5 -> 11), and
+    # so does a zero deviation at a pass (23, then 17): the search then
+    # fits the doubling degree, and after a pass bisects toward the failures
+    def deviation(d):
+        return 0.0 if d >= 17 else {5: 0.1, 11: 0.2}.get(d, 0.05)
+
+    fits = []
+
+    def tabled(sigma, degree, shrink=1.0):
+        fits.append(degree)
+        coeffs = np.zeros(degree + 1)
+        coeffs[degree] = 1.0
+        return coeffs, deviation(degree)
+
+    monkeypatch.setattr(svt, "_minimax_fit", tabled)
+    # sigma 0.2 starts the doubling rounds at degree 5: 5, 11, 23, ...
+    q = svt._search_inverse_poly.__wrapped__(0.2, 1e-3, 1.0, 100)
+    assert fits == [5, 11, 23, 17, 15]
+    assert len(set(fits)) == len(fits)
+    # the smallest passing odd degree of the bracket (11, 23]
+    assert q.degree == min(d for d in range(13, 24, 2) if deviation(d) <= 1e-3)
+    assert q.degree - 2 in fits and deviation(q.degree - 2) > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # sv_invert
 # ---------------------------------------------------------------------------
