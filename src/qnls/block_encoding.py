@@ -224,13 +224,16 @@ def _sparse_budget(a: SparseMatrix, s: int, ledger: CostLedger | None) -> _Budge
     return _Budget(float(s), 0.0, cost)
 
 
+def _from_entries(a: SparseMatrix, b: _Budget) -> BlockEncoding:
+    """Encoding of a / b.alpha: a's entries are divided, then densified once."""
+    return _mk(replace(a, vals=a.vals / b.alpha).to_dense(), b.alpha, b.eps,
+               a.to_dense() if debug_enabled() else None, b.cost)
+
+
 def be_from_sparse(a: SparseMatrix, s: int,
                    ledger: CostLedger | None = None) -> BlockEncoding:
     """Encoding of A/s from sparse-entry access; alpha = s, exact at desk scale."""
-    b = _sparse_budget(a, s, ledger)
-    dense = a.to_dense()
-    return _mk(dense / s, b.alpha, b.eps, dense if debug_enabled() else None,
-               b.cost)
+    return _from_entries(a, _sparse_budget(a, s, ledger))
 
 
 def be_from_vector(x: np.ndarray,

@@ -20,11 +20,11 @@ from functools import reduce
 import numpy as np
 
 from .block_encoding import (BlockEncoding, CostLedger, _Budget, _eps_units,
-                             _log2, _mk, _product_budget, _sparse_budget,
-                             _sum_budget, _tensor_budget, be_amplify,
-                             be_from_sparse, be_from_vector, be_outer,
-                             be_product, be_rescale, be_sum, be_transpose,
-                             debug_enabled)
+                             _from_entries, _log2, _mk, _product_budget,
+                             _sparse_budget, _sum_budget, _tensor_budget,
+                             be_amplify, be_from_sparse, be_from_vector,
+                             be_outer, be_product, be_rescale, be_sum,
+                             be_transpose, debug_enabled)
 from .errors import (CompositionError, ConditioningError,
                      DegenerateReferenceError, DeskScaleError, InputError,
                      InvariantViolationError, RescaleRequiredError,
@@ -150,9 +150,7 @@ def build_M_blockdiag(system: PolynomialSystem,
     p, s = system.p, system.sparsity
     a = _blockdiag(system.equations)
     b = _sum_budget([_sparse_budget(a, s, ledger) for _ in range(p)], ledger)
-    md = _blockdiag([system.m_d(i) for i in range(system.n)]).to_dense()
-    return _mk(md / (p * s), b.alpha, b.eps, md if debug_enabled() else None,
-               b.cost)
+    return _from_entries(_blockdiag([system.m_d(i) for i in range(system.n)]), b)
 
 
 def build_A_blockdiag(system: PolynomialSystem,

@@ -105,7 +105,9 @@ def _minimax_fit(sigma: float, degree: int,
         raise ConfigError(f"minimax LP failed at degree {degree}: {res.message}")
     coeffs = np.zeros(degree + 1)
     coeffs[ks] = res.x[:-1]
-    return coeffs, float(res.x[-1])
+    # the deviation the coefficients reach on the fit grid, not the LP's t:
+    # HiGHS meets each row only to 1e-7, so t can read 0 for a fit that misses
+    return coeffs, float(np.max(np.abs(phi_fit @ res.x[:-1] - target)))
 
 
 def _log_secant(lower: tuple[int, float], upper: tuple[int, float],
@@ -195,7 +197,8 @@ def backend_inverse_poly(sigma: float, eps: float) -> tuple[OddPolynomial, float
     if q is None:
         raise ConfigError(
             f"inverse polynomial for sigma={sigma:.3g}, eps={eps:.3g} needs "
-            f"degree beyond the desk-scale LP cap {_LP_DEGREE_CAP}; raise "
+            f"degree beyond the search cap {min(cap, _LP_DEGREE_CAP)} (4 x "
+            f"degree_budget, at most the LP cap {_LP_DEGREE_CAP}); raise "
             "sigma_floor or eps, or use the exact backend")
     return q, _HEADROOM
 

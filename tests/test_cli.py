@@ -622,6 +622,26 @@ def test_solve_classical_singular_jacobian_halts_with_partial_trace(tmp_path,
     assert abs(float(rows[1]["x_norm_sq"])) < 1e-24
 
 
+def test_classical_trace_stops_at_an_exact_root(tmp_path):
+    # f_i = 0.5 x_i + 0.1 is linear, so classical Newton lands on the root
+    # in one step and stops at its residual 0; the exact backend writes a
+    # row for every iterate
+    path = tmp_path / "linear.qnls"
+    path.write_text("version 1\nkind mixed\nn 2\np 1\ns 1\n" + "".join(
+        f"equation {i}\nconst 0.1\nlin {i} 0.5\nend\n" for i in range(2)))
+    guess = tmp_path / "x0.txt"
+    guess.write_text("0.3\n0.3\n")
+    rows = {}
+    for backend in ("classical", "exact"):
+        trace = tmp_path / f"{backend}.csv"
+        assert main(["solve", "--problem", str(path), "--iters", "3", "--x0",
+                     str(guess), "--backend", backend, "--trace", str(trace)]) == 0
+        rows[backend] = read_rows(trace)
+    assert [r["iter"] for r in rows["classical"]] == ["0", "1"]
+    assert [r["iter"] for r in rows["exact"]] == ["0", "1", "2", "3"]
+    assert float(rows["classical"][1]["residual"]) == 0.0
+
+
 def test_resources_without_out_prints_the_report(tmp_path, capsys):
     path = lv_file(tmp_path)
     run = ["--problem", str(path), "--iters", "2", "--x0", str(path) + ".x0",

@@ -39,6 +39,29 @@ def test_artifact_digest_runs():
     assert {"trace.csv", "report.txt", "gpe_e1.csv", "lv_x0.csv"} <= set(names)
 
 
+def test_peak_rss_reports_one_cold_cli_run(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = tmp_path / "lv.qnls"
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "peak_rss.py"),
+                           "gen-lv", "--alpha", "1", "--beta", "1", "--gamma", "1",
+                           "--delta", "1", "--dt", "0.1", "--steps", "3",
+                           "--v0", "1.2", "--p0", "0.9", "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    line = proc.stdout.splitlines()[-1]
+    m = re.fullmatch(r"wall_s (\d+\.\d{3})  peak_rss_mb (\d+\.\d)  exit 0", line)
+    assert m, line
+    assert float(m[1]) > 0.0 and float(m[2]) > 0.0
+    assert out.exists() and Path(str(out) + ".x0").exists()
+    # a child that fails passes its exit code on
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "peak_rss.py"),
+                           "solve", "--problem", str(tmp_path / "missing.qnls"),
+                           "--iters", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout.splitlines()[-1].endswith(f"exit {proc.returncode}")
+    assert proc.returncode != 0
+
+
 def _drift(tmp_path, old, new):
     (tmp_path / "old.csv").write_text(old)
     (tmp_path / "new.csv").write_text(new)

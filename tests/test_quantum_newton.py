@@ -718,13 +718,18 @@ def _summed_parts_m(system, ledger):
     return be_sum(parts, ledger=ledger)
 
 
-@pytest.mark.parametrize("debug", ["", "1"], ids=["plain", "debug"])
-@pytest.mark.parametrize("case", [
+# random systems n 2-4, p 1-3 (each case draws s = 1, 2, 3, so p s runs over
+# powers of two and over 3, 6, 9), and the LV T=3 and GPE nx=3 systems
+_SYSTEM_CASES = [
     pytest.param(lambda n=n, p=p: [random_system(n, p, s, seed=100 * s + 10 * p + n)
                                    for s in (1, 2, 3)], id=f"random-n{n}-p{p}")
-    for n in (2, 3, 4) for p in (1, 2, 3)]
-    + [pytest.param(lambda m=m: [m()[0].nonlinear], id=m.__name__[1:])
-       for m in (_lv_t3, _gpe_nx3)])
+    for n in (2, 3, 4) for p in (1, 2, 3)] + [
+    pytest.param(lambda m=m: [m()[0].nonlinear], id=m.__name__[1:])
+    for m in (_lv_t3, _gpe_nx3)]
+
+
+@pytest.mark.parametrize("debug", ["", "1"], ids=["plain", "debug"])
+@pytest.mark.parametrize("case", _SYSTEM_CASES)
 def test_m_from_merged_entries_matches_the_summed_parts(monkeypatch, case,
                                                         debug):
     # one encoding of the merged M_D^i has the block of the per-permutation
@@ -765,6 +770,60 @@ def test_m_is_one_encoding_of_the_merged_entries(monkeypatch):
     system = random_system(3, 2, 2, seed=3)
     build_M_blockdiag(system)
     assert calls == ["_mk"]
+
+
+@pytest.mark.parametrize("debug", ["", "1"], ids=["plain", "debug"])
+@pytest.mark.parametrize("case", _SYSTEM_CASES)
+def test_sparse_blocks_are_the_divided_dense_matrices(monkeypatch, case, debug):
+    # dividing the entries before densifying gives every block entry the
+    # IEEE quotient of the dense division, whether p s is a power of two or
+    # not; the undivided matrix is densified only as the debug intended
+    monkeypatch.setenv("QNLS_DEBUG", debug)
+    for system in case():
+        p, s = system.p, system.sparsity
+        md = _blockdiag([system.m_d(i) for i in range(system.n)]).to_dense()
+        eqs = _blockdiag(system.equations)
+        half = _blockdiag([a.scaled(0.5) for a in system.equations]).to_dense()
+        be_m, be_a = build_M_blockdiag(system), build_A_blockdiag(system)
+        be_eqs = be_from_sparse(eqs, s)
+        assert np.array_equal(be_m.block, md / (p * s))
+        assert np.array_equal(be_a.block, half / s)
+        assert np.array_equal(be_eqs.block, eqs.to_dense() / s)
+        assert (be_m.alpha, be_a.alpha, be_eqs.alpha) == (p * s, s, s)
+        intended = [be.intended for be in (be_m, be_a, be_eqs)]
+        if debug:
+            assert all(np.array_equal(got, want) for got, want in
+                       zip(intended, (md, half, eqs.to_dense())))
+        else:
+            assert intended == [None] * 3
+
+
+def _gpe_nx5():
+    params = GpeParams(5, 0.5, 1.0, np.full(5, 0.2), 0.05, 0.5,
+                       np.array([0.3, 0.2 - 0.1j, 0.1j, -0.2, 0.1 + 0.2j]))
+    return gpe_discretize(params).nonlinear
+
+
+@pytest.mark.parametrize("build", [build_M_blockdiag, build_A_blockdiag],
+                         ids=["M", "A"])
+def test_plain_sparse_encoding_holds_one_dense_copy(monkeypatch, build):
+    # a plain build holds the divided block and _norm_above's |.| temporary,
+    # 2 N^2 doubles; a build that also densified the undivided matrix would
+    # hold 3
+    import tracemalloc
+
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    system = _gpe_nx5()
+    big = system.n ** (system.p + 1)
+    assert big == 1331
+    tracemalloc.start()
+    try:
+        be = build(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert be.logical_dim == big
+    assert peak <= 2.5 * big * big * 8
 
 
 def _widths(obj):

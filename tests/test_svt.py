@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ortho_group
 
-from qnls import (ConditioningError, CostLedger, InputError, InversionConfig,
+from qnls import (ConditioningError, ConfigError, CostLedger, InputError,
+                  InversionConfig,
                   OddPolynomial, backend_inverse_poly, be_of_matrix,
                   degree_budget, max_eigenvalue, min_eigenvalue,
                   min_singular_value, sv_invert, svt)
@@ -100,6 +101,28 @@ def test_backend_poly_budget_and_accuracy():
     assert np.max(np.abs(q(xs) / headroom - 0.3 / xs)) <= 1e-3
     full = np.linspace(-1.0, 1.0, 4001)
     assert np.max(np.abs(q(full))) <= 1.0 + 1e-9
+
+
+def test_minimax_fit_reports_the_deviation_its_coefficients_reach():
+    # HiGHS meets each LP row only to its feasibility tolerance (1e-7), so
+    # the LP's own bound t can read 0 for a degree-63 fit that misses
+    # 0.75 sigma/x on the fit grid by about 2e-8
+    sigma, degree = 0.5, 63
+    coeffs, dev = svt._minimax_fit(sigma, degree, svt._HEADROOM)
+    m_fit = max(600, 4 * degree)
+    nodes = np.cos(np.pi * (np.arange(m_fit) + 0.5) / m_fit)
+    xs = 0.5 * (sigma + 1.0) + 0.5 * (1.0 - sigma) * nodes
+    on_grid = np.max(np.abs(OddPolynomial(coeffs)(xs) - svt._HEADROOM * sigma / xs))
+    assert on_grid > 0.0
+    assert dev == pytest.approx(on_grid, rel=1e-6)
+
+
+def test_backend_rejects_eps_below_the_lp_tolerance():
+    # every fit up to the search cap 4 degree_budget = 274 misses 0.75 eps;
+    # trusting the LP's t returned degree 47, 544 eps off on a fine grid
+    assert int(np.ceil(4.0 * degree_budget(0.5, 1e-10))) == 274
+    with pytest.raises(ConfigError, match=r"search cap 274 .*LP cap 1200"):
+        backend_inverse_poly(0.5, 1e-10)
 
 
 # ---------------------------------------------------------------------------
