@@ -8,9 +8,11 @@ GPE solve with QNLS_DEBUG=1 (set for those commands only), a solve and a
 check of the random homogeneous problem, a one-step poly-backend LV solve,
 an LV generation with a given `--scale`, a `resources` run that prints its
 report, a classical solve and a check of a small inhomogeneous problem with
-a nonzero root, and a solve of a mixed problem with entries above 1 that is
-rescaled on load (both problems written by this script) through
-`qnls.cli.main` in a temporary directory. Prints one
+a nonzero root, a solve of a mixed problem with entries above 1 that is
+rescaled on load, and a solve of a mixed problem with only linear and
+constant parts, once from a good guess and once from a guess orthogonal to
+e1 under `--gamma-ref e1` (all three problems written by this script),
+through `qnls.cli.main` in a temporary directory. Prints one
 `exit <code>  <command name>` line per command, then one
 `<sha256>  <name>` line per written file and per captured stdout and
 stderr. To check that a change keeps every artifact, run it against both
@@ -71,6 +73,23 @@ lin 1 1
 const -0.2
 end
 """
+# f_i = 0.5 x_i + 0.2 x_{1-i} + b_i, b = (0.1, -0.15): no nonlinear part
+LINEAR_MIXED = """version 1
+kind mixed
+n 2
+p 1
+s 1
+equation 0
+lin 0 0.5
+lin 1 0.2
+const 0.1
+end
+equation 1
+lin 0 0.2
+lin 1 0.5
+const -0.15
+end
+"""
 LV_RUN = "--problem lv.qnls --x0 lv.qnls.x0"
 GPE_RUN = "--problem gpe.qnls --x0 gpe.qnls.x0 --iters 1"
 COMMANDS = [
@@ -119,6 +138,13 @@ COMMANDS = [
     # prints the per-row canonical factors note
     ("solve-mixed-rescaled", "solve --problem big.qnls --x0 big.qnls.x0 "
                              "--iters 3 --trace big.csv --report big.txt"),
+    # encodes the constant part through be_outer with the reference
+    ("solve-linear", "solve --problem lin.qnls --x0 lin.qnls.x0 --iters 3 "
+                     "--trace lin.csv --report lin.txt"),
+    # x0 = (0, 0.5) has no overlap with e1: halts at step 0
+    ("solve-degenerate-e1", "solve --problem lin.qnls --x0 lin0.qnls.x0 "
+                            "--iters 3 --gamma-ref e1 --trace lin0.csv "
+                            "--report lin0.txt"),
 ]
 # commands run with QNLS_DEBUG=1, which every encoding verifies under
 DEBUG_COMMANDS = {"solve-lv-debug", "solve-gpe3-debug"}
@@ -137,6 +163,9 @@ def main() -> None:
             Path("inh.qnls.x0").write_text("0.6\n0.4\n")
             Path("big.qnls").write_text(NON_CANONICAL_MIXED)
             Path("big.qnls.x0").write_text("0.3\n0.2\n")
+            Path("lin.qnls").write_text(LINEAR_MIXED)
+            Path("lin.qnls.x0").write_text("0.3\n0.2\n")
+            Path("lin0.qnls.x0").write_text("0\n0.5\n")
             streams = {}
             for name, cmd in COMMANDS:
                 out, err = io.StringIO(), io.StringIO()

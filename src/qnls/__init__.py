@@ -23,7 +23,7 @@ from .problem_io import (parse_problem, parse_problem_file, problem_kind,
 from .problems import (GpeParams, LvParams, gpe_default_guess, gpe_discretize,
                        lv_default_guess, lv_discretize, lv_scaled_root,
                        random_system)
-from .quantum_newton import (NewtonState, NewtonTrace, TraceRow,
+from .quantum_newton import (NewtonState, NewtonTrace, StepFrame, TraceRow,
                              build_A_blockdiag, build_M_blockdiag, build_P,
                              init_heuristic, jacobian_be, jacobian_sandwich_be,
                              newton_solve, newton_step, norm_estimate,

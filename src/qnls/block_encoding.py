@@ -155,8 +155,8 @@ def _norm_above(m: np.ndarray, bound: float) -> float | None:
     A cheap upper bound that proves ||m||_2 <= bound (1 - margin) answers
     None at once: ||m||_F, then sqrt(||m||_1 ||m||_inf), each O(k^2) on a
     k x k matrix.  Only when neither certifies does the dense
-    spectral-norm SVD run and decide.  A NaN bound or a non-finite m fails
-    every comparison, so neither is ever certified.
+    spectral-norm SVD run and decide.  A NaN bound certifies nothing, and
+    an m whose Frobenius norm is not finite answers inf before any SVD.
 
     A certified m is one whose dense norm would also come out <= bound, so
     skipping the SVD changes no verdict.  With u = 2^-53, the Frobenius norm
@@ -170,8 +170,10 @@ def _norm_above(m: np.ndarray, bound: float) -> float | None:
     """
     k = max(m.shape)
     certified = bound * (1.0 - (k * k / 2 + 64 * k) * 2.0 ** -53)
-    if np.linalg.norm(m) <= certified:
+    if (fro := np.linalg.norm(m)) <= certified:
         return None
+    if not np.isfinite(fro):
+        return math.inf
     a = np.abs(m)
     if np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()) <= certified:
         return None

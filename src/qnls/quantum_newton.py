@@ -15,7 +15,7 @@ right-hand-side encoding by construction and never needs amplification.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -198,40 +198,44 @@ def build_P(be_m: BlockEncoding, be_xxT: BlockEncoding, p: int,
     return _sandwich(be_m, be_xxT, p, p - 1, eye, eye, ledger)
 
 
-def _reference(n: int, x_ref: np.ndarray | None,
-               x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit reference r (e_1 when x_ref is None) and gamma = r.x.
+class StepFrame:
+    """One Newton step's frame at the iterate x, for degree 2p: the unit
+    reference r (e_1 when x_ref is None), gamma = r.x (an overlap below
+    GAMMA_FLOOR, or NaN, raises DegenerateReferenceError) and the corner
+    columns, which a step without a nonlinear part never reads."""
 
-    An overlap below GAMMA_FLOOR raises DegenerateReferenceError.
-    """
-    if x_ref is None:
-        refu = np.zeros(n)
-        refu[0] = 1.0
-    else:
-        refu = np.asarray(x_ref, dtype=np.float64)
-        if refu.shape != (n,):
-            raise InputError("reference vector has wrong length")
-        nrm = float(np.linalg.norm(refu))
-        if nrm == 0:
-            raise DegenerateReferenceError("zero reference vector")
-        refu = refu / nrm
-    gamma = float(np.dot(refu, x))
-    if abs(gamma) < GAMMA_FLOOR:
-        raise DegenerateReferenceError(f"overlap {gamma:.2e} below {GAMMA_FLOOR}")
-    return refu, gamma
+    def __init__(self, x: np.ndarray, p: int, x_ref: np.ndarray | None = None):
+        n = len(x)
+        if x_ref is None:
+            refu = np.zeros(n)
+            refu[0] = 1.0
+        else:
+            refu = np.asarray(x_ref, dtype=np.float64)
+            if refu.shape != (n,):
+                raise InputError("reference vector has wrong length")
+            nrm = float(np.linalg.norm(refu))
+            if nrm == 0:
+                raise DegenerateReferenceError("zero reference vector")
+            refu = refu / nrm
+        gamma = float(np.dot(refu, x))
+        if not abs(gamma) >= GAMMA_FLOOR:
+            raise DegenerateReferenceError(f"overlap {gamma:.2e} below {GAMMA_FLOOR}")
+        self.x, self.p, self.refu, self.gamma = x, p, refu, gamma
 
-
-def _frame(n: int, p: int, refu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Corner columns E[:, j] = e_j x (H_r e_0)^{p}, U[:, i] = H_u e_0 x
-    (H_r e_0)^{p-1} x e_i on registers 0 (equation index, most significant)
-    .. p, H_r the reference's Householder and H_u the uniform one: the
-    Jacobian's corner is U^T P E, the right-hand side's E^T (T A T) U."""
-    h = _householder_column(refu)
-    hu = _householder_column(np.full(n, 1.0 / np.sqrt(n)))
-    e = np.kron(np.eye(n), tensor_power(h, p)[:, None])
-    # fold from H_u e_0: the product grouping of one register at a time
-    u = np.kron(reduce(np.kron, [h] * (p - 1), hu)[:, None], np.eye(n))
-    return e, u
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Corner columns (E, U), built on first read: E[:, j] = e_j x
+        (H_r e_0)^{p} and U[:, i] = H_u e_0 x (H_r e_0)^{p-1} x e_i on
+        registers 0 (equation index, most significant) .. p, H_r the
+        reference's Householder and H_u the uniform one: the Jacobian's
+        corner is U^T P E, the right-hand side's E^T (T A T) U."""
+        n, p = self.refu.size, self.p
+        h = _householder_column(self.refu)
+        hu = _householder_column(np.full(n, 1.0 / np.sqrt(n)))
+        e = np.kron(np.eye(n), tensor_power(h, p)[:, None])
+        # fold from H_u e_0: the product grouping of one register at a time
+        u = np.kron(reduce(np.kron, [h] * (p - 1), hu)[:, None], np.eye(n))
+        return e, u
 
 
 def _amplify_to_unit(be: BlockEncoding,
@@ -243,43 +247,38 @@ def _amplify_to_unit(be: BlockEncoding,
 
 
 def jacobian_sandwich_be(system: PolynomialSystem, be_xxT: BlockEncoding,
-                         x: np.ndarray, x_ref: np.ndarray | None = None, *,
-                         ledger: CostLedger | None = None
-                         ) -> tuple[BlockEncoding, float]:
-    """The U_m U_p construction around the P encoding of the iterate x.
+                         frame: StepFrame, *,
+                         ledger: CostLedger | None = None) -> BlockEncoding:
+    """The U_m U_p construction around the P encoding of the iterate frame.x.
 
     Matrix element (i, k) of the returned top-left block equals
     gamma^{2p-1} (grad f_k(x))_i / (sqrt(n) * alpha_P); with alpha = alpha_P
-    the extracted matrix is gamma^{2p-1} J(x)^T / sqrt(n).
+    the extracted matrix is gamma^{2p-1} J(x)^T / sqrt(n), gamma = frame.gamma.
     """
-    n, p = system.n, system.p
-    refu, gamma = _reference(n, x_ref, x)
+    n, p, x = system.n, system.p, frame.x
     be_m = _built_once(build_M_blockdiag, system, ledger)
-    e, u = _frame(n, p, refu)
-    intended = (gamma ** (2 * p - 1) * jacobian(system, x).T / np.sqrt(n)
+    e, u = frame.columns
+    intended = (frame.gamma ** (2 * p - 1) * jacobian(system, x).T / np.sqrt(n)
                 if debug_enabled() else None)
     return _sandwich(be_m, be_xxT, p, p - 1, u, e, ledger, intended,
-                     "gradient_sandwich"), gamma
+                     "gradient_sandwich")
 
 
 def jacobian_be(system: PolynomialSystem, be_xxT: BlockEncoding,
-                x: np.ndarray, x_ref: np.ndarray | None = None, *,
-                ledger: CostLedger | None = None
-                ) -> tuple[BlockEncoding, float]:
+                frame: StepFrame, *,
+                ledger: CostLedger | None = None) -> BlockEncoding:
     """Encoding of gamma^{2p-1} J(x) / sqrt(n), amplified toward alpha = 1."""
-    sand, gamma = jacobian_sandwich_be(system, be_xxT, x, x_ref, ledger=ledger)
-    return _amplify_to_unit(be_transpose(sand), ledger), gamma
+    sand = jacobian_sandwich_be(system, be_xxT, frame, ledger=ledger)
+    return _amplify_to_unit(be_transpose(sand), ledger)
 
 
-def rhs_be(system: PolynomialSystem, be_xxT: BlockEncoding, x: np.ndarray,
-           x_ref: np.ndarray | None = None, *,
-           ledger: CostLedger | None = None) -> BlockEncoding:
+def rhs_be(system: PolynomialSystem, be_xxT: BlockEncoding, frame: StepFrame,
+           *, ledger: CostLedger | None = None) -> BlockEncoding:
     """Encoding of gamma^{2p-1} F(x) x^T / sqrt(n) via the A sandwich."""
-    n, p = system.n, system.p
-    refu, gamma = _reference(n, x_ref, x)
+    n, p, x = system.n, system.p, frame.x
     be_a = _built_once(build_A_blockdiag, system, ledger)
-    e, u = _frame(n, p, refu)
-    intended = (gamma ** (2 * p - 1) * np.outer(evaluate(system, x), x)
+    e, u = frame.columns
+    intended = (frame.gamma ** (2 * p - 1) * np.outer(evaluate(system, x), x)
                 / np.sqrt(n) if debug_enabled() else None)
     return _sandwich(be_a, be_xxT, p, p, e, u, ledger, intended, "rhs_sandwich")
 
@@ -381,7 +380,8 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
     floor = cfg.sigma_floor
     nx2 = norm_estimate(state.be_xxT, cfg.eps, led)
     x = state.x
-    refu, gamma = _reference(n, x_ref, x)
+    frame = StepFrame(x, p_half, x_ref)
+    gamma = frame.gamma
     ghat = gamma ** (2 * p_half - 1)
     rootn = np.sqrt(n)
 
@@ -389,8 +389,7 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
 
     j_parts = []
     if poly is not None:
-        be_jnl, _ = jacobian_be(poly, state.be_xxT, x, x_ref, ledger=led)
-        j_parts.append(be_jnl)
+        j_parts.append(jacobian_be(poly, state.be_xxT, frame, ledger=led))
     if be_lin is not None:
         j_parts.append(be_rescale(be_lin, ghat / rootn))
     be_j = j_parts[0] if len(j_parts) == 1 else be_sum(j_parts, ledger=led)
@@ -408,12 +407,12 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
 
     r_parts = []
     if poly is not None:
-        r_parts.append(rhs_be(poly, state.be_xxT, x, x_ref, ledger=led))
+        r_parts.append(rhs_be(poly, state.be_xxT, frame, ledger=led))
     if be_lin is not None:
         r_parts.append(be_rescale(be_product(be_lin, state.be_xxT, led),
                                   ghat / rootn))
     if const is not None:
-        outer_ref = be_outer(const, refu, led)
+        outer_ref = be_outer(const, frame.refu, led)
         r_parts.append(be_rescale(be_product(outer_ref, state.be_xxT, led),
                                   ghat / (rootn * gamma)))
     be_r = r_parts[0] if len(r_parts) == 1 else be_sum(r_parts, ledger=led)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import ortho_group
 
-from qnls import (CostLedger, InversionConfig, NewtonState,
+from qnls import (CostLedger, InversionConfig, NewtonState, StepFrame,
                   backend_inverse_poly, be_amplify, be_from_vector,
                   be_of_matrix, be_product, be_rescale, be_sum, be_transpose,
                   classical_newton, degree_budget, evaluate, gradient_md,
@@ -121,7 +121,9 @@ def test_criterion_04_appendix_c_identity():
         system = random_system(n, p, 2, seed=3000 + trial)
         x = rng.uniform(-0.4, 0.4, n)
         x[0] = float(rng.uniform(0.3, 0.5))     # healthy e1 overlap
-        sand, gamma = jacobian_sandwich_be(system, be_from_vector(x), x)
+        frame = StepFrame(x, system.p)
+        sand = jacobian_sandwich_be(system, be_from_vector(x), frame)
+        gamma = frame.gamma
         assert sand.alpha == pytest.approx(system.p * system.sparsity)
         block = sand.block
         for k in range(n):

@@ -295,6 +295,26 @@ def test_nan_eps_is_rejected_and_never_certified():
         be.verify()
 
 
+def test_non_finite_blocks_raise_a_typed_error_before_any_svd(monkeypatch):
+    # a Frobenius norm that is not finite answers inf at once, so no
+    # constructor or composition of a non-finite block reaches the SVD
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    nan_block = np.array([[np.nan, 0.0], [0.0, 0.1]])
+    two_norms = count_two_norms(monkeypatch)
+    assert _norm_above(nan_block, 1.0) == np.inf
+    with pytest.raises(CompositionError, match="block norm inf"):
+        be_outer(np.array([np.nan, 0.1]), np.array([0.3, 0.4]))
+    with pytest.raises(CompositionError, match="block norm inf"):
+        be_of_matrix(np.array([[np.inf, 0.0], [0.0, 0.1]]))
+    bad, good = BlockEncoding(nan_block, 1.0), be_of_matrix(0.5 * np.eye(2))
+    for compose in (lambda: be_product(good, bad), lambda: be_sum([good, bad]),
+                    lambda: be_tensor([good, bad]), lambda: be_amplify(bad, 2.0),
+                    lambda: be_rescale(bad, -1.0)):
+        with pytest.raises(CompositionError):
+            compose()
+    assert two_norms == []
+
+
 def test_desk_scale_cap():
     from qnls import DeskScaleError
     with pytest.raises(DeskScaleError):

@@ -6,8 +6,8 @@ import pytest
 from qnls import (BlockEncoding, CostLedger, DegenerateReferenceError,
                   DeskScaleError, InputError, InversionConfig, MixedSystem,
                   NewtonState, PolynomialSystem, RescaleRequiredError,
-                  SparseMatrix, be_from_sparse, be_from_vector, be_of_matrix,
-                  be_product, be_sum, be_tensor,
+                  SparseMatrix, StepFrame, be_from_sparse, be_from_vector,
+                  be_of_matrix, be_product, be_sum, be_tensor,
                   be_transpose, build_A_blockdiag,
                   build_M_blockdiag, build_P, classical_newton, evaluate,
                   gradient_md, init_heuristic, jacobian, jacobian_be,
@@ -17,8 +17,8 @@ from qnls.problems import (GpeParams, LvParams, gpe_default_guess,
                            gpe_discretize, lv_default_guess, lv_discretize,
                            random_system)
 from qnls.poly_system import _swap_factor
-from qnls.quantum_newton import (_blockdiag, _built_once, _ChargeLog, _frame,
-                                 _kron_apply, _reference, system_evaluators)
+from qnls.quantum_newton import (_blockdiag, _built_once, _ChargeLog,
+                                 _kron_apply, system_evaluators)
 
 from conftest import count_two_norms
 
@@ -118,7 +118,8 @@ def test_build_p_random_matches_gradient_oracle():
 
 def test_jacobian_be_basis_point(diag_system):
     x = np.array([1.0, 0.0])
-    be_j, gamma = jacobian_be(diag_system, be_from_vector(x), x)
+    frame = StepFrame(x, diag_system.p)
+    be_j, gamma = jacobian_be(diag_system, be_from_vector(x), frame), frame.gamma
     assert gamma == pytest.approx(1.0)
     expected = jacobian(diag_system, x) / np.sqrt(2)
     assert np.allclose(be_j.extract(), expected, atol=1e-10)
@@ -126,7 +127,8 @@ def test_jacobian_be_basis_point(diag_system):
 
 def test_jacobian_be_diag_overlap(diag_system):
     x = np.array([0.6, 0.8])
-    be_j, gamma = jacobian_be(diag_system, be_from_vector(x), x)
+    frame = StepFrame(x, diag_system.p)
+    be_j, gamma = jacobian_be(diag_system, be_from_vector(x), frame), frame.gamma
     assert gamma == pytest.approx(0.6)
     expected = 0.6 * jacobian(diag_system, x) / np.sqrt(2)
     assert np.allclose(be_j.extract(), expected, atol=1e-10)
@@ -137,7 +139,8 @@ def test_jacobian_be_random_general_reference():
     rng = np.random.default_rng(10)
     x = rng.uniform(-0.4, 0.4, 3)
     ref = rng.uniform(0.2, 1.0, 3)
-    be_j, gamma = jacobian_be(system, be_from_vector(x), x, ref)
+    frame = StepFrame(x, system.p, ref)
+    be_j, gamma = jacobian_be(system, be_from_vector(x), frame), frame.gamma
     refu = ref / np.linalg.norm(ref)
     assert gamma == pytest.approx(float(refu @ x))
     expected = gamma ** 3 * jacobian(system, x) / np.sqrt(3)
@@ -151,8 +154,9 @@ def test_appendix_c_matrix_elements():
     rng = np.random.default_rng(21)
     x = rng.uniform(-0.4, 0.4, 3)
     x[0] = 0.45
-    sand, gamma = jacobian_sandwich_be(system, be_from_vector(x), x)
-    block = sand.block
+    frame = StepFrame(x, system.p)
+    sand = jacobian_sandwich_be(system, be_from_vector(x), frame)
+    gamma, block = frame.gamma, sand.block
     for k in range(3):
         grad = gradient_md(system, k, x)
         for i in range(3):
@@ -166,26 +170,27 @@ def test_e1_reference_matches_default(p):
     x = np.array([0.45, -0.2, 0.3])
     be = be_from_vector(x)
     e1 = np.array([1.0, 0.0, 0.0])
-    sand, gamma = jacobian_sandwich_be(system, be, x)
-    sand_e1, gamma_e1 = jacobian_sandwich_be(system, be, x, e1)
-    assert gamma == gamma_e1 == 0.45
+    frame, frame_e1 = StepFrame(x, p), StepFrame(x, p, e1)
+    sand = jacobian_sandwich_be(system, be, frame)
+    sand_e1 = jacobian_sandwich_be(system, be, frame_e1)
+    assert frame.gamma == frame_e1.gamma == 0.45
     assert np.array_equal(sand.block, sand_e1.block)
-    assert np.array_equal(rhs_be(system, be, x).block,
-                          rhs_be(system, be, x, e1).block)
+    assert np.array_equal(rhs_be(system, be, frame).block,
+                          rhs_be(system, be, frame_e1).block)
 
 
 def test_degenerate_reference_raises(diag_system):
     x = np.array([0.0, 0.7])
     with pytest.raises(DegenerateReferenceError):
-        jacobian_be(diag_system, be_from_vector(x), x)
+        jacobian_be(diag_system, be_from_vector(x), StepFrame(x, diag_system.p))
 
 
 def test_rhs_be_zero_and_diag(diag_system):
     be0 = be_from_vector(np.zeros(2))
     with pytest.raises(DegenerateReferenceError):
-        rhs_be(diag_system, be0, np.zeros(2))   # gamma = 0 at the origin
+        rhs_be(diag_system, be0, StepFrame(np.zeros(2), diag_system.p))  # gamma = 0
     x = np.array([0.6, 0.8])
-    be_r = rhs_be(diag_system, be_from_vector(x), x)
+    be_r = rhs_be(diag_system, be_from_vector(x), StepFrame(x, diag_system.p))
     gamma = x[0]
     f = evaluate(diag_system, x)
     expected = gamma * np.outer(f, x) / np.sqrt(2)
@@ -199,7 +204,7 @@ def test_rhs_be_random():
     rng = np.random.default_rng(31)
     x = rng.uniform(-0.4, 0.4, 3)
     x[0] = 0.4
-    be_r = rhs_be(system, be_from_vector(x), x)
+    be_r = rhs_be(system, be_from_vector(x), StepFrame(x, system.p))
     expected = x[0] ** 3 * np.outer(evaluate(system, x), x) / np.sqrt(3)
     assert np.linalg.norm(be_r.extract() - expected, 2) <= 1e-8
 
@@ -210,11 +215,12 @@ def test_factor_cancellation_invariant():
     rng = np.random.default_rng(34)
     x = rng.uniform(0.2, 0.6, 2)
     bex = be_from_vector(x)
-    be_j, gamma = jacobian_be(system, bex, x)
+    frame = StepFrame(x, system.p)
+    be_j = jacobian_be(system, bex, frame)
     sigma = 0.5 * np.linalg.svd(be_j.extract(), compute_uv=False)[-1]
     cfg = InversionConfig(sigma / be_j.alpha, 1e-8)
     inv = sv_invert(be_j, cfg)
-    be_r = rhs_be(system, bex, x)
+    be_r = rhs_be(system, bex, frame)
     prod = be_product(inv, be_r)
     delta = np.linalg.solve(jacobian(system, x), evaluate(system, x))
     assert np.linalg.norm(prod.extract() - sigma * np.outer(delta, x),
@@ -396,6 +402,35 @@ def test_step_invariant_encodings_are_built_once_per_system(monkeypatch):
     r0, r1, r2 = ledgers[3][:3]
     assert r2.oracle_queries - r1.oracle_queries == pytest.approx(
         r1.oracle_queries - r0.oracle_queries, rel=1e-12)
+
+
+@pytest.mark.parametrize("ref", ["e1", "x0", "previous"])
+def test_a_step_builds_its_corner_columns_once(monkeypatch, ref):
+    # both sandwiches read one frame, so a step builds the Householder
+    # columns of the reference and of the uniform state once each, and a
+    # step without a nonlinear part builds none
+    import qnls.quantum_newton as qn
+
+    calls = []
+    monkeypatch.setattr(qn, "_householder_column",
+                        _spy(calls, "column", qn._householder_column))
+    system, x0, steps = _lv_t3()
+    _, trace = newton_solve(system, x0, steps, CFG, gamma_reference=ref)
+    assert trace.halted is None and len(calls) == 2 * steps
+    calls.clear()
+    _, trace = newton_solve(_mirror_step_system(False), np.array([0.3, 0.3]),
+                            3, CFG, gamma_reference=ref)
+    assert trace.halted is None and len(trace.rows) == 4 and calls == []
+
+
+@pytest.mark.parametrize("ref", [[np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0]],
+                         ids=["nan", "inf"])
+def test_a_non_finite_reference_is_degenerate(ref):
+    # a NaN overlap fails the floor check instead of reaching the SVD
+    system = random_system(3, 1, 2, seed=20)
+    x = np.array([0.45, -0.2, 0.3])
+    with pytest.raises(DegenerateReferenceError, match="overlap nan below"):
+        newton_step(system, state_for(x), CFG, x_ref=np.array(ref))
 
 
 def test_debug_after_a_plain_solve_still_verifies_m(monkeypatch):
@@ -588,7 +623,7 @@ def _dense_apply_right(mat, op, dims, axis):
 def _dense_jacobian_sandwich(system, be_xxT, x, x_ref, ledger):
     """Block, alpha, eps, cost of the sandwich corner from the whole P."""
     n, p = system.n, system.p
-    refu, _ = _reference(n, x_ref, x)
+    refu = StepFrame(x, p, x_ref).refu
     be_m = _built_once(build_M_blockdiag, system, ledger)
     eye = be_of_matrix(np.eye(n))
     left = be_tensor([eye] + [be_xxT] * (p - 1) + [eye], ledger)
@@ -611,7 +646,7 @@ def _dense_jacobian_sandwich(system, be_xxT, x, x_ref, ledger):
 def _dense_rhs_sandwich(system, be_xxT, x, x_ref, ledger):
     """Block, alpha, eps, cost of the corner of the whole T A T."""
     n, p = system.n, system.p
-    refu, _ = _reference(n, x_ref, x)
+    refu = StepFrame(x, p, x_ref).refu
     be_a = _built_once(build_A_blockdiag, system, ledger)
     tens = be_tensor([be_of_matrix(np.eye(n))] + [be_xxT] * p, ledger)
     be_r = be_product(tens, be_product(be_a, tens, ledger), ledger)
@@ -663,13 +698,10 @@ def test_sandwich_corners_match_the_dense_construction(monkeypatch, case):
     monkeypatch.delenv("QNLS_DEBUG", raising=False)
     system, be, x, ref = case()
     assert system.n ** (system.p + 1) <= 512
-    for fast, dense in ((lambda led: jacobian_sandwich_be(
-                             system, be, x, ref, ledger=led)[0],
-                         _dense_jacobian_sandwich),
-                        (lambda led: rhs_be(system, be, x, ref, ledger=led),
-                         _dense_rhs_sandwich)):
+    for fast, dense in ((jacobian_sandwich_be, _dense_jacobian_sandwich),
+                        (rhs_be, _dense_rhs_sandwich)):
         led_fast, led_dense = CostLedger(), CostLedger()
-        out = fast(led_fast)
+        out = fast(system, be, StepFrame(x, system.p, ref), ledger=led_fast)
         block, alpha, eps, cost = dense(system, be, x, ref, led_dense)
         assert np.max(np.abs(out.block - block)) <= 1e-12
         assert (out.alpha, out.eps, out.cost) == (alpha, eps, cost)
@@ -700,8 +732,9 @@ def test_frame_equals_the_dense_householder_columns():
             for refu in (e1, np.full(n, 1.0 / np.sqrt(n)),
                          *(r / np.linalg.norm(r)
                            for r in rng.uniform(-1.0, 1.0, (3, n)))):
-                e, u = _frame(n, p, refu)
-                e_ref, u_ref = _dense_frame(n, p, refu)
+                frame = StepFrame(refu, p, refu)
+                e, u = frame.columns
+                e_ref, u_ref = _dense_frame(n, p, frame.refu)
                 assert np.array_equal(e, e_ref) and np.array_equal(u, u_ref)
                 cases += 1
     assert cases == 5 * 23
