@@ -201,8 +201,9 @@ def build_P(be_m: BlockEncoding, be_xxT: BlockEncoding, p: int,
 class StepFrame:
     """One Newton step's frame at the iterate x, for degree 2p: the unit
     reference r (e_1 when x_ref is None), gamma = r.x (an overlap below
-    GAMMA_FLOOR, or NaN, raises DegenerateReferenceError) and the corner
-    columns, which a step without a nonlinear part never reads."""
+    GAMMA_FLOOR, or a zero or non-finite reference, raises
+    DegenerateReferenceError before any division) and the corner columns,
+    which a step without a nonlinear part never reads."""
 
     def __init__(self, x: np.ndarray, p: int, x_ref: np.ndarray | None = None):
         n = len(x)
@@ -213,6 +214,8 @@ class StepFrame:
             refu = np.asarray(x_ref, dtype=np.float64)
             if refu.shape != (n,):
                 raise InputError("reference vector has wrong length")
+            if not np.all(np.isfinite(refu)):       # its overlap is NaN
+                raise DegenerateReferenceError(f"overlap nan below {GAMMA_FLOOR}")
             nrm = float(np.linalg.norm(refu))
             if nrm == 0:
                 raise DegenerateReferenceError("zero reference vector")

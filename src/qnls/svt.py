@@ -7,8 +7,12 @@ the matching symbolic cost charges.
 
 The polynomial's degree is searched in doubling rounds d -> 2d + 1.  Inside
 a round, a secant on log(minimax deviation) against the degree predicts the
-smallest passing odd degree, and the search fits only the degrees that
-confirm it: it ends on a passing fit at d above a failing fit at d - 2.
+smallest passing odd degree, and the search visits only the degrees that
+confirm it: it ends on a passing fit at d above a failing degree d - 2.
+Before each LP fit, a discrete Remez exchange on the fit's own grid tries
+to prove the degree fails; where it pins the LP's optimum, its floor enters
+the secant in place of the fit, so the same degrees are visited and the
+returned polynomial is always an LP fit.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .errors import ConditioningError, ConfigError, InputError
 
 _LP_DEGREE_CAP = 1200      # practical cap of the LP-based minimax builder
 _HERMITIAN_TOL = 1e-9
+_UNIT_CAP = 1.0 - 1e-9     # the LP's bound on |q| over its cap grid
+_REMEZ_EXCHANGES = 12      # exchanges before the failure floor gives up
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,21 @@ class OddPolynomial:
         return chebyshev.chebval(x, self.cheb_coeffs)
 
 
+def _fit_grids(sigma: float, degree: int,
+               shrink: float) -> tuple[np.ndarray, ...]:
+    """The minimax LP's grids: max(600, 4*degree) Chebyshev nodes xs of
+    [sigma, 1] (decreasing), the target shrink*sigma/xs, the odd Chebyshev
+    columns at xs, and the same columns at as many points of (0, 1] for the
+    unit cap."""
+    ks = np.arange(1, degree + 1, 2)
+    m_fit = max(600, 4 * degree)
+    nodes = np.cos(np.pi * (np.arange(m_fit) + 0.5) / m_fit)
+    xs = 0.5 * (sigma + 1.0) + 0.5 * (1.0 - sigma) * nodes
+    ys = np.linspace(0.0, 1.0, m_fit + 1)[1:]
+    return (xs, shrink * sigma / xs, chebyshev.chebvander(xs, degree)[:, ks],
+            chebyshev.chebvander(ys, degree)[:, ks])
+
+
 def _minimax_fit(sigma: float, degree: int,
                  shrink: float = 1.0) -> tuple[np.ndarray, float]:
     """Best odd-Chebyshev fit to shrink*sigma/x on [sigma, 1], |q| <= 1 on [0, 1].
@@ -78,36 +99,86 @@ def _minimax_fit(sigma: float, degree: int,
     the approximation interval, subject to a unit cap on a grid of [0, 1].
     """
     from scipy.optimize import linprog     # loaded by the poly backend only
-    ks = np.arange(1, degree + 1, 2)
-    m_fit = max(600, 4 * degree)
-    nodes = np.cos(np.pi * (np.arange(m_fit) + 0.5) / m_fit)
-    xs = 0.5 * (sigma + 1.0) + 0.5 * (1.0 - sigma) * nodes
-    target = shrink * sigma / xs
-    ys = np.linspace(0.0, 1.0, m_fit + 1)[1:]
-    phi_fit = chebyshev.chebvander(xs, degree)[:, ks]
-    phi_cap = chebyshev.chebvander(ys, degree)[:, ks]
-    cvec = np.zeros(ks.size + 1)             # coefficients + deviation bound t
+    _, target, phi_fit, phi_cap = _fit_grids(sigma, degree, shrink)
+    m, k = phi_fit.shape                    # the cap grid has m points too
+    cvec = np.zeros(k + 1)                  # coefficients + deviation bound t
     cvec[-1] = 1.0
-    ones = np.ones((xs.size, 1))
+    ones, zeros = np.ones((m, 1)), np.zeros((m, 1))
     a_ub = np.vstack([
         np.hstack([phi_fit, -ones]),
         np.hstack([-phi_fit, -ones]),
-        np.hstack([phi_cap, np.zeros((ys.size, 1))]),
-        np.hstack([-phi_cap, np.zeros((ys.size, 1))]),
+        np.hstack([phi_cap, zeros]),
+        np.hstack([-phi_cap, zeros]),
     ])
-    b_ub = np.concatenate([target, -target,
-                           np.full(ys.size, 1.0 - 1e-9),
-                           np.full(ys.size, 1.0 - 1e-9)])
+    b_ub = np.concatenate([target, -target, np.full(2 * m, _UNIT_CAP)])
     res = linprog(cvec, A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * ks.size + [(0, None)],
+                  bounds=[(None, None)] * k + [(0, None)],
                   method="highs")
     if not res.success:
         raise ConfigError(f"minimax LP failed at degree {degree}: {res.message}")
     coeffs = np.zeros(degree + 1)
-    coeffs[ks] = res.x[:-1]
+    coeffs[1::2] = res.x[:-1]
     # the deviation the coefficients reach on the fit grid, not the LP's t:
     # HiGHS meets each row only to 1e-7, so t can read 0 for a fit that misses
     return coeffs, float(np.max(np.abs(phi_fit @ res.x[:-1] - target)))
+
+
+def _failure_floor(sigma: float, degree: int, shrink: float,
+                   eps: float) -> float | None:
+    """The minimax LP's deviation at this degree when a discrete Remez
+    exchange proves it above eps without the LP; None otherwise.
+
+    Odd polynomials on [sigma, 1], sigma > 0, form a Haar system (Descartes'
+    rule of signs), so by de la Vallee Poussin every odd polynomial of the
+    degree, the LP's included, deviates on the fit grid by at least the floor
+    min |target - p| over n + 1 grid points where the error of any one such
+    p alternates in sign (n = (degree + 1)/2 coefficients).  The exchange
+    starts from the grid points nearest the Chebyshev extrema in x^2 of
+    [sigma^2, 1], levels the error on the reference, and moves the reference
+    to n + 1 alternating error peaks that include the largest.  The floor
+    stands for the LP only when all three hold:
+    - it exceeds eps by 2 (degree + 1) degree^2 2^-53, the rounding of two
+      evaluations on the grid of n coefficients at most 2 each (both
+      polynomials meet the unit cap) against Chebyshev columns with
+      recurrence errors of degree^2 ulps;
+    - p's sup deviation on the grid is within 1e-9 relative of the floor;
+    - p meets the LP's unit cap on the cap grid.
+    Then p is feasible for the LP and pins its optimum to the floor, which
+    is the value the LP's fit would report.  Any other outcome, an exchange
+    that does not settle or a reference the solve cannot level included,
+    leaves the degree to the LP.
+    """
+    xs, target, phi_fit, phi_cap = _fit_grids(sigma, degree, shrink)
+    n = phi_fit.shape[1]
+    t = 0.5 * (1.0 + sigma ** 2) + 0.5 * (1.0 - sigma ** 2) * np.cos(
+        np.pi * np.arange(n + 1) / n)
+    ref = np.unique(np.abs(xs[:, None] - np.sqrt(t)).argmin(axis=0))
+    signs = (-1.0) ** np.arange(n + 1)
+    for _ in range(_REMEZ_EXCHANGES):
+        if ref.size != n + 1:
+            return None
+        try:
+            sol = np.linalg.solve(np.column_stack([phi_fit[ref], signs]),
+                                  target[ref])
+        except np.linalg.LinAlgError:
+            return None
+        err = target - phi_fit @ sol[:-1]
+        # the largest |err| of each run of one sign: the alternating peaks
+        size, flip = np.abs(err), np.r_[True, np.diff(err >= 0.0)]
+        peaks = np.lexsort((-size, np.cumsum(flip)))[np.flatnonzero(flip)]
+        if peaks.size < n + 1:
+            return None
+        # the n + 1 consecutive peaks with the largest floor, the top among them
+        top = int(np.argmax(size[peaks]))
+        lows = np.lib.stride_tricks.sliding_window_view(size[peaks], n + 1).min(1)
+        first = max(0, top - n) + int(np.argmax(lows[max(0, top - n):top + 1]))
+        ref = peaks[first:first + n + 1]
+        floor = float(lows[first])
+        if size[peaks[top]] <= floor * (1.0 + 1e-9):
+            margin = 2.0 * (degree + 1) * degree ** 2 * 2.0 ** -53
+            cap_ok = np.max(np.abs(phi_cap @ sol[:-1])) <= _UNIT_CAP
+            return floor if floor > eps + margin and cap_ok else None
+    return None
 
 
 def _log_secant(lower: tuple[int, float], upper: tuple[int, float],
@@ -138,9 +209,11 @@ def _search_inverse_poly(sigma: float, eps: float, shrink: float,
     - a passing fit: interpolated between it and the highest failing fit,
       or the degree just below the pass when the line predicts the pass.
     The bisection midpoint replaces a guess that is missing or not above
-    the highest failing degree.  The search stops at a passing fit at d
-    with a failing fit at d - 2: the smallest passing degree of the bracket
-    when the deviation falls monotonically in the degree.
+    the highest failing degree.  A degree that `_failure_floor` proves
+    failing is not fitted: its floor, the deviation the LP would report,
+    is recorded as the failing deviation.  The search stops at a passing
+    fit at d with a failing degree d - 2: the smallest passing degree of
+    the bracket when the deviation falls monotonically in the degree.
     """
     degree_cap = min(degree_cap, _LP_DEGREE_CAP)
     top = max(3, int(np.ceil(1.0 / sigma))) | 1   # the round's doubling degree
@@ -161,7 +234,9 @@ def _search_inverse_poly(sigma: float, eps: float, shrink: float,
         d = None if guess is None else int(np.ceil(min(guess, ceiling))) | 1
         if d is None or d <= lo:
             d = (lo + hi) // 2 | 1          # bisection safeguard
-        coeffs, dev = _minimax_fit(sigma, d, shrink)
+        dev = _failure_floor(sigma, d, shrink, eps)    # above eps, or None
+        if dev is None:
+            coeffs, dev = _minimax_fit(sigma, d, shrink)
         if dev <= eps:
             best = (d, dev, coeffs)
         else:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -431,6 +432,17 @@ def test_a_non_finite_reference_is_degenerate(ref):
     x = np.array([0.45, -0.2, 0.3])
     with pytest.raises(DegenerateReferenceError, match="overlap nan below"):
         newton_step(system, state_for(x), CFG, x_ref=np.array(ref))
+
+
+@pytest.mark.parametrize("ref", [[np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0]],
+                         ids=["nan", "inf"])
+def test_a_non_finite_reference_is_rejected_before_dividing(ref):
+    # dividing [inf, 0, 0] by its norm warned "invalid value encountered in
+    # divide" before the typed error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateReferenceError, match="overlap nan below"):
+            StepFrame(np.array([0.45, -0.2, 0.3]), 1, x_ref=np.array(ref))
 
 
 def test_debug_after_a_plain_solve_still_verifies_m(monkeypatch):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ortho_group
 
@@ -210,8 +210,8 @@ def test_lv_poly_search_fits(monkeypatch):
     finally:
         svt._search_inverse_poly.cache_clear()
     assert (q.degree, headroom) == (229, svt._HEADROOM)
-    assert len(fits) <= 5
-    assert all(shrink == svt._HEADROOM for _, shrink in fits)
+    # the failure floor proves 41, 83, 167 and 227 short of the target
+    assert fits == [(229, svt._HEADROOM)]
 
 
 @given(st.floats(0.15, 0.6), st.floats(1e-3, 5e-2),
@@ -234,16 +234,22 @@ def test_search_returns_a_locally_minimal_degree(sigma, eps, shrink):
     finally:
         svt._minimax_fit = minimax_fit
         svt._search_inverse_poly.cache_clear()
+
+    def fitted(degree):         # a degree the failure floor settled is fit here
+        if degree not in deviation:
+            deviation[degree] = minimax_fit(sigma, degree, shrink)[1]
+        return deviation[degree]
+
     if q is None:               # the last doubling degree under the cap failed
         top = max(3, int(np.ceil(1.0 / sigma))) | 1
         while 2 * top + 1 <= 65:
             top = 2 * top + 1
-        assert deviation[top] > eps
+        assert fitted(top) > eps
         return
     d = q.cheb_coeffs.size - 1
     assert deviation[d] <= eps
     if d > 3:                   # the search never fits degree 1
-        assert deviation[d - 2] > eps
+        assert fitted(d - 2) > eps
 
 
 def test_search_falls_back_to_doubling_and_bisection(monkeypatch):
@@ -262,6 +268,7 @@ def test_search_falls_back_to_doubling_and_bisection(monkeypatch):
         return coeffs, deviation(degree)
 
     monkeypatch.setattr(svt, "_minimax_fit", tabled)
+    monkeypatch.setattr(svt, "_failure_floor", lambda *args: None)
     # sigma 0.2 starts the doubling rounds at degree 5: 5, 11, 23, ...
     q = svt._search_inverse_poly.__wrapped__(0.2, 1e-3, 1.0, 100)
     assert fits == [5, 11, 23, 17, 15]
@@ -269,6 +276,83 @@ def test_search_falls_back_to_doubling_and_bisection(monkeypatch):
     # the smallest passing odd degree of the bracket (11, 23]
     assert q.degree == min(d for d in range(13, 24, 2) if deviation(d) <= 1e-3)
     assert q.degree - 2 in fits and deviation(q.degree - 2) > 1e-3
+
+
+def test_certified_failures_make_no_lp_call(monkeypatch):
+    # deviation 2^(-d/2) crosses eps 1e-3 between 19 and 21; a floor that
+    # reports the LP's deviation for every failing degree leaves only the
+    # pass at 21 to the LP, and the search visits the same degrees
+    def deviation(d):
+        return 2.0 ** (-d / 2)
+
+    visits, fits = [], []
+
+    def tabled(sigma, degree, shrink=1.0):
+        visits.append(degree)
+        fits.append(degree)
+        coeffs = np.zeros(degree + 1)
+        coeffs[degree] = 1.0
+        return coeffs, deviation(degree)
+
+    def floor(sigma, degree, shrink, eps):
+        if deviation(degree) <= eps:
+            return None
+        visits.append(degree)
+        return deviation(degree)
+
+    monkeypatch.setattr(svt, "_minimax_fit", tabled)
+    monkeypatch.setattr(svt, "_failure_floor", floor)
+    q = svt._search_inverse_poly.__wrapped__(0.2, 1e-3, 1.0, 100)
+    assert (q.degree, fits, visits) == (21, [21], [5, 11, 21, 19])
+    visits.clear()
+    fits.clear()
+    monkeypatch.setattr(svt, "_failure_floor", lambda *args: None)
+    assert svt._search_inverse_poly.__wrapped__(0.2, 1e-3, 1.0, 100).degree == 21
+    assert fits == visits == [5, 11, 21, 19]
+
+
+# ---------------------------------------------------------------------------
+# the failure floor
+# ---------------------------------------------------------------------------
+
+@given(st.floats(0.02, 0.6), st.integers(1, 115).map(lambda k: 2 * k + 1),
+       st.sampled_from([1.0, svt._HEADROOM]))
+@settings(max_examples=10, deadline=None)
+@example(0.025, 41, svt._HEADROOM)          # tight: lv_poly's first fit
+@example(0.107, 11, 1.0)                    # tight on the saturated target
+def test_failure_floor_never_exceeds_the_lp_deviation(sigma, degree, shrink):
+    _, dev = svt._minimax_fit(sigma, degree, shrink)
+    floor = svt._failure_floor(sigma, degree, shrink, 0.0)
+    # a tight floor meets the LP's deviation to within rounding
+    assert floor is None or floor <= dev * (1.0 + 1e-12)
+    # and never proves that a fit fails at the deviation it reaches
+    assert svt._failure_floor(sigma, degree, shrink, dev) is None
+
+
+@pytest.mark.parametrize("degree", [41, 83, 167, 227, 229])
+def test_failure_floor_is_tight_on_lv_poly(degree):
+    sigma, shrink = 0.025, svt._HEADROOM
+    floor = svt._failure_floor(sigma, degree, shrink, 0.0)
+    assert floor is not None
+    assert floor == pytest.approx(svt._minimax_fit(sigma, degree, shrink)[1],
+                                  rel=1e-4)
+
+
+def test_failure_floor_declines_where_the_cap_binds():
+    # the Remez polynomial at sigma 0.03, degree 307 reaches |q| = 1.09 on
+    # (0, sigma), so the capped LP deviates by more than the floor
+    assert svt._failure_floor(0.03, 307, svt._HEADROOM, 0.0) is None
+
+
+def test_failure_floor_declines_a_singular_reference(monkeypatch):
+    fit_grids = svt._fit_grids
+
+    def flat(sigma, degree, shrink):
+        xs, target, phi_fit, phi_cap = fit_grids(sigma, degree, shrink)
+        return xs, target, np.zeros_like(phi_fit), phi_cap
+
+    monkeypatch.setattr(svt, "_fit_grids", flat)
+    assert svt._failure_floor(0.1, 21, svt._HEADROOM, 0.0) is None
 
 
 # ---------------------------------------------------------------------------
