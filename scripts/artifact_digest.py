@@ -11,8 +11,8 @@ report, a classical solve and a check of a small inhomogeneous problem with
 a nonzero root, a solve of a mixed problem with entries above 1 that is
 rescaled on load, and a solve of a mixed problem with only linear and
 constant parts, once from a good guess and once from a guess orthogonal to
-e1 under `--gamma-ref e1` (all three problems written by this script),
-through `qnls.cli.main` in a temporary directory. Prints one
+e1 under `--gamma-ref e1`, and a check of it (all three problems written
+by this script), through `qnls.cli.main` in a temporary directory. Prints one
 `exit <code>  <command name>` line per command, then one
 `<sha256>  <name>` line per written file and per captured stdout and
 stderr. To check that a change keeps every artifact, run it against both
@@ -145,6 +145,8 @@ COMMANDS = [
     ("solve-degenerate-e1", "solve --problem lin.qnls --x0 lin0.qnls.x0 "
                             "--iters 3 --gamma-ref e1 --trace lin0.csv "
                             "--report lin0.txt"),
+    # every suite finds no homogeneous part
+    ("check-linear", "check --problem lin.qnls --suite all"),
 ]
 # commands run with QNLS_DEBUG=1, which every encoding verifies under
 DEBUG_COMMANDS = {"solve-lv-debug", "solve-gpe3-debug"}

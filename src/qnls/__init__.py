@@ -17,7 +17,7 @@ from .poly_system import (InhomogeneousPolynomial, InhomogeneousSystem,
                           eval_inhomogeneous, evaluate, gradient_inhomogeneous,
                           gradient_md, homogenize_odd, jacobian,
                           mixed_evaluate, mixed_jacobian, monomials_to_matrix,
-                          tensor_power)
+                          system_evaluators, system_parts, tensor_power)
 from .problem_io import (parse_problem, parse_problem_file, problem_kind,
                          write_problem_file)
 from .problems import (GpeParams, LvParams, gpe_default_guess, gpe_discretize,
@@ -27,7 +27,7 @@ from .quantum_newton import (NewtonState, NewtonTrace, StepFrame, TraceRow,
                              build_A_blockdiag, build_M_blockdiag, build_P,
                              init_heuristic, jacobian_be, jacobian_sandwich_be,
                              newton_solve, newton_step, norm_estimate,
-                             recover_vector, rhs_be, system_evaluators)
+                             recover_vector, rhs_be)
 from .svt import (InversionConfig, OddPolynomial, backend_inverse_poly,
                   degree_budget, max_eigenvalue, min_eigenvalue,
                   min_singular_value, sv_invert)

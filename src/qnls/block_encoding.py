@@ -216,7 +216,7 @@ def _sparse_budget(a: SparseMatrix, s: int, ledger: CostLedger | None) -> _Budge
     if a.max_abs_entry() > 1.0 + 1e-12:
         raise RescaleRequiredError(
             f"entry magnitude {a.max_abs_entry():.6f} exceeds 1; rescale first")
-    if max(a.row_nnz_max(), a.col_nnz_max()) > s:
+    if a.sparsity() > s:
         raise InputError("per-row/column nonzero count exceeds declared sparsity")
     if s <= 0:
         raise InputError("sparsity must be positive")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -22,14 +21,12 @@ from .errors import (ConditioningError, DegenerateReferenceError, InputError,
                      SingularJacobianError)
 from .poly_system import (InhomogeneousSystem, MixedSystem, PolynomialSystem,
                           canonicalize, canonicalize_mixed, euler_check,
-                          eval_inhomogeneous, evaluate, gradient_inhomogeneous,
-                          gradient_md)
+                          evaluate, system_evaluators, system_parts)
 from .problem_io import (atomic_write, parse_problem_file, problem_kind,
                          write_problem_file)
 from .problems import (GpeParams, LvParams, gpe_default_guess, gpe_discretize,
                        lv_default_guess, lv_discretize, random_system)
-from .quantum_newton import (NewtonTrace, TraceRow, newton_solve,
-                             system_evaluators)
+from .quantum_newton import NewtonTrace, TraceRow, newton_solve
 from .svt import InversionConfig, degree_budget
 
 EXIT_OK = 0
@@ -184,16 +181,9 @@ def _run_solver(problem, args):
     return trace, state.ledger, state.be_xxT.cost
 
 
-def _homogeneous_part(problem):
-    if isinstance(problem, PolynomialSystem):
-        return problem
-    if isinstance(problem, MixedSystem):
-        return problem.nonlinear
-    return None
-
-
 def _problem_nps(problem) -> tuple[int, int, int]:
-    nl = _homogeneous_part(problem)
+    nl = (None if isinstance(problem, InhomogeneousSystem)
+          else system_parts(problem)[0])
     if nl is None:
         return problem.n, 1, 1
     return problem.n, nl.p, nl.sparsity
@@ -295,11 +285,11 @@ def _cmd_check(args) -> int:
 
 
 def _run_check(name: str, problem, rng) -> tuple[bool, str]:
-    if name == "gradient" and isinstance(problem, InhomogeneousSystem):
-        return _check_gradient(problem.n, [
-            (partial(eval_inhomogeneous, g), partial(gradient_inhomogeneous, g))
-            for g in problem.equations], rng)
-    nl = _homogeneous_part(problem)
+    # an inhomogeneous system has no homogeneous part: gradient checks it whole
+    if isinstance(problem, InhomogeneousSystem):
+        nl = problem if name == "gradient" else None
+    else:
+        nl = system_parts(problem)[0]
     if nl is None:
         return True, "no homogeneous part"
     if name == "appendixA":
@@ -325,9 +315,7 @@ def _run_check(name: str, problem, rng) -> tuple[bool, str]:
             worst = max(worst, rel)
         return worst <= 1e-10, f"max relative Euler defect = {worst:.3g}"
     if name == "gradient":
-        return _check_gradient(nl.n, [
-            (lambda x, i=i: evaluate(nl, x)[i], partial(gradient_md, nl, i))
-            for i in range(nl.n)], rng)
+        return _check_gradient(nl, rng)
     if name == "scaling":
         worst = 0.0
         for _ in range(10):
@@ -341,18 +329,20 @@ def _run_check(name: str, problem, rng) -> tuple[bool, str]:
     raise InputError(f"unknown check {name}")
 
 
-def _check_gradient(n: int, equations, rng) -> tuple[bool, str]:
-    """Each (f, grad f) pair against central differences at one random x."""
-    h = 1e-5
+def _check_gradient(system, rng) -> tuple[bool, str]:
+    """Each row i of J against central differences of f_i, at one random x
+    per row."""
+    f_eval, j_eval = system_evaluators(system)
+    n, h = system.n, 1e-5
     worst = 0.0
-    for f, grad_f in equations:
+    for i in range(n):
         x = rng.uniform(-1.0, 1.0, n)
-        grad = grad_f(x)
+        grad = j_eval(x)[i]
         fd = np.zeros(n)
         for k in range(n):
             e = np.zeros(n)
             e[k] = h
-            fd[k] = (f(x + e) - f(x - e)) / (2 * h)
+            fd[k] = (f_eval(x + e)[i] - f_eval(x - e)[i]) / (2 * h)
         worst = max(worst, np.linalg.norm(grad - fd)
                     / max(1.0, np.linalg.norm(fd)))
     return worst <= 1e-6, f"max relative FD gap = {worst:.3g}"

@@ -4,8 +4,9 @@ A system of n equations f_i(x) = (1/2) (x^{op})^T A_i x^{op} with even
 degree 2p is stored through its sparse n^p-by-n^p coefficient matrices.
 This module evaluates such systems, computes their gradients through the
 permutation-sum operator M_D^i = sum_j Q_j A_i Q_j, homogenizes odd-degree
-systems, and represents the constant + linear + homogeneous decomposition
-used by the PDE discretizations.
+systems, represents the constant + linear + homogeneous decomposition
+used by the PDE discretizations, and answers for each system kind what it
+is made of and how it evaluates.
 """
 
 from __future__ import annotations
@@ -130,15 +131,12 @@ class SparseMatrix:
     def max_abs_entry(self) -> float:
         return float(np.max(np.abs(self.vals))) if self.nnz else 0.0
 
-    def row_nnz_max(self) -> int:
+    def sparsity(self) -> int:
+        """s, the most nonzeros in one row or one column (0 when empty)."""
         if not self.nnz:
             return 0
-        return int(np.bincount(self.rows, minlength=self.dim_rows).max())
-
-    def col_nnz_max(self) -> int:
-        if not self.nnz:
-            return 0
-        return int(np.bincount(self.cols, minlength=self.dim_cols).max())
+        return int(max(np.bincount(self.rows).max(),
+                       np.bincount(self.cols).max()))
 
     def spectral_norm(self) -> float:
         """Operator 2-norm by dense SVD (desk scale only)."""
@@ -214,7 +212,7 @@ class PolynomialSystem:
                 raise DimensionMismatchError("each A_i must be n^p x n^p")
             sym.append(a.symmetrized())
         for a in sym:
-            if max(a.row_nnz_max(), a.col_nnz_max()) > self.sparsity:
+            if a.sparsity() > self.sparsity:
                 raise InputError("declared sparsity exceeded after symmetrization")
         object.__setattr__(self, "equations", tuple(sym))
 
@@ -440,6 +438,32 @@ def mixed_jacobian(ms: MixedSystem, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def system_parts(system) -> tuple[PolynomialSystem | None,
+                                  SparseMatrix | None, np.ndarray | None]:
+    """(homogeneous part, linear part, constants) of a homogeneous or mixed
+    system, each None when absent; InputError for any other system type."""
+    if isinstance(system, PolynomialSystem):
+        return system, None, None
+    if isinstance(system, MixedSystem):
+        lin = system.linear if system.linear.nnz else None
+        const = system.constants if np.any(system.constants) else None
+        return system.nonlinear, lin, const
+    raise InputError(f"unsupported system type {type(system).__name__}")
+
+
+def system_evaluators(system):
+    """(F, J) callables for any of the system kinds."""
+    if isinstance(system, PolynomialSystem):
+        return (lambda x: evaluate(system, x),
+                lambda x: jacobian(system, x))
+    if isinstance(system, MixedSystem):
+        return (lambda x: mixed_evaluate(system, x),
+                lambda x: mixed_jacobian(system, x))
+    if isinstance(system, InhomogeneousSystem):
+        return system.evaluate, system.jacobian
+    raise InputError(f"unsupported system type {type(system).__name__}")
+
+
 def canonicalize_mixed(ms: MixedSystem) -> tuple[MixedSystem, np.ndarray]:
     """Per-row rescaling so the nonlinear part meets the encoding bounds.
 
@@ -514,7 +538,7 @@ def symmetrized_system(n: int, p: int,
                        mats: Sequence[SparseMatrix]) -> PolynomialSystem:
     """System of the symmetrized matrices; s is their measured sparsity, at least 1."""
     sym = tuple(a.symmetrized() for a in mats)
-    s = max(max(a.row_nnz_max(), a.col_nnz_max()) for a in sym) or 1
+    s = max(a.sparsity() for a in sym) or 1
     return PolynomialSystem(n, p, s, sym)
 
 

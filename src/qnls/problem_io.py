@@ -90,12 +90,8 @@ def dumps_problem(problem: Problem) -> str:
 
 
 def _inhomog_sparsity(problem: InhomogeneousSystem) -> int:
-    s = 0
-    for g in problem.equations:
-        for _, bs in g.terms:
-            for b in bs:
-                s = max(s, b.row_nnz_max(), b.col_nnz_max())
-    return s
+    return max((b.sparsity() for g in problem.equations for _, bs in g.terms
+                for b in bs), default=0)
 
 
 def atomic_write(path: str, text: str) -> None:

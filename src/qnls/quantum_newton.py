@@ -29,9 +29,9 @@ from .errors import (CompositionError, ConditioningError,
                      DegenerateReferenceError, DeskScaleError, InputError,
                      InvariantViolationError, RescaleRequiredError,
                      SingularJacobianError)
-from .poly_system import (DESK_SCALE_CAP, InhomogeneousSystem, MixedSystem,
-                          PolynomialSystem, SparseMatrix, evaluate, jacobian,
-                          mixed_evaluate, mixed_jacobian, tensor_power)
+from .poly_system import (DESK_SCALE_CAP, PolynomialSystem, SparseMatrix,
+                          evaluate, jacobian, system_evaluators, system_parts,
+                          tensor_power)
 from .svt import (InversionConfig, max_eigenvalue, min_singular_value,
                   sv_invert)
 
@@ -69,7 +69,7 @@ def _encode_matrix_auto(m: SparseMatrix,
                         ledger: CostLedger | None = None) -> BlockEncoding:
     """Sparse encoding with automatic entry rescaling folded into alpha."""
     ent = m.max_abs_entry()
-    s = max(1, m.row_nnz_max(), m.col_nnz_max())
+    s = max(1, m.sparsity())
     if ent <= 1.0:
         return be_from_sparse(m, s, ledger)
     return be_rescale(be_from_sparse(m.scaled(1.0 / ent), s, ledger), ent)
@@ -344,29 +344,6 @@ class NewtonTrace:
         return "\n".join(lines) + "\n"
 
 
-def _split_system(system):
-    if isinstance(system, PolynomialSystem):
-        return system, None, None
-    if isinstance(system, MixedSystem):
-        lin = system.linear if system.linear.nnz else None
-        const = system.constants if np.any(system.constants) else None
-        return system.nonlinear, lin, const
-    raise InputError(f"unsupported system type {type(system).__name__}")
-
-
-def system_evaluators(system):
-    """(F, J) callables for any of the system flavors."""
-    if isinstance(system, PolynomialSystem):
-        return (lambda x: evaluate(system, x),
-                lambda x: jacobian(system, x))
-    if isinstance(system, MixedSystem):
-        return (lambda x: mixed_evaluate(system, x),
-                lambda x: mixed_jacobian(system, x))
-    if isinstance(system, InhomogeneousSystem):
-        return system.evaluate, system.jacobian
-    raise InputError(f"unsupported system type {type(system).__name__}")
-
-
 def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
                 x_ref: np.ndarray | None = None) -> NewtonState:
     """One density-matrix Newton update built from the calculus.
@@ -377,7 +354,7 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
     carries x x^T at alpha ~ 1.
     """
     led = state.ledger.copy()
-    poly, lin, const = _split_system(system)
+    poly, lin, const = system_parts(system)
     n = system.n
     p_half = poly.p if poly is not None else 1
     floor = cfg.sigma_floor
@@ -472,7 +449,7 @@ def newton_solve(system, x0: np.ndarray, t: int, cfg: InversionConfig, *,
         raise InputError("x0 must be finite")
     if np.linalg.norm(x0) > 1.0 + 1e-12:
         raise InputError("||x0|| must be at most 1")
-    poly = _split_system(system)[0]
+    poly = system_parts(system)[0]
     dim = system.n ** (poly.p + 1) if poly is not None else system.n
     if dim > DESK_SCALE_CAP:
         raise DeskScaleError(f"logical_dim {dim} exceeds cap {DESK_SCALE_CAP}")

@@ -197,12 +197,13 @@ def _search_inverse_poly(sigma: float, eps: float, shrink: float,
                          degree_cap: int) -> OddPolynomial | None:
     """Smallest passing odd degree of the first doubling round that has one.
 
-    The rounds double the degree d -> 2d + 1 from max(3, 1/sigma) up to the
-    cap; a round's bracket runs from the previous round's failing doubling
-    degree (1 in the first round) to its own.  The minimax deviation falls
-    about geometrically in the degree (the log(1/eps)/sigma scale of
-    `degree_budget`), so each fit goes to the odd ceiling of the degree where
-    log(deviation), drawn as a straight line, crosses log(eps):
+    The rounds double the degree d -> 2d + 1 from max(3, 1/sigma) up to
+    degree_cap, which the caller keeps within the LP cap; a round's bracket
+    runs from the previous round's failing doubling degree (1 in the first
+    round) to its own.  The minimax deviation falls about geometrically in
+    the degree (the log(1/eps)/sigma scale of `degree_budget`), so each fit
+    goes to the odd ceiling of the degree where log(deviation), drawn as a
+    straight line, crosses log(eps):
     - no passing fit in the round yet: extrapolated from the last two
       failing fits, capped at the round's doubling degree, which is fitted
       when the guess reaches it or when no two failing fits show a decrease;
@@ -215,7 +216,6 @@ def _search_inverse_poly(sigma: float, eps: float, shrink: float,
     fit at d with a failing degree d - 2: the smallest passing degree of
     the bracket when the deviation falls monotonically in the degree.
     """
-    degree_cap = min(degree_cap, _LP_DEGREE_CAP)
     top = max(3, int(np.ceil(1.0 / sigma))) | 1   # the round's doubling degree
     lo = 1                # highest failing degree; degree 1 is never fitted
     fails: list[tuple[int, float]] = []   # failing (degree, deviation)
@@ -266,13 +266,14 @@ def backend_inverse_poly(sigma: float, eps: float) -> tuple[OddPolynomial, float
     polynomial for sigma 0.025, eps 3e-2/9 is 1.3 % over eps off the grid.
     """
     InversionConfig(sigma, eps, "poly")          # range-checks sigma and eps
-    cap = max(int(np.ceil(4.0 * degree_budget(sigma, eps))), 3)
+    cap = min(max(int(np.ceil(4.0 * degree_budget(sigma, eps))), 3),
+              _LP_DEGREE_CAP)
     q = _search_inverse_poly(float(sigma), float(_HEADROOM * eps),
                              _HEADROOM, cap)
     if q is None:
         raise ConfigError(
             f"inverse polynomial for sigma={sigma:.3g}, eps={eps:.3g} needs "
-            f"degree beyond the search cap {min(cap, _LP_DEGREE_CAP)} (4 x "
+            f"degree beyond the search cap {cap} (4 x "
             f"degree_budget, at most the LP cap {_LP_DEGREE_CAP}); raise "
             "sigma_floor or eps, or use the exact backend")
     return q, _HEADROOM

@@ -264,6 +264,19 @@ def test_check_all_passes_and_reports(tmp_path, capsys):
         assert f"CHECK {name} PASS" in out
 
 
+def test_check_without_a_homogeneous_part_passes_every_suite(tmp_path, capsys):
+    # a mixed file of lin and const lines only: the gradient suite checks the
+    # homogeneous part, not the linear one, so it has nothing to check either
+    path = tmp_path / "linear.qnls"
+    path.write_text("version 1\nkind mixed\nn 2\np 1\ns 1\n" + "".join(
+        f"equation {i}\nlin {i} 0.5\nlin {1 - i} 0.2\nconst 0.1\nend\n"
+        for i in range(2)))
+    assert main(["check", "--problem", str(path), "--suite", "all"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"CHECK {name} PASS no homogeneous part" for name in
+        ("appendixA", "appendixB", "euler", "gradient", "scaling")]
+
+
 def test_check_broken_appendix_a_fails(tmp_path, capsys):
     # hand-broken file: p * ||A_1|| far above sqrt(n)
     text = "\n".join([

@@ -1,16 +1,19 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnls import (DimensionMismatchError, InputError,
-                  InhomogeneousPolynomial, MixedSystem, PolynomialSystem,
-                  SparseMatrix, canonicalize, euler_check, eval_inhomogeneous,
-                  evaluate, gradient_inhomogeneous, gradient_md,
-                  homogenize_odd, jacobian, mixed_evaluate, mixed_jacobian,
-                  tensor_power)
+from qnls import (DimensionMismatchError, InhomogeneousPolynomial,
+                  InhomogeneousSystem, InputError, MixedSystem, ParseError,
+                  PolynomialSystem, SparseMatrix, be_from_sparse,
+                  canonicalize, euler_check, eval_inhomogeneous, evaluate,
+                  gradient_inhomogeneous, gradient_md, homogenize_odd,
+                  jacobian, mixed_evaluate, mixed_jacobian, tensor_power)
 from qnls.poly_system import (_swap_factor, evaluate_monomials,
-                              monomials_to_matrix)
+                              monomials_to_matrix, system_parts)
+from qnls.problem_io import parse_problem
 from qnls.problems import random_system
 
 from conftest import fd_gradient, fd_gradient_scalar
@@ -32,6 +35,37 @@ def test_sparse_symmetrize_and_norm():
     sym = a.symmetrized()
     assert np.allclose(sym.to_dense(), [[0, 1], [1, 0]])
     assert sym.spectral_norm() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("shape, density, seed", [
+    ((6, 6), 0.4, 0), ((6, 6), 0.8, 1), ((3, 8), 0.5, 2), ((8, 3), 0.5, 3),
+    ((1, 5), 1.0, 4), ((5, 1), 1.0, 5), ((4, 4), 0.0, 6), ((2, 7), 0.0, 7)])
+def test_sparsity_is_the_most_nonzeros_in_a_row_or_column(shape, density,
+                                                          seed):
+    rng = np.random.default_rng(seed)
+    dense = rng.uniform(-1.0, 1.0, shape) * (rng.uniform(size=shape) < density)
+    nonzero = dense != 0.0
+    want = max(nonzero.sum(axis=1).max(), nonzero.sum(axis=0).max())
+    assert SparseMatrix.from_dense(dense).sparsity() == want
+
+
+def test_declared_sparsity_errors_keep_their_types_and_messages():
+    a = SparseMatrix.from_entries(2, 2, [(0, 0, 0.5), (0, 1, 0.5)])
+    with pytest.raises(InputError) as exc:
+        be_from_sparse(a, 1)
+    assert (exc.type, str(exc.value)) == (
+        InputError, "per-row/column nonzero count exceeds declared sparsity")
+    with pytest.raises(InputError) as exc:
+        PolynomialSystem(2, 1, 1, (a, a))
+    assert (exc.type, str(exc.value)) == (
+        InputError, "declared sparsity exceeded after symmetrization")
+    for kind in ("homogeneous", "mixed"):
+        text = (f"version 1\nkind {kind}\nn 2\np 1\ns 1\nequation 0\n"
+                "a 0 0 0.5\na 0 1 0.5\nend\nequation 1\na 1 1 1\nend\n")
+        with pytest.raises(ParseError) as exc:
+            parse_problem(io.StringIO(text))
+        assert str(exc.value) == ("malformed problem file: declared sparsity "
+                                  "exceeded after symmetrization")
 
 
 @given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 10 ** 6))
@@ -274,7 +308,7 @@ def test_monomials_to_matrix_roundtrip():
     rng = np.random.default_rng(9)
     monos = [(0.7, (2, 1, 1, 0)), (-0.3, (0, 2, 0, 2)), (1.1, (1, 1, 1, 1))]
     a = monomials_to_matrix(4, 2, monos).symmetrized()
-    system = PolynomialSystem(4, 2, a.row_nnz_max(), (a,) * 4)
+    system = PolynomialSystem(4, 2, a.sparsity(), (a,) * 4)
     for _ in range(5):
         x = rng.uniform(-1, 1, 4)
         assert evaluate(system, x)[0] == pytest.approx(
@@ -311,3 +345,18 @@ def test_mixed_combines_linear_and_nonlinear(diag_system):
     assert np.allclose(mixed_evaluate(ms, x), expected)
     assert np.allclose(mixed_jacobian(ms, x),
                        np.eye(2) + jacobian(diag_system, x))
+
+
+def test_system_parts_of_each_kind(diag_system):
+    assert system_parts(diag_system) == (diag_system, None, None)
+    ms = MixedSystem(2, np.array([0.1, 0.0]), SparseMatrix.identity(2),
+                     diag_system)
+    poly, lin, const = system_parts(ms)
+    assert poly is diag_system and lin is ms.linear and const is ms.constants
+    # zero parts are absent, and an all-zero nonlinear part is stored as None
+    empty = PolynomialSystem(2, 1, 1, (SparseMatrix(2, 2, [], [], []),) * 2)
+    bare = MixedSystem(2, np.zeros(2), SparseMatrix(2, 2, [], [], []), empty)
+    assert system_parts(bare) == (None, None, None)
+    with pytest.raises(InputError,
+                       match="^unsupported system type InhomogeneousSystem$"):
+        system_parts(InhomogeneousSystem(1, (InhomogeneousPolynomial(()),)))

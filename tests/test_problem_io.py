@@ -147,8 +147,7 @@ def _sparse(draw, d):
 def _homogeneous(draw, n):
     p = draw(st.integers(1, 2))
     eqs = [draw(_sparse(n ** p)) for _ in range(n)]
-    used = max(max(m.row_nnz_max(), m.col_nnz_max())
-               for m in (a.symmetrized() for a in eqs))
+    used = max(a.symmetrized().sparsity() for a in eqs)
     s = max(1, used) + draw(st.integers(0, 2))
     return PolynomialSystem(n, p, s, tuple(eqs))
 

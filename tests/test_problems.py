@@ -155,7 +155,7 @@ def test_random_system_canonical_by_construction():
         assert system.p * system.max_norm() <= np.sqrt(3) + 1e-9
         assert system.max_entry() <= 1.0 + 1e-12
         for a in system.equations:
-            assert max(a.row_nnz_max(), a.col_nnz_max()) <= system.sparsity
+            assert a.sparsity() <= system.sparsity
 
 
 def test_random_system_gradient_oracle():

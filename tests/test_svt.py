@@ -165,7 +165,8 @@ def _backend_searches(sigma, eps):
     """A saturated sigma/x search capped at 257, and the backend's search."""
     cap = max(int(np.ceil(4.0 * degree_budget(sigma, eps))), 3)
     return [(sigma, eps, 1.0, min(cap, 257)),
-            (sigma, svt._HEADROOM * eps, svt._HEADROOM, cap)]
+            (sigma, svt._HEADROOM * eps, svt._HEADROOM,
+             min(cap, svt._LP_DEGREE_CAP))]
 
 
 def _assert_same_search(sigma, eps, shrink, degree_cap):
