@@ -7,12 +7,11 @@ on the first), a classical `resources` run, an LV solve and the 3-step
 GPE solve with QNLS_DEBUG=1 (set for those commands only), a solve and a
 check of the random homogeneous problem, a one-step poly-backend LV solve,
 an LV generation with a given `--scale`, a `resources` run that prints its
-report, a classical solve and a check of a small inhomogeneous problem with
-a nonzero root, a solve of a mixed problem with entries above 1 that is
-rescaled on load, and a solve of a mixed problem with only linear and
-constant parts, once from a good guess and once from a guess orthogonal to
-e1 under `--gamma-ref e1`, and a check of it (all three problems written
-by this script), through `qnls.cli.main` in a temporary directory. Prints one
+report, a solve of a mixed problem with entries above 1 that is rescaled
+on load, and a solve of a mixed problem with only linear and constant
+parts, once from a good guess and once from a guess orthogonal to e1 under
+`--gamma-ref e1`, and a check of it (both problems written by this
+script), through `qnls.cli.main` in a temporary directory. Prints one
 `exit <code>  <command name>` line per command, then one
 `<sha256>  <name>` line per written file and per captured stdout and
 stderr. To check that a change keeps every artifact, run it against both
@@ -33,29 +32,6 @@ from unittest import mock
 
 from qnls import cli
 
-# g_1 = x_1 - 4 x_1 x_1^2 and g_2 = x_2 - 2 x_1 (x_1^2 + x_1 x_2): root (0.5, 0.5)
-INHOMOGENEOUS = """version 1
-kind inhomogeneous
-n 2
-p 1
-s 2
-equation 0
-term
-c 0 1
-term
-c 0 -4
-B 0 0 0 1
-end
-equation 1
-term
-c 1 1
-term
-c 0 -2
-B 0 0 0 1
-B 0 0 1 0.5
-B 0 1 0 0.5
-end
-"""
 # f_i = c_i x_i^2 + x_i - 0.2, c = (1.5, 1): rows rescaled by 1/3 and 1/2
 NON_CANONICAL_MIXED = """version 1
 kind mixed
@@ -119,10 +95,6 @@ COMMANDS = [
     # p = 2, so M merges two permuted copies of each A_i
     ("solve-gpe3-debug", "solve --problem gpe.qnls --x0 gpe.qnls.x0 --iters 3 "
                          "--trace gpe3_debug.csv --report gpe3_debug.txt"),
-    ("solve-inhomogeneous", "solve --problem inh.qnls --x0 inh.qnls.x0 "
-                            "--iters 3 --backend classical --trace inh.csv "
-                            "--report inh.txt"),
-    ("check-inhomogeneous", "check --problem inh.qnls --suite all"),
     # homogeneous: canonicalized on load, and warned about on solve
     ("solve-random", "solve --problem rnd.qnls --iters 2 --trace rnd.csv "
                      "--report rnd.txt"),
@@ -161,8 +133,6 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            Path("inh.qnls").write_text(INHOMOGENEOUS)
-            Path("inh.qnls.x0").write_text("0.6\n0.4\n")
             Path("big.qnls").write_text(NON_CANONICAL_MIXED)
             Path("big.qnls.x0").write_text("0.3\n0.2\n")
             Path("lin.qnls").write_text(LINEAR_MIXED)

@@ -11,11 +11,9 @@ from .errors import (AmplificationOverflowError, CompositionError,
                      DeskScaleError, DimensionMismatchError, InputError,
                      InvariantViolationError, ParseError, QnlsError,
                      RescaleRequiredError, SingularJacobianError)
-from .poly_system import (InhomogeneousPolynomial, InhomogeneousSystem,
-                          MixedSystem, PolynomialSystem, SparseMatrix,
+from .poly_system import (MixedSystem, PolynomialSystem, SparseMatrix,
                           canonicalize, canonicalize_mixed, euler_check,
-                          eval_inhomogeneous, evaluate, gradient_inhomogeneous,
-                          gradient_md, homogenize_odd, jacobian,
+                          evaluate, gradient_md, homogenize_odd, jacobian,
                           mixed_evaluate, mixed_jacobian, monomials_to_matrix,
                           system_evaluators, system_parts, tensor_power)
 from .problem_io import (parse_problem, parse_problem_file, problem_kind,

@@ -19,9 +19,9 @@ from .classical_oracle import classical_newton
 from .errors import (ConditioningError, DegenerateReferenceError, InputError,
                      InvariantViolationError, ParseError, QnlsError,
                      SingularJacobianError)
-from .poly_system import (InhomogeneousSystem, MixedSystem, PolynomialSystem,
-                          canonicalize, canonicalize_mixed, euler_check,
-                          evaluate, system_evaluators, system_parts)
+from .poly_system import (PolynomialSystem, canonicalize, canonicalize_mixed,
+                          euler_check, evaluate, system_evaluators,
+                          system_parts)
 from .problem_io import (atomic_write, parse_problem_file, problem_kind,
                          write_problem_file)
 from .problems import (GpeParams, LvParams, gpe_default_guess, gpe_discretize,
@@ -123,15 +123,12 @@ def _load_run(args):
         raise InputError("iterations must be non-negative")
     InversionConfig(args.sigma_floor, args.eps)   # range-checks both
     problem = parse_problem_file(args.problem)
-    if isinstance(problem, InhomogeneousSystem) and args.backend != "classical":
-        raise InputError("encoded pipeline for inhomogeneous systems is "
-                         "experimental; use --backend classical")
     factors_note = None
     if isinstance(problem, PolynomialSystem):
         problem, factor = canonicalize(problem)
         if factor != 1.0:
             factors_note = f"canonical rescale factor {factor:.6g}"
-    elif isinstance(problem, MixedSystem):
+    else:
         problem, factors = canonicalize_mixed(problem)
         if np.any(factors != 1.0):
             factors_note = (f"per-row canonical factors in "
@@ -182,8 +179,7 @@ def _run_solver(problem, args):
 
 
 def _problem_nps(problem) -> tuple[int, int, int]:
-    nl = (None if isinstance(problem, InhomogeneousSystem)
-          else system_parts(problem)[0])
+    nl = system_parts(problem)[0]
     if nl is None:
         return problem.n, 1, 1
     return problem.n, nl.p, nl.sparsity
@@ -285,11 +281,7 @@ def _cmd_check(args) -> int:
 
 
 def _run_check(name: str, problem, rng) -> tuple[bool, str]:
-    # an inhomogeneous system has no homogeneous part: gradient checks it whole
-    if isinstance(problem, InhomogeneousSystem):
-        nl = problem if name == "gradient" else None
-    else:
-        nl = system_parts(problem)[0]
+    nl = system_parts(problem)[0]
     if nl is None:
         return True, "no homogeneous part"
     if name == "appendixA":

@@ -5,8 +5,8 @@ degree 2p is stored through its sparse n^p-by-n^p coefficient matrices.
 This module evaluates such systems, computes their gradients through the
 permutation-sum operator M_D^i = sum_j Q_j A_i Q_j, homogenizes odd-degree
 systems, represents the constant + linear + homogeneous decomposition
-used by the PDE discretizations, and answers for each system kind what it
-is made of and how it evaluates.
+used by the PDE discretizations, and answers for both system kinds,
+homogeneous and mixed, what they are made of and how they evaluate.
 """
 
 from __future__ import annotations
@@ -303,93 +303,6 @@ def euler_check(system: PolynomialSystem, x: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Inhomogeneous polynomials: sums of (c^T x) * prod_k (x^T B_k x)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class InhomogeneousPolynomial:
-    """Sum of terms (c^T x) * prod_k (x^T B_k x); an empty B list is linear."""
-
-    terms: tuple[tuple[np.ndarray, tuple[SparseMatrix, ...]], ...]
-
-    def __post_init__(self):
-        norm_terms = []
-        nvars = None
-        for c, bs in self.terms:
-            c = np.asarray(c, dtype=np.float64)
-            if c.ndim != 1:
-                raise InputError("term vector c must be one-dimensional")
-            if not np.all(np.isfinite(c)):
-                raise InputError("term vector c must be finite")
-            if nvars is None:
-                nvars = c.size
-            elif c.size != nvars:
-                raise DimensionMismatchError("all terms must share the variable count")
-            for b in bs:
-                if b.dim_rows != nvars or b.dim_cols != nvars:
-                    raise DimensionMismatchError("B matrices must be n x n")
-            norm_terms.append((c, tuple(bs)))
-        object.__setattr__(self, "terms", tuple(norm_terms))
-
-    @property
-    def n(self) -> int:
-        return self.terms[0][0].size if self.terms else 0
-
-
-def eval_inhomogeneous(g: InhomogeneousPolynomial, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    total = 0.0
-    for c, bs in g.terms:
-        v = float(np.dot(c, x))
-        for b in bs:
-            v *= float(np.dot(x, b.matvec(x)))
-        total += v
-    return total
-
-
-def gradient_inhomogeneous(g: InhomogeneousPolynomial, x: np.ndarray) -> np.ndarray:
-    """Chain rule per term: (prod_k q_k) c + (c^T x) grad(prod_k q_k)."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    for c, bs in g.terms:
-        cx = float(np.dot(c, x))
-        quads = [float(np.dot(x, b.matvec(x))) for b in bs]
-        prod = float(np.prod(quads)) if quads else 1.0
-        grad += prod * c
-        for k, b in enumerate(bs):
-            rest = 1.0
-            for l, q in enumerate(quads):
-                if l != k:
-                    rest *= q
-            bx = b.matvec(x) + b.transpose().matvec(x)   # (B + B^T) x
-            grad += cx * rest * bx
-    return grad
-
-
-@dataclass(frozen=True, eq=False)
-class InhomogeneousSystem:
-    """Square system of inhomogeneous polynomial equations."""
-
-    n: int
-    equations: tuple[InhomogeneousPolynomial, ...]
-
-    def __post_init__(self):
-        if self.n <= 0:
-            raise InputError("n must be positive")
-        if len(self.equations) != self.n:
-            raise InputError("need n equations")
-        for g in self.equations:
-            if g.terms and g.n != self.n:
-                raise DimensionMismatchError("equation over wrong variable count")
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.array([eval_inhomogeneous(g, x) for g in self.equations])
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return np.vstack([gradient_inhomogeneous(g, x) for g in self.equations])
-
-
-# ---------------------------------------------------------------------------
 # Mixed systems: b + L x + F_nl(x)
 # ---------------------------------------------------------------------------
 
@@ -452,15 +365,14 @@ def system_parts(system) -> tuple[PolynomialSystem | None,
 
 
 def system_evaluators(system):
-    """(F, J) callables for any of the system kinds."""
+    """(F, J) callables of a homogeneous or mixed system; InputError for any
+    other system type."""
     if isinstance(system, PolynomialSystem):
         return (lambda x: evaluate(system, x),
                 lambda x: jacobian(system, x))
     if isinstance(system, MixedSystem):
         return (lambda x: mixed_evaluate(system, x),
                 lambda x: mixed_jacobian(system, x))
-    if isinstance(system, InhomogeneousSystem):
-        return system.evaluate, system.jacobian
     raise InputError(f"unsupported system type {type(system).__name__}")
 
 

@@ -1,12 +1,11 @@
 """Line-oriented problem file format (UTF-8 text, `#` comments).
 
-Header: `version 1`, `kind homogeneous|mixed|inhomogeneous`, `n`, `p`, `s`.
-Then one `equation <i>` ... `end` block per equation containing
-`a <row> <col> <value>` sparse entries of the homogeneous part (0-based,
-row-major over n^p), `lin <j> <value>` linear coefficients, `const <value>`,
-and, for the inhomogeneous kind, `term` sub-blocks of `c <j> <value>` and
-`B <k> <row> <col> <value>` lines.  Floats are written with 17 significant
-digits so that write -> parse -> write is bit-identical.
+Header: `version 1`, `kind homogeneous|mixed`, `n`, `p`, `s`.  Then one
+`equation <i>` ... `end` block per equation containing `a <row> <col>
+<value>` sparse entries of the homogeneous part (0-based, row-major over
+n^p) and, for the mixed kind, `lin <j> <value>` linear coefficients and at
+most one `const <value>`.  Floats are written with 17 significant digits
+so that write -> parse -> write is bit-identical.
 """
 
 from __future__ import annotations
@@ -19,11 +18,10 @@ from typing import TextIO, Union
 import numpy as np
 
 from .errors import ParseError
-from .poly_system import (InhomogeneousPolynomial, InhomogeneousSystem,
-                          MixedSystem, PolynomialSystem, SparseMatrix,
+from .poly_system import (MixedSystem, PolynomialSystem, SparseMatrix,
                           capped_dim)
 
-Problem = Union[PolynomialSystem, MixedSystem, InhomogeneousSystem]
+Problem = Union[PolynomialSystem, MixedSystem]
 
 
 def _fmt(v: float) -> str:
@@ -35,8 +33,6 @@ def problem_kind(problem: Problem) -> str:
         return "homogeneous"
     if isinstance(problem, MixedSystem):
         return "mixed"
-    if isinstance(problem, InhomogeneousSystem):
-        return "inhomogeneous"
     raise ParseError(f"unsupported problem type {type(problem).__name__}")
 
 
@@ -54,7 +50,7 @@ def dumps_problem(problem: Problem) -> str:
             for r, c, v in a.entries():
                 stream.write(f"a {r} {c} {_fmt(v)}\n")
             stream.write("end\n")
-    elif kind == "mixed":
+    else:
         nl = problem.nonlinear
         stream.write(f"p {nl.p if nl is not None else 1}\n")
         stream.write(f"s {nl.sparsity if nl is not None else 0}\n")
@@ -69,29 +65,7 @@ def dumps_problem(problem: Problem) -> str:
                 for r, c, v in nl.equations[i].entries():
                     stream.write(f"a {r} {c} {_fmt(v)}\n")
             stream.write("end\n")
-    else:
-        max_b = max((len(bs) for g in problem.equations for _, bs in g.terms),
-                    default=0)
-        stream.write(f"p {max_b}\n")
-        stream.write(f"s {_inhomog_sparsity(problem)}\n")
-        for i, g in enumerate(problem.equations):
-            stream.write(f"equation {i}\n")
-            for cvec, bs in g.terms:
-                stream.write("term\n")
-                for j, cv in enumerate(cvec):
-                    if cv != 0.0:
-                        stream.write(f"c {j} {_fmt(float(cv))}\n")
-                for k, bmat in enumerate(bs):
-                    # a zero entry keeps an all-zero factor's index in the file
-                    for r, c, v in bmat.entries() if bmat.nnz else [(0, 0, 0.0)]:
-                        stream.write(f"B {k} {r} {c} {_fmt(v)}\n")
-            stream.write("end\n")
     return stream.getvalue()
-
-
-def _inhomog_sparsity(problem: InhomogeneousSystem) -> int:
-    return max((b.sparsity() for g in problem.equations for _, bs in g.terms
-                for b in bs), default=0)
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -143,7 +117,7 @@ def parse_problem(stream: TextIO) -> Problem:
         if version != "1":
             raise ParseError(f"unsupported version {version}")
         (kind,) = _expect(lines, "kind")
-        if kind not in ("homogeneous", "mixed", "inhomogeneous"):
+        if kind not in ("homogeneous", "mixed"):
             raise ParseError(f"unknown kind {kind!r}")
         (n,) = _expect(lines, "n")
         (p,) = _expect(lines, "p")
@@ -154,10 +128,8 @@ def parse_problem(stream: TextIO) -> Problem:
                 f"n = {n}, but the file has room for {room} equation blocks")
         if kind == "homogeneous":
             problem = _parse_homogeneous(lines, n, p, s)
-        elif kind == "mixed":
-            problem = _parse_mixed(lines, n, p, s)
         else:
-            problem = _parse_inhomogeneous(lines, n)
+            problem = _parse_mixed(lines, n, p, s)
         if lines.pos < len(lines.raw):
             raise ParseError(f"line {lines.raw[lines.pos][0]}: content after "
                              "the last equation block")
@@ -179,8 +151,7 @@ def _parse_equation_block(lines: _Lines, expected_index: int):
     args = _expect(lines, "equation")
     if int(args[0]) != expected_index:
         raise ParseError(f"expected equation {expected_index}, got {args[0]}")
-    rows = {"a": [], "lin": [], "const": [], "term": []}
-    current_term = None
+    rows = {"a": [], "lin": [], "const": []}
     while True:
         lineno, body = lines.next()
         parts = body.split()
@@ -192,19 +163,10 @@ def _parse_equation_block(lines: _Lines, expected_index: int):
         elif key == "lin":
             rows["lin"].append((int(parts[1]), float(parts[2])))
         elif key == "const":
+            if rows["const"]:
+                raise ParseError(f"line {lineno}: repeated 'const' in "
+                                 f"equation {expected_index}")
             rows["const"].append(float(parts[1]))
-        elif key == "term":
-            current_term = {"c": [], "B": []}
-            rows["term"].append(current_term)
-        elif key == "c":
-            if current_term is None:
-                raise ParseError(f"line {lineno}: 'c' outside a term block")
-            current_term["c"].append((int(parts[1]), float(parts[2])))
-        elif key == "B":
-            if current_term is None:
-                raise ParseError(f"line {lineno}: 'B' outside a term block")
-            current_term["B"].append((int(parts[1]), int(parts[2]),
-                                      int(parts[3]), float(parts[4])))
         else:
             raise ParseError(f"line {lineno}: unknown directive {key!r}")
     return rows
@@ -221,7 +183,7 @@ def _parse_homogeneous(lines: _Lines, n: int, p: int, s: int) -> PolynomialSyste
     a_entries = []
     for i in range(n):
         rows = _parse_equation_block(lines, i)
-        if rows["lin"] or rows["const"] or rows["term"]:
+        if rows["lin"] or rows["const"]:
             raise ParseError("homogeneous problems carry only 'a' entries")
         a_entries.append(rows["a"])
     return _homogeneous_system(n, p, s, a_entries)
@@ -233,41 +195,10 @@ def _parse_mixed(lines: _Lines, n: int, p: int, s: int) -> MixedSystem:
     a_entries = []
     for i in range(n):
         rows = _parse_equation_block(lines, i)
-        if rows["term"]:
-            raise ParseError("mixed problems carry no term blocks")
-        for cval in rows["const"]:
-            b[i] += cval
+        b[i] = rows["const"][0] if rows["const"] else 0.0
         for j, v in rows["lin"]:
             lin_entries.append((i, j, v))
         a_entries.append(rows["a"])
     nonlinear = _homogeneous_system(n, p, s, a_entries) if any(a_entries) else None
     return MixedSystem(n, b, SparseMatrix.from_entries(n, n, lin_entries),
                        nonlinear)
-
-
-def _parse_inhomogeneous(lines: _Lines, n: int) -> InhomogeneousSystem:
-    eqs = []
-    for i in range(n):
-        rows = _parse_equation_block(lines, i)
-        if rows["a"] or rows["lin"] or rows["const"]:
-            raise ParseError("inhomogeneous problems use term blocks only")
-        terms = []
-        for term in rows["term"]:
-            c, seen = np.zeros(n), set()
-            for j, v in term["c"]:
-                if not 0 <= j < n:
-                    raise ParseError(f"equation {i}: 'c' index {j} out of range")
-                if j in seen:
-                    raise ParseError(f"equation {i}: repeated 'c' index {j}")
-                seen.add(j)
-                c[j] = v
-            ks = sorted({k for k, _, _, _ in term["B"]})
-            if ks != list(range(len(ks))):
-                raise ParseError("B factor indices must be 0..K-1")
-            bs = []
-            for k in ks:
-                ent = [(r, cc, v) for kk, r, cc, v in term["B"] if kk == k]
-                bs.append(SparseMatrix.from_entries(n, n, ent))
-            terms.append((c, tuple(bs)))
-        eqs.append(InhomogeneousPolynomial(tuple(terms)))
-    return InhomogeneousSystem(n, tuple(eqs))

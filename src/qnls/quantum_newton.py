@@ -355,6 +355,9 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
     """
     led = state.ledger.copy()
     poly, lin, const = system_parts(system)
+    if poly is None and lin is None:
+        raise SingularJacobianError("the system has no linear or nonlinear "
+                                    "part: its Jacobian is zero")
     n = system.n
     p_half = poly.p if poly is not None else 1
     floor = cfg.sigma_floor

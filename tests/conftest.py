@@ -44,12 +44,3 @@ def fd_gradient(system, i, x, h=1e-5):
         out[k] = (evaluate(system, x + e)[i] - evaluate(system, x - e)[i]) / (2 * h)
     return out
 
-
-def fd_gradient_scalar(fun, x, h=1e-5):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    for k in range(x.size):
-        e = np.zeros_like(x)
-        e[k] = h
-        out[k] = (fun(x + e) - fun(x - e)) / (2 * h)
-    return out

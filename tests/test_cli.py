@@ -375,7 +375,7 @@ def test_problem_file_far_above_the_cap_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind, block, room", [
-    ("mixed", "const 1\n", 1), ("inhomogeneous", "term\nc 0 1\nB 0 0 0 1\n", 2)])
+    ("mixed", "const 1\n", 1), ("mixed", "const 1\nlin 0 1\na 0 0 1\n", 2)])
 def test_equation_count_beyond_the_file_is_parse_error(tmp_path, capsys, kind,
                                                        block, room):
     # an n the remaining lines cannot hold is rejected before n-sized arrays
@@ -392,9 +392,8 @@ def test_equation_count_beyond_the_file_is_parse_error(tmp_path, capsys, kind,
 @pytest.mark.parametrize("extra", ["equation 2\n{block}end\n", "end\n"],
                          ids=["third-block", "stray-line"])
 @pytest.mark.parametrize("kind, block", [
-    ("homogeneous", "a {i} {i} 1\n"), ("mixed", "const 1\nlin {i} 1\n"),
-    ("inhomogeneous", "term\nc {i} 1\nB 0 {i} {i} 1\n")],
-    ids=["homogeneous", "mixed", "inhomogeneous"])
+    ("homogeneous", "a {i} {i} 1\n"), ("mixed", "const 1\nlin {i} 1\n")],
+    ids=["homogeneous", "mixed"])
 def test_content_after_the_last_block_is_parse_error(tmp_path, capsys, kind,
                                                      block, extra):
     text = f"version 1\nkind {kind}\nn 2\np 1\ns 1\n" + "".join(
@@ -410,23 +409,6 @@ def test_content_after_the_last_block_is_parse_error(tmp_path, capsys, kind,
     lineno = text.count("\n") + 1
     assert capsys.readouterr().err == (
         f"parse error: line {lineno}: content after the last equation block\n")
-
-
-@pytest.mark.parametrize("c_lines, message", [
-    ("c -1 1\n", "'c' index -1 out of range"),
-    ("c 2 1\n", "'c' index 2 out of range"),
-    ("c 0 1\nc 0 2\n", "repeated 'c' index 0")],
-    ids=["negative", "beyond-n", "repeated"])
-def test_bad_inhomogeneous_c_index_is_parse_error(tmp_path, capsys, c_lines,
-                                                   message):
-    path = tmp_path / "c.qnls"
-    path.write_text("version 1\nkind inhomogeneous\nn 2\np 1\ns 1\n"
-                    f"equation 0\nterm\n{c_lines}B 0 0 0 1\nend\n"
-                    "equation 1\nterm\nc 1 1\nend\n")
-    rc = main(["solve", "--problem", str(path), "--iters", "1",
-               "--backend", "classical"])
-    assert rc == 2
-    assert capsys.readouterr().err == f"parse error: equation 0: {message}\n"
 
 
 def test_exact_commands_import_no_scipy(tmp_path):
@@ -491,36 +473,6 @@ def test_debug_mode_runs_clean(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_inhomogeneous_classical_only(tmp_path, capsys):
-    from qnls import InhomogeneousPolynomial, InhomogeneousSystem, SparseMatrix
-    from qnls.problem_io import write_problem_file
-    b = SparseMatrix.from_dense(np.array([[0.4, 0.1], [0.1, 0.3]]))
-    g1 = InhomogeneousPolynomial(((np.array([1.0, 0.2]), ()),
-                                  (np.array([0.5, 0.0]), (b,))))
-    g2 = InhomogeneousPolynomial(((np.array([-0.3, 1.0]), ()),
-                                  (np.array([0.0, 0.4]), (b,))))
-    path = tmp_path / "inhomog.qnls"
-    write_problem_file(InhomogeneousSystem(2, (g1, g2)), str(path))
-    guess = tmp_path / "x0.txt"
-    guess.write_text("0.3\n-0.2\n")
-    trace = tmp_path / "t.csv"
-    rc = main(["solve", "--problem", str(path), "--iters", "6",
-               "--backend", "classical", "--x0", str(guess),
-               "--trace", str(trace)])
-    assert rc == 0
-    rows = read_rows(trace)
-    assert float(rows[-1]["residual"]) <= 1e-9
-    # the encoded pipeline refuses inhomogeneous systems (experimental)
-    for command in ("solve", "resources"):
-        rc = main([command, "--problem", str(path), "--iters", "1",
-                   "--backend", "exact", "--x0", str(guess)])
-        assert rc == 1
-        assert ("error: encoded pipeline for inhomogeneous systems"
-                in capsys.readouterr().err)
-    rc = main(["check", "--problem", str(path), "--suite", "gradient"])
-    assert rc == 0
-
-
 def test_trace_is_valid_csv_on_halt(tmp_path):
     path = tmp_path / "r.qnls"
     main(["gen-random", "--n", "2", "--p", "1", "--s", "2", "--seed", "3",
@@ -562,15 +514,73 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command, option):
     assert not (tmp_path / "g.qnls").exists()
 
 
-def test_empty_inhomogeneous_problem_is_parse_error(tmp_path, capsys):
-    # homogeneous and mixed files with n 0 were already rejected
+@pytest.mark.parametrize("kind", ["homogeneous", "mixed"])
+def test_empty_problem_is_parse_error(tmp_path, capsys, kind):
     path = tmp_path / "empty.qnls"
-    path.write_text("version 1\nkind inhomogeneous\nn 0\np 0\ns 0\n")
+    path.write_text(f"version 1\nkind {kind}\nn 0\np 1\ns 0\n")
     for args in (["solve", "--problem", str(path), "--iters", "1",
                   "--backend", "classical"],
                  ["check", "--problem", str(path), "--suite", "all"]):
         assert main(args) == 2
         assert "parse error" in capsys.readouterr().err
+
+
+def test_inhomogeneous_kind_is_unknown(tmp_path, capsys):
+    # (c^T x) prod_k (x^T B_k x) terms have no encoded pipeline
+    path = tmp_path / "inh.qnls"
+    path.write_text("version 1\nkind inhomogeneous\nn 1\np 1\ns 1\n"
+                    "equation 0\nterm\nc 0 1\nend\n")
+    run = ["--problem", str(path), "--iters", "1"]
+    for args in ([["solve", *run, "--backend", backend]
+                  for backend in ("exact", "poly", "classical")]
+                 + [["resources", *run],
+                    ["check", "--problem", str(path), "--suite", "all"]]):
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "parse error: unknown kind 'inhomogeneous'\n")
+
+
+@pytest.mark.parametrize("line", ["term", "c 0 1", "B 0 0 0 1"])
+@pytest.mark.parametrize("kind", ["homogeneous", "mixed"])
+def test_term_lines_are_unknown_directives(tmp_path, capsys, kind, line):
+    path = tmp_path / "term.qnls"
+    path.write_text(f"version 1\nkind {kind}\nn 1\np 1\ns 1\n"
+                    f"equation 0\na 0 0 1\n{line}\nend\n")
+    assert main(["solve", "--problem", str(path), "--iters", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"parse error: line 8: unknown directive {line.split()[0]!r}\n")
+
+
+def test_repeated_const_is_parse_error(tmp_path, capsys):
+    # as a repeated 'lin' or 'a' entry is: the constants are not summed
+    path = tmp_path / "const.qnls"
+    path.write_text("version 1\nkind mixed\nn 1\np 1\ns 0\n"
+                    "equation 0\nconst 0.1\nconst 0.2\nend\n")
+    assert main(["solve", "--problem", str(path), "--iters", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: line 8: repeated 'const' in equation 0\n")
+
+
+@pytest.mark.parametrize("backend", ["exact", "poly", "classical"])
+@pytest.mark.parametrize("const", ["", "const 0.1\n"], ids=["zero", "const"])
+def test_a_system_without_a_jacobian_part_halts_at_step_0(tmp_path, capsys,
+                                                           const, backend):
+    # J = 0, so no Newton step exists; classically F = 0 needs none
+    path = tmp_path / "flat.qnls"
+    path.write_text("version 1\nkind mixed\nn 2\np 1\ns 0\n"
+                    f"equation 0\n{const}end\nequation 1\nend\n")
+    trace = tmp_path / "t.csv"
+    rc = main(["solve", "--problem", str(path), "--iters", "3",
+               "--backend", backend, "--trace", str(trace)])
+    assert len(read_rows(trace)) == 1
+    if backend != "classical":
+        expected = (3, "halted: the system has no linear or nonlinear part: "
+                       "its Jacobian is zero\n")
+    elif const:
+        expected = (3, "halted: Jacobian pivot below 1e-12\n")
+    else:
+        expected = (0, "")
+    assert (rc, capsys.readouterr().err) == expected
 
 
 @pytest.mark.parametrize("kind, block, note", [

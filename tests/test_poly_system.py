@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnls import (DimensionMismatchError, InhomogeneousPolynomial,
-                  InhomogeneousSystem, InputError, MixedSystem, ParseError,
+from qnls import (DimensionMismatchError, InputError, MixedSystem, ParseError,
                   PolynomialSystem, SparseMatrix, be_from_sparse,
-                  canonicalize, euler_check, eval_inhomogeneous, evaluate,
-                  gradient_inhomogeneous, gradient_md, homogenize_odd,
-                  jacobian, mixed_evaluate, mixed_jacobian, tensor_power)
+                  canonicalize, euler_check, evaluate, gradient_md,
+                  homogenize_odd, jacobian, mixed_evaluate, mixed_jacobian,
+                  tensor_power)
 from qnls.poly_system import (_swap_factor, evaluate_monomials,
                               monomials_to_matrix, system_parts)
 from qnls.problem_io import parse_problem
 from qnls.problems import random_system
 
-from conftest import fd_gradient, fd_gradient_scalar
+from conftest import fd_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -230,38 +229,6 @@ def test_canonicalize_rescales_norm_and_entries():
 
 
 # ---------------------------------------------------------------------------
-# inhomogeneous polynomials
-# ---------------------------------------------------------------------------
-
-def test_inhomogeneous_linear_term():
-    g = InhomogeneousPolynomial(((np.array([3.0, -1.0]), ()),))
-    x = np.array([1.0, 2.0])
-    assert eval_inhomogeneous(g, x) == pytest.approx(1.0)
-    assert np.allclose(gradient_inhomogeneous(g, x), [3.0, -1.0])
-
-
-def test_inhomogeneous_cubic_example():
-    # g = x (x^2 + y^2): grad at (1,1) is (3x^2+y^2, 2xy) = (4, 2)
-    g = InhomogeneousPolynomial(
-        ((np.array([1.0, 0.0]), (SparseMatrix.identity(2),)),))
-    x = np.array([1.0, 1.0])
-    assert eval_inhomogeneous(g, x) == pytest.approx(2.0)
-    assert np.allclose(gradient_inhomogeneous(g, x), [4.0, 2.0])
-
-
-def test_inhomogeneous_gradient_matches_fd():
-    rng = np.random.default_rng(11)
-    c = rng.uniform(-1, 1, 3)
-    b1 = SparseMatrix.from_dense(rng.uniform(-1, 1, (3, 3)))
-    b2 = SparseMatrix.from_dense(rng.uniform(-1, 1, (3, 3)))
-    g = InhomogeneousPolynomial(((c, (b1, b2)),))
-    x = rng.uniform(-1, 1, 3)
-    fd = fd_gradient_scalar(lambda y: eval_inhomogeneous(g, y), x)
-    grad = gradient_inhomogeneous(g, x)
-    assert np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
-
-
-# ---------------------------------------------------------------------------
 # homogenize_odd
 # ---------------------------------------------------------------------------
 
@@ -358,5 +325,5 @@ def test_system_parts_of_each_kind(diag_system):
     bare = MixedSystem(2, np.zeros(2), SparseMatrix(2, 2, [], [], []), empty)
     assert system_parts(bare) == (None, None, None)
     with pytest.raises(InputError,
-                       match="^unsupported system type InhomogeneousSystem$"):
-        system_parts(InhomogeneousSystem(1, (InhomogeneousPolynomial(()),)))
+                       match="^unsupported system type SparseMatrix$"):
+        system_parts(SparseMatrix.identity(2))

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnls import (DeskScaleError, InhomogeneousPolynomial,
-                  InhomogeneousSystem, MixedSystem, ParseError,
-                  PolynomialSystem, SparseMatrix)
+from qnls import (DeskScaleError, MixedSystem, ParseError, PolynomialSystem,
+                  SparseMatrix)
 from qnls.problem_io import (dumps_problem, parse_problem, parse_problem_file,
                              problem_kind, write_problem_file)
 
@@ -16,14 +15,6 @@ def small_homogeneous():
     a1 = SparseMatrix.from_dense(np.diag([1.0, 0.0]))
     a2 = SparseMatrix.from_dense(np.diag([0.0, 1.0]))
     return PolynomialSystem(2, 1, 1, (a1, a2))
-
-
-def small_inhomogeneous():
-    c = np.array([0.5, -0.25])
-    b = SparseMatrix.from_dense(np.array([[0.3, 0.1], [0.1, -0.2]]))
-    g1 = InhomogeneousPolynomial(((c, (b,)),))
-    g2 = InhomogeneousPolynomial(((np.array([1.0, 0.0]), ()),))
-    return InhomogeneousSystem(2, (g1, g2))
 
 
 def test_homogeneous_roundtrip():
@@ -46,14 +37,6 @@ def test_mixed_roundtrip_with_empty_nonlinear_rows():
     assert problem_kind(parsed) == "mixed"
     assert dumps_problem(parsed) == text
     assert np.allclose(parsed.constants, ms.constants)
-
-
-def test_inhomogeneous_roundtrip():
-    sys0 = small_inhomogeneous()
-    text = dumps_problem(sys0)
-    parsed = parse_problem(io.StringIO(text))
-    assert problem_kind(parsed) == "inhomogeneous"
-    assert dumps_problem(parsed) == text
 
 
 def test_comments_and_blank_lines_ignored():
@@ -155,23 +138,11 @@ def _homogeneous(draw, n):
 @st.composite
 def _problems(draw):
     n = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["homogeneous", "mixed", "inhomogeneous"]))
-    if kind == "homogeneous":
+    if draw(st.booleans()):
         return draw(_homogeneous(n))
-    if kind == "mixed":
-        constants = draw(st.lists(_VALUES, min_size=n, max_size=n))
-        nonlinear = draw(st.none() | _homogeneous(n))
-        return MixedSystem(n, np.array(constants), draw(_sparse(n)), nonlinear)
-    equations = []
-    for _ in range(n):
-        terms = []
-        for _ in range(draw(st.integers(0, 2))):
-            c = draw(st.lists(_VALUES, min_size=n, max_size=n))
-            factors = draw(st.integers(0, 2))
-            bs = tuple(draw(_sparse(n)) for _ in range(factors))
-            terms.append((np.array(c), bs))
-        equations.append(InhomogeneousPolynomial(tuple(terms)))
-    return InhomogeneousSystem(n, tuple(equations))
+    constants = draw(st.lists(_VALUES, min_size=n, max_size=n))
+    nonlinear = draw(st.none() | _homogeneous(n))
+    return MixedSystem(n, np.array(constants), draw(_sparse(n)), nonlinear)
 
 
 @given(_problems())

@@ -593,25 +593,23 @@ def test_solve_checks_the_cap_before_any_encoding(monkeypatch):
         newton_solve(linear, x0, 1, CFG)
 
 
-def test_step_and_solve_reject_an_inhomogeneous_system_before_encoding(
+def test_step_and_solve_reject_an_unsupported_system_before_encoding(
         monkeypatch):
+    import types
+
     import qnls.quantum_newton as qn
-    from qnls import InhomogeneousPolynomial, InhomogeneousSystem
 
     x0 = np.array([0.3, 0.2])
     state = state_for(x0)
-    b = SparseMatrix.identity(2)
-    system = InhomogeneousSystem(2, tuple(
-        InhomogeneousPolynomial(((np.eye(2)[i], ()), (np.eye(2)[i], (b,))))
-        for i in range(2)))
+    system = types.SimpleNamespace(n=2)
     calls = []
     for name in ("be_from_vector", "build_M_blockdiag"):
         monkeypatch.setattr(qn, name, _spy(calls, name, getattr(qn, name)))
     with pytest.raises(InputError,
-                       match="^unsupported system type InhomogeneousSystem$"):
+                       match="^unsupported system type SimpleNamespace$"):
         newton_step(system, state, CFG)
     with pytest.raises(InputError,
-                       match="^unsupported system type InhomogeneousSystem$"):
+                       match="^unsupported system type SimpleNamespace$"):
         newton_solve(system, x0, 1, CFG)
     assert calls == []
 
