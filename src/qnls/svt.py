@@ -9,10 +9,9 @@ The polynomial's degree is searched in doubling rounds d -> 2d + 1.  Inside
 a round, a secant on log(minimax deviation) against the degree predicts the
 smallest passing odd degree, and the search visits only the degrees that
 confirm it: it ends on a passing fit at d above a failing degree d - 2.
-Before each LP fit, a discrete Remez exchange on the fit's own grid tries
-to prove the degree fails; where it pins the LP's optimum, its floor enters
-the secant in place of the fit, so the same degrees are visited and the
-returned polynomial is always an LP fit.
+A fit is the settled Remez exchange of `_minimax_fit` where the unit cap
+does not bind, and an LP otherwise; `_failure_floor` uses the same exchange
+to prove a degree fails without fitting it.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from .errors import ConditioningError, ConfigError, InputError
 
 _LP_DEGREE_CAP = 1200      # practical cap of the LP-based minimax builder
 _HERMITIAN_TOL = 1e-9
-_UNIT_CAP = 1.0 - 1e-9     # the LP's bound on |q| over its cap grid
-_REMEZ_EXCHANGES = 12      # exchanges before the failure floor gives up
+_UNIT_CAP = 1.0 - 1e-9     # the fit's bound on |q| over its cap grid
+_REMEZ_EXCHANGES = 12      # exchange steps before `_remez_exchange` gives up
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class OddPolynomial:
 
 def _fit_grids(sigma: float, degree: int,
                shrink: float) -> tuple[np.ndarray, ...]:
-    """The minimax LP's grids: max(600, 4*degree) Chebyshev nodes xs of
+    """The minimax fit's grids: max(600, 4*degree) Chebyshev nodes xs of
     [sigma, 1] (decreasing), the target shrink*sigma/xs, the odd Chebyshev
     columns at xs, and the same columns at as many points of (0, 1] for the
     unit cap."""
@@ -91,64 +90,24 @@ def _fit_grids(sigma: float, degree: int,
             chebyshev.chebvander(ys, degree)[:, ks])
 
 
-def _minimax_fit(sigma: float, degree: int,
-                 shrink: float = 1.0) -> tuple[np.ndarray, float]:
-    """Best odd-Chebyshev fit to shrink*sigma/x on [sigma, 1], |q| <= 1 on [0, 1].
-
-    Linear program: minimize the sup deviation t on a Chebyshev-node grid of
-    the approximation interval, subject to a unit cap on a grid of [0, 1].
-    """
-    from scipy.optimize import linprog     # loaded by the poly backend only
-    _, target, phi_fit, phi_cap = _fit_grids(sigma, degree, shrink)
-    m, k = phi_fit.shape                    # the cap grid has m points too
-    cvec = np.zeros(k + 1)                  # coefficients + deviation bound t
-    cvec[-1] = 1.0
-    ones, zeros = np.ones((m, 1)), np.zeros((m, 1))
-    a_ub = np.vstack([
-        np.hstack([phi_fit, -ones]),
-        np.hstack([-phi_fit, -ones]),
-        np.hstack([phi_cap, zeros]),
-        np.hstack([-phi_cap, zeros]),
-    ])
-    b_ub = np.concatenate([target, -target, np.full(2 * m, _UNIT_CAP)])
-    res = linprog(cvec, A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * k + [(0, None)],
-                  method="highs")
-    if not res.success:
-        raise ConfigError(f"minimax LP failed at degree {degree}: {res.message}")
-    coeffs = np.zeros(degree + 1)
-    coeffs[1::2] = res.x[:-1]
-    # the deviation the coefficients reach on the fit grid, not the LP's t:
-    # HiGHS meets each row only to 1e-7, so t can read 0 for a fit that misses
-    return coeffs, float(np.max(np.abs(phi_fit @ res.x[:-1] - target)))
-
-
-def _failure_floor(sigma: float, degree: int, shrink: float,
-                   eps: float) -> float | None:
-    """The minimax LP's deviation at this degree when a discrete Remez
-    exchange proves it above eps without the LP; None otherwise.
+def _remez_exchange(sigma: float, grids: tuple[np.ndarray, ...]
+                    ) -> tuple[np.ndarray, float, bool] | None:
+    """Discrete Remez exchange for the odd Chebyshev basis on the fit grid.
 
     Odd polynomials on [sigma, 1], sigma > 0, form a Haar system (Descartes'
     rule of signs), so by de la Vallee Poussin every odd polynomial of the
-    degree, the LP's included, deviates on the fit grid by at least the floor
-    min |target - p| over n + 1 grid points where the error of any one such
-    p alternates in sign (n = (degree + 1)/2 coefficients).  The exchange
-    starts from the grid points nearest the Chebyshev extrema in x^2 of
-    [sigma^2, 1], levels the error on the reference, and moves the reference
-    to n + 1 alternating error peaks that include the largest.  The floor
-    stands for the LP only when all three hold:
-    - it exceeds eps by 2 (degree + 1) degree^2 2^-53, the rounding of two
-      evaluations on the grid of n coefficients at most 2 each (both
-      polynomials meet the unit cap) against Chebyshev columns with
-      recurrence errors of degree^2 ulps;
-    - p's sup deviation on the grid is within 1e-9 relative of the floor;
-    - p meets the LP's unit cap on the cap grid.
-    Then p is feasible for the LP and pins its optimum to the floor, which
-    is the value the LP's fit would report.  Any other outcome, an exchange
-    that does not settle or a reference the solve cannot level included,
-    leaves the degree to the LP.
+    degree deviates on the fit grid by at least the floor min |target - p|
+    over n + 1 grid points where the error of any one such p alternates in
+    sign (n = (degree + 1)/2 coefficients).  The exchange starts from the
+    grid points nearest the Chebyshev extrema in x^2 of [sigma^2, 1], levels
+    the error on the reference, and moves the reference to n + 1
+    alternating error peaks that include the largest.  Once p's sup
+    deviation on the grid is within 1e-9 relative of the floor, it returns
+    p's odd-index coefficients, the floor and whether p meets the unit cap
+    on the cap grid; an exchange that does not settle, or a reference the
+    solve cannot level, gives None.
     """
-    xs, target, phi_fit, phi_cap = _fit_grids(sigma, degree, shrink)
+    xs, target, phi_fit, phi_cap = grids
     n = phi_fit.shape[1]
     t = 0.5 * (1.0 + sigma ** 2) + 0.5 * (1.0 - sigma ** 2) * np.cos(
         np.pi * np.arange(n + 1) / n)
@@ -175,10 +134,75 @@ def _failure_floor(sigma: float, degree: int, shrink: float,
         ref = peaks[first:first + n + 1]
         floor = float(lows[first])
         if size[peaks[top]] <= floor * (1.0 + 1e-9):
-            margin = 2.0 * (degree + 1) * degree ** 2 * 2.0 ** -53
             cap_ok = np.max(np.abs(phi_cap @ sol[:-1])) <= _UNIT_CAP
-            return floor if floor > eps + margin and cap_ok else None
+            return sol[:-1], floor, bool(cap_ok)
     return None
+
+
+def _minimax_fit(sigma: float, degree: int,
+                 shrink: float = 1.0) -> tuple[np.ndarray, float]:
+    """Best odd-Chebyshev fit to shrink*sigma/x on [sigma, 1], |q| <= 1 on [0, 1].
+
+    The fit minimizes the sup deviation on the fit grid subject to the unit
+    cap on the cap grid.  Odd polynomials form a Haar system on [sigma, 1],
+    so the uncapped discrete minimax fit is unique: a settled
+    `_remez_exchange` whose polynomial meets the cap is the optimum and is
+    returned without an LP.  Otherwise `_lp_fit` solves the LP.  Either way
+    the deviation returned is the one the coefficients reach on the fit grid.
+    """
+    grids = _fit_grids(sigma, degree, shrink)
+    levelled = _remez_exchange(sigma, grids)
+    odd = (levelled[0] if levelled is not None and levelled[2]
+           else _lp_fit(grids, degree))
+    _, target, phi_fit, _ = grids
+    coeffs = np.zeros(degree + 1)
+    coeffs[1::2] = odd
+    # the deviation the coefficients reach on the fit grid, not the LP's t:
+    # HiGHS meets each row only to 1e-7, so t can read 0 for a fit that misses
+    return coeffs, float(np.max(np.abs(phi_fit @ odd - target)))
+
+
+def _lp_fit(grids: tuple[np.ndarray, ...], degree: int) -> np.ndarray:
+    """Odd-index coefficients of the capped minimax LP's optimum."""
+    from scipy.optimize import linprog     # loaded by cap-bound fits only
+    _, target, phi_fit, phi_cap = grids
+    m, k = phi_fit.shape                    # the cap grid has m points too
+    cvec = np.zeros(k + 1)                  # coefficients + deviation bound t
+    cvec[-1] = 1.0
+    ones, zeros = np.ones((m, 1)), np.zeros((m, 1))
+    a_ub = np.vstack([
+        np.hstack([phi_fit, -ones]),
+        np.hstack([-phi_fit, -ones]),
+        np.hstack([phi_cap, zeros]),
+        np.hstack([-phi_cap, zeros]),
+    ])
+    b_ub = np.concatenate([target, -target, np.full(2 * m, _UNIT_CAP)])
+    res = linprog(cvec, A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(None, None)] * k + [(0, None)],
+                  method="highs")
+    if not res.success:
+        raise ConfigError(f"minimax LP failed at degree {degree}: {res.message}")
+    return res.x[:-1]
+
+
+def _failure_floor(sigma: float, degree: int, shrink: float,
+                   eps: float) -> float | None:
+    """The minimax fit's deviation at this degree when a settled
+    `_remez_exchange` proves it above eps; None otherwise.
+
+    The floor stands for the fit only when the exchange's polynomial meets
+    the unit cap (then it is `_minimax_fit`'s fit, see there) and the floor
+    exceeds eps by 2 (degree + 1) degree^2 2^-53: the rounding of two
+    evaluations on the grid of n coefficients at most 2 each (both
+    polynomials meet the unit cap) against Chebyshev columns with
+    recurrence errors of degree^2 ulps.
+    """
+    levelled = _remez_exchange(sigma, _fit_grids(sigma, degree, shrink))
+    if levelled is None:
+        return None
+    _, floor, cap_ok = levelled
+    margin = 2.0 * (degree + 1) * degree ** 2 * 2.0 ** -53
+    return floor if floor > eps + margin and cap_ok else None
 
 
 def _log_secant(lower: tuple[int, float], upper: tuple[int, float],
@@ -211,7 +235,7 @@ def _search_inverse_poly(sigma: float, eps: float, shrink: float,
       or the degree just below the pass when the line predicts the pass.
     The bisection midpoint replaces a guess that is missing or not above
     the highest failing degree.  A degree that `_failure_floor` proves
-    failing is not fitted: its floor, the deviation the LP would report,
+    failing is not fitted: its floor, the deviation the fit would report,
     is recorded as the failing deviation.  The search stops at a passing
     fit at d with a failing degree d - 2: the smallest passing degree of
     the bracket when the deviation falls monotonically in the degree.
@@ -260,8 +284,9 @@ def backend_inverse_poly(sigma: float, eps: float) -> tuple[OddPolynomial, float
 
     The fit targets 0.75*sigma/x, not the saturated sigma/x whose value 1
     at the threshold collides with the unit sup-norm cap; the output
-    subnormalization absorbs the 4/3.  The LP enforces |q(x)/h - sigma/x|
-    <= eps and |q| <= 1 - 1e-9 only at its grid points (see _minimax_fit),
+    subnormalization absorbs the 4/3.  The minimax fit, settled by the
+    Remez exchange or by the LP, meets |q(x)/h - sigma/x| <= eps and
+    |q| <= 1 - 1e-9 only at its grid points (see _minimax_fit),
     so between them q can exceed both by a small fraction: the degree-229
     polynomial for sigma 0.025, eps 3e-2/9 is 1.3 % over eps off the grid.
     """

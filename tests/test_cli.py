@@ -412,7 +412,7 @@ def test_content_after_the_last_block_is_parse_error(tmp_path, capsys, kind,
 
 
 def test_exact_commands_import_no_scipy(tmp_path):
-    # scipy is loaded only by the poly backend's LP and the classical oracle
+    # scipy is loaded only by a cap-bound LP fit and the classical oracle
     lv, gpe = tmp_path / "lv.qnls", tmp_path / "gpe.qnls"
     commands = [
         ["gen-lv", "--alpha", "1", "--beta", "1", "--gamma", "1", "--delta",
@@ -424,6 +424,22 @@ def test_exact_commands_import_no_scipy(tmp_path):
          "--trace", str(tmp_path / "t.csv")]]
     script = ("import sys\nfrom qnls.cli import main\n"
               f"assert [main(c) for c in {commands!r}] == [0, 0, 0]\n"
+              "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = {k: v for k, v in os.environ.items() if k != "QNLS_DEBUG"}
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_poly_solve_imports_no_scipy(tmp_path):
+    # where the unit cap does not bind, the Remez exchange settles every fit
+    lv = lv_file(tmp_path)
+    command = ["solve", "--problem", str(lv), "--x0", f"{lv}.x0", "--backend",
+               "poly", "--sigma-floor", "0.05", "--eps", "3e-2", "--iters", "3",
+               "--trace", str(tmp_path / "t.csv")]
+    script = ("import sys\nfrom qnls.cli import main\n"
+              f"assert main({command!r}) == 0\n"
               "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = {k: v for k, v in os.environ.items() if k != "QNLS_DEBUG"}
     proc = subprocess.run([sys.executable, "-c", script],

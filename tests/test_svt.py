@@ -357,6 +357,112 @@ def test_failure_floor_declines_a_singular_reference(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# exchange-first fits
+# ---------------------------------------------------------------------------
+
+_HEADROOM_CASES = [(0.025, 229), (0.1, 47), (0.2, 35)]   # the cap holds
+
+
+def _counted_linprog(monkeypatch, calls, fail=False):
+    import scipy.optimize
+    linprog = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        if fail:
+            raise AssertionError("linprog called")
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+
+
+@pytest.mark.parametrize("sigma,degree", _HEADROOM_CASES)
+def test_minimax_fit_settles_without_the_lp_where_the_cap_holds(
+        monkeypatch, sigma, degree):
+    _counted_linprog(monkeypatch, [], fail=True)
+    coeffs, dev = svt._minimax_fit(sigma, degree, svt._HEADROOM)
+    assert coeffs.size == degree + 1 and not np.any(coeffs[0::2])
+    # the deviation is the one the coefficients reach on the fit grid
+    xs, target, _, _ = svt._fit_grids(sigma, degree, svt._HEADROOM)
+    on_grid = np.max(np.abs(OddPolynomial(coeffs)(xs) - target))
+    assert dev == pytest.approx(on_grid, rel=1e-12)
+    floor = svt._remez_exchange(sigma, svt._fit_grids(
+        sigma, degree, svt._HEADROOM))[1]
+    assert floor <= dev <= floor * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("sigma,degree", _HEADROOM_CASES)
+def test_exchange_fit_matches_the_lp_fit(monkeypatch, sigma, degree):
+    settled, dev = svt._minimax_fit(sigma, degree, svt._HEADROOM)
+    floor = svt._remez_exchange(sigma, svt._fit_grids(
+        sigma, degree, svt._HEADROOM))[1]
+    calls = []
+    _counted_linprog(monkeypatch, calls)
+    monkeypatch.setattr(svt, "_remez_exchange", lambda *args: None)
+    lp, lp_dev = svt._minimax_fit(sigma, degree, svt._HEADROOM)
+    assert len(calls) == 1
+    assert np.max(np.abs(settled - lp)) <= 1e-14
+    # the floor bounds HiGHS's fit from below; HiGHS meets rows to 1e-7
+    assert floor * (1.0 - 1e-12) <= lp_dev <= dev + 1e-7
+
+
+@pytest.mark.parametrize("sigma,degree,settled", [
+    (0.03, 307, True),      # the exchange settles, but |q| reaches 1.09
+    (0.5, 63, False),       # the deviation sits at roundoff: no settling
+])
+def test_minimax_fit_leaves_a_binding_cap_to_the_lp(monkeypatch, sigma, degree,
+                                                     settled):
+    levelled = svt._remez_exchange(sigma, svt._fit_grids(
+        sigma, degree, svt._HEADROOM))
+    assert (levelled is not None) == settled
+    assert levelled is None or not levelled[2]
+    calls = []
+    _counted_linprog(monkeypatch, calls)
+    svt._minimax_fit(sigma, degree, svt._HEADROOM)
+    assert len(calls) == 1
+
+
+def _lp_reference(grids, degree):
+    """The LP's odd-index coefficients and the deviation they reach."""
+    odd = svt._lp_fit(grids, degree)
+    _, target, phi_fit, _ = grids
+    return odd, float(np.max(np.abs(phi_fit @ odd - target)))
+
+
+@given(st.floats(0.02, 0.6), st.integers(1, 115).map(lambda k: 2 * k + 1),
+       st.sampled_from([1.0, svt._HEADROOM]))
+@settings(max_examples=10, deadline=None)
+@example(0.025, 41, svt._HEADROOM)          # tight: lv_poly's first fit
+@example(0.107, 11, 1.0)                    # tight on the saturated target
+@example(0.3388, 21, 1.0)                   # settles, but the cap binds
+def test_remez_floor_never_exceeds_the_lp_deviation(sigma, degree, shrink):
+    grids = svt._fit_grids(sigma, degree, shrink)
+    lp, lp_dev = _lp_reference(grids, degree)
+    # the failure floor never proves that the LP's fit fails
+    assert svt._failure_floor(sigma, degree, shrink, lp_dev) is None
+    levelled = svt._remez_exchange(sigma, grids)
+    if levelled is None:
+        return
+    odd, floor, cap_ok = levelled
+    # de la Vallee Poussin: no odd polynomial, the capped LP's included,
+    # deviates less than the floor
+    assert floor <= lp_dev * (1.0 + 1e-12)
+    if cap_ok:      # the unique discrete minimax is the LP's optimum
+        _, target, phi_fit, _ = grids
+        assert lp_dev <= np.max(np.abs(phi_fit @ odd - target)) + 1e-7
+        assert np.max(np.abs(odd - lp)) <= 1e-6
+
+
+@pytest.mark.parametrize("degree", [41, 83, 167, 227, 229])
+def test_failure_floor_is_tight_against_the_lp_on_lv_poly(degree):
+    sigma, shrink = 0.025, svt._HEADROOM
+    floor = svt._failure_floor(sigma, degree, shrink, 0.0)
+    assert floor is not None
+    _, lp_dev = _lp_reference(svt._fit_grids(sigma, degree, shrink), degree)
+    assert floor == pytest.approx(lp_dev, rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
 # sv_invert
 # ---------------------------------------------------------------------------
 
