@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -74,7 +75,7 @@ class SparseMatrix:
             keys = rows * self.dim_cols + cols
             order = np.argsort(keys, kind="stable")
             rows, cols, vals = rows[order], cols[order], vals[order]
-            if np.unique(keys).size != keys.size:
+            if np.any(np.diff(keys[order]) == 0):
                 raise InputError("duplicate (row, col) entry")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -224,11 +225,18 @@ class PolynomialSystem:
 
     def m_d(self, i: int) -> SparseMatrix:
         """M_D^i = sum_{j=1}^p Q_j A_i Q_j as one merged sparse matrix."""
-        n, p, a = self.n, self.p, self.equations[i]
-        rows, cols = ([_swap_factor(ix, n, p, j) for j in range(1, p + 1)]
-                      for ix in (a.rows, a.cols))
-        return SparseMatrix.summed(n ** p, n ** p, np.concatenate(rows),
-                                   np.concatenate(cols), np.tile(a.vals, p))
+        return self._m_ds[i]
+
+    @cached_property
+    def _m_ds(self) -> tuple[SparseMatrix, ...]:
+        # every M_D^i, merged once per system; the memo is in the instance
+        # dict, so it dies with the system
+        n, p = self.n, self.p
+        swapped = lambda ix: np.concatenate(
+            [_swap_factor(ix, n, p, j) for j in range(1, p + 1)])
+        return tuple(SparseMatrix.summed(n ** p, n ** p, swapped(a.rows),
+                                         swapped(a.cols), np.tile(a.vals, p))
+                     for a in self.equations)
 
 
 def _canonical_factor(n: int, p: int, norm: float, ent: float) -> float:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .block_encoding import (BlockEncoding, CostLedger, _eps_units, _log2,
                              _mk, _norm_above, be_product, be_transpose,
@@ -72,7 +71,7 @@ class OddPolynomial:
         return int(nz[-1]) if nz.size else 0
 
     def __call__(self, x):
-        return chebyshev.chebval(x, self.cheb_coeffs)
+        return np.polynomial.chebyshev.chebval(x, self.cheb_coeffs)
 
 
 def _fit_grids(sigma: float, degree: int,
@@ -86,8 +85,9 @@ def _fit_grids(sigma: float, degree: int,
     nodes = np.cos(np.pi * (np.arange(m_fit) + 0.5) / m_fit)
     xs = 0.5 * (sigma + 1.0) + 0.5 * (1.0 - sigma) * nodes
     ys = np.linspace(0.0, 1.0, m_fit + 1)[1:]
-    return (xs, shrink * sigma / xs, chebyshev.chebvander(xs, degree)[:, ks],
-            chebyshev.chebvander(ys, degree)[:, ks])
+    vander = np.polynomial.chebyshev.chebvander
+    return (xs, shrink * sigma / xs, vander(xs, degree)[:, ks],
+            vander(ys, degree)[:, ks])
 
 
 def _remez_exchange(sigma: float, grids: tuple[np.ndarray, ...]
@@ -111,7 +111,8 @@ def _remez_exchange(sigma: float, grids: tuple[np.ndarray, ...]
     n = phi_fit.shape[1]
     t = 0.5 * (1.0 + sigma ** 2) + 0.5 * (1.0 - sigma ** 2) * np.cos(
         np.pi * np.arange(n + 1) / n)
-    ref = np.unique(np.abs(xs[:, None] - np.sqrt(t)).argmin(axis=0))
+    nearest = np.abs(xs[:, None] - np.sqrt(t)).argmin(axis=0)
+    ref = np.flatnonzero(np.bincount(nearest, minlength=xs.size))
     signs = (-1.0) ** np.arange(n + 1)
     for _ in range(_REMEZ_EXCHANGES):
         if ref.size != n + 1:

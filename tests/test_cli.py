@@ -411,8 +411,15 @@ def test_content_after_the_last_block_is_parse_error(tmp_path, capsys, kind,
         f"parse error: line {lineno}: content after the last equation block\n")
 
 
+# the numpy.ma and numpy.polynomial packages that the process has loaded
+NUMPY_EXTRAS = ("extras = {'.'.join(m.split('.')[:2]) for m in sys.modules\n"
+                "          if m.split('.')[:2] in (['numpy', 'ma'],\n"
+                "                                  ['numpy', 'polynomial'])}")
+
+
 def test_exact_commands_import_no_scipy(tmp_path):
-    # scipy is loaded only by a cap-bound LP fit and the classical oracle
+    # scipy is loaded only by a cap-bound LP fit and the classical oracle,
+    # numpy.polynomial only by poly-backend fits, numpy.ma by no command
     lv, gpe = tmp_path / "lv.qnls", tmp_path / "gpe.qnls"
     commands = [
         ["gen-lv", "--alpha", "1", "--beta", "1", "--gamma", "1", "--delta",
@@ -422,8 +429,14 @@ def test_exact_commands_import_no_scipy(tmp_path):
          "--out", str(gpe)],
         ["solve", "--problem", str(lv), "--x0", f"{lv}.x0", "--iters", "2",
          "--trace", str(tmp_path / "t.csv")]]
-    script = ("import sys\nfrom qnls.cli import main\n"
+    debug_solve = ["solve", "--problem", str(lv), "--x0", f"{lv}.x0",
+                   "--iters", "2", "--trace", str(tmp_path / "debug.csv")]
+    script = ("import os, sys\nfrom qnls.cli import main\n"
               f"assert [main(c) for c in {commands!r}] == [0, 0, 0]\n"
+              "os.environ['QNLS_DEBUG'] = '1'\n"
+              f"assert main({debug_solve!r}) == 0\n"
+              f"{NUMPY_EXTRAS}\n"
+              "assert not extras, extras\n"
               "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = {k: v for k, v in os.environ.items() if k != "QNLS_DEBUG"}
     proc = subprocess.run([sys.executable, "-c", script],
@@ -433,13 +446,17 @@ def test_exact_commands_import_no_scipy(tmp_path):
 
 
 def test_poly_solve_imports_no_scipy(tmp_path):
-    # where the unit cap does not bind, the Remez exchange settles every fit
+    # where the unit cap does not bind, the Remez exchange settles every fit;
+    # the fits load numpy.polynomial, and nothing loads numpy.ma
     lv = lv_file(tmp_path)
     command = ["solve", "--problem", str(lv), "--x0", f"{lv}.x0", "--backend",
                "poly", "--sigma-floor", "0.05", "--eps", "3e-2", "--iters", "3",
                "--trace", str(tmp_path / "t.csv")]
     script = ("import sys\nfrom qnls.cli import main\n"
               f"assert main({command!r}) == 0\n"
+              f"{NUMPY_EXTRAS}\n"
+              "assert 'numpy.polynomial' in extras, extras\n"
+              "assert 'numpy.ma' not in extras, extras\n"
               "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = {k: v for k, v in os.environ.items() if k != "QNLS_DEBUG"}
     proc = subprocess.run([sys.executable, "-c", script],

@@ -27,6 +27,15 @@ def test_sparse_rejects_duplicates_and_out_of_range():
         SparseMatrix.from_entries(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
     with pytest.raises(InputError):
         SparseMatrix.from_entries(2, 2, [(2, 0, 1.0)])
+    # a duplicate that is not adjacent in input order
+    with pytest.raises(InputError) as exc:
+        SparseMatrix.from_entries(2, 2, [(1, 0, 1.0), (0, 1, 1.0), (1, 0, 2.0)])
+    assert str(exc.value) == "duplicate (row, col) entry"
+
+
+def test_sparse_drops_a_zero_duplicate_before_the_duplicate_check():
+    a = SparseMatrix.from_entries(2, 2, [(1, 0, 1.0), (0, 1, 1.0), (1, 0, 0.0)])
+    assert list(a.entries()) == [(0, 1, 1.0), (1, 0, 1.0)]
 
 
 def test_sparse_symmetrize_and_norm():
@@ -98,6 +107,34 @@ def test_m_d_is_the_sum_of_factor_swap_conjugations(n, p):
         assert np.max(np.abs(system.m_d(i).to_dense() - expected)) <= 1e-15
 
 
+def test_m_d_is_merged_once_per_system(monkeypatch):
+    system = random_system(3, 2, 2, seed=4)
+    merges = []
+    real = SparseMatrix.summed
+    monkeypatch.setattr(SparseMatrix, "summed", classmethod(
+        lambda cls, *args: merges.append(1) or real(*args)))
+    x = np.array([0.3, -0.2, 0.5])
+    jacobian(system, x)
+    jacobian(system, x)
+    assert len(merges) == system.n
+    assert all(system.m_d(i) is system.m_d(i) for i in range(system.n))
+
+
+def test_canonicalized_system_merges_its_own_m_d():
+    base = random_system(3, 2, 2, seed=4)
+    system = PolynomialSystem(3, 2, base.sparsity,
+                              tuple(a.scaled(4.0) for a in base.equations))
+    parent = [system.m_d(i) for i in range(3)]
+    canon, factor = canonicalize(system)
+    assert factor < 1.0
+    for i in range(3):
+        fresh = PolynomialSystem(3, 2, canon.sparsity, canon.equations).m_d(i)
+        assert canon.m_d(i) is not parent[i]
+        assert np.array_equal(canon.m_d(i).to_dense(), fresh.to_dense())
+        assert np.allclose(canon.m_d(i).to_dense(),
+                           factor * parent[i].to_dense(), rtol=1e-15, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -163,6 +200,14 @@ def test_jacobian_rows_and_zero_point(diag_system):
     assert np.allclose(jacobian(diag_system, np.zeros(2)), 0.0)
     rows = [gradient_md(diag_system, i, x) for i in range(2)]
     assert np.allclose(jacobian(diag_system, x), np.vstack(rows))
+
+
+def test_jacobian_is_the_stacked_gradient_rows_bit_for_bit():
+    system = random_system(3, 2, 2, seed=7)
+    x = np.random.default_rng(3).uniform(-1.0, 1.0, 3)
+    rows = np.vstack([gradient_md(system, i, x) for i in range(3)])
+    assert np.array_equal(jacobian(system, x), rows)
+    assert np.array_equal(jacobian(random_system(3, 2, 2, seed=7), x), rows)
 
 
 def test_euler_identity_diag_and_random(diag_system):
