@@ -9,9 +9,8 @@ The polynomial's degree is searched in doubling rounds d -> 2d + 1.  Inside
 a round, a secant on log(minimax deviation) against the degree predicts the
 smallest passing odd degree, and the search visits only the degrees that
 confirm it: it ends on a passing fit at d above a failing degree d - 2.
-A fit is the settled Remez exchange of `_minimax_fit` where the unit cap
-does not bind, and an LP otherwise; `_failure_floor` uses the same exchange
-to prove a degree fails without fitting it.
+Each visited degree is fitted exactly once, by `_minimax_fit`: the settled
+Remez exchange where the unit cap does not bind, and an LP otherwise.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ def _fit_grids(sigma: float, degree: int,
 
 
 def _remez_exchange(sigma: float, grids: tuple[np.ndarray, ...]
-                    ) -> tuple[np.ndarray, float, bool] | None:
+                    ) -> tuple[np.ndarray, float] | None:
     """Discrete Remez exchange for the odd Chebyshev basis on the fit grid.
 
     Odd polynomials on [sigma, 1], sigma > 0, form a Haar system (Descartes'
@@ -103,11 +102,10 @@ def _remez_exchange(sigma: float, grids: tuple[np.ndarray, ...]
     the error on the reference, and moves the reference to n + 1
     alternating error peaks that include the largest.  Once p's sup
     deviation on the grid is within 1e-9 relative of the floor, it returns
-    p's odd-index coefficients, the floor and whether p meets the unit cap
-    on the cap grid; an exchange that does not settle, or a reference the
-    solve cannot level, gives None.
+    p's odd-index coefficients and the floor; an exchange that does not
+    settle, or a reference the solve cannot level, gives None.
     """
-    xs, target, phi_fit, phi_cap = grids
+    xs, target, phi_fit, _ = grids
     n = phi_fit.shape[1]
     t = 0.5 * (1.0 + sigma ** 2) + 0.5 * (1.0 - sigma ** 2) * np.cos(
         np.pi * np.arange(n + 1) / n)
@@ -135,8 +133,7 @@ def _remez_exchange(sigma: float, grids: tuple[np.ndarray, ...]
         ref = peaks[first:first + n + 1]
         floor = float(lows[first])
         if size[peaks[top]] <= floor * (1.0 + 1e-9):
-            cap_ok = np.max(np.abs(phi_cap @ sol[:-1])) <= _UNIT_CAP
-            return sol[:-1], floor, bool(cap_ok)
+            return sol[:-1], floor
     return None
 
 
@@ -152,10 +149,11 @@ def _minimax_fit(sigma: float, degree: int,
     the deviation returned is the one the coefficients reach on the fit grid.
     """
     grids = _fit_grids(sigma, degree, shrink)
+    _, target, phi_fit, phi_cap = grids
     levelled = _remez_exchange(sigma, grids)
-    odd = (levelled[0] if levelled is not None and levelled[2]
+    odd = (levelled[0] if levelled is not None
+           and np.max(np.abs(phi_cap @ levelled[0])) <= _UNIT_CAP
            else _lp_fit(grids, degree))
-    _, target, phi_fit, _ = grids
     coeffs = np.zeros(degree + 1)
     coeffs[1::2] = odd
     # the deviation the coefficients reach on the fit grid, not the LP's t:
@@ -184,26 +182,6 @@ def _lp_fit(grids: tuple[np.ndarray, ...], degree: int) -> np.ndarray:
     if not res.success:
         raise ConfigError(f"minimax LP failed at degree {degree}: {res.message}")
     return res.x[:-1]
-
-
-def _failure_floor(sigma: float, degree: int, shrink: float,
-                   eps: float) -> float | None:
-    """The minimax fit's deviation at this degree when a settled
-    `_remez_exchange` proves it above eps; None otherwise.
-
-    The floor stands for the fit only when the exchange's polynomial meets
-    the unit cap (then it is `_minimax_fit`'s fit, see there) and the floor
-    exceeds eps by 2 (degree + 1) degree^2 2^-53: the rounding of two
-    evaluations on the grid of n coefficients at most 2 each (both
-    polynomials meet the unit cap) against Chebyshev columns with
-    recurrence errors of degree^2 ulps.
-    """
-    levelled = _remez_exchange(sigma, _fit_grids(sigma, degree, shrink))
-    if levelled is None:
-        return None
-    _, floor, cap_ok = levelled
-    margin = 2.0 * (degree + 1) * degree ** 2 * 2.0 ** -53
-    return floor if floor > eps + margin and cap_ok else None
 
 
 def _log_secant(lower: tuple[int, float], upper: tuple[int, float],
@@ -235,11 +213,9 @@ def _search_inverse_poly(sigma: float, eps: float, shrink: float,
     - a passing fit: interpolated between it and the highest failing fit,
       or the degree just below the pass when the line predicts the pass.
     The bisection midpoint replaces a guess that is missing or not above
-    the highest failing degree.  A degree that `_failure_floor` proves
-    failing is not fitted: its floor, the deviation the fit would report,
-    is recorded as the failing deviation.  The search stops at a passing
-    fit at d with a failing degree d - 2: the smallest passing degree of
-    the bracket when the deviation falls monotonically in the degree.
+    the highest failing degree.  The search stops at a passing fit at d
+    with a failing degree d - 2: the smallest passing degree of the bracket
+    when the deviation falls monotonically in the degree.
     """
     top = max(3, int(np.ceil(1.0 / sigma))) | 1   # the round's doubling degree
     lo = 1                # highest failing degree; degree 1 is never fitted
@@ -259,9 +235,7 @@ def _search_inverse_poly(sigma: float, eps: float, shrink: float,
         d = None if guess is None else int(np.ceil(min(guess, ceiling))) | 1
         if d is None or d <= lo:
             d = (lo + hi) // 2 | 1          # bisection safeguard
-        dev = _failure_floor(sigma, d, shrink, eps)    # above eps, or None
-        if dev is None:
-            coeffs, dev = _minimax_fit(sigma, d, shrink)
+        coeffs, dev = _minimax_fit(sigma, d, shrink)
         if dev <= eps:
             best = (d, dev, coeffs)
         else:

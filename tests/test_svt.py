@@ -183,6 +183,9 @@ def _assert_same_search(sigma, eps, shrink, degree_cap):
 @pytest.mark.parametrize("sigma,eps,shrink,degree_cap", [
     *(args for sigma in (0.2, 0.3, 0.5) for eps in (1e-1, 1e-2, 1e-3)
       for args in _backend_searches(sigma, eps)),
+    # fails 11, 23 and 45 and passes 47, each fit settled by the exchange;
+    # at eps 1e-3 or sigma 0.05 the reference search needs slow LP fits
+    _backend_searches(0.1, 1e-2)[1],
     (0.3, 1e-3, 1.0, 40),        # the cap stops the doubling: None
     (0.2, 1e-3, 0.75, 40),       # None; degree 33 passes in round (23, 47]
     (0.2, 1e-3, 0.75, 50),       # degree 33, in the last round under the cap
@@ -197,22 +200,29 @@ def test_search_matches_doubling_bisection_on_lv_poly():
 
 
 def test_lv_poly_search_fits(monkeypatch):
-    fits = []
-    minimax_fit = svt._minimax_fit
+    fits, exchanges, lp_calls = [], [], []
+    minimax_fit, remez_exchange = svt._minimax_fit, svt._remez_exchange
 
     def counted(sigma, degree, shrink=1.0):
         fits.append((degree, shrink))
         return minimax_fit(sigma, degree, shrink)
 
+    def counted_exchange(*args):
+        exchanges.append(1)
+        return remez_exchange(*args)
+
     monkeypatch.setattr(svt, "_minimax_fit", counted)
+    monkeypatch.setattr(svt, "_remez_exchange", counted_exchange)
+    _counted_linprog(monkeypatch, lp_calls)
     svt._search_inverse_poly.cache_clear()
     try:
         q, headroom = backend_inverse_poly(0.025, 3e-2 / 9)
     finally:
         svt._search_inverse_poly.cache_clear()
     assert (q.degree, headroom) == (229, svt._HEADROOM)
-    # the failure floor proves 41, 83, 167 and 227 short of the target
-    assert fits == [(229, svt._HEADROOM)]
+    # one fit per visited degree, each settled by one exchange
+    assert fits == [(d, svt._HEADROOM) for d in (41, 83, 167, 229, 227)]
+    assert (len(exchanges), len(lp_calls)) == (5, 0)
 
 
 @given(st.floats(0.15, 0.6), st.floats(1e-3, 5e-2),
@@ -235,22 +245,17 @@ def test_search_returns_a_locally_minimal_degree(sigma, eps, shrink):
     finally:
         svt._minimax_fit = minimax_fit
         svt._search_inverse_poly.cache_clear()
-
-    def fitted(degree):         # a degree the failure floor settled is fit here
-        if degree not in deviation:
-            deviation[degree] = minimax_fit(sigma, degree, shrink)[1]
-        return deviation[degree]
-
+    # the search itself fitted the failing degree below its answer
     if q is None:               # the last doubling degree under the cap failed
         top = max(3, int(np.ceil(1.0 / sigma))) | 1
         while 2 * top + 1 <= 65:
             top = 2 * top + 1
-        assert fitted(top) > eps
+        assert deviation[top] > eps
         return
     d = q.cheb_coeffs.size - 1
     assert deviation[d] <= eps
     if d > 3:                   # the search never fits degree 1
-        assert fitted(d - 2) > eps
+        assert deviation[d - 2] > eps
 
 
 def test_search_falls_back_to_doubling_and_bisection(monkeypatch):
@@ -269,7 +274,6 @@ def test_search_falls_back_to_doubling_and_bisection(monkeypatch):
         return coeffs, deviation(degree)
 
     monkeypatch.setattr(svt, "_minimax_fit", tabled)
-    monkeypatch.setattr(svt, "_failure_floor", lambda *args: None)
     # sigma 0.2 starts the doubling rounds at degree 5: 5, 11, 23, ...
     q = svt._search_inverse_poly.__wrapped__(0.2, 1e-3, 1.0, 100)
     assert fits == [5, 11, 23, 17, 15]
@@ -279,81 +283,20 @@ def test_search_falls_back_to_doubling_and_bisection(monkeypatch):
     assert q.degree - 2 in fits and deviation(q.degree - 2) > 1e-3
 
 
-def test_certified_failures_make_no_lp_call(monkeypatch):
-    # deviation 2^(-d/2) crosses eps 1e-3 between 19 and 21; a floor that
-    # reports the LP's deviation for every failing degree leaves only the
-    # pass at 21 to the LP, and the search visits the same degrees
-    def deviation(d):
-        return 2.0 ** (-d / 2)
-
-    visits, fits = [], []
+def test_search_visits_the_secant_degrees(monkeypatch):
+    # deviation 2^(-d/2) crosses eps 1e-3 between 19 and 21: the secant
+    # through 5 and 11 lands on 21, which passes, and 19 fails
+    fits = []
 
     def tabled(sigma, degree, shrink=1.0):
-        visits.append(degree)
         fits.append(degree)
         coeffs = np.zeros(degree + 1)
         coeffs[degree] = 1.0
-        return coeffs, deviation(degree)
-
-    def floor(sigma, degree, shrink, eps):
-        if deviation(degree) <= eps:
-            return None
-        visits.append(degree)
-        return deviation(degree)
+        return coeffs, 2.0 ** (-degree / 2)
 
     monkeypatch.setattr(svt, "_minimax_fit", tabled)
-    monkeypatch.setattr(svt, "_failure_floor", floor)
-    q = svt._search_inverse_poly.__wrapped__(0.2, 1e-3, 1.0, 100)
-    assert (q.degree, fits, visits) == (21, [21], [5, 11, 21, 19])
-    visits.clear()
-    fits.clear()
-    monkeypatch.setattr(svt, "_failure_floor", lambda *args: None)
     assert svt._search_inverse_poly.__wrapped__(0.2, 1e-3, 1.0, 100).degree == 21
-    assert fits == visits == [5, 11, 21, 19]
-
-
-# ---------------------------------------------------------------------------
-# the failure floor
-# ---------------------------------------------------------------------------
-
-@given(st.floats(0.02, 0.6), st.integers(1, 115).map(lambda k: 2 * k + 1),
-       st.sampled_from([1.0, svt._HEADROOM]))
-@settings(max_examples=10, deadline=None)
-@example(0.025, 41, svt._HEADROOM)          # tight: lv_poly's first fit
-@example(0.107, 11, 1.0)                    # tight on the saturated target
-def test_failure_floor_never_exceeds_the_lp_deviation(sigma, degree, shrink):
-    _, dev = svt._minimax_fit(sigma, degree, shrink)
-    floor = svt._failure_floor(sigma, degree, shrink, 0.0)
-    # a tight floor meets the LP's deviation to within rounding
-    assert floor is None or floor <= dev * (1.0 + 1e-12)
-    # and never proves that a fit fails at the deviation it reaches
-    assert svt._failure_floor(sigma, degree, shrink, dev) is None
-
-
-@pytest.mark.parametrize("degree", [41, 83, 167, 227, 229])
-def test_failure_floor_is_tight_on_lv_poly(degree):
-    sigma, shrink = 0.025, svt._HEADROOM
-    floor = svt._failure_floor(sigma, degree, shrink, 0.0)
-    assert floor is not None
-    assert floor == pytest.approx(svt._minimax_fit(sigma, degree, shrink)[1],
-                                  rel=1e-4)
-
-
-def test_failure_floor_declines_where_the_cap_binds():
-    # the Remez polynomial at sigma 0.03, degree 307 reaches |q| = 1.09 on
-    # (0, sigma), so the capped LP deviates by more than the floor
-    assert svt._failure_floor(0.03, 307, svt._HEADROOM, 0.0) is None
-
-
-def test_failure_floor_declines_a_singular_reference(monkeypatch):
-    fit_grids = svt._fit_grids
-
-    def flat(sigma, degree, shrink):
-        xs, target, phi_fit, phi_cap = fit_grids(sigma, degree, shrink)
-        return xs, target, np.zeros_like(phi_fit), phi_cap
-
-    monkeypatch.setattr(svt, "_fit_grids", flat)
-    assert svt._failure_floor(0.1, 21, svt._HEADROOM, 0.0) is None
+    assert fits == [5, 11, 21, 19]
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +355,11 @@ def test_exchange_fit_matches_the_lp_fit(monkeypatch, sigma, degree):
 ])
 def test_minimax_fit_leaves_a_binding_cap_to_the_lp(monkeypatch, sigma, degree,
                                                      settled):
-    levelled = svt._remez_exchange(sigma, svt._fit_grids(
-        sigma, degree, svt._HEADROOM))
+    grids = svt._fit_grids(sigma, degree, svt._HEADROOM)
+    levelled = svt._remez_exchange(sigma, grids)
     assert (levelled is not None) == settled
-    assert levelled is None or not levelled[2]
+    if settled:
+        assert np.max(np.abs(grids[3] @ levelled[0])) > svt._UNIT_CAP
     calls = []
     _counted_linprog(monkeypatch, calls)
     svt._minimax_fit(sigma, degree, svt._HEADROOM)
@@ -438,28 +382,34 @@ def _lp_reference(grids, degree):
 def test_remez_floor_never_exceeds_the_lp_deviation(sigma, degree, shrink):
     grids = svt._fit_grids(sigma, degree, shrink)
     lp, lp_dev = _lp_reference(grids, degree)
-    # the failure floor never proves that the LP's fit fails
-    assert svt._failure_floor(sigma, degree, shrink, lp_dev) is None
     levelled = svt._remez_exchange(sigma, grids)
     if levelled is None:
         return
-    odd, floor, cap_ok = levelled
+    odd, floor = levelled
     # de la Vallee Poussin: no odd polynomial, the capped LP's included,
     # deviates less than the floor
     assert floor <= lp_dev * (1.0 + 1e-12)
-    if cap_ok:      # the unique discrete minimax is the LP's optimum
-        _, target, phi_fit, _ = grids
+    _, target, phi_fit, phi_cap = grids
+    if np.max(np.abs(phi_cap @ odd)) <= svt._UNIT_CAP:
+        # the cap holds: the unique discrete minimax is the LP's optimum
         assert lp_dev <= np.max(np.abs(phi_fit @ odd - target)) + 1e-7
         assert np.max(np.abs(odd - lp)) <= 1e-6
 
 
 @pytest.mark.parametrize("degree", [41, 83, 167, 227, 229])
-def test_failure_floor_is_tight_against_the_lp_on_lv_poly(degree):
+def test_remez_floor_is_tight_against_the_lp_on_lv_poly(degree):
     sigma, shrink = 0.025, svt._HEADROOM
-    floor = svt._failure_floor(sigma, degree, shrink, 0.0)
-    assert floor is not None
-    _, lp_dev = _lp_reference(svt._fit_grids(sigma, degree, shrink), degree)
-    assert floor == pytest.approx(lp_dev, rel=1e-4)
+    grids = svt._fit_grids(sigma, degree, shrink)
+    levelled = svt._remez_exchange(sigma, grids)
+    assert levelled is not None
+    _, lp_dev = _lp_reference(grids, degree)
+    assert levelled[1] == pytest.approx(lp_dev, rel=1e-4)
+
+
+def test_remez_exchange_declines_a_singular_reference():
+    xs, target, phi_fit, phi_cap = svt._fit_grids(0.1, 21, svt._HEADROOM)
+    flat = (xs, target, np.zeros_like(phi_fit), phi_cap)
+    assert svt._remez_exchange(0.1, flat) is None
 
 
 # ---------------------------------------------------------------------------
