@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -139,7 +140,9 @@ def _load_run(args):
 def _initial_guess(problem, args) -> np.ndarray:
     if args.x0:
         try:
-            vals = np.loadtxt(args.x0, ndmin=1)
+            with warnings.catch_warnings():   # an empty file warns, then fails below
+                warnings.simplefilter("ignore", UserWarning)
+                vals = np.loadtxt(args.x0, ndmin=1)
         except ValueError as exc:     # UnicodeDecodeError included
             raise InputError(f"malformed guess file: {exc}") from exc
         if vals.shape != (problem.n,):

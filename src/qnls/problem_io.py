@@ -1,25 +1,24 @@
 """Line-oriented problem file format (UTF-8 text, `#` comments).
 
 Header: `version 1`, `kind homogeneous|mixed`, `n`, `p`, `s`.  Then one
-`equation <i>` ... `end` block per equation containing `a <row> <col>
-<value>` sparse entries of the homogeneous part (0-based, row-major over
-n^p) and, for the mixed kind, `lin <j> <value>` linear coefficients and at
-most one `const <value>`.  Floats are written with 17 significant digits
-so that write -> parse -> write is bit-identical.
+`equation <i>` ... `end` block per equation: at most one `const <value>`,
+`lin <j> <value>` linear coefficients, then `a <row> <col> <value>` sparse
+entries of the homogeneous part (0-based, row-major over n^p).  Both kinds
+share one block writer and one block reader; a homogeneous block carries
+only `a` entries.  Floats are written with 17 significant digits so that
+write -> parse -> write is bit-identical.
 """
 
 from __future__ import annotations
 
-import io
 import os
-import tempfile
 from typing import TextIO, Union
 
 import numpy as np
 
 from .errors import ParseError
 from .poly_system import (MixedSystem, PolynomialSystem, SparseMatrix,
-                          capped_dim)
+                          capped_dim, system_parts)
 
 Problem = Union[PolynomialSystem, MixedSystem]
 
@@ -37,41 +36,31 @@ def problem_kind(problem: Problem) -> str:
 
 
 def dumps_problem(problem: Problem) -> str:
+    """Problem file text; both kinds write their blocks from `system_parts`."""
     kind = problem_kind(problem)
-    stream = io.StringIO()
-    stream.write("version 1\n")
-    stream.write(f"kind {kind}\n")
-    stream.write(f"n {problem.n}\n")
-    if kind == "homogeneous":
-        stream.write(f"p {problem.p}\n")
-        stream.write(f"s {problem.sparsity}\n")
-        for i, a in enumerate(problem.equations):
-            stream.write(f"equation {i}\n")
-            for r, c, v in a.entries():
-                stream.write(f"a {r} {c} {_fmt(v)}\n")
-            stream.write("end\n")
-    else:
-        nl = problem.nonlinear
-        stream.write(f"p {nl.p if nl is not None else 1}\n")
-        stream.write(f"s {nl.sparsity if nl is not None else 0}\n")
-        for i in range(problem.n):
-            stream.write(f"equation {i}\n")
-            if problem.constants[i] != 0.0:
-                stream.write(f"const {_fmt(problem.constants[i])}\n")
-            mask = problem.linear.rows == i
-            for c, v in zip(problem.linear.cols[mask], problem.linear.vals[mask]):
-                stream.write(f"lin {int(c)} {_fmt(float(v))}\n")
-            if nl is not None:
-                for r, c, v in nl.equations[i].entries():
-                    stream.write(f"a {r} {c} {_fmt(v)}\n")
-            stream.write("end\n")
-    return stream.getvalue()
+    hom, lin, const = system_parts(problem)
+    out = ["version 1", f"kind {kind}", f"n {problem.n}",
+           f"p {hom.p if hom is not None else 1}",
+           f"s {hom.sparsity if hom is not None else 0}"]
+    for i in range(problem.n):
+        out.append(f"equation {i}")
+        if const is not None and const[i] != 0.0:
+            out.append(f"const {_fmt(const[i])}")
+        if lin is not None:
+            mask = lin.rows == i
+            out += [f"lin {int(c)} {_fmt(float(v))}"
+                    for c, v in zip(lin.cols[mask], lin.vals[mask])]
+        if hom is not None:
+            out += [f"a {r} {c} {_fmt(v)}" for r, c, v in hom.equations[i].entries()]
+        out.append("end")
+    return "\n".join(out) + "\n"
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write text to path through a temporary file and a rename."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    """Write text to path through a temporary file beside it and a rename;
+    the file is created as `open()` creates one, so the umask applies."""
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -126,10 +115,7 @@ def parse_problem(stream: TextIO) -> Problem:
         if n > (room := (len(lines.raw) - lines.pos) // 2):   # equation .. end
             raise ParseError(
                 f"n = {n}, but the file has room for {room} equation blocks")
-        if kind == "homogeneous":
-            problem = _parse_homogeneous(lines, n, p, s)
-        else:
-            problem = _parse_mixed(lines, n, p, s)
+        problem = _parse_equations(lines, kind, n, p, s)
         if lines.pos < len(lines.raw):
             raise ParseError(f"line {lines.raw[lines.pos][0]}: content after "
                              "the last equation block")
@@ -172,33 +158,23 @@ def _parse_equation_block(lines: _Lines, expected_index: int):
     return rows
 
 
-def _homogeneous_system(n: int, p: int, s: int, a_entries) -> PolynomialSystem:
-    """System of the parsed `a` entries; the cap is checked before any n^p matrix."""
-    d = capped_dim(n, p)
-    return PolynomialSystem(n, p, s, tuple(
-        SparseMatrix.from_entries(d, d, ent) for ent in a_entries))
-
-
-def _parse_homogeneous(lines: _Lines, n: int, p: int, s: int) -> PolynomialSystem:
-    a_entries = []
-    for i in range(n):
-        rows = _parse_equation_block(lines, i)
-        if rows["lin"] or rows["const"]:
-            raise ParseError("homogeneous problems carry only 'a' entries")
-        a_entries.append(rows["a"])
-    return _homogeneous_system(n, p, s, a_entries)
-
-
-def _parse_mixed(lines: _Lines, n: int, p: int, s: int) -> MixedSystem:
+def _parse_equations(lines: _Lines, kind: str, n: int, p: int, s: int) -> Problem:
+    """The n blocks of either kind; a mixed file without `a` lines has no
+    homogeneous part, so its p is not checked."""
     b = np.zeros(n)
-    lin_entries = []
-    a_entries = []
+    lin_entries, a_entries = [], []
     for i in range(n):
         rows = _parse_equation_block(lines, i)
+        if kind == "homogeneous" and (rows["lin"] or rows["const"]):
+            raise ParseError("homogeneous problems carry only 'a' entries")
         b[i] = rows["const"][0] if rows["const"] else 0.0
-        for j, v in rows["lin"]:
-            lin_entries.append((i, j, v))
+        lin_entries += [(i, j, v) for j, v in rows["lin"]]
         a_entries.append(rows["a"])
-    nonlinear = _homogeneous_system(n, p, s, a_entries) if any(a_entries) else None
-    return MixedSystem(n, b, SparseMatrix.from_entries(n, n, lin_entries),
-                       nonlinear)
+    hom = None
+    if kind == "homogeneous" or any(a_entries):
+        d = capped_dim(n, p)        # the cap is checked before any n^p matrix
+        hom = PolynomialSystem(n, p, s, tuple(
+            SparseMatrix.from_entries(d, d, ent) for ent in a_entries))
+    if kind == "homogeneous":
+        return hom
+    return MixedSystem(n, b, SparseMatrix.from_entries(n, n, lin_entries), hom)

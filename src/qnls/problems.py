@@ -276,8 +276,6 @@ def random_system(n: int, p: int, s: int, seed: int) -> PolynomialSystem:
                 extra = 1 if c != r else 0
                 if row_count[r] + 1 > s or row_count[c] + extra > s:
                     continue
-                if (r, c) in entries:
-                    continue
                 entries[(r, c)] = float(rng.uniform(-1.0, 1.0))
                 row_count[r] += 1
                 if c != r:

@@ -176,6 +176,44 @@ def test_malformed_guess_is_input_error(tmp_path, capsys, command, content):
     assert capsys.readouterr().err.startswith("error: malformed guess file:")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("content", ["", "# no values\n"],
+                         ids=["empty", "comment-only"])
+def test_guess_file_without_values_is_input_error(tmp_path, capsys, content):
+    path = lv_file(tmp_path)
+    guess = tmp_path / "x0.txt"
+    guess.write_text(content)
+    rc = main(["solve", "--problem", str(path), "--iters", "1",
+               "--x0", str(guess)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: guess file must hold 6 values\n"
+
+
+@pytest.mark.parametrize("line", ["lin 0 1", "const 1"])
+def test_homogeneous_block_with_lin_or_const_is_parse_error(tmp_path, capsys,
+                                                            line):
+    path = tmp_path / "hom.qnls"
+    path.write_text("version 1\nkind homogeneous\nn 2\np 1\ns 1\n"
+                    f"equation 0\na 0 0 1\nend\nequation 1\n{line}\nend\n")
+    assert main(["solve", "--problem", str(path), "--iters", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: homogeneous problems carry only 'a' entries\n")
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        path = lv_file(tmp_path)
+        trace, report = tmp_path / "t.csv", tmp_path / "r.txt"
+        assert main(["solve", "--problem", str(path), "--x0", f"{path}.x0",
+                     "--iters", "1", "--trace", str(trace),
+                     "--report", str(report)]) == 0
+    finally:
+        os.umask(old)
+    for written in (path, tmp_path / "lv.qnls.x0", trace, report):
+        assert written.stat().st_mode & 0o777 == 0o644, written
+
+
 @pytest.mark.parametrize("directive", ["a", "const"])
 @pytest.mark.parametrize("command", ["solve", "check"])
 def test_nan_coefficient_is_parse_error(tmp_path, capsys, directive, command):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qnls import (DeskScaleError, MixedSystem, ParseError, PolynomialSystem,
                   SparseMatrix)
+from qnls.cli import main
 from qnls.problem_io import (dumps_problem, parse_problem, parse_problem_file,
                              problem_kind, write_problem_file)
 
@@ -61,9 +62,43 @@ def test_parse_rejects_bad_version_kind_and_directive():
 
 def test_parse_rejects_misplaced_sections():
     good = dumps_problem(small_homogeneous())
-    bad = good.replace("equation 0\n", "equation 0\nconst 1.0\n")
-    with pytest.raises(ParseError):
-        parse_problem(io.StringIO(bad))
+    for line in ("const 1.0\n", "lin 0 1\n"):
+        bad = good.replace("equation 0\n", "equation 0\n" + line)
+        with pytest.raises(ParseError, match="^homogeneous problems carry "
+                           "only 'a' entries$"):
+            parse_problem(io.StringIO(bad))
+
+
+# ---------------------------------------------------------------------------
+# golden texts: the file format itself, not only write -> parse -> write
+# ---------------------------------------------------------------------------
+
+def test_golden_homogeneous_text():
+    assert dumps_problem(small_homogeneous()) == (
+        "version 1\nkind homogeneous\nn 2\np 1\ns 1\n"
+        "equation 0\na 0 0 1\nend\n"
+        "equation 1\na 1 1 1\nend\n")
+
+
+def test_golden_mixed_text_omits_a_zero_constant():
+    lin = SparseMatrix.from_entries(2, 2, [(0, 1, -0.5), (1, 0, 0.125)])
+    ms = MixedSystem(2, np.array([0.25, 0.0]), lin, small_homogeneous())
+    assert dumps_problem(ms) == (
+        "version 1\nkind mixed\nn 2\np 1\ns 1\n"
+        "equation 0\nconst 0.25\nlin 1 -0.5\na 0 0 1\nend\n"
+        "equation 1\nlin 0 0.125\na 1 1 1\nend\n")
+
+
+def test_golden_mixed_text_without_a_homogeneous_part(tmp_path):
+    path = tmp_path / "lv1.qnls"
+    assert main(["gen-lv", "--alpha", "1", "--beta", "1", "--gamma", "1",
+                 "--delta", "1", "--dt", "0.1", "--steps", "1", "--v0", "1.2",
+                 "--p0", "0.9", "--out", str(path)]) == 0
+    assert path.read_text() == (
+        "version 1\nkind mixed\nn 2\np 1\ns 0\n"
+        "equation 0\nconst -0.35871736685643307\nlin 0 1\nend\n"
+        "equation 1\nconst -0.27170176796551621\nlin 1 1\nend\n")
+    assert dumps_problem(parse_problem_file(str(path))) == path.read_text()
 
 
 def _two_equation_file(kind, p, a_line):
