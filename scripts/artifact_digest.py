@@ -5,8 +5,9 @@ Runs the README's CLI commands, the `--gamma-ref e1` and `x0` solves (LV
 and GPE), a 3-step GPE solve (whose later steps reuse the encodings built
 on the first), a classical `resources` run, an LV solve and the 3-step
 GPE solve with QNLS_DEBUG=1 (set for those commands only), a solve and a
-check of the random homogeneous problem, a one-step poly-backend LV solve,
-an LV generation with a given `--scale`, a `resources` run that prints its
+check of the random homogeneous problem, a one-step poly-backend LV solve
+and a 3-step one whose fits are scaled under the unit cap, an LV
+generation with a given `--scale`, a `resources` run that prints its
 report, a solve of a mixed problem with entries above 1 that is rescaled
 on load, and a solve of a mixed problem with only linear and constant
 parts, once from a good guess and once from a guess orthogonal to e1 under
@@ -99,10 +100,14 @@ COMMANDS = [
     ("solve-random", "solve --problem rnd.qnls --iters 2 --trace rnd.csv "
                      "--report rnd.txt"),
     ("check-random", "check --problem rnd.qnls --suite all"),
-    # degree-67 inverse polynomial, one LP search
+    # degree-67 inverse polynomial, one search
     ("solve-lv-poly", f"solve {LV_RUN} --iters 1 --backend poly "
                       "--sigma-floor 0.07 --eps 0.3 --trace lv_poly.csv "
                       "--report lv_poly.txt"),
+    # the fits break the unit cap and are scaled under it
+    ("solve-lv-poly-cap", f"solve {LV_RUN} --iters 3 --backend poly "
+                          "--sigma-floor 0.05 --eps 5e-3 "
+                          "--trace lv_poly_cap.csv --report lv_poly_cap.txt"),
     ("gen-lv-scale", "gen-lv --alpha 1 --beta 1 --gamma 1 --delta 1 --dt 0.1 "
                      "--steps 3 --v0 1.2 --p0 0.9 --scale 4 --out lv4.qnls"),
     # the report goes to stdout

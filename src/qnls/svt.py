@@ -1,16 +1,16 @@
 """Singular value transformation on block encodings.
 
 Pseudoinversion with a spectral threshold (exact SVD backend and an odd
-polynomial backend approximating 0.75*sigma/x, whose 4/3 goes into the
-output alpha), plus extremal eigenvalue and singular value estimation with
-the matching symbolic cost charges.
+polynomial backend approximating h*sigma/x, h <= 0.75, whose 1/h goes into
+the output alpha), plus extremal eigenvalue and singular value estimation
+with the matching symbolic cost charges.
 
 The polynomial's degree is searched in doubling rounds d -> 2d + 1.  Inside
 a round, a secant on log(minimax deviation) against the degree predicts the
 smallest passing odd degree, and the search visits only the degrees that
 confirm it: it ends on a passing fit at d above a failing degree d - 2.
-Each visited degree is fitted exactly once, by `_minimax_fit`: the settled
-Remez exchange where the unit cap does not bind, and an LP otherwise.
+Each visited degree is fitted once, by a Remez exchange; a fit that breaks
+the unit cap is scaled under it, and the headroom by the same factor.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from .block_encoding import (BlockEncoding, CostLedger, _eps_units, _log2,
                              debug_enabled)
 from .errors import ConditioningError, ConfigError, InputError
 
-_LP_DEGREE_CAP = 1200      # practical cap of the LP-based minimax builder
+_DEGREE_CAP = 1200   # the search's limit, for memory: the fit and cap grids
+                     # hold about 4*degree**2 doubles, 46 MB at degree 1199
 _HERMITIAN_TOL = 1e-9
-_UNIT_CAP = 1.0 - 1e-9     # the fit's bound on |q| over its cap grid
+_UNIT_CAP = 1.0 - 1e-9     # the bound on |q| over the cap grid
 _REMEZ_EXCHANGES = 12      # exchange steps before `_remez_exchange` gives up
 
 
@@ -101,7 +102,8 @@ def _remez_exchange(sigma: float, grids: tuple[np.ndarray, ...]
     grid points nearest the Chebyshev extrema in x^2 of [sigma^2, 1], levels
     the error on the reference, and moves the reference to n + 1
     alternating error peaks that include the largest.  Once p's sup
-    deviation on the grid is within 1e-9 relative of the floor, it returns
+    deviation on the grid is within 1e-9 relative of the floor, or the
+    reference repeats (a fixed point: the gap left is roundoff), it returns
     p's odd-index coefficients and the floor; an exchange that does not
     settle, or a reference the solve cannot level, gives None.
     """
@@ -130,58 +132,33 @@ def _remez_exchange(sigma: float, grids: tuple[np.ndarray, ...]
         top = int(np.argmax(size[peaks]))
         lows = np.lib.stride_tricks.sliding_window_view(size[peaks], n + 1).min(1)
         first = max(0, top - n) + int(np.argmax(lows[max(0, top - n):top + 1]))
-        ref = peaks[first:first + n + 1]
+        levelled, ref = ref, peaks[first:first + n + 1]
         floor = float(lows[first])
-        if size[peaks[top]] <= floor * (1.0 + 1e-9):
+        if (size[peaks[top]] <= floor * (1.0 + 1e-9)
+                or np.array_equal(ref, levelled)):
             return sol[:-1], floor
     return None
 
 
 def _minimax_fit(sigma: float, degree: int,
-                 shrink: float = 1.0) -> tuple[np.ndarray, float]:
-    """Best odd-Chebyshev fit to shrink*sigma/x on [sigma, 1], |q| <= 1 on [0, 1].
+                 shrink: float = 1.0) -> tuple[np.ndarray, float, float]:
+    """Best odd-Chebyshev fit to shrink*sigma/x on [sigma, 1], and its sup.
 
-    The fit minimizes the sup deviation on the fit grid subject to the unit
-    cap on the cap grid.  Odd polynomials form a Haar system on [sigma, 1],
-    so the uncapped discrete minimax fit is unique: a settled
-    `_remez_exchange` whose polynomial meets the cap is the optimum and is
-    returned without an LP.  Otherwise `_lp_fit` solves the LP.  Either way
-    the deviation returned is the one the coefficients reach on the fit grid.
+    Odd polynomials form a Haar system on [sigma, 1], so the discrete
+    minimax fit on the fit grid is unique; a settled `_remez_exchange`
+    gives it, up to the gap it settled at.  Returns the coefficients, their
+    deviation on the fit grid and max |q| on the cap grid (which can exceed
+    1), or zeros and deviation inf where the exchange does not settle.
     """
     grids = _fit_grids(sigma, degree, shrink)
     _, target, phi_fit, phi_cap = grids
-    levelled = _remez_exchange(sigma, grids)
-    odd = (levelled[0] if levelled is not None
-           and np.max(np.abs(phi_cap @ levelled[0])) <= _UNIT_CAP
-           else _lp_fit(grids, degree))
     coeffs = np.zeros(degree + 1)
-    coeffs[1::2] = odd
-    # the deviation the coefficients reach on the fit grid, not the LP's t:
-    # HiGHS meets each row only to 1e-7, so t can read 0 for a fit that misses
-    return coeffs, float(np.max(np.abs(phi_fit @ odd - target)))
-
-
-def _lp_fit(grids: tuple[np.ndarray, ...], degree: int) -> np.ndarray:
-    """Odd-index coefficients of the capped minimax LP's optimum."""
-    from scipy.optimize import linprog     # loaded by cap-bound fits only
-    _, target, phi_fit, phi_cap = grids
-    m, k = phi_fit.shape                    # the cap grid has m points too
-    cvec = np.zeros(k + 1)                  # coefficients + deviation bound t
-    cvec[-1] = 1.0
-    ones, zeros = np.ones((m, 1)), np.zeros((m, 1))
-    a_ub = np.vstack([
-        np.hstack([phi_fit, -ones]),
-        np.hstack([-phi_fit, -ones]),
-        np.hstack([phi_cap, zeros]),
-        np.hstack([-phi_cap, zeros]),
-    ])
-    b_ub = np.concatenate([target, -target, np.full(2 * m, _UNIT_CAP)])
-    res = linprog(cvec, A_ub=a_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * k + [(0, None)],
-                  method="highs")
-    if not res.success:
-        raise ConfigError(f"minimax LP failed at degree {degree}: {res.message}")
-    return res.x[:-1]
+    levelled = _remez_exchange(sigma, grids)
+    if levelled is None:
+        return coeffs, np.inf, 0.0
+    coeffs[1::2] = odd = levelled[0]
+    return (coeffs, float(np.max(np.abs(phi_fit @ odd - target))),
+            float(np.max(np.abs(phi_cap @ odd))))
 
 
 def _log_secant(lower: tuple[int, float], upper: tuple[int, float],
@@ -197,11 +174,12 @@ def _log_secant(lower: tuple[int, float], upper: tuple[int, float],
 
 @lru_cache(maxsize=64)
 def _search_inverse_poly(sigma: float, eps: float, shrink: float,
-                         degree_cap: int) -> OddPolynomial | None:
-    """Smallest passing odd degree of the first doubling round that has one.
+                         degree_cap: int) -> tuple[OddPolynomial, float] | None:
+    """Smallest passing odd degree of the first doubling round that has one,
+    and its fit's sup on the cap grid.
 
-    The rounds double the degree d -> 2d + 1 from max(3, 1/sigma) up to
-    degree_cap, which the caller keeps within the LP cap; a round's bracket
+    The rounds double the degree d -> 2d + 1 from max(3, 1/sigma); the last
+    one ends at the largest odd degree within degree_cap.  A round's bracket
     runs from the previous round's failing doubling degree (1 in the first
     round) to its own.  The minimax deviation falls about geometrically in
     the degree (the log(1/eps)/sigma scale of `degree_budget`), so each fit
@@ -215,15 +193,17 @@ def _search_inverse_poly(sigma: float, eps: float, shrink: float,
     The bisection midpoint replaces a guess that is missing or not above
     the highest failing degree.  The search stops at a passing fit at d
     with a failing degree d - 2: the smallest passing degree of the bracket
-    when the deviation falls monotonically in the degree.
+    when the deviation falls monotonically in the degree, and gives None
+    when the fit at the cap's odd degree fails.
     """
     top = max(3, int(np.ceil(1.0 / sigma))) | 1   # the round's doubling degree
     lo = 1                # highest failing degree; degree 1 is never fitted
     fails: list[tuple[int, float]] = []   # failing (degree, deviation)
-    best = None           # lowest passing (degree, deviation, coefficients)
+    best = None           # lowest passing (degree, deviation, coeffs, sup)
     while best is None or best[0] - lo > 2:
         if best is None:
-            if top > degree_cap:
+            top = min(top, (degree_cap - 1) | 1)
+            if top <= lo:
                 return None
             hi = ceiling = top
             guess = _log_secant(*fails[-2:], eps) if len(fails) >= 2 else None
@@ -235,15 +215,15 @@ def _search_inverse_poly(sigma: float, eps: float, shrink: float,
         d = None if guess is None else int(np.ceil(min(guess, ceiling))) | 1
         if d is None or d <= lo:
             d = (lo + hi) // 2 | 1          # bisection safeguard
-        coeffs, dev = _minimax_fit(sigma, d, shrink)
+        coeffs, dev, sup = _minimax_fit(sigma, d, shrink)
         if dev <= eps:
-            best = (d, dev, coeffs)
+            best = (d, dev, coeffs, sup)
         else:
             fails.append((d, dev))
             lo = d
             if d == top:
                 top = 2 * top + 1
-    return OddPolynomial(best[2])
+    return OddPolynomial(best[2]), best[3]
 
 
 def degree_budget(sigma: float, eps: float) -> float:
@@ -255,28 +235,32 @@ _HEADROOM = 0.75
 
 
 def backend_inverse_poly(sigma: float, eps: float) -> tuple[OddPolynomial, float]:
-    """Odd q of the poly backend, with its headroom h = 0.75.
+    """Odd q of the poly backend, with its headroom h (0.75 at most).
 
     The fit targets 0.75*sigma/x, not the saturated sigma/x whose value 1
     at the threshold collides with the unit sup-norm cap; the output
-    subnormalization absorbs the 4/3.  The minimax fit, settled by the
-    Remez exchange or by the LP, meets |q(x)/h - sigma/x| <= eps and
-    |q| <= 1 - 1e-9 only at its grid points (see _minimax_fit),
-    so between them q can exceed both by a small fraction: the degree-229
-    polynomial for sigma 0.025, eps 3e-2/9 is 1.3 % over eps off the grid.
+    subnormalization absorbs 1/h.  A fit whose sup s on the cap grid breaks
+    the cap 1 - 1e-9 is scaled by cap/s, and so is h, the usual rescaling
+    of a QSVT polynomial under |q| <= 1.  Both |q(x)/h - sigma/x| <= eps
+    and the cap hold only at the grid points, so between them q can exceed
+    both by a small fraction: the degree-229 polynomial for sigma 0.025,
+    eps 3e-2/9 is 1.3 % over eps off the grid.
     """
     InversionConfig(sigma, eps, "poly")          # range-checks sigma and eps
     cap = min(max(int(np.ceil(4.0 * degree_budget(sigma, eps))), 3),
-              _LP_DEGREE_CAP)
-    q = _search_inverse_poly(float(sigma), float(_HEADROOM * eps),
-                             _HEADROOM, cap)
-    if q is None:
+              _DEGREE_CAP)
+    found = _search_inverse_poly(float(sigma), float(_HEADROOM * eps),
+                                 _HEADROOM, cap)
+    if found is None:
         raise ConfigError(
             f"inverse polynomial for sigma={sigma:.3g}, eps={eps:.3g} needs "
-            f"degree beyond the search cap {cap} (4 x "
-            f"degree_budget, at most the LP cap {_LP_DEGREE_CAP}); raise "
-            "sigma_floor or eps, or use the exact backend")
-    return q, _HEADROOM
+            f"degree beyond the search cap {cap} (4 x degree_budget, at most "
+            f"{_DEGREE_CAP}); raise sigma_floor or eps, or use the exact backend")
+    q, sup = found
+    if sup <= _UNIT_CAP:
+        return q, _HEADROOM
+    scale = _UNIT_CAP / sup
+    return OddPolynomial(scale * q.cheb_coeffs), _HEADROOM * scale
 
 
 def sv_invert(be: BlockEncoding, cfg: InversionConfig,

@@ -43,3 +43,18 @@ def test_gate_passes_a_two_step_lv_solve(tmp_path):
                  "--iters", "2", "--trace", str(trace)]) == 0
     assert gate.check(trace.read_text(), str(problem), f"{problem}.x0", 2,
                       1e-6) == []
+
+
+def test_gate_passes_a_gpe_poly_solve(tmp_path):
+    # sigma_k is 0.025 and sigma' = floor / alpha_J is about 0.005: the
+    # doubling passes the degree cap 1200, so its last round ends at 1199
+    gate = load_bench_module("gate")
+    problem, trace = tmp_path / "gpe.qnls", tmp_path / "trace.csv"
+    assert main(["gen-gpe", "--nx", "4", "--g", "1", "--dt", "0.05", "--dx",
+                 "0.5", "--vconst", "0.2", "--psi-seed", "0",
+                 "--out", str(problem)]) == 0
+    assert main(["solve", "--problem", str(problem), "--x0", f"{problem}.x0",
+                 "--backend", "poly", "--sigma-floor", "0.02", "--eps", "3e-2",
+                 "--iters", "3", "--trace", str(trace)]) == 0
+    assert gate.check(trace.read_text(), str(problem), f"{problem}.x0", 3,
+                      3e-2) == []

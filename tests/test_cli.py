@@ -456,7 +456,7 @@ NUMPY_EXTRAS = ("extras = {'.'.join(m.split('.')[:2]) for m in sys.modules\n"
 
 
 def test_exact_commands_import_no_scipy(tmp_path):
-    # scipy is loaded only by a cap-bound LP fit and the classical oracle,
+    # scipy is loaded only by the classical oracle,
     # numpy.polynomial only by poly-backend fits, numpy.ma by no command
     lv, gpe = tmp_path / "lv.qnls", tmp_path / "gpe.qnls"
     commands = [
@@ -483,13 +483,9 @@ def test_exact_commands_import_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
-def test_poly_solve_imports_no_scipy(tmp_path):
-    # where the unit cap does not bind, the Remez exchange settles every fit;
-    # the fits load numpy.polynomial, and nothing loads numpy.ma
-    lv = lv_file(tmp_path)
-    command = ["solve", "--problem", str(lv), "--x0", f"{lv}.x0", "--backend",
-               "poly", "--sigma-floor", "0.05", "--eps", "3e-2", "--iters", "3",
-               "--trace", str(tmp_path / "t.csv")]
+def assert_poly_solve_imports_no_scipy(command):
+    """Runs a poly-backend solve in a fresh process: it exits 0, loads
+    numpy.polynomial, and loads neither scipy nor numpy.ma."""
     script = ("import sys\nfrom qnls.cli import main\n"
               f"assert main({command!r}) == 0\n"
               f"{NUMPY_EXTRAS}\n"
@@ -501,6 +497,25 @@ def test_poly_solve_imports_no_scipy(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_poly_solve_imports_no_scipy(tmp_path):
+    # the Remez exchange fits every degree; the fits load numpy.polynomial
+    lv = lv_file(tmp_path)
+    assert_poly_solve_imports_no_scipy(
+        ["solve", "--problem", str(lv), "--x0", f"{lv}.x0", "--backend",
+         "poly", "--sigma-floor", "0.05", "--eps", "3e-2", "--iters", "3",
+         "--trace", str(tmp_path / "t.csv")])
+
+
+def test_poly_solve_at_the_default_eps_needs_no_lp(tmp_path):
+    # per-step target 0.75 * 6.7e-8 at sigma 0.025: the fits break the unit
+    # cap and are scaled under it, where a capped LP took 15 s and 800 MB
+    lv = lv_file(tmp_path)
+    assert_poly_solve_imports_no_scipy(
+        ["solve", "--problem", str(lv), "--x0", f"{lv}.x0", "--backend",
+         "poly", "--sigma-floor", "0.05", "--iters", "5",
+         "--trace", str(tmp_path / "t.csv")])
 
 
 def test_resources_inversion_scales_with_floor(tmp_path):

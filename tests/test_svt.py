@@ -91,7 +91,7 @@ def test_backend_degree_at_most_saturated(sigma, eps):
     cap = max(int(np.ceil(4.0 * degree_budget(sigma, eps))), 3)
     saturated = svt._search_inverse_poly(sigma, eps, 1.0, min(cap, 257))
     assert saturated is not None
-    assert backend_inverse_poly(sigma, eps)[0].degree <= saturated.degree
+    assert backend_inverse_poly(sigma, eps)[0].degree <= saturated[0].degree
 
 
 def test_backend_poly_budget_and_accuracy():
@@ -104,11 +104,13 @@ def test_backend_poly_budget_and_accuracy():
 
 
 def test_minimax_fit_reports_the_deviation_its_coefficients_reach():
-    # HiGHS meets each LP row only to its feasibility tolerance (1e-7), so
-    # the LP's own bound t can read 0 for a degree-63 fit that misses
-    # 0.75 sigma/x on the fit grid by about 2e-8
-    sigma, degree = 0.5, 63
-    coeffs, dev = svt._minimax_fit(sigma, degree, svt._HEADROOM)
+    # at degree 63 the deviation sits at roundoff and the exchange does not
+    # settle: the degree fails, with zero coefficients
+    coeffs, dev, _ = svt._minimax_fit(0.5, 63, svt._HEADROOM)
+    assert dev == np.inf and not np.any(coeffs)
+    # degree 27 settles on a repeated reference, about 2e-7 off 0.75 sigma/x
+    sigma, degree = 0.5, 27
+    coeffs, dev, _ = svt._minimax_fit(sigma, degree, svt._HEADROOM)
     m_fit = max(600, 4 * degree)
     nodes = np.cos(np.pi * (np.arange(m_fit) + 0.5) / m_fit)
     xs = 0.5 * (sigma + 1.0) + 0.5 * (1.0 - sigma) * nodes
@@ -117,12 +119,45 @@ def test_minimax_fit_reports_the_deviation_its_coefficients_reach():
     assert dev == pytest.approx(on_grid, rel=1e-6)
 
 
-def test_backend_rejects_eps_below_the_lp_tolerance():
-    # every fit up to the search cap 4 degree_budget = 274 misses 0.75 eps;
-    # trusting the LP's t returned degree 47, 544 eps off on a fine grid
-    assert int(np.ceil(4.0 * degree_budget(0.5, 1e-10))) == 274
-    with pytest.raises(ConfigError, match=r"search cap 274 .*LP cap 1200"):
-        backend_inverse_poly(0.5, 1e-10)
+def test_backend_meets_eps_at_the_exchange_roundoff():
+    # the deviation falls to about 1e-10 before roundoff stops the exchange
+    q, headroom = backend_inverse_poly(0.5, 1e-10)
+    xs = np.linspace(0.5, 1.0, 200001)
+    assert np.max(np.abs(q(xs) / headroom - 0.5 / xs)) <= 1e-10
+
+
+def test_backend_rejects_eps_below_the_exchange_roundoff():
+    # every fit up to the search cap 4 degree_budget = 327 misses 0.75 eps
+    assert int(np.ceil(4.0 * degree_budget(0.5, 1e-12))) == 327
+    with pytest.raises(ConfigError, match=r"search cap 327 "):
+        backend_inverse_poly(0.5, 1e-12)
+
+
+def test_backend_fits_the_cap_degree_the_doubling_passes():
+    # the doubling rounds fail 81, 163, 327 and 655, and 1311 passes the
+    # search cap 1200: the last round ends at the cap degree 1199
+    sigma, eps = 0.0125, 1e-4
+    q, headroom = backend_inverse_poly(sigma, eps)
+    assert 655 < q.degree <= 1199
+    xs, _, phi_fit, phi_cap = svt._fit_grids(sigma, q.degree, svt._HEADROOM)
+    odd = q.cheb_coeffs[1::2]
+    assert np.max(np.abs(phi_fit @ odd / headroom - sigma / xs)) <= eps
+    # the scaled fit's sup is the cap, up to the rounding of the product
+    assert np.max(np.abs(phi_cap @ odd)) <= svt._UNIT_CAP + 1e-12
+
+
+def test_backend_scales_a_cap_bound_fit_under_the_unit_cap():
+    # at eps 1e-4 the fit to 0.75 sigma/x reaches |q| > 1 on [0, 1]
+    sigma, eps = 0.5, 1e-4
+    q, headroom = backend_inverse_poly(sigma, eps)
+    assert headroom < svt._HEADROOM
+    xs, _, phi_fit, phi_cap = svt._fit_grids(sigma, q.degree, svt._HEADROOM)
+    odd = q.cheb_coeffs[1::2]
+    assert np.max(np.abs(phi_cap @ odd)) <= svt._UNIT_CAP + 1e-12
+    assert np.max(np.abs(phi_fit @ odd / headroom - sigma / xs)) <= eps
+    fit = svt._minimax_fit(sigma, q.degree, svt._HEADROOM)[0]
+    np.testing.assert_allclose(q.cheb_coeffs / headroom, fit / svt._HEADROOM,
+                               rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -131,19 +166,20 @@ def test_backend_rejects_eps_below_the_lp_tolerance():
 
 def _doubling_bisection_search(sigma, eps, shrink, degree_cap):
     """Reference: double the degree until a fit passes, then bisect back."""
-    degree_cap = min(degree_cap, svt._LP_DEGREE_CAP)
+    top = (min(degree_cap, svt._DEGREE_CAP) - 1) | 1   # last doubling degree
     d = max(3, int(np.ceil(1.0 / sigma)))
     if d % 2 == 0:
         d += 1
+    d = min(d, top)
     best = None
     lo = 1
-    while d <= degree_cap:
-        coeffs, dev = svt._minimax_fit(sigma, d, shrink)
+    while d > lo:
+        coeffs, dev, _ = svt._minimax_fit(sigma, d, shrink)
         if dev <= eps:
             best = (d, coeffs)
             break
         lo = d
-        d = 2 * d + 1
+        d = min(2 * d + 1, top)
     if best is None:
         return None
     hi = best[0]
@@ -153,7 +189,7 @@ def _doubling_bisection_search(sigma, eps, shrink, degree_cap):
             mid += 1
         if mid >= hi:
             break
-        coeffs, dev = svt._minimax_fit(sigma, mid, shrink)
+        coeffs, dev, _ = svt._minimax_fit(sigma, mid, shrink)
         if dev <= eps:
             hi, best = mid, (mid, coeffs)
         else:
@@ -166,28 +202,27 @@ def _backend_searches(sigma, eps):
     cap = max(int(np.ceil(4.0 * degree_budget(sigma, eps))), 3)
     return [(sigma, eps, 1.0, min(cap, 257)),
             (sigma, svt._HEADROOM * eps, svt._HEADROOM,
-             min(cap, svt._LP_DEGREE_CAP))]
+             min(cap, svt._DEGREE_CAP))]
 
 
 def _assert_same_search(sigma, eps, shrink, degree_cap):
     want = _doubling_bisection_search(sigma, eps, shrink, degree_cap)
     svt._search_inverse_poly.cache_clear()
-    got = svt._search_inverse_poly(sigma, eps, shrink, degree_cap)
+    found = svt._search_inverse_poly(sigma, eps, shrink, degree_cap)
     svt._search_inverse_poly.cache_clear()
     if want is None:
-        assert got is None
+        assert found is None
     else:
-        assert got.cheb_coeffs.tobytes() == want.cheb_coeffs.tobytes()
+        assert found[0].cheb_coeffs.tobytes() == want.cheb_coeffs.tobytes()
 
 
 @pytest.mark.parametrize("sigma,eps,shrink,degree_cap", [
     *(args for sigma in (0.2, 0.3, 0.5) for eps in (1e-1, 1e-2, 1e-3)
       for args in _backend_searches(sigma, eps)),
-    # fails 11, 23 and 45 and passes 47, each fit settled by the exchange;
-    # at eps 1e-3 or sigma 0.05 the reference search needs slow LP fits
+    # fails 11, 23 and 45 and passes 47
     _backend_searches(0.1, 1e-2)[1],
-    (0.3, 1e-3, 1.0, 40),        # the cap stops the doubling: None
-    (0.2, 1e-3, 0.75, 40),       # None; degree 33 passes in round (23, 47]
+    (0.3, 1e-3, 1.0, 40),        # degree 23, where the uncapped fit passes
+    (0.2, 1e-3, 0.75, 40),       # degree 33, in the round (23, 39] the cap ends
     (0.2, 1e-3, 0.75, 50),       # degree 33, in the last round under the cap
 ])
 def test_search_matches_doubling_bisection(sigma, eps, shrink, degree_cap):
@@ -233,26 +268,23 @@ def test_search_returns_a_locally_minimal_degree(sigma, eps, shrink):
     minimax_fit = svt._minimax_fit
 
     def recorded(sigma, degree, shrink=1.0):
-        coeffs, dev = minimax_fit(sigma, degree, shrink)
-        deviation[degree] = dev
-        return coeffs, dev
+        fit = minimax_fit(sigma, degree, shrink)
+        deviation[degree] = fit[1]
+        return fit
 
     svt._minimax_fit = recorded
     svt._search_inverse_poly.cache_clear()
     try:
         # cap 65 keeps the slowly converging saturated fits cheap
-        q = svt._search_inverse_poly(sigma, eps, shrink, 65)
+        found = svt._search_inverse_poly(sigma, eps, shrink, 65)
     finally:
         svt._minimax_fit = minimax_fit
         svt._search_inverse_poly.cache_clear()
     # the search itself fitted the failing degree below its answer
-    if q is None:               # the last doubling degree under the cap failed
-        top = max(3, int(np.ceil(1.0 / sigma))) | 1
-        while 2 * top + 1 <= 65:
-            top = 2 * top + 1
-        assert deviation[top] > eps
+    if found is None:           # the fit at the cap degree failed
+        assert deviation[65] > eps
         return
-    d = q.cheb_coeffs.size - 1
+    d = found[0].cheb_coeffs.size - 1
     assert deviation[d] <= eps
     if d > 3:                   # the search never fits degree 1
         assert deviation[d - 2] > eps
@@ -271,11 +303,11 @@ def test_search_falls_back_to_doubling_and_bisection(monkeypatch):
         fits.append(degree)
         coeffs = np.zeros(degree + 1)
         coeffs[degree] = 1.0
-        return coeffs, deviation(degree)
+        return coeffs, deviation(degree), 1.0
 
     monkeypatch.setattr(svt, "_minimax_fit", tabled)
     # sigma 0.2 starts the doubling rounds at degree 5: 5, 11, 23, ...
-    q = svt._search_inverse_poly.__wrapped__(0.2, 1e-3, 1.0, 100)
+    q, _ = svt._search_inverse_poly.__wrapped__(0.2, 1e-3, 1.0, 100)
     assert fits == [5, 11, 23, 17, 15]
     assert len(set(fits)) == len(fits)
     # the smallest passing odd degree of the bracket (11, 23]
@@ -292,15 +324,16 @@ def test_search_visits_the_secant_degrees(monkeypatch):
         fits.append(degree)
         coeffs = np.zeros(degree + 1)
         coeffs[degree] = 1.0
-        return coeffs, 2.0 ** (-degree / 2)
+        return coeffs, 2.0 ** (-degree / 2), 1.0
 
     monkeypatch.setattr(svt, "_minimax_fit", tabled)
-    assert svt._search_inverse_poly.__wrapped__(0.2, 1e-3, 1.0, 100).degree == 21
+    q, _ = svt._search_inverse_poly.__wrapped__(0.2, 1e-3, 1.0, 100)
+    assert q.degree == 21
     assert fits == [5, 11, 21, 19]
 
 
 # ---------------------------------------------------------------------------
-# exchange-first fits
+# exchange fits, against the minimax LP as reference
 # ---------------------------------------------------------------------------
 
 _HEADROOM_CASES = [(0.025, 229), (0.1, 47), (0.2, 35)]   # the cap holds
@@ -319,11 +352,33 @@ def _counted_linprog(monkeypatch, calls, fail=False):
     monkeypatch.setattr(scipy.optimize, "linprog", counted)
 
 
+def _lp_reference(grids, capped=True):
+    """Odd-index coefficients of the minimax LP's optimum (scipy's HiGHS),
+    the least deviation on the fit grid with |q| <= _UNIT_CAP on the cap
+    grid when capped, and the deviation the coefficients reach."""
+    from scipy.optimize import linprog
+    _, target, phi_fit, phi_cap = grids
+    m, k = phi_fit.shape                    # the cap grid has m points too
+    cvec = np.zeros(k + 1)                  # coefficients + deviation bound t
+    cvec[-1] = 1.0
+    ones, zeros = np.ones((m, 1)), np.zeros((m, 1))
+    rows = [np.hstack([phi_fit, -ones]), np.hstack([-phi_fit, -ones])]
+    bounds = [target, -target]
+    if capped:
+        rows += [np.hstack([phi_cap, zeros]), np.hstack([-phi_cap, zeros])]
+        bounds.append(np.full(2 * m, svt._UNIT_CAP))
+    res = linprog(cvec, A_ub=np.vstack(rows), b_ub=np.concatenate(bounds),
+                  bounds=[(None, None)] * k + [(0, None)], method="highs")
+    assert res.success, res.message
+    odd = res.x[:-1]
+    return odd, float(np.max(np.abs(phi_fit @ odd - target)))
+
+
 @pytest.mark.parametrize("sigma,degree", _HEADROOM_CASES)
 def test_minimax_fit_settles_without_the_lp_where_the_cap_holds(
         monkeypatch, sigma, degree):
     _counted_linprog(monkeypatch, [], fail=True)
-    coeffs, dev = svt._minimax_fit(sigma, degree, svt._HEADROOM)
+    coeffs, dev, _ = svt._minimax_fit(sigma, degree, svt._HEADROOM)
     assert coeffs.size == degree + 1 and not np.any(coeffs[0::2])
     # the deviation is the one the coefficients reach on the fit grid
     xs, target, _, _ = svt._fit_grids(sigma, degree, svt._HEADROOM)
@@ -335,42 +390,33 @@ def test_minimax_fit_settles_without_the_lp_where_the_cap_holds(
 
 
 @pytest.mark.parametrize("sigma,degree", _HEADROOM_CASES)
-def test_exchange_fit_matches_the_lp_fit(monkeypatch, sigma, degree):
-    settled, dev = svt._minimax_fit(sigma, degree, svt._HEADROOM)
-    floor = svt._remez_exchange(sigma, svt._fit_grids(
-        sigma, degree, svt._HEADROOM))[1]
-    calls = []
-    _counted_linprog(monkeypatch, calls)
-    monkeypatch.setattr(svt, "_remez_exchange", lambda *args: None)
-    lp, lp_dev = svt._minimax_fit(sigma, degree, svt._HEADROOM)
-    assert len(calls) == 1
-    assert np.max(np.abs(settled - lp)) <= 1e-14
+def test_exchange_fit_matches_the_lp_fit(sigma, degree):
+    settled, dev, _ = svt._minimax_fit(sigma, degree, svt._HEADROOM)
+    grids = svt._fit_grids(sigma, degree, svt._HEADROOM)
+    floor = svt._remez_exchange(sigma, grids)[1]
+    lp, lp_dev = _lp_reference(grids)
+    assert np.max(np.abs(settled[1::2] - lp)) <= 1e-14
     # the floor bounds HiGHS's fit from below; HiGHS meets rows to 1e-7
     assert floor * (1.0 - 1e-12) <= lp_dev <= dev + 1e-7
 
 
-@pytest.mark.parametrize("sigma,degree,settled", [
-    (0.03, 307, True),      # the exchange settles, but |q| reaches 1.09
-    (0.5, 63, False),       # the deviation sits at roundoff: no settling
-])
-def test_minimax_fit_leaves_a_binding_cap_to_the_lp(monkeypatch, sigma, degree,
-                                                     settled):
-    grids = svt._fit_grids(sigma, degree, svt._HEADROOM)
-    levelled = svt._remez_exchange(sigma, grids)
-    assert (levelled is not None) == settled
-    if settled:
-        assert np.max(np.abs(grids[3] @ levelled[0])) > svt._UNIT_CAP
-    calls = []
-    _counted_linprog(monkeypatch, calls)
-    svt._minimax_fit(sigma, degree, svt._HEADROOM)
-    assert len(calls) == 1
-
-
-def _lp_reference(grids, degree):
-    """The LP's odd-index coefficients and the deviation they reach."""
-    odd = svt._lp_fit(grids, degree)
-    _, target, phi_fit, _ = grids
-    return odd, float(np.max(np.abs(phi_fit @ odd - target)))
+@pytest.mark.parametrize("sigma,degree", [
+    (0.5, 27), (0.1, 151), (0.05, 301), (0.025, 603)])
+def test_remez_exchange_settles_on_a_repeated_reference(sigma, degree):
+    # the deviation is near 1e-7, where sup/floor - 1 stays a few 1e-9 above
+    # the 1e-9 settle test; the fits at shrink 1 and 0.75 share one LP,
+    # since the uncapped fit is linear in its target
+    _, lp_dev = _lp_reference(svt._fit_grids(sigma, degree, 1.0), capped=False)
+    for shrink in (1.0, svt._HEADROOM):
+        grids = svt._fit_grids(sigma, degree, shrink)
+        levelled = svt._remez_exchange(sigma, grids)
+        assert levelled is not None
+        odd, floor = levelled
+        _, target, phi_fit, _ = grids
+        dev = np.max(np.abs(phi_fit @ odd - target))
+        assert floor <= dev <= floor * (1.0 + 1e-8)
+        # HiGHS meets its rows to 1e-7
+        assert abs(dev - shrink * lp_dev) <= 1e-7
 
 
 @given(st.floats(0.02, 0.6), st.integers(1, 115).map(lambda k: 2 * k + 1),
@@ -381,7 +427,7 @@ def _lp_reference(grids, degree):
 @example(0.3388, 21, 1.0)                   # settles, but the cap binds
 def test_remez_floor_never_exceeds_the_lp_deviation(sigma, degree, shrink):
     grids = svt._fit_grids(sigma, degree, shrink)
-    lp, lp_dev = _lp_reference(grids, degree)
+    lp, lp_dev = _lp_reference(grids)
     levelled = svt._remez_exchange(sigma, grids)
     if levelled is None:
         return
@@ -402,7 +448,7 @@ def test_remez_floor_is_tight_against_the_lp_on_lv_poly(degree):
     grids = svt._fit_grids(sigma, degree, shrink)
     levelled = svt._remez_exchange(sigma, grids)
     assert levelled is not None
-    _, lp_dev = _lp_reference(grids, degree)
+    _, lp_dev = _lp_reference(grids)
     assert levelled[1] == pytest.approx(lp_dev, rel=1e-4)
 
 
