@@ -21,6 +21,10 @@ trees and compare:
     PYTHONPATH=old/src python3 scripts/artifact_digest.py > old.txt
     PYTHONPATH=new/src python3 scripts/artifact_digest.py > new.txt
     diff old.txt new.txt
+
+Compare only digests made at the same OpenBLAS thread count: the
+`lv_poly_cap.csv` and `lv_poly_cap.txt` hashes depend on it (ce94ed1f… and
+9fa5d1c9… with OPENBLAS_NUM_THREADS=1, 3cc588c3… and a5fc5a84… with 2).
 """
 
 import contextlib

@@ -9,8 +9,8 @@ The polynomial's degree is searched in doubling rounds d -> 2d + 1.  Inside
 a round, a secant on log(minimax deviation) against the degree predicts the
 smallest passing odd degree, and the search visits only the degrees that
 confirm it: it ends on a passing fit at d above a failing degree d - 2.
-Each visited degree is fitted once, by a Remez exchange; a fit that breaks
-the unit cap is scaled under it, and the headroom by the same factor.
+Each visited degree is fitted once, by a Remez exchange; only the returned
+fit is measured against the unit cap, and scaled under it with h if needed.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .block_encoding import (BlockEncoding, CostLedger, _eps_units, _log2,
                              debug_enabled)
 from .errors import ConditioningError, ConfigError, InputError
 
-_DEGREE_CAP = 1200   # the search's limit, for memory: the fit and cap grids
-                     # hold about 4*degree**2 doubles, 46 MB at degree 1199
+_DEGREE_CAP = 1200   # the search's limit, for memory: building a fit or cap
+                     # grid peaks near 6*degree**2 doubles, 69 MB at 1199
 _HERMITIAN_TOL = 1e-9
 _UNIT_CAP = 1.0 - 1e-9     # the bound on |q| over the cap grid
 _REMEZ_EXCHANGES = 12      # exchange steps before `_remez_exchange` gives up
@@ -51,7 +51,8 @@ class InversionConfig:
 
 @dataclass(frozen=True, eq=False)
 class OddPolynomial:
-    """Odd Chebyshev-basis polynomial, bounded by 1 on [-1, 1]."""
+    """Odd Chebyshev-basis polynomial.  The poly backend keeps |q| <= 1 - 1e-9
+    on the cap grid only: between its points q can pass 1 slightly."""
 
     cheb_coeffs: np.ndarray
 
@@ -76,22 +77,28 @@ class OddPolynomial:
 
 def _fit_grids(sigma: float, degree: int,
                shrink: float) -> tuple[np.ndarray, ...]:
-    """The minimax fit's grids: max(600, 4*degree) Chebyshev nodes xs of
-    [sigma, 1] (decreasing), the target shrink*sigma/xs, the odd Chebyshev
-    columns at xs, and the same columns at as many points of (0, 1] for the
-    unit cap."""
+    """The minimax fit's grid: max(600, 4*degree) Chebyshev nodes xs of
+    [sigma, 1] (decreasing), the target shrink*sigma/xs, and the odd
+    Chebyshev columns at xs."""
     ks = np.arange(1, degree + 1, 2)
     m_fit = max(600, 4 * degree)
     nodes = np.cos(np.pi * (np.arange(m_fit) + 0.5) / m_fit)
     xs = 0.5 * (sigma + 1.0) + 0.5 * (1.0 - sigma) * nodes
-    ys = np.linspace(0.0, 1.0, m_fit + 1)[1:]
-    vander = np.polynomial.chebyshev.chebvander
-    return (xs, shrink * sigma / xs, vander(xs, degree)[:, ks],
-            vander(ys, degree)[:, ks])
+    return (xs, shrink * sigma / xs,
+            np.polynomial.chebyshev.chebvander(xs, degree)[:, ks])
+
+
+def _cap_sup(coeffs: np.ndarray) -> float:
+    """max |q| on the cap grid of degree d: max(600, 4d) points of (0, 1]."""
+    degree = coeffs.size - 1
+    ks = np.arange(1, degree + 1, 2)
+    ys = np.linspace(0.0, 1.0, max(600, 4 * degree) + 1)[1:]
+    phi_cap = np.polynomial.chebyshev.chebvander(ys, degree)[:, ks]
+    return float(np.max(np.abs(phi_cap @ np.ascontiguousarray(coeffs[1::2]))))
 
 
 def _remez_exchange(sigma: float, grids: tuple[np.ndarray, ...]
-                    ) -> tuple[np.ndarray, float] | None:
+                    ) -> tuple[np.ndarray, float, float] | None:
     """Discrete Remez exchange for the odd Chebyshev basis on the fit grid.
 
     Odd polynomials on [sigma, 1], sigma > 0, form a Haar system (Descartes'
@@ -104,10 +111,10 @@ def _remez_exchange(sigma: float, grids: tuple[np.ndarray, ...]
     alternating error peaks that include the largest.  Once p's sup
     deviation on the grid is within 1e-9 relative of the floor, or the
     reference repeats (a fixed point: the gap left is roundoff), it returns
-    p's odd-index coefficients and the floor; an exchange that does not
-    settle, or a reference the solve cannot level, gives None.
+    p's odd-index coefficients, the floor and p's deviation; an exchange
+    that does not settle, or a reference the solve cannot level, gives None.
     """
-    xs, target, phi_fit, _ = grids
+    xs, target, phi_fit = grids
     n = phi_fit.shape[1]
     t = 0.5 * (1.0 + sigma ** 2) + 0.5 * (1.0 - sigma ** 2) * np.cos(
         np.pi * np.arange(n + 1) / n)
@@ -136,29 +143,22 @@ def _remez_exchange(sigma: float, grids: tuple[np.ndarray, ...]
         floor = float(lows[first])
         if (size[peaks[top]] <= floor * (1.0 + 1e-9)
                 or np.array_equal(ref, levelled)):
-            return sol[:-1], floor
+            return sol[:-1], floor, float(size[peaks[top]])
     return None
 
 
 def _minimax_fit(sigma: float, degree: int,
-                 shrink: float = 1.0) -> tuple[np.ndarray, float, float]:
-    """Best odd-Chebyshev fit to shrink*sigma/x on [sigma, 1], and its sup.
-
-    Odd polynomials form a Haar system on [sigma, 1], so the discrete
-    minimax fit on the fit grid is unique; a settled `_remez_exchange`
-    gives it, up to the gap it settled at.  Returns the coefficients, their
-    deviation on the fit grid and max |q| on the cap grid (which can exceed
-    1), or zeros and deviation inf where the exchange does not settle.
-    """
-    grids = _fit_grids(sigma, degree, shrink)
-    _, target, phi_fit, phi_cap = grids
+                 shrink: float) -> tuple[np.ndarray, float]:
+    """Best odd-Chebyshev fit to shrink*sigma/x on [sigma, 1] and its
+    deviation on the fit grid, from a settled `_remez_exchange` (unique up
+    to the gap it settled at: odd polynomials form a Haar system there), or
+    zeros and deviation inf where the exchange does not settle."""
     coeffs = np.zeros(degree + 1)
-    levelled = _remez_exchange(sigma, grids)
+    levelled = _remez_exchange(sigma, _fit_grids(sigma, degree, shrink))
     if levelled is None:
-        return coeffs, np.inf, 0.0
-    coeffs[1::2] = odd = levelled[0]
-    return (coeffs, float(np.max(np.abs(phi_fit @ odd - target))),
-            float(np.max(np.abs(phi_cap @ odd))))
+        return coeffs, np.inf
+    coeffs[1::2], _, deviation = levelled
+    return coeffs, deviation
 
 
 def _log_secant(lower: tuple[int, float], upper: tuple[int, float],
@@ -199,7 +199,7 @@ def _search_inverse_poly(sigma: float, eps: float, shrink: float,
     top = max(3, int(np.ceil(1.0 / sigma))) | 1   # the round's doubling degree
     lo = 1                # highest failing degree; degree 1 is never fitted
     fails: list[tuple[int, float]] = []   # failing (degree, deviation)
-    best = None           # lowest passing (degree, deviation, coeffs, sup)
+    best = None           # lowest passing (degree, deviation, coeffs)
     while best is None or best[0] - lo > 2:
         if best is None:
             top = min(top, (degree_cap - 1) | 1)
@@ -215,15 +215,15 @@ def _search_inverse_poly(sigma: float, eps: float, shrink: float,
         d = None if guess is None else int(np.ceil(min(guess, ceiling))) | 1
         if d is None or d <= lo:
             d = (lo + hi) // 2 | 1          # bisection safeguard
-        coeffs, dev, sup = _minimax_fit(sigma, d, shrink)
+        coeffs, dev = _minimax_fit(sigma, d, shrink)
         if dev <= eps:
-            best = (d, dev, coeffs, sup)
+            best = (d, dev, coeffs)
         else:
             fails.append((d, dev))
             lo = d
             if d == top:
                 top = 2 * top + 1
-    return OddPolynomial(best[2]), best[3]
+    return OddPolynomial(best[2]), _cap_sup(best[2])
 
 
 def degree_budget(sigma: float, eps: float) -> float:

@@ -106,11 +106,11 @@ def test_backend_poly_budget_and_accuracy():
 def test_minimax_fit_reports_the_deviation_its_coefficients_reach():
     # at degree 63 the deviation sits at roundoff and the exchange does not
     # settle: the degree fails, with zero coefficients
-    coeffs, dev, _ = svt._minimax_fit(0.5, 63, svt._HEADROOM)
+    coeffs, dev = svt._minimax_fit(0.5, 63, svt._HEADROOM)
     assert dev == np.inf and not np.any(coeffs)
     # degree 27 settles on a repeated reference, about 2e-7 off 0.75 sigma/x
     sigma, degree = 0.5, 27
-    coeffs, dev, _ = svt._minimax_fit(sigma, degree, svt._HEADROOM)
+    coeffs, dev = svt._minimax_fit(sigma, degree, svt._HEADROOM)
     m_fit = max(600, 4 * degree)
     nodes = np.cos(np.pi * (np.arange(m_fit) + 0.5) / m_fit)
     xs = 0.5 * (sigma + 1.0) + 0.5 * (1.0 - sigma) * nodes
@@ -139,11 +139,11 @@ def test_backend_fits_the_cap_degree_the_doubling_passes():
     sigma, eps = 0.0125, 1e-4
     q, headroom = backend_inverse_poly(sigma, eps)
     assert 655 < q.degree <= 1199
-    xs, _, phi_fit, phi_cap = svt._fit_grids(sigma, q.degree, svt._HEADROOM)
+    xs, _, phi_fit = svt._fit_grids(sigma, q.degree, svt._HEADROOM)
     odd = q.cheb_coeffs[1::2]
     assert np.max(np.abs(phi_fit @ odd / headroom - sigma / xs)) <= eps
     # the scaled fit's sup is the cap, up to the rounding of the product
-    assert np.max(np.abs(phi_cap @ odd)) <= svt._UNIT_CAP + 1e-12
+    assert np.max(np.abs(_cap_columns(q.degree) @ odd)) <= svt._UNIT_CAP + 1e-12
 
 
 def test_backend_scales_a_cap_bound_fit_under_the_unit_cap():
@@ -151,9 +151,9 @@ def test_backend_scales_a_cap_bound_fit_under_the_unit_cap():
     sigma, eps = 0.5, 1e-4
     q, headroom = backend_inverse_poly(sigma, eps)
     assert headroom < svt._HEADROOM
-    xs, _, phi_fit, phi_cap = svt._fit_grids(sigma, q.degree, svt._HEADROOM)
+    xs, _, phi_fit = svt._fit_grids(sigma, q.degree, svt._HEADROOM)
     odd = q.cheb_coeffs[1::2]
-    assert np.max(np.abs(phi_cap @ odd)) <= svt._UNIT_CAP + 1e-12
+    assert np.max(np.abs(_cap_columns(q.degree) @ odd)) <= svt._UNIT_CAP + 1e-12
     assert np.max(np.abs(phi_fit @ odd / headroom - sigma / xs)) <= eps
     fit = svt._minimax_fit(sigma, q.degree, svt._HEADROOM)[0]
     np.testing.assert_allclose(q.cheb_coeffs / headroom, fit / svt._HEADROOM,
@@ -174,7 +174,7 @@ def _doubling_bisection_search(sigma, eps, shrink, degree_cap):
     best = None
     lo = 1
     while d > lo:
-        coeffs, dev, _ = svt._minimax_fit(sigma, d, shrink)
+        coeffs, dev = svt._minimax_fit(sigma, d, shrink)
         if dev <= eps:
             best = (d, coeffs)
             break
@@ -189,7 +189,7 @@ def _doubling_bisection_search(sigma, eps, shrink, degree_cap):
             mid += 1
         if mid >= hi:
             break
-        coeffs, dev, _ = svt._minimax_fit(sigma, mid, shrink)
+        coeffs, dev = svt._minimax_fit(sigma, mid, shrink)
         if dev <= eps:
             hi, best = mid, (mid, coeffs)
         else:
@@ -260,6 +260,27 @@ def test_lv_poly_search_fits(monkeypatch):
     assert (len(exchanges), len(lp_calls)) == (5, 0)
 
 
+def test_backend_takes_the_cap_sup_once_per_search(monkeypatch):
+    # the search measures the unit cap on the polynomial it returns only,
+    # and a memo hit measures nothing
+    sups = []
+    cap_sup = svt._cap_sup
+
+    def counted(coeffs):
+        sups.append(coeffs.size - 1)
+        return cap_sup(coeffs)
+
+    monkeypatch.setattr(svt, "_cap_sup", counted)
+    svt._search_inverse_poly.cache_clear()
+    try:
+        q, _ = backend_inverse_poly(0.025, 3e-2 / 9)
+        assert sups == [229]
+        again, _ = backend_inverse_poly(0.025, 3e-2 / 9)
+    finally:
+        svt._search_inverse_poly.cache_clear()
+    assert sups == [229] and again is q
+
+
 @given(st.floats(0.15, 0.6), st.floats(1e-3, 5e-2),
        st.sampled_from([1.0, svt._HEADROOM]))
 @settings(max_examples=25, deadline=None)
@@ -303,7 +324,7 @@ def test_search_falls_back_to_doubling_and_bisection(monkeypatch):
         fits.append(degree)
         coeffs = np.zeros(degree + 1)
         coeffs[degree] = 1.0
-        return coeffs, deviation(degree), 1.0
+        return coeffs, deviation(degree)
 
     monkeypatch.setattr(svt, "_minimax_fit", tabled)
     # sigma 0.2 starts the doubling rounds at degree 5: 5, 11, 23, ...
@@ -324,7 +345,7 @@ def test_search_visits_the_secant_degrees(monkeypatch):
         fits.append(degree)
         coeffs = np.zeros(degree + 1)
         coeffs[degree] = 1.0
-        return coeffs, 2.0 ** (-degree / 2), 1.0
+        return coeffs, 2.0 ** (-degree / 2)
 
     monkeypatch.setattr(svt, "_minimax_fit", tabled)
     q, _ = svt._search_inverse_poly.__wrapped__(0.2, 1e-3, 1.0, 100)
@@ -352,13 +373,21 @@ def _counted_linprog(monkeypatch, calls, fail=False):
     monkeypatch.setattr(scipy.optimize, "linprog", counted)
 
 
+def _cap_columns(degree):
+    """Odd Chebyshev columns at the cap grid of a degree-d fit: max(600, 4d)
+    equispaced points of (0, 1]."""
+    ys = np.linspace(0.0, 1.0, max(600, 4 * degree) + 1)[1:]
+    return np.polynomial.chebyshev.chebvander(ys, degree)[:, 1::2]
+
+
 def _lp_reference(grids, capped=True):
     """Odd-index coefficients of the minimax LP's optimum (scipy's HiGHS),
     the least deviation on the fit grid with |q| <= _UNIT_CAP on the cap
     grid when capped, and the deviation the coefficients reach."""
     from scipy.optimize import linprog
-    _, target, phi_fit, phi_cap = grids
+    _, target, phi_fit = grids
     m, k = phi_fit.shape                    # the cap grid has m points too
+    phi_cap = _cap_columns(2 * k - 1)
     cvec = np.zeros(k + 1)                  # coefficients + deviation bound t
     cvec[-1] = 1.0
     ones, zeros = np.ones((m, 1)), np.zeros((m, 1))
@@ -378,10 +407,10 @@ def _lp_reference(grids, capped=True):
 def test_minimax_fit_settles_without_the_lp_where_the_cap_holds(
         monkeypatch, sigma, degree):
     _counted_linprog(monkeypatch, [], fail=True)
-    coeffs, dev, _ = svt._minimax_fit(sigma, degree, svt._HEADROOM)
+    coeffs, dev = svt._minimax_fit(sigma, degree, svt._HEADROOM)
     assert coeffs.size == degree + 1 and not np.any(coeffs[0::2])
     # the deviation is the one the coefficients reach on the fit grid
-    xs, target, _, _ = svt._fit_grids(sigma, degree, svt._HEADROOM)
+    xs, target, _ = svt._fit_grids(sigma, degree, svt._HEADROOM)
     on_grid = np.max(np.abs(OddPolynomial(coeffs)(xs) - target))
     assert dev == pytest.approx(on_grid, rel=1e-12)
     floor = svt._remez_exchange(sigma, svt._fit_grids(
@@ -391,7 +420,7 @@ def test_minimax_fit_settles_without_the_lp_where_the_cap_holds(
 
 @pytest.mark.parametrize("sigma,degree", _HEADROOM_CASES)
 def test_exchange_fit_matches_the_lp_fit(sigma, degree):
-    settled, dev, _ = svt._minimax_fit(sigma, degree, svt._HEADROOM)
+    settled, dev = svt._minimax_fit(sigma, degree, svt._HEADROOM)
     grids = svt._fit_grids(sigma, degree, svt._HEADROOM)
     floor = svt._remez_exchange(sigma, grids)[1]
     lp, lp_dev = _lp_reference(grids)
@@ -411,8 +440,8 @@ def test_remez_exchange_settles_on_a_repeated_reference(sigma, degree):
         grids = svt._fit_grids(sigma, degree, shrink)
         levelled = svt._remez_exchange(sigma, grids)
         assert levelled is not None
-        odd, floor = levelled
-        _, target, phi_fit, _ = grids
+        odd, floor, _ = levelled
+        _, target, phi_fit = grids
         dev = np.max(np.abs(phi_fit @ odd - target))
         assert floor <= dev <= floor * (1.0 + 1e-8)
         # HiGHS meets its rows to 1e-7
@@ -421,7 +450,7 @@ def test_remez_exchange_settles_on_a_repeated_reference(sigma, degree):
 
 @given(st.floats(0.02, 0.6), st.integers(1, 115).map(lambda k: 2 * k + 1),
        st.sampled_from([1.0, svt._HEADROOM]))
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, derandomize=True)
 @example(0.025, 41, svt._HEADROOM)          # tight: lv_poly's first fit
 @example(0.107, 11, 1.0)                    # tight on the saturated target
 @example(0.3388, 21, 1.0)                   # settles, but the cap binds
@@ -431,12 +460,12 @@ def test_remez_floor_never_exceeds_the_lp_deviation(sigma, degree, shrink):
     levelled = svt._remez_exchange(sigma, grids)
     if levelled is None:
         return
-    odd, floor = levelled
+    odd, floor, _ = levelled
     # de la Vallee Poussin: no odd polynomial, the capped LP's included,
     # deviates less than the floor
     assert floor <= lp_dev * (1.0 + 1e-12)
-    _, target, phi_fit, phi_cap = grids
-    if np.max(np.abs(phi_cap @ odd)) <= svt._UNIT_CAP:
+    _, target, phi_fit = grids
+    if np.max(np.abs(_cap_columns(degree) @ odd)) <= svt._UNIT_CAP:
         # the cap holds: the unique discrete minimax is the LP's optimum
         assert lp_dev <= np.max(np.abs(phi_fit @ odd - target)) + 1e-7
         assert np.max(np.abs(odd - lp)) <= 1e-6
@@ -452,9 +481,19 @@ def test_remez_floor_is_tight_against_the_lp_on_lv_poly(degree):
     assert levelled[1] == pytest.approx(lp_dev, rel=1e-4)
 
 
+@pytest.mark.parametrize("sigma,degree,shrink", [
+    *((0.025, d, svt._HEADROOM) for d in (41, 83, 167, 227, 229)),
+    (0.3388, 21, 1.0)])                     # settles, but the cap binds
+def test_remez_exchange_reports_the_deviation_of_its_fit(sigma, degree, shrink):
+    xs, target, phi_fit = grids = svt._fit_grids(sigma, degree, shrink)
+    assert np.all(xs > sigma)               # the fit grid only
+    odd, _, deviation = svt._remez_exchange(sigma, grids)
+    assert deviation == np.max(np.abs(phi_fit @ odd - target))
+
+
 def test_remez_exchange_declines_a_singular_reference():
-    xs, target, phi_fit, phi_cap = svt._fit_grids(0.1, 21, svt._HEADROOM)
-    flat = (xs, target, np.zeros_like(phi_fit), phi_cap)
+    xs, target, phi_fit = svt._fit_grids(0.1, 21, svt._HEADROOM)
+    flat = (xs, target, np.zeros_like(phi_fit))
     assert svt._remez_exchange(0.1, flat) is None
 
 
