@@ -3,10 +3,11 @@
 A system of n equations f_i(x) = (1/2) (x^{op})^T A_i x^{op} with even
 degree 2p is stored through its sparse n^p-by-n^p coefficient matrices.
 This module evaluates such systems, computes their gradients through the
-permutation-sum operator M_D^i = sum_j Q_j A_i Q_j, homogenizes odd-degree
-systems, represents the constant + linear + homogeneous decomposition
-used by the PDE discretizations, and answers for both system kinds,
-homogeneous and mixed, what they are made of and how they evaluate.
+block-diagonal M of the permutation-sum operators M_D^i = sum_j Q_j A_i Q_j,
+homogenizes odd-degree systems, represents the constant + linear +
+homogeneous decomposition used by the PDE discretizations, and answers for
+both system kinds, homogeneous and mixed, what they are made of and how
+they evaluate.
 """
 
 from __future__ import annotations
@@ -223,20 +224,25 @@ class PolynomialSystem:
     def max_entry(self) -> float:
         return max(a.max_abs_entry() for a in self.equations)
 
-    def m_d(self, i: int) -> SparseMatrix:
-        """M_D^i = sum_{j=1}^p Q_j A_i Q_j as one merged sparse matrix."""
-        return self._m_ds[i]
+    @cached_property
+    def a_blockdiag(self) -> SparseMatrix:
+        """blockdiag(A_1 .. A_n), equation i at offset i n^p.  It and M are
+        built once and kept in the instance dict, dying with the system."""
+        d = self.equations[0].dim_rows
+        parts = [(a.rows + i * d, a.cols + i * d, a.vals)
+                 for i, a in enumerate(self.equations)]
+        return SparseMatrix(self.n * d, self.n * d, *map(np.concatenate, zip(*parts)))
 
     @cached_property
-    def _m_ds(self) -> tuple[SparseMatrix, ...]:
-        # every M_D^i, merged once per system; the memo is in the instance
-        # dict, so it dies with the system
-        n, p = self.n, self.p
+    def m_blockdiag(self) -> SparseMatrix:
+        """M = blockdiag(M_D^1 .. M_D^n), M_D^i = sum_{j=1}^p Q_j A_i Q_j,
+        in one merge.  Q_j reads only the p low base-n digits of an index, so
+        on the block-diagonal index it acts as I x Q_j."""
+        n, p, a = self.n, self.p, self.a_blockdiag
         swapped = lambda ix: np.concatenate(
             [_swap_factor(ix, n, p, j) for j in range(1, p + 1)])
-        return tuple(SparseMatrix.summed(n ** p, n ** p, swapped(a.rows),
-                                         swapped(a.cols), np.tile(a.vals, p))
-                     for a in self.equations)
+        return SparseMatrix.summed(a.dim_rows, a.dim_cols, swapped(a.rows),
+                                   swapped(a.cols), np.tile(a.vals, p))
 
 
 def _canonical_factor(n: int, p: int, norm: float, ent: float) -> float:
@@ -276,31 +282,34 @@ def evaluate(system: PolynomialSystem, x: np.ndarray) -> np.ndarray:
 
 
 def gradient_md(system: PolynomialSystem, i: int, x: np.ndarray) -> np.ndarray:
-    """grad f_i(x) = D_i(x) x via the permutation-sum operator M_D^i.
-
-    D_i(x) is the contraction of M_D^i against (x x^T)^{(p-1)} on the
-    leading p-1 tensor factors; equation index i is 0-based.
-    """
+    """grad f_i(x), row i of the Jacobian; equation index i is 0-based."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (system.n,):
         raise DimensionMismatchError(f"x must have length {system.n}")
     if not (0 <= i < system.n):
         raise InputError("equation index out of range")
-    if not np.all(np.isfinite(x)):
-        raise InputError("x must be finite")
-    n, p = system.n, system.p
-    md = system.m_d(i)
-    w = tensor_power(x, p - 1)       # over n^{p-1}
-    xp = tensor_power(x, p)          # over n^p
-    grad = np.zeros(n)
-    # entry ((head_r, a), C): contributes v * w[head_r] * xp[C] to grad[a]
-    np.add.at(grad, md.rows % n, md.vals * w[md.rows // n] * xp[md.cols])
-    return grad
+    return jacobian(system, x)[i]
 
 
 def jacobian(system: PolynomialSystem, x: np.ndarray) -> np.ndarray:
-    """Dense Jacobian; row i is grad f_i(x)."""
-    return np.vstack([gradient_md(system, i, x) for i in range(system.n)])
+    """Dense Jacobian; row i is grad f_i(x) = D_i(x) x.
+
+    D_i(x) is the contraction of M_D^i against (x x^T)^{(p-1)} on the
+    leading p-1 tensor factors, read off the merged M in one scatter.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (system.n,):
+        raise DimensionMismatchError(f"x must have length {system.n}")
+    if not np.all(np.isfinite(x)):
+        raise InputError("x must be finite")
+    n, d, m = system.n, system.n ** system.p, system.m_blockdiag
+    w = tensor_power(x, system.p - 1)       # over n^{p-1}
+    xp = tensor_power(x, system.p)          # over n^p
+    jac = np.zeros(n * n)
+    # entry ((i, head_r, a), (i, C)): contributes v * w[head_r] * xp[C] to J[i, a]
+    np.add.at(jac, m.rows // d * n + m.rows % n,
+              m.vals * w[m.rows // n % (d // n)] * xp[m.cols % d])
+    return jac.reshape(n, n)
 
 
 def euler_check(system: PolynomialSystem, x: np.ndarray) -> float:

@@ -130,34 +130,23 @@ def _require_canonical(system: PolynomialSystem) -> None:
             "p * max ||A_i|| exceeds sqrt(n); canonicalize first")
 
 
-def _blockdiag(blocks: list[SparseMatrix]) -> SparseMatrix:
-    """blockdiag(blocks[0] .. blocks[-1]) for equally sized square blocks."""
-    d = blocks[0].dim_rows
-    big = len(blocks) * d
-    return SparseMatrix(big, big,
-                        np.concatenate([b.rows + i * d for i, b in enumerate(blocks)]),
-                        np.concatenate([b.cols + i * d for i, b in enumerate(blocks)]),
-                        np.concatenate([b.vals for b in blocks]))
-
-
 def build_M_blockdiag(system: PolynomialSystem,
                       ledger: CostLedger | None = None) -> BlockEncoding:
-    """Encoding of blockdiag(M_D^1 .. M_D^n) / (p s) from the merged entries,
+    """Encoding of the system's merged M = blockdiag(M_D^1 .. M_D^n) / (p s),
     with the budget and charges of the sum of the p sparse encodings of
     blockdiag(Q_j A_i Q_j); each has the entries and row/column counts of
     blockdiag(A_i), which are checked as theirs."""
     _require_canonical(system)
     p, s = system.p, system.sparsity
-    a = _blockdiag(system.equations)
-    b = _sum_budget([_sparse_budget(a, s, ledger) for _ in range(p)], ledger)
-    return _from_entries(_blockdiag([system.m_d(i) for i in range(system.n)]), b)
+    b = _sum_budget([_sparse_budget(system.a_blockdiag, s, ledger)
+                     for _ in range(p)], ledger)
+    return _from_entries(system.m_blockdiag, b)
 
 
 def build_A_blockdiag(system: PolynomialSystem,
                       ledger: CostLedger | None = None) -> BlockEncoding:
-    """Encoding of blockdiag(A_1/2 .. A_n/2) / s."""
-    blocks = [a.scaled(0.5) for a in system.equations]
-    return be_from_sparse(_blockdiag(blocks), system.sparsity, ledger)
+    """Encoding of the system's blockdiag(A_1 .. A_n), scaled by 1/2, / s."""
+    return be_from_sparse(system.a_blockdiag.scaled(0.5), system.sparsity, ledger)
 
 
 def _sandwich(be_mid: BlockEncoding, be_xxT: BlockEncoding, p: int, k: int,
@@ -487,7 +476,7 @@ def newton_solve(system, x0: np.ndarray, t: int, cfg: InversionConfig, *,
     return states[-1], NewtonTrace(rows, halted)
 
 
-def init_heuristic(system: PolynomialSystem, candidates, eps: float = 1e-6,
+def init_heuristic(system: PolynomialSystem, candidates,
                    ledger: CostLedger | None = None
                    ) -> tuple[np.ndarray, list[float]]:
     """Pick the candidate with the smallest max_i |f_i| residual.
@@ -495,7 +484,7 @@ def init_heuristic(system: PolynomialSystem, candidates, eps: float = 1e-6,
     Each candidate is scored through the block-diagonal value operator:
     the squared operator is PSD, its largest eigenvalue is
     (max_i |f_i(x)| * |x|^{2p})^2, and the norm-estimate power divides the
-    |x|^{2p} factor back out.
+    |x|^{2p} factor back out.  Both eigenvalue estimates run at eps 1e-6.
     """
     cands = [np.asarray(c, dtype=np.float64) for c in candidates]
     if not cands:
@@ -512,8 +501,8 @@ def init_heuristic(system: PolynomialSystem, candidates, eps: float = 1e-6,
         be_c = be_from_vector(c, ledger)
         op = _sandwich(be_a, be_c, p, p, eye, eye, ledger)
         sq = be_product(op, be_transpose(op), ledger)
-        m2 = max_eigenvalue(sq, eps, ledger)
-        nx2 = norm_estimate(be_c, eps, ledger)
+        m2 = max_eigenvalue(sq, 1e-6, ledger)
+        nx2 = norm_estimate(be_c, 1e-6, ledger)
         if nx2 < 1e-14:
             values.append(0.0)
         else:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qnls import PolynomialSystem, SparseMatrix, evaluate
+from qnls.poly_system import _swap_factor
 
 acceptance_lines: list[str] = []
 
@@ -44,3 +45,32 @@ def fd_gradient(system, i, x, h=1e-5):
         out[k] = (evaluate(system, x + e)[i] - evaluate(system, x - e)[i]) / (2 * h)
     return out
 
+
+def swap_matrices(n, p):
+    """Dense permutation matrices Q_1 .. Q_p of the tensor-factor swaps."""
+    d = n ** p
+    qs = []
+    for j in range(1, p + 1):
+        q = np.zeros((d, d))
+        q[_swap_factor(np.arange(d), n, p, j), np.arange(d)] = 1.0
+        qs.append(q)
+    return qs
+
+
+def merged_m_d(system, i):
+    """M_D^i = sum_j Q_j A_i Q_j, merged on its own for equation i alone."""
+    n, p, a = system.n, system.p, system.equations[i]
+    swapped = lambda ix: np.concatenate(
+        [_swap_factor(ix, n, p, j) for j in range(1, p + 1)])
+    return SparseMatrix.summed(n ** p, n ** p, swapped(a.rows), swapped(a.cols),
+                               np.tile(a.vals, p))
+
+
+def blockdiag(blocks):
+    """blockdiag(blocks[0] .. blocks[-1]) for equally sized square blocks."""
+    d = blocks[0].dim_rows
+    big = len(blocks) * d
+    return SparseMatrix(big, big,
+                        np.concatenate([b.rows + i * d for i, b in enumerate(blocks)]),
+                        np.concatenate([b.cols + i * d for i, b in enumerate(blocks)]),
+                        np.concatenate([b.vals for b in blocks]))

@@ -10,12 +10,14 @@ from qnls import (DimensionMismatchError, InputError, MixedSystem, ParseError,
                   canonicalize, euler_check, evaluate, gradient_md,
                   homogenize_odd, jacobian, mixed_evaluate, mixed_jacobian,
                   tensor_power)
-from qnls.poly_system import (_swap_factor, evaluate_monomials,
-                              monomials_to_matrix, system_parts)
+from qnls.poly_system import (_swap_factor, canonicalize_mixed,
+                              evaluate_monomials, monomials_to_matrix,
+                              system_parts)
 from qnls.problem_io import parse_problem
-from qnls.problems import random_system
+from qnls.problems import (GpeParams, LvParams, gpe_discretize, lv_discretize,
+                           random_system)
 
-from conftest import fd_gradient
+from conftest import fd_gradient, merged_m_d, swap_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -90,21 +92,27 @@ def test_factor_permutation_involution(n, p, seed):
                 == sorted(np.base_repr(m, n).zfill(p)))
 
 
+def _m_block(system, i):
+    """Block i of the system's merged M, dense."""
+    d = system.n ** system.p
+    return system.m_blockdiag.to_dense()[i * d:(i + 1) * d, i * d:(i + 1) * d]
+
+
 @pytest.mark.parametrize("n, p", [(2, 1), (3, 2), (2, 3), (3, 3)])
 def test_m_d_is_the_sum_of_factor_swap_conjugations(n, p):
-    # M_D^i = sum_j Q_j A_i Q_j with each Q_j the permutation matrix of the swap
+    # block i of M is M_D^i = sum_j Q_j A_i Q_j, each Q_j the permutation
+    # matrix of the swap, and M has nothing off its diagonal blocks
     system = random_system(n, p, 2, seed=10 * n + p)
     d = n ** p
-    qs = []
-    for j in range(1, p + 1):
-        q = np.zeros((d, d))
-        q[_swap_factor(np.arange(d), n, p, j), np.arange(d)] = 1.0
-        qs.append(q)
+    qs = swap_matrices(n, p)
     assert np.array_equal(qs[-1], np.eye(d))
+    expected = np.zeros((n * d, n * d))
     for i, a in enumerate(system.equations):
         dense = a.to_dense()
-        expected = sum(q @ dense @ q for q in qs)
-        assert np.max(np.abs(system.m_d(i).to_dense() - expected)) <= 1e-15
+        block = sum(q @ dense @ q for q in qs)
+        assert np.max(np.abs(_m_block(system, i) - block)) <= 1e-15
+        expected[i * d:(i + 1) * d, i * d:(i + 1) * d] = block
+    assert np.max(np.abs(system.m_blockdiag.to_dense() - expected)) <= 1e-15
 
 
 def test_m_d_is_merged_once_per_system(monkeypatch):
@@ -116,23 +124,25 @@ def test_m_d_is_merged_once_per_system(monkeypatch):
     x = np.array([0.3, -0.2, 0.5])
     jacobian(system, x)
     jacobian(system, x)
-    assert len(merges) == system.n
-    assert all(system.m_d(i) is system.m_d(i) for i in range(system.n))
+    assert len(merges) == 1
+    assert system.m_blockdiag is system.m_blockdiag
 
 
 def test_canonicalized_system_merges_its_own_m_d():
     base = random_system(3, 2, 2, seed=4)
     system = PolynomialSystem(3, 2, base.sparsity,
                               tuple(a.scaled(4.0) for a in base.equations))
-    parent = [system.m_d(i) for i in range(3)]
+    parent = system.m_blockdiag
     canon, factor = canonicalize(system)
     assert factor < 1.0
+    assert canon.m_blockdiag is not parent
+    fresh = PolynomialSystem(3, 2, canon.sparsity, canon.equations).m_blockdiag
+    assert np.array_equal(canon.m_blockdiag.to_dense(), fresh.to_dense())
+    assert np.allclose(canon.m_blockdiag.to_dense(), factor * parent.to_dense(),
+                       rtol=1e-15, atol=0)
     for i in range(3):
-        fresh = PolynomialSystem(3, 2, canon.sparsity, canon.equations).m_d(i)
-        assert canon.m_d(i) is not parent[i]
-        assert np.array_equal(canon.m_d(i).to_dense(), fresh.to_dense())
-        assert np.allclose(canon.m_d(i).to_dense(),
-                           factor * parent[i].to_dense(), rtol=1e-15, atol=0)
+        assert np.allclose(_m_block(canon, i), factor * _m_block(system, i),
+                           rtol=1e-15, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +212,35 @@ def test_jacobian_rows_and_zero_point(diag_system):
     assert np.allclose(jacobian(diag_system, x), np.vstack(rows))
 
 
+def _stacked_gradient_rows(system, x):
+    """The Jacobian as n scatters, each over its own M_D^i, stacked."""
+    n, p = system.n, system.p
+    w, xp = tensor_power(x, p - 1), tensor_power(x, p)
+    rows = []
+    for i in range(n):
+        md = merged_m_d(system, i)
+        grad = np.zeros(n)
+        np.add.at(grad, md.rows % n, md.vals * w[md.rows // n] * xp[md.cols])
+        rows.append(grad)
+    return np.vstack(rows)
+
+
 def test_jacobian_is_the_stacked_gradient_rows_bit_for_bit():
-    system = random_system(3, 2, 2, seed=7)
-    x = np.random.default_rng(3).uniform(-1.0, 1.0, 3)
-    rows = np.vstack([gradient_md(system, i, x) for i in range(3)])
-    assert np.array_equal(jacobian(system, x), rows)
-    assert np.array_equal(jacobian(random_system(3, 2, 2, seed=7), x), rows)
+    # the one scatter over M adds each slot's terms in the per-equation
+    # scatter's order, so the Jacobian is the stacked rows bit for bit
+    lv = lv_discretize(LvParams(1.0, 1.0, 1.0, 1.0, 0.1, 8, 1.2, 0.9))
+    gpe = gpe_discretize(GpeParams(4, 0.5, 1.0, np.full(4, 0.2), 0.05, 0.5,
+                                   np.array([0.3, 0.2 - 0.1j, 0.1j, -0.2])))
+    systems = [canonicalize_mixed(ms)[0].nonlinear for ms in (lv, gpe)]
+    systems += [random_system(3, p, 2, seed=7 + p) for p in (1, 2, 3, 4)]
+    rng = np.random.default_rng(3)
+    for system in systems:
+        for _ in range(3):
+            x = rng.uniform(-1.0, 1.0, system.n)
+            rows = _stacked_gradient_rows(system, x)
+            assert np.array_equal(jacobian(system, x), rows)
+            assert all(np.array_equal(gradient_md(system, i, x), rows[i])
+                       for i in range(system.n))
 
 
 def test_euler_identity_diag_and_random(diag_system):

@@ -18,10 +18,10 @@ from qnls.problems import (GpeParams, LvParams, gpe_default_guess,
                            gpe_discretize, lv_default_guess, lv_discretize,
                            random_system)
 from qnls.poly_system import _swap_factor
-from qnls.quantum_newton import (_blockdiag, _built_once, _ChargeLog,
-                                 _kron_apply, system_evaluators)
+from qnls.quantum_newton import (_built_once, _ChargeLog, _kron_apply,
+                                 system_evaluators)
 
-from conftest import count_two_norms
+from conftest import blockdiag, count_two_norms, merged_m_d, swap_matrices
 
 
 def state_for(x, k=0):
@@ -59,9 +59,11 @@ def test_build_m_matches_dense_assembly_random():
     system = random_system(2, 2, 2, seed=12)
     be_m = build_M_blockdiag(system)
     d = 4
+    qs = swap_matrices(2, 2)
     expected = np.zeros((8, 8))
-    for i in range(2):
-        expected[i * d:(i + 1) * d, i * d:(i + 1) * d] = system.m_d(i).to_dense()
+    for i, a in enumerate(system.equations):
+        expected[i * d:(i + 1) * d, i * d:(i + 1) * d] = sum(
+            q @ a.to_dense() @ q for q in qs)
     assert np.linalg.norm(be_m.extract() - expected, 2) <= 1e-9
 
 
@@ -776,7 +778,7 @@ def test_frame_equals_the_dense_householder_columns():
 def _summed_parts_m(system, ledger):
     """M as the sum of the p sparse encodings of blockdiag(Q_j A_i Q_j)."""
     n, p, s = system.n, system.p, system.sparsity
-    parts = [be_from_sparse(_blockdiag([
+    parts = [be_from_sparse(blockdiag([
                  SparseMatrix(a.dim_rows, a.dim_cols, _swap_factor(a.rows, n, p, j),
                               _swap_factor(a.cols, n, p, j), a.vals)
                  for a in system.equations]), s, ledger)
@@ -847,9 +849,9 @@ def test_sparse_blocks_are_the_divided_dense_matrices(monkeypatch, case, debug):
     monkeypatch.setenv("QNLS_DEBUG", debug)
     for system in case():
         p, s = system.p, system.sparsity
-        md = _blockdiag([system.m_d(i) for i in range(system.n)]).to_dense()
-        eqs = _blockdiag(system.equations)
-        half = _blockdiag([a.scaled(0.5) for a in system.equations]).to_dense()
+        md = blockdiag([merged_m_d(system, i) for i in range(system.n)]).to_dense()
+        eqs = blockdiag(system.equations)
+        half = blockdiag([a.scaled(0.5) for a in system.equations]).to_dense()
         be_m, be_a = build_M_blockdiag(system), build_A_blockdiag(system)
         be_eqs = be_from_sparse(eqs, s)
         assert np.array_equal(be_m.block, md / (p * s))
@@ -932,7 +934,6 @@ def test_newton_step_composes_no_block_wider_than_n(monkeypatch):
     assert widths and max(widths) == system.n
 
 
-@pytest.mark.slow
 def test_poly_backend_step_matches_exact():
     params = LvParams(1.0, 1.0, 1.0, 1.0, 0.1, 3, 1.2, 0.9)
     ms = lv_discretize(params)

@@ -229,7 +229,6 @@ def test_search_matches_doubling_bisection(sigma, eps, shrink, degree_cap):
     _assert_same_search(sigma, eps, shrink, degree_cap)
 
 
-@pytest.mark.slow
 def test_search_matches_doubling_bisection_on_lv_poly():
     _assert_same_search(*_backend_searches(0.025, 3e-2 / 9)[1])
 
