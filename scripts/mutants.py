@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Run tier 1 against a fixed list of one-line mutants of the package.
+
+    python3 scripts/mutants.py [PYTEST_ARGS...]
+
+For each mutant it copies the tree to a temporary directory, checks that the
+mutated fragment occurs exactly once in its file, replaces it, and runs the
+tier-1 command there with `-x -q`:
+
+    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors -x
+
+Extra arguments go to pytest after those, for example test files that
+narrow the run. It prints one `<mutant>: killed by <test>` or
+`<mutant>: survived` line per mutant, and exits 1 when any survived. A
+mutant whose fragment is missing or repeated stops the script with exit 2,
+since the list no longer matches the source. It imports only the standard
+library; the runs need pytest and the package's test dependencies.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SVT = "src/qnls/svt.py"
+
+# (name, file, fragment, replacement): each fragment occurs once in its file
+MUTANTS = [
+    ("remez-signs-all-plus", SVT,
+     "signs = (-1.0) ** np.arange(n + 1)", "signs = np.ones(n + 1)"),
+    ("remez-settle-1e-3", SVT,
+     "floor * (1.0 + 1e-9)", "floor * (1.0 + 1e-3)"),
+    ("remez-one-exchange", SVT,
+     "_REMEZ_EXCHANGES = 12", "_REMEZ_EXCHANGES = 1"),
+    ("remez-floor-is-the-sup", SVT,
+     "floor = float(lows[first])", "floor = float(size[peaks[top]])"),
+    ("remez-window-max", SVT,
+     "(size[peaks], n + 1).min(1)", "(size[peaks], n + 1).max(1)"),
+    ("remez-start-at-t", SVT,
+     "np.abs(xs[:, None] - np.sqrt(t))", "np.abs(xs[:, None] - t)"),
+    ("remez-no-repeat-settle", SVT,
+     "or np.array_equal(ref, levelled)):", "or False):"),
+]
+
+_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
+                                 ".pytest_cache", "*.egg-info", ".bench_build")
+
+
+def run_mutant(path: str, fragment: str, replacement: str,
+               pytest_args: list[str]) -> str | None:
+    """The first failing test id (or the pytest exit status) of tier 1 on
+    the mutated copy, or None when every test passes."""
+    with tempfile.TemporaryDirectory(prefix="qnls-mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=_IGNORE)
+        source = (tree / path).read_text()
+        if source.count(fragment) != 1:
+            print(f"{path}: fragment {fragment!r} occurs "
+                  f"{source.count(fragment)} times, not once", file=sys.stderr)
+            sys.exit(2)
+        (tree / path).write_text(source.replace(fragment, replacement))
+        env = dict(os.environ, PYTHONPATH="src")
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q",
+             "--continue-on-collection-errors", "-x", "-p", "no:cacheprovider",
+             *pytest_args],
+            cwd=tree, env=env, capture_output=True, text=True)
+    if run.returncode == 0:
+        return None
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", run.stdout, re.MULTILINE)
+    return failed.group(1) if failed else f"pytest exit {run.returncode}"
+
+
+def main(argv: list[str]) -> int:
+    survivors = 0
+    for name, path, fragment, replacement in MUTANTS:
+        killer = run_mutant(path, fragment, replacement, argv)
+        survivors += killer is None
+        print(f"{name}: " + ("survived" if killer is None
+                             else f"killed by {killer}"), flush=True)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -120,6 +120,7 @@ def lv_discretize(params: LvParams) -> MixedSystem:
     """
     size = params.steps
     n = 2 * size
+    capped_dim(n, 1)     # refuse before the n-length monomials are built
     lam = lv_scale(params)
     iv = lambda t: t - 1            # index of v_t, t = 1..steps
     ip = lambda t: size + t - 1     # index of p_t
@@ -182,10 +183,12 @@ def gpe_discretize(params: GpeParams) -> MixedSystem:
     mu > 0 branch the roots reproduce the discretized equation exactly.
     """
     nx = params.nx
-    lam = gpe_scale(params)
     g = params.g
     has_cubic = g != 0.0
     n = 2 * nx + (1 if has_cubic else 0)
+    if has_cubic:
+        capped_dim(n, 2)     # refuse before the n-length monomials are built
+    lam = gpe_scale(params)
     idx_u = lambda j: j             # Re psi_j, j = 0..nx-1
     idx_w = lambda j: nx + j        # Im psi_j
     idx_m = 2 * nx                  # auxiliary variable (cubic lift)

@@ -54,6 +54,16 @@ def test_gen_gpe_small_grid_usage_error(tmp_path):
     assert rc == 1
 
 
+def test_gen_gpe_above_the_cap_is_refused(tmp_path, capsys):
+    out = tmp_path / "g.qnls"
+    rc = main(["gen-gpe", "--nx", "2000", "--g", "1", "--dt", "0.05",
+               "--dx", "0.5", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: n^p = 16008001 exceeds desk-scale cap 4096\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option", [["--dt", "inf"], ["--hbar2m", "nan"],
                                     ["--scale", "nan"]],
                          ids=["dt-inf", "hbar2m-nan", "scale-nan"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qnls import (InputError, classical_newton, gradient_md,
+from qnls import (DeskScaleError, InputError, classical_newton, gradient_md,
                   mixed_evaluate)
 from qnls.problems import (GPE_AUX_VALUE, GpeParams, LvParams,
                            gpe_default_guess, gpe_discretize, gpe_scale,
@@ -135,6 +135,28 @@ def test_gpe_rejects_non_finite_parameters(field, value):
 def test_gpe_guess_stays_subunit():
     params = gpe_params(seed=3)
     assert np.linalg.norm(gpe_default_guess(params)) < 1.0
+
+
+@pytest.mark.parametrize("discretize, params, shown", [
+    (gpe_discretize, gpe_params(nx=32), 65 ** 2),     # the first refused nx
+    (gpe_discretize, gpe_params(nx=2000), 4001 ** 2),
+    (lv_discretize, LvParams(1.0, 1.0, 1.0, 1.0, 0.1, 3000, 1.2, 0.9), 6000),
+], ids=["gpe-nx32", "gpe-nx2000", "lv-steps3000"])
+def test_generators_refuse_an_over_cap_size_before_building(discretize,
+                                                            params, shown):
+    # the cap is checked before any n-length monomial exists, so a refused
+    # size costs no memory that grows with n
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(DeskScaleError,
+                           match=rf"^n\^p = {shown} exceeds desk-scale cap 4096$"):
+            discretize(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,7 @@ def test_search_matches_doubling_bisection_on_lv_poly():
 
 
 def test_lv_poly_search_fits(monkeypatch):
-    fits, exchanges, lp_calls = [], [], []
+    fits, exchanges = [], []
     minimax_fit, remez_exchange = svt._minimax_fit, svt._remez_exchange
 
     def counted(sigma, degree, shrink=1.0):
@@ -247,7 +247,6 @@ def test_lv_poly_search_fits(monkeypatch):
 
     monkeypatch.setattr(svt, "_minimax_fit", counted)
     monkeypatch.setattr(svt, "_remez_exchange", counted_exchange)
-    _counted_linprog(monkeypatch, lp_calls)
     svt._search_inverse_poly.cache_clear()
     try:
         q, headroom = backend_inverse_poly(0.025, 3e-2 / 9)
@@ -256,7 +255,7 @@ def test_lv_poly_search_fits(monkeypatch):
     assert (q.degree, headroom) == (229, svt._HEADROOM)
     # one fit per visited degree, each settled by one exchange
     assert fits == [(d, svt._HEADROOM) for d in (41, 83, 167, 229, 227)]
-    assert (len(exchanges), len(lp_calls)) == (5, 0)
+    assert len(exchanges) == 5
 
 
 def test_backend_takes_the_cap_sup_once_per_search(monkeypatch):
@@ -353,23 +352,10 @@ def test_search_visits_the_secant_degrees(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# exchange fits, against the minimax LP as reference
+# exchange fits, certified by their own alternation; one LP cross-check
 # ---------------------------------------------------------------------------
 
 _HEADROOM_CASES = [(0.025, 229), (0.1, 47), (0.2, 35)]   # the cap holds
-
-
-def _counted_linprog(monkeypatch, calls, fail=False):
-    import scipy.optimize
-    linprog = scipy.optimize.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        if fail:
-            raise AssertionError("linprog called")
-        return linprog(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
 
 
 def _cap_columns(degree):
@@ -379,10 +365,44 @@ def _cap_columns(degree):
     return np.polynomial.chebyshev.chebvander(ys, degree)[:, 1::2]
 
 
-def _lp_reference(grids, capped=True):
+def _alternation_certificate(grids, odd):
+    """(lower, upper) bounds on the least deviation on the fit grid of any odd
+    polynomial with odd.size coefficients, from q = odd alone.
+
+    upper is q's own deviation.  The error's runs of one sign alternate, so
+    any n + 1 consecutive run peaks (n = odd.size) are n + 1 grid points
+    where q's error alternates; odd polynomials on [sigma, 1] form a Haar
+    system, so by de la Vallee Poussin none deviates less than the smallest
+    of those peaks.  lower is the best such bound over every window.
+    """
+    _, target, phi_fit = grids
+    err = target - phi_fit @ odd
+    starts = np.flatnonzero(np.r_[True, np.diff(err >= 0.0)])
+    peaks = np.maximum.reduceat(np.abs(err), starts)
+    n = odd.size
+    lower = 0.0
+    if peaks.size > n:
+        lower = float(np.lib.stride_tricks.sliding_window_view(
+            peaks, n + 1).min(1).max())
+    return lower, float(np.max(np.abs(err)))
+
+
+def _assert_certified(grids, odd, floor):
+    """The exchange's floor is a de la Vallee Poussin bound that q's own
+    alternation meets, and q's deviation is within 1e-8 of that bound (plus
+    1e-14 for fits at roundoff): so q is the discrete minimax fit to 1e-8,
+    and no odd polynomial of the degree, capped or not, deviates less than
+    the floor."""
+    lower, upper = _alternation_certificate(grids, odd)
+    assert floor <= lower * (1.0 + 1e-12)
+    assert upper - lower <= 1e-8 * lower + 1e-14
+    return lower, upper
+
+
+def _lp_reference(grids):
     """Odd-index coefficients of the minimax LP's optimum (scipy's HiGHS),
     the least deviation on the fit grid with |q| <= _UNIT_CAP on the cap
-    grid when capped, and the deviation the coefficients reach."""
+    grid, and the deviation the coefficients reach."""
     from scipy.optimize import linprog
     _, target, phi_fit = grids
     m, k = phi_fit.shape                    # the cap grid has m points too
@@ -390,11 +410,9 @@ def _lp_reference(grids, capped=True):
     cvec = np.zeros(k + 1)                  # coefficients + deviation bound t
     cvec[-1] = 1.0
     ones, zeros = np.ones((m, 1)), np.zeros((m, 1))
-    rows = [np.hstack([phi_fit, -ones]), np.hstack([-phi_fit, -ones])]
-    bounds = [target, -target]
-    if capped:
-        rows += [np.hstack([phi_cap, zeros]), np.hstack([-phi_cap, zeros])]
-        bounds.append(np.full(2 * m, svt._UNIT_CAP))
+    rows = [np.hstack([phi_fit, -ones]), np.hstack([-phi_fit, -ones]),
+            np.hstack([phi_cap, zeros]), np.hstack([-phi_cap, zeros])]
+    bounds = [target, -target, np.full(2 * m, svt._UNIT_CAP)]
     res = linprog(cvec, A_ub=np.vstack(rows), b_ub=np.concatenate(bounds),
                   bounds=[(None, None)] * k + [(0, None)], method="highs")
     assert res.success, res.message
@@ -403,9 +421,7 @@ def _lp_reference(grids, capped=True):
 
 
 @pytest.mark.parametrize("sigma,degree", _HEADROOM_CASES)
-def test_minimax_fit_settles_without_the_lp_where_the_cap_holds(
-        monkeypatch, sigma, degree):
-    _counted_linprog(monkeypatch, [], fail=True)
+def test_minimax_fit_settles_without_the_lp_where_the_cap_holds(sigma, degree):
     coeffs, dev = svt._minimax_fit(sigma, degree, svt._HEADROOM)
     assert coeffs.size == degree + 1 and not np.any(coeffs[0::2])
     # the deviation is the one the coefficients reach on the fit grid
@@ -432,9 +448,7 @@ def test_exchange_fit_matches_the_lp_fit(sigma, degree):
     (0.5, 27), (0.1, 151), (0.05, 301), (0.025, 603)])
 def test_remez_exchange_settles_on_a_repeated_reference(sigma, degree):
     # the deviation is near 1e-7, where sup/floor - 1 stays a few 1e-9 above
-    # the 1e-9 settle test; the fits at shrink 1 and 0.75 share one LP,
-    # since the uncapped fit is linear in its target
-    _, lp_dev = _lp_reference(svt._fit_grids(sigma, degree, 1.0), capped=False)
+    # the 1e-9 settle test, at shrink 1 and 0.75 alike
     for shrink in (1.0, svt._HEADROOM):
         grids = svt._fit_grids(sigma, degree, shrink)
         levelled = svt._remez_exchange(sigma, grids)
@@ -443,8 +457,7 @@ def test_remez_exchange_settles_on_a_repeated_reference(sigma, degree):
         _, target, phi_fit = grids
         dev = np.max(np.abs(phi_fit @ odd - target))
         assert floor <= dev <= floor * (1.0 + 1e-8)
-        # HiGHS meets its rows to 1e-7
-        assert abs(dev - shrink * lp_dev) <= 1e-7
+        _assert_certified(grids, odd, floor)
 
 
 @given(st.floats(0.02, 0.6), st.integers(1, 115).map(lambda k: 2 * k + 1),
@@ -455,16 +468,16 @@ def test_remez_exchange_settles_on_a_repeated_reference(sigma, degree):
 @example(0.3388, 21, 1.0)                   # settles, but the cap binds
 def test_remez_floor_never_exceeds_the_lp_deviation(sigma, degree, shrink):
     grids = svt._fit_grids(sigma, degree, shrink)
-    lp, lp_dev = _lp_reference(grids)
     levelled = svt._remez_exchange(sigma, grids)
     if levelled is None:
         return
     odd, floor, _ = levelled
     # de la Vallee Poussin: no odd polynomial, the capped LP's included,
-    # deviates less than the floor
-    assert floor <= lp_dev * (1.0 + 1e-12)
+    # deviates less than the certificate's lower bound, which the floor meets
+    _assert_certified(grids, odd, floor)
     _, target, phi_fit = grids
     if np.max(np.abs(_cap_columns(degree) @ odd)) <= svt._UNIT_CAP:
+        lp, lp_dev = _lp_reference(grids)
         # the cap holds: the unique discrete minimax is the LP's optimum
         assert lp_dev <= np.max(np.abs(phi_fit @ odd - target)) + 1e-7
         assert np.max(np.abs(odd - lp)) <= 1e-6
@@ -472,12 +485,15 @@ def test_remez_floor_never_exceeds_the_lp_deviation(sigma, degree, shrink):
 
 @pytest.mark.parametrize("degree", [41, 83, 167, 227, 229])
 def test_remez_floor_is_tight_against_the_lp_on_lv_poly(degree):
+    # the minimax deviation, which the LP solves for, lies in [lower, upper],
+    # so a floor within 1e-8 of upper is within 1e-8 of it
     sigma, shrink = 0.025, svt._HEADROOM
     grids = svt._fit_grids(sigma, degree, shrink)
     levelled = svt._remez_exchange(sigma, grids)
     assert levelled is not None
-    _, lp_dev = _lp_reference(grids)
-    assert levelled[1] == pytest.approx(lp_dev, rel=1e-4)
+    odd, floor, _ = levelled
+    _, upper = _assert_certified(grids, odd, floor)
+    assert upper - floor <= 1e-8 * floor
 
 
 @pytest.mark.parametrize("sigma,degree,shrink", [
