@@ -40,10 +40,17 @@ MUTANTS = [
      "floor = float(lows[first])", "floor = float(size[peaks[top]])"),
     ("remez-window-max", SVT,
      "(size[peaks], n + 1).min(1)", "(size[peaks], n + 1).max(1)"),
-    ("remez-start-at-t", SVT,
-     "np.abs(xs[:, None] - np.sqrt(t))", "np.abs(xs[:, None] - t)"),
+    ("remez-start-at-t", SVT, "y = np.sqrt(t)", "y = t"),
     ("remez-no-repeat-settle", SVT,
      "or np.array_equal(ref, levelled)):", "or False):"),
+    ("odd-columns-row-major", SVT,
+     "    return rows.T", "    return np.ascontiguousarray(rows.T)"),
+    ("search-predict-with-sigma", SVT,
+     "/ np.arctanh(sigma)", "/ sigma"),
+    ("search-predict-without-shrink", SVT,
+     "np.log(shrink / eps)", "np.log(1.0 / eps)"),
+    ("search-no-gallop", SVT, "step = 2 * step", "step = step"),
+    ("search-bisect-to-gap-4", SVT, "if hi - lo <= 2:", "if hi - lo <= 4:"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",

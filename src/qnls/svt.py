@@ -5,10 +5,11 @@ polynomial backend approximating h*sigma/x, h <= 0.75, whose 1/h goes into
 the output alpha), plus extremal eigenvalue and singular value estimation
 with the matching symbolic cost charges.
 
-The polynomial's degree is searched in doubling rounds d -> 2d + 1.  Inside
-a round, a secant on log(minimax deviation) against the degree predicts the
-smallest passing odd degree, and the search visits only the degrees that
-confirm it: it ends on a passing fit at d above a failing degree d - 2.
+The polynomial's degree is predicted from the Chebyshev rate: the minimax
+deviation falls about as ((1 - sigma)/(1 + sigma))**(d/2), so the search
+first fits the odd ceiling of ln(shrink/eps)/atanh(sigma).  It gallops from
+there, down while the fits pass or up while they fail, and bisects the
+bracket: it ends on a passing fit at d above a failing degree d - 2.
 Each visited degree is fitted once, by a Remez exchange; only the returned
 fit is measured against the unit cap, and scaled under it with h if needed.
 """
@@ -25,8 +26,8 @@ from .block_encoding import (BlockEncoding, CostLedger, _eps_units, _log2,
                              debug_enabled)
 from .errors import ConditioningError, ConfigError, InputError
 
-_DEGREE_CAP = 1200   # the search's limit, for memory: building a fit or cap
-                     # grid peaks near 6*degree**2 doubles, 69 MB at 1199
+_DEGREE_CAP = 1200   # the search's limit, for memory: a fit or cap grid
+                     # holds 2*degree**2 doubles, 23 MB at 1199
 _HERMITIAN_TOL = 1e-9
 _UNIT_CAP = 1.0 - 1e-9     # the bound on |q| over the cap grid
 _REMEZ_EXCHANGES = 12      # exchange steps before `_remez_exchange` gives up
@@ -75,25 +76,36 @@ class OddPolynomial:
         return np.polynomial.chebyshev.chebval(x, self.cheb_coeffs)
 
 
+def _odd_cheb_columns(xs: np.ndarray, degree: int) -> np.ndarray:
+    """T_1, T_3, ..., T_degree at xs: chebvander's recurrence T_k = T_(k-1)*2x
+    - T_(k-2), keeping the odd columns only.  Column-major, as chebvander's
+    odd columns are, so the products take the same BLAS path and bytes."""
+    rows = np.empty(((degree + 1) // 2, xs.size))
+    x2, prev, cur = 2 * xs, np.ones_like(xs), xs          # T_0, T_1
+    rows[0] = cur
+    for k in range(3, degree + 1, 2):
+        prev = cur * x2 - prev                             # T_(k-1)
+        cur = prev * x2 - cur                              # T_k
+        rows[k // 2] = cur
+    return rows.T
+
+
 def _fit_grids(sigma: float, degree: int,
                shrink: float) -> tuple[np.ndarray, ...]:
     """The minimax fit's grid: max(600, 4*degree) Chebyshev nodes xs of
     [sigma, 1] (decreasing), the target shrink*sigma/xs, and the odd
     Chebyshev columns at xs."""
-    ks = np.arange(1, degree + 1, 2)
     m_fit = max(600, 4 * degree)
     nodes = np.cos(np.pi * (np.arange(m_fit) + 0.5) / m_fit)
     xs = 0.5 * (sigma + 1.0) + 0.5 * (1.0 - sigma) * nodes
-    return (xs, shrink * sigma / xs,
-            np.polynomial.chebyshev.chebvander(xs, degree)[:, ks])
+    return xs, shrink * sigma / xs, _odd_cheb_columns(xs, degree)
 
 
 def _cap_sup(coeffs: np.ndarray) -> float:
     """max |q| on the cap grid of degree d: max(600, 4d) points of (0, 1]."""
     degree = coeffs.size - 1
-    ks = np.arange(1, degree + 1, 2)
     ys = np.linspace(0.0, 1.0, max(600, 4 * degree) + 1)[1:]
-    phi_cap = np.polynomial.chebyshev.chebvander(ys, degree)[:, ks]
+    phi_cap = _odd_cheb_columns(ys, degree)
     return float(np.max(np.abs(phi_cap @ np.ascontiguousarray(coeffs[1::2]))))
 
 
@@ -118,7 +130,10 @@ def _remez_exchange(sigma: float, grids: tuple[np.ndarray, ...]
     n = phi_fit.shape[1]
     t = 0.5 * (1.0 + sigma ** 2) + 0.5 * (1.0 - sigma ** 2) * np.cos(
         np.pi * np.arange(n + 1) / n)
-    nearest = np.abs(xs[:, None] - np.sqrt(t)).argmin(axis=0)
+    # the nearer of the two nodes around each sqrt(t), the first on a tie
+    y = np.sqrt(t)
+    j = np.clip(np.searchsorted(-xs, -y), 1, xs.size - 1)
+    nearest = j - (np.abs(xs[j - 1] - y) <= np.abs(xs[j] - y))
     ref = np.flatnonzero(np.bincount(nearest, minlength=xs.size))
     signs = (-1.0) ** np.arange(n + 1)
     for _ in range(_REMEZ_EXCHANGES):
@@ -161,69 +176,46 @@ def _minimax_fit(sigma: float, degree: int,
     return coeffs, deviation
 
 
-def _log_secant(lower: tuple[int, float], upper: tuple[int, float],
-                eps: float) -> float | None:
-    """Degree where the line through two fits in (degree, log deviation)
-    meets log eps, or None when the deviation does not fall between them."""
-    (d0, dev0), (d1, dev1) = lower, upper
-    if not 0.0 < dev1 < dev0:
-        return None
-    slope = (np.log(dev1) - np.log(dev0)) / (d1 - d0)
-    return d1 + (np.log(eps) - np.log(dev1)) / slope
-
-
 @lru_cache(maxsize=64)
 def _search_inverse_poly(sigma: float, eps: float, shrink: float,
                          degree_cap: int) -> tuple[OddPolynomial, float] | None:
-    """Smallest passing odd degree of the first doubling round that has one,
+    """Smallest passing odd degree near the Chebyshev rate's prediction,
     and its fit's sup on the cap grid.
 
-    The rounds double the degree d -> 2d + 1 from max(3, 1/sigma); the last
-    one ends at the largest odd degree within degree_cap.  A round's bracket
-    runs from the previous round's failing doubling degree (1 in the first
-    round) to its own.  The minimax deviation falls about geometrically in
-    the degree (the log(1/eps)/sigma scale of `degree_budget`), so each fit
-    goes to the odd ceiling of the degree where log(deviation), drawn as a
-    straight line, crosses log(eps):
-    - no passing fit in the round yet: extrapolated from the last two
-      failing fits, capped at the round's doubling degree, which is fitted
-      when the guess reaches it or when no two failing fits show a decrease;
-    - a passing fit: interpolated between it and the highest failing fit,
-      or the degree just below the pass when the line predicts the pass.
-    The bisection midpoint replaces a guess that is missing or not above
-    the highest failing degree.  The search stops at a passing fit at d
-    with a failing degree d - 2: the smallest passing degree of the bracket
-    when the deviation falls monotonically in the degree, and gives None
-    when the fit at the cap's odd degree fails.
+    The first fit goes to d0, the odd ceiling of ln(shrink/eps)/atanh(sigma)
+    (the deviation falls about as shrink*((1 - sigma)/(1 + sigma))**(d/2)),
+    clamped to [3, top], top the largest odd degree within degree_cap.  The
+    search gallops from d0 with strides 2, 4, 8, ...: down while the fits
+    pass (degree 1 counts as failing and is never fitted), or up while they
+    fail, never past top.  It then bisects until a passing fit at d has a
+    failing d - 2: the smallest passing degree when the deviation falls
+    monotonically in the degree.  None when top < 3 or the fit at top fails.
     """
-    top = max(3, int(np.ceil(1.0 / sigma))) | 1   # the round's doubling degree
-    lo = 1                # highest failing degree; degree 1 is never fitted
-    fails: list[tuple[int, float]] = []   # failing (degree, deviation)
-    best = None           # lowest passing (degree, deviation, coeffs)
-    while best is None or best[0] - lo > 2:
-        if best is None:
-            top = min(top, (degree_cap - 1) | 1)
-            if top <= lo:
-                return None
-            hi = ceiling = top
-            guess = _log_secant(*fails[-2:], eps) if len(fails) >= 2 else None
-            if guess is None:
-                guess = top
-        else:
-            hi, ceiling = best[0], best[0] - 2
-            guess = _log_secant(fails[-1], best[:2], eps) if fails else None
-        d = None if guess is None else int(np.ceil(min(guess, ceiling))) | 1
-        if d is None or d <= lo:
-            d = (lo + hi) // 2 | 1          # bisection safeguard
+    top = (degree_cap - 1) | 1
+    if top < 3:
+        return None
+    d = min(max(int(np.ceil(np.log(shrink / eps) / np.arctanh(sigma))), 3) | 1,
+            top)
+    # the bracket: lo fails and hi passes, and 1 and top + 2 are never fitted
+    lo, hi, best, step = 1, top + 2, None, 2      # best: the fit at hi
+    while True:
         coeffs, dev = _minimax_fit(sigma, d, shrink)
         if dev <= eps:
-            best = (d, dev, coeffs)
+            hi, best = d, coeffs
         else:
-            fails.append((d, dev))
             lo = d
-            if d == top:
-                top = 2 * top + 1
-    return OddPolynomial(best[2]), _cap_sup(best[2])
+        if hi - lo <= 2:
+            break
+        if best is None:                    # gallop up
+            d = min(lo + step, top)
+        elif lo == 1 and hi - step > 1:     # gallop down
+            d = hi - step
+        else:                               # bisect
+            d = (lo + hi) // 2 | 1
+        step = 2 * step
+    if best is None:
+        return None
+    return OddPolynomial(best), _cap_sup(best)
 
 
 def degree_budget(sigma: float, eps: float) -> float:

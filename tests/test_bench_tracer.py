@@ -46,8 +46,8 @@ def test_gate_passes_a_two_step_lv_solve(tmp_path):
 
 
 def test_gate_passes_a_gpe_poly_solve(tmp_path):
-    # sigma_k is 0.025 and sigma' = floor / alpha_J is about 0.005: the
-    # doubling passes the degree cap 1200, so its last round ends at 1199
+    # sigma_k is 0.025 and sigma' = floor / alpha_J is about 0.005: each
+    # step's inverse polynomial has degree 1105 or 1111, near the cap 1200
     gate = load_bench_module("gate")
     problem, trace = tmp_path / "gpe.qnls", tmp_path / "trace.csv"
     assert main(["gen-gpe", "--nx", "4", "--g", "1", "--dt", "0.05", "--dx",

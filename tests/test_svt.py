@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -133,9 +135,10 @@ def test_backend_rejects_eps_below_the_exchange_roundoff():
         backend_inverse_poly(0.5, 1e-12)
 
 
-def test_backend_fits_the_cap_degree_the_doubling_passes():
-    # the doubling rounds fail 81, 163, 327 and 655, and 1311 passes the
-    # search cap 1200: the last round ends at the cap degree 1199
+def test_backend_fits_a_degree_between_655_and_the_search_cap():
+    # the answer lies above 655 and under the search cap 1200, where a
+    # search over the doublings 81, 163, 327, 655, 1311 of 1/sigma would
+    # pass the cap and refuse the target
     sigma, eps = 0.0125, 1e-4
     q, headroom = backend_inverse_poly(sigma, eps)
     assert 655 < q.degree <= 1199
@@ -221,6 +224,7 @@ def _assert_same_search(sigma, eps, shrink, degree_cap):
       for args in _backend_searches(sigma, eps)),
     # fails 11, 23 and 45 and passes 47
     _backend_searches(0.1, 1e-2)[1],
+    _backend_searches(0.025, 5e-3 / 9)[1],   # the digest's lv_poly_cap step
     (0.3, 1e-3, 1.0, 40),        # degree 23, where the uncapped fit passes
     (0.2, 1e-3, 0.75, 40),       # degree 33, in the round (23, 39] the cap ends
     (0.2, 1e-3, 0.75, 50),       # degree 33, in the last round under the cap
@@ -253,9 +257,28 @@ def test_lv_poly_search_fits(monkeypatch):
     finally:
         svt._search_inverse_poly.cache_clear()
     assert (q.degree, headroom) == (229, svt._HEADROOM)
-    # one fit per visited degree, each settled by one exchange
-    assert fits == [(d, svt._HEADROOM) for d in (41, 83, 167, 229, 227)]
-    assert len(exchanges) == 5
+    # the predicted degree passes and the one below it fails: one fit each,
+    # each settled by one exchange
+    assert fits == [(d, svt._HEADROOM) for d in (229, 227)]
+    assert len(exchanges) == 2
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("sigma", [0.5, 0.3, 0.2, 0.1, 0.05])
+def test_search_fits_at_most_three_degrees(monkeypatch, sigma, eps):
+    # the Chebyshev rate predicts the answer, or a degree next to it
+    fits = []
+    minimax_fit = svt._minimax_fit
+
+    def counted(sigma, degree, shrink=1.0):
+        fits.append(degree)
+        return minimax_fit(sigma, degree, shrink)
+
+    monkeypatch.setattr(svt, "_minimax_fit", counted)
+    for args in _backend_searches(sigma, eps):
+        fits.clear()
+        assert svt._search_inverse_poly.__wrapped__(*args) is not None
+        assert len(fits) <= 3, (args, fits)
 
 
 def test_backend_takes_the_cap_sup_once_per_search(monkeypatch):
@@ -309,46 +332,33 @@ def test_search_returns_a_locally_minimal_degree(sigma, eps, shrink):
         assert deviation[d - 2] > eps
 
 
-def test_search_falls_back_to_doubling_and_bisection(monkeypatch):
-    # deviations that do not fall leave the secant undefined (5 -> 11), and
-    # so does a zero deviation at a pass (23, then 17): the search then
-    # fits the doubling degree, and after a pass bisects toward the failures
-    def deviation(d):
-        return 0.0 if d >= 17 else {5: 0.1, 11: 0.2}.get(d, 0.05)
-
+# sigma 0.2, eps 1e-3 and shrink 1 predict the odd ceiling of
+# ln(1e3)/atanh(0.2) = 34.07, so the first fit goes to 35 under cap 100
+@pytest.mark.parametrize("passing,degree_cap,visits", [
+    (35, 100, [35, 33]),                        # the prediction is the answer
+    (25, 100, [35, 33, 29, 21, 25, 23]),        # gallop down, then bisect
+    (45, 100, [35, 37, 41, 49, 45, 43]),        # gallop up, then bisect
+    (3, 100, [35, 33, 29, 21, 5, 3]),           # every fit passes: stop at 3
+    (15, 20, [19, 17, 13, 15]),                 # the prediction is above the cap
+    (25, 20, [19]),                             # the cap degree fails: None
+])
+def test_search_gallops_from_the_predicted_degree(monkeypatch, passing,
+                                                  degree_cap, visits):
     fits = []
 
     def tabled(sigma, degree, shrink=1.0):
         fits.append(degree)
         coeffs = np.zeros(degree + 1)
         coeffs[degree] = 1.0
-        return coeffs, deviation(degree)
+        return coeffs, 1e-4 if degree >= passing else 1e-2
 
     monkeypatch.setattr(svt, "_minimax_fit", tabled)
-    # sigma 0.2 starts the doubling rounds at degree 5: 5, 11, 23, ...
-    q, _ = svt._search_inverse_poly.__wrapped__(0.2, 1e-3, 1.0, 100)
-    assert fits == [5, 11, 23, 17, 15]
-    assert len(set(fits)) == len(fits)
-    # the smallest passing odd degree of the bracket (11, 23]
-    assert q.degree == min(d for d in range(13, 24, 2) if deviation(d) <= 1e-3)
-    assert q.degree - 2 in fits and deviation(q.degree - 2) > 1e-3
-
-
-def test_search_visits_the_secant_degrees(monkeypatch):
-    # deviation 2^(-d/2) crosses eps 1e-3 between 19 and 21: the secant
-    # through 5 and 11 lands on 21, which passes, and 19 fails
-    fits = []
-
-    def tabled(sigma, degree, shrink=1.0):
-        fits.append(degree)
-        coeffs = np.zeros(degree + 1)
-        coeffs[degree] = 1.0
-        return coeffs, 2.0 ** (-degree / 2)
-
-    monkeypatch.setattr(svt, "_minimax_fit", tabled)
-    q, _ = svt._search_inverse_poly.__wrapped__(0.2, 1e-3, 1.0, 100)
-    assert q.degree == 21
-    assert fits == [5, 11, 21, 19]
+    found = svt._search_inverse_poly.__wrapped__(0.2, 1e-3, 1.0, degree_cap)
+    assert fits == visits
+    if passing > (degree_cap - 1) | 1:
+        assert found is None
+    else:
+        assert found[0].degree == passing
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +366,29 @@ def test_search_visits_the_secant_degrees(monkeypatch):
 # ---------------------------------------------------------------------------
 
 _HEADROOM_CASES = [(0.025, 229), (0.1, 47), (0.2, 35)]   # the cap holds
+
+
+def test_fit_grid_columns_are_chebvanders_odd_columns():
+    for sigma, degree in [(0.5, 1), (0.2, 35), (0.025, 229), (0.005, 1199)]:
+        xs, _, phi_fit = svt._fit_grids(sigma, degree, svt._HEADROOM)
+        assert np.array_equal(
+            phi_fit, np.polynomial.chebyshev.chebvander(xs, degree)[:, 1::2])
+        # column-major, as chebvander's columns are: the products' BLAS
+        # path, and so their bytes, depend on the layout
+        assert phi_fit.flags.f_contiguous
+
+
+def test_degree_1199_fit_peaks_under_40_mb():
+    # the fit grid's odd columns take 23 MB; with the full chebvander, or
+    # an m x (n + 1) node distance table for the exchange's start, the
+    # fit peaks near 70 MB
+    tracemalloc.start()
+    try:
+        svt._minimax_fit(0.005, 1199, svt._HEADROOM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def _cap_columns(degree):
