@@ -22,6 +22,13 @@ trees and compare:
     PYTHONPATH=new/src python3 scripts/artifact_digest.py > new.txt
     diff old.txt new.txt
 
+`run_commands(workdir)` runs the commands and returns their exit codes
+and artifacts. `write_golden(dest)` writes those artifacts as files, which
+is how `tests/golden/` is regenerated:
+
+    PYTHONPATH=src:scripts python3 -c \
+        "import artifact_digest; artifact_digest.write_golden('tests/golden')"
+
 Compare only digests made at the same OpenBLAS thread count: the
 `lv_poly_cap.csv` and `lv_poly_cap.txt` hashes depend on it (ce94ed1f… and
 9fa5d1c9… with OPENBLAS_NUM_THREADS=1, 3cc588c3… and a5fc5a84… with 2).
@@ -137,33 +144,60 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> None:
+def run_commands(workdir) -> tuple[dict[str, int], dict[str, bytes]]:
+    """Run COMMANDS in workdir (made if missing), its only files the inputs.
+
+    Returns each command's exit code by name, and every artifact by name:
+    each file left in workdir, then `<command>.stdout` and
+    `<command>.stderr`.
+    """
+    workdir = Path(workdir)
+    workdir.mkdir(parents=True, exist_ok=True)
     home = os.getcwd()
+    os.chdir(workdir)
+    try:
+        Path("big.qnls").write_text(NON_CANONICAL_MIXED)
+        Path("big.qnls.x0").write_text("0.3\n0.2\n")
+        Path("lin.qnls").write_text(LINEAR_MIXED)
+        Path("lin.qnls.x0").write_text("0.3\n0.2\n")
+        Path("lin0.qnls.x0").write_text("0\n0.5\n")
+        exits, streams = {}, {}
+        for name, cmd in COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            debug = {"QNLS_DEBUG": "1"} if name in DEBUG_COMMANDS else {}
+            with (mock.patch.dict(os.environ, debug),
+                  contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                exits[name] = cli.main(cmd.split())
+            streams[f"{name}.stdout"] = out.getvalue().encode()
+            streams[f"{name}.stderr"] = err.getvalue().encode()
+    finally:
+        os.chdir(home)
+    files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+    return exits, files | streams
+
+
+def write_golden(dest) -> None:
+    """Write every artifact of COMMANDS into dest under its name, and the
+    exit codes as `exit_codes.txt` in this script's `exit` lines.  A file
+    of dest that no artifact names is left as it is."""
+    dest = Path(dest)
+    dest.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        try:
-            Path("big.qnls").write_text(NON_CANONICAL_MIXED)
-            Path("big.qnls.x0").write_text("0.3\n0.2\n")
-            Path("lin.qnls").write_text(LINEAR_MIXED)
-            Path("lin.qnls.x0").write_text("0.3\n0.2\n")
-            Path("lin0.qnls.x0").write_text("0\n0.5\n")
-            streams = {}
-            for name, cmd in COMMANDS:
-                out, err = io.StringIO(), io.StringIO()
-                debug = {"QNLS_DEBUG": "1"} if name in DEBUG_COMMANDS else {}
-                with (mock.patch.dict(os.environ, debug),
-                      contextlib.redirect_stdout(out),
-                      contextlib.redirect_stderr(err)):
-                    rc = cli.main(cmd.split())
-                print(f"exit {rc}  {name}")
-                streams[f"{name}.stdout"] = out.getvalue().encode()
-                streams[f"{name}.stderr"] = err.getvalue().encode()
-            for path in sorted(Path(tmp).iterdir()):
-                print(f"{_sha(path.read_bytes())}  {path.name}")
-            for key, data in streams.items():
-                print(f"{_sha(data)}  {key}")
-        finally:
-            os.chdir(home)
+        exits, artifacts = run_commands(tmp)
+    for name, data in artifacts.items():
+        (dest / name).write_bytes(data)
+    (dest / "exit_codes.txt").write_text(
+        "".join(f"exit {rc}  {name}\n" for name, rc in exits.items()))
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        exits, artifacts = run_commands(tmp)
+    for name, rc in exits.items():
+        print(f"exit {rc}  {name}")
+    for name, data in artifacts.items():
+        print(f"{_sha(data)}  {name}")
 
 
 if __name__ == "__main__":
