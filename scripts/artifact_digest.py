@@ -145,7 +145,8 @@ def _sha(data: bytes) -> str:
 
 
 def run_commands(workdir) -> tuple[dict[str, int], dict[str, bytes]]:
-    """Run COMMANDS in workdir (made if missing), its only files the inputs.
+    """Write the input files into workdir (made if missing, else empty) and
+    run COMMANDS there.
 
     Returns each command's exit code by name, and every artifact by name:
     each file left in workdir, then `<command>.stdout` and

@@ -26,10 +26,54 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BE = "src/qnls/block_encoding.py"
+QN = "src/qnls/quantum_newton.py"
 SVT = "src/qnls/svt.py"
 
 # (name, file, fragment, replacement): each fragment occurs once in its file
 MUTANTS = [
+    # the cost and error budgets
+    ("amplify-to-half-alpha", QN,
+     "factor = min(be.alpha, ", "factor = min(be.alpha / 2, "),
+    ("degree-budget-without-sigma-in-log", SVT,
+     "_log2(1.0 / (sigma * _eps_units(eps)))", "_log2(1.0 / _eps_units(eps))"),
+    ("product-eps-one-term", BE,
+     "left.alpha * right.eps + right.alpha * left.eps,",
+     "left.alpha * right.eps,"),
+    ("sum-eps-max", BE,
+     "sum(t.eps for t in terms)", "max(t.eps for t in terms)"),
+    ("invert-eps-not-divided", SVT,
+     "eps_out = be.eps / sigma + ", "eps_out = be.eps + "),
+    ("product-cost-without-one", BE,
+     "left.cost + right.cost + 1.0)", "left.cost + right.cost)"),
+    ("tensor-cost-without-one", BE,
+     "sum(f.cost for f in factors) + 1.0)", "sum(f.cost for f in factors))"),
+    ("sum-charge-one", BE,
+     'ledger.charge("sum", primitive=float(m))',
+     'ledger.charge("sum", primitive=1.0)'),
+    ("amplify-charge-without-factor", BE,
+     "charge = factor * _log2(", "charge = _log2("),
+    ("norm-removal-without-eps-units", QN,
+     "/ (nx2 * _eps_units(cfg.eps)))", "/ nx2)"),
+    ("invert-charge-without-cost", SVT,
+     "charge = be.cost * degree_budget(", "charge = degree_budget("),
+    # the step's sandwich corners and four-term update
+    ("jacobian-kron-order", QN,
+     "np.kron(np.eye(n), tensor_power(br, p)[:, None])",
+     "np.kron(tensor_power(br, p)[:, None], np.eye(n))"),
+    ("rhs-kron-order", QN,
+     "np.kron(np.kron(u, tensor_power(br, p - 1))[:, None], be_xxT.block)",
+     "np.kron(be_xxT.block, np.kron(u, tensor_power(br, p - 1))[:, None])"),
+    ("reference-is-e1", QN,
+     "        r = self.refu\n", "        r = np.eye(self.refu.size)[0]\n"),
+    ("gamma-power-2p", QN,
+     "ghat = gamma ** (2 * p_half - 1)", "ghat = gamma ** (2 * p_half)"),
+    ("uniform-state-without-sqrt", QN,
+     "np.full(r.size, 1.0 / np.sqrt(r.size))", "np.full(r.size, 1.0 / r.size)"),
+    ("linear-part-rootn-is-n", QN, "rootn = np.sqrt(n)", "rootn = float(n)"),
+    ("four-term-dd-sign", QN, "[1, -1, -1, 1]", "[1, -1, -1, -1]"),
+    ("four-term-transpose-sign", QN, "[1, -1, -1, 1]", "[1, -1, 1, 1]"),
+    # the inverse polynomial's exchange and search
     ("remez-signs-all-plus", SVT,
      "signs = (-1.0) ** np.arange(n + 1)", "signs = np.ones(n + 1)"),
     ("remez-settle-1e-3", SVT,

@@ -1,9 +1,10 @@
 """Batch command-line frontend.
 
-Commands: solve, check, gen-gpe, gen-lv, gen-random, resources.
-Exit codes: 0 success, 1 usage, 2 parse failure, 3 numerical failure,
-4 invariant/check failure.  QNLS_DEBUG=1 turns on intended-block
-verification inside every encoding operation.
+Commands: solve, check, gen-gpe, gen-lv, gen-random, resources (the full
+solve, with its resource report in place of the trace).  Exit codes: 0
+success, 1 usage, 2 parse failure, 3 numerical failure (a halted run says
+why on stderr), 4 invariant/check failure.  QNLS_DEBUG=1 turns on
+intended-block verification inside every encoding operation.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def _build_parser() -> _Parser:
     rnd.add_argument("--seed", type=nonnegative_int, required=True)
     rnd.add_argument("--out", required=True)
 
-    res = sub.add_parser("resources", help="ledger-only run plus classical count")
+    res = sub.add_parser("resources", help="full solve, then its resource report")
     _add_run_args(res)
     res.add_argument("--out", help="report output path")
     return parser
@@ -242,10 +243,7 @@ def _cmd_solve(args) -> int:
         sys.stdout.write(trace.to_csv())
     if args.report:
         atomic_write(args.report, _report_text(problem, args, ledger, dominant))
-    if trace.halted:
-        print(f"halted: {trace.halted}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return _run_exit(trace)
 
 
 def _cmd_resources(args) -> int:
@@ -256,6 +254,13 @@ def _cmd_resources(args) -> int:
         atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
+    return _run_exit(trace)
+
+
+def _run_exit(trace: NewtonTrace) -> int:
+    """Exit code of a run; a halted one prints why on stderr."""
+    if trace.halted:
+        print(f"halted: {trace.halted}", file=sys.stderr)
     return EXIT_NUMERIC if trace.halted else EXIT_OK
 
 

@@ -15,7 +15,6 @@ right-hand-side encoding by construction and never needs amplification.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
 
 import numpy as np
 
@@ -23,8 +22,8 @@ from .block_encoding import (BlockEncoding, CostLedger, _Budget, _eps_units,
                              _from_entries, _log2, _mk, _product_budget,
                              _sparse_budget, _sum_budget, _tensor_budget,
                              be_amplify, be_from_sparse, be_from_vector,
-                             be_outer, be_product, be_rescale, be_sum,
-                             be_transpose, debug_enabled)
+                             be_of_matrix, be_outer, be_product, be_rescale,
+                             be_sum, be_tensor, be_transpose, debug_enabled)
 from .errors import (CompositionError, ConditioningError,
                      DegenerateReferenceError, DeskScaleError, InputError,
                      InvariantViolationError, RescaleRequiredError,
@@ -39,31 +38,8 @@ GAMMA_FLOOR = 1e-4
 
 
 # ---------------------------------------------------------------------------
-# Register helpers
+# Encoding helpers
 # ---------------------------------------------------------------------------
-
-def _householder_column(target: np.ndarray) -> np.ndarray:
-    """H e_0 for the symmetric orthogonal (Householder) H sending e_0 to the
-    unit vector along target: e_0 - 2 w w_0 / |w|^2, w = v - e_0."""
-    v = target / np.linalg.norm(target)
-    w = v.copy()
-    w[0] -= 1.0
-    nw2 = float(np.dot(w, w))
-    e0 = np.zeros(v.size)
-    e0[0] = 1.0
-    return e0 if nw2 < 1e-28 else e0 - 2.0 * (w * w[0]) / nw2
-
-
-def _kron_apply(ops, cols: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """(ops[0] x ops[1] x ..) @ cols, one contraction per register
-    (register 0 most significant); a None op is the identity."""
-    k = cols.shape[1]
-    t = cols.reshape(dims + (k,))
-    for ax, op in enumerate(ops):
-        if op is not None:
-            t = np.moveaxis(np.tensordot(op, t, axes=([1], [ax])), 0, ax)
-    return t.reshape(-1, k)
-
 
 def _encode_matrix_auto(m: SparseMatrix,
                         ledger: CostLedger | None = None) -> BlockEncoding:
@@ -150,49 +126,38 @@ def build_A_blockdiag(system: PolynomialSystem,
 
 
 def _sandwich(be_mid: BlockEncoding, be_xxT: BlockEncoding, p: int, k: int,
-              g: np.ndarray, f: np.ndarray, ledger: CostLedger | None,
-              intended: np.ndarray | None = None,
-              label: str | None = None) -> BlockEncoding:
-    """Encoding of G^T L Mid R F, L = I x (xx^T)^{k} x I^{p-k}, R = I x (xx^T)^{p}.
-
-    L and R act through their Kronecker factors on the m columns of G and
-    F: O(N^2 m) for N = n^{p+1}, not the O(N^3) of L Mid R.  Budget and
-    charges are those of L (Mid R), L = R when k = p; a labelled sandwich
-    adds 2 to the cost and charges the label 2 primitive ops.  The
-    operands' intended matrices give the default intended."""
+              left: np.ndarray, right: np.ndarray, ledger: CostLedger | None,
+              intended: np.ndarray | None, label: str) -> BlockEncoding:
+    """The n x n corner left^T Mid right of L Mid R, L = I x (xx^T)^{k} x
+    I^{p-k} and R = I x (xx^T)^{p}, whose n columns left and right carry
+    L^T and R already: one N x N by N x n product, N = n^{p+1}.  Budget and
+    charges are those of L (Mid R), L = R when k = p, plus 2 cost and the
+    label's 2 primitive ops."""
     eye = _Budget(1.0, 0.0, 1.0)          # an exact identity register
-    left = _tensor_budget([eye] + [be_xxT] * k + [eye] * (p - k), ledger)
-    right = left if k == p else _tensor_budget([eye] + [be_xxT] * p, ledger)
-    b = _product_budget(left, _product_budget(be_mid, right, ledger), ledger)
-    dims = (be_xxT.logical_dim,) * (p + 1)
-
-    def corner(x, mid):
-        lg = _kron_apply([None] + [x.T] * k + [None] * (p - k), g, dims)
-        return lg.T @ (mid @ _kron_apply([None] + [x] * p, f, dims))
-
-    if intended is None and be_mid.intended is not None \
-            and be_xxT.intended is not None:
-        intended = corner(be_xxT.intended, be_mid.intended)
-    out = _mk(corner(be_xxT.block, be_mid.block), b.alpha, b.eps, intended,
-              b.cost + (2.0 if label is not None else 0.0))
-    if label is not None and ledger is not None:
+    lb = _tensor_budget([eye] + [be_xxT] * k + [eye] * (p - k), ledger)
+    rb = lb if k == p else _tensor_budget([eye] + [be_xxT] * p, ledger)
+    b = _product_budget(lb, _product_budget(be_mid, rb, ledger), ledger)
+    out = _mk(left.T @ (be_mid.block @ right), b.alpha, b.eps, intended,
+              b.cost + 2.0)
+    if ledger is not None:
         ledger.charge(label, primitive=2.0)
     return out
 
 
 def build_P(be_m: BlockEncoding, be_xxT: BlockEncoding, p: int,
             ledger: CostLedger | None = None) -> BlockEncoding:
-    """Encoding of (I x (xx^T)^{p-1} x I) M (I x (xx^T)^{p}), alpha = p s."""
-    eye = np.eye(be_m.logical_dim)
-    return _sandwich(be_m, be_xxT, p, p - 1, eye, eye, ledger)
+    """(I x (xx^T)^{p-1} x I) M (I x (xx^T)^{p}) by the calculus, alpha = p s."""
+    eye = be_of_matrix(np.eye(be_xxT.logical_dim))
+    left = be_tensor([eye] + [be_xxT] * (p - 1) + [eye], ledger)
+    right = be_tensor([eye] + [be_xxT] * p, ledger)
+    return be_product(left, be_product(be_m, right, ledger), ledger)
 
 
 class StepFrame:
     """One Newton step's frame at the iterate x, for degree 2p: the unit
-    reference r (e_1 when x_ref is None), gamma = r.x (an overlap below
+    reference r (e_1 when x_ref is None) and gamma = r.x (an overlap below
     GAMMA_FLOOR, or a zero or non-finite reference, raises
-    DegenerateReferenceError before any division) and the corner columns,
-    which a step without a nonlinear part never reads."""
+    DegenerateReferenceError before any division)."""
 
     def __init__(self, x: np.ndarray, p: int, x_ref: np.ndarray | None = None):
         n = len(x)
@@ -214,20 +179,11 @@ class StepFrame:
             raise DegenerateReferenceError(f"overlap {gamma:.2e} below {GAMMA_FLOOR}")
         self.x, self.p, self.refu, self.gamma = x, p, refu, gamma
 
-    @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Corner columns (E, U), built on first read: E[:, j] = e_j x
-        (H_r e_0)^{p} and U[:, i] = H_u e_0 x (H_r e_0)^{p-1} x e_i on
-        registers 0 (equation index, most significant) .. p, H_r the
-        reference's Householder and H_u the uniform one: the Jacobian's
-        corner is U^T P E, the right-hand side's E^T (T A T) U."""
-        n, p = self.refu.size, self.p
-        h = _householder_column(self.refu)
-        hu = _householder_column(np.full(n, 1.0 / np.sqrt(n)))
-        e = np.kron(np.eye(n), tensor_power(h, p)[:, None])
-        # fold from H_u e_0: the product grouping of one register at a time
-        u = np.kron(reduce(np.kron, [h] * (p - 1), hu)[:, None], np.eye(n))
-        return e, u
+    def states(self, b: np.ndarray):
+        """B r, B^T r and the uniform state u, for the reference r, since
+        (I x B^{k} x I)(e_j x r^{p}) = e_j x (B r)^{k} x r^{p-k}."""
+        r = self.refu
+        return b @ r, b.T @ r, np.full(r.size, 1.0 / np.sqrt(r.size))
 
 
 def _amplify_to_unit(be: BlockEncoding,
@@ -243,16 +199,19 @@ def jacobian_sandwich_be(system: PolynomialSystem, be_xxT: BlockEncoding,
                          ledger: CostLedger | None = None) -> BlockEncoding:
     """The U_m U_p construction around the P encoding of the iterate frame.x.
 
-    Matrix element (i, k) of the returned top-left block equals
-    gamma^{2p-1} (grad f_k(x))_i / (sqrt(n) * alpha_P); with alpha = alpha_P
-    the extracted matrix is gamma^{2p-1} J(x)^T / sqrt(n), gamma = frame.gamma.
+    The corner is (u x (B^T r)^{p-1} x I)^T M (I x (B r)^{p}).  Matrix
+    element (i, k) of the returned top-left block equals gamma^{2p-1}
+    (grad f_k(x))_i / (sqrt(n) * alpha_P); with alpha = alpha_P the
+    extracted matrix is gamma^{2p-1} J(x)^T / sqrt(n), gamma = frame.gamma.
     """
     n, p, x = system.n, system.p, frame.x
     be_m = _built_once(build_M_blockdiag, system, ledger)
-    e, u = frame.columns
+    br, btr, u = frame.states(be_xxT.block)
+    left = np.kron(np.kron(u, tensor_power(btr, p - 1))[:, None], np.eye(n))
+    right = np.kron(np.eye(n), tensor_power(br, p)[:, None])
     intended = (frame.gamma ** (2 * p - 1) * jacobian(system, x).T / np.sqrt(n)
                 if debug_enabled() else None)
-    return _sandwich(be_m, be_xxT, p, p - 1, u, e, ledger, intended,
+    return _sandwich(be_m, be_xxT, p, p - 1, left, right, ledger, intended,
                      "gradient_sandwich")
 
 
@@ -266,13 +225,17 @@ def jacobian_be(system: PolynomialSystem, be_xxT: BlockEncoding,
 
 def rhs_be(system: PolynomialSystem, be_xxT: BlockEncoding, frame: StepFrame,
            *, ledger: CostLedger | None = None) -> BlockEncoding:
-    """Encoding of gamma^{2p-1} F(x) x^T / sqrt(n) via the A sandwich."""
+    """Encoding of gamma^{2p-1} F(x) x^T / sqrt(n) via the A sandwich, whose
+    corner is (I x (B^T r)^{p})^T A (u x (B r)^{p-1} x B)."""
     n, p, x = system.n, system.p, frame.x
     be_a = _built_once(build_A_blockdiag, system, ledger)
-    e, u = frame.columns
+    br, btr, u = frame.states(be_xxT.block)
+    left = np.kron(np.eye(n), tensor_power(btr, p)[:, None])
+    right = np.kron(np.kron(u, tensor_power(br, p - 1))[:, None], be_xxT.block)
     intended = (frame.gamma ** (2 * p - 1) * np.outer(evaluate(system, x), x)
                 / np.sqrt(n) if debug_enabled() else None)
-    return _sandwich(be_a, be_xxT, p, p, e, u, ledger, intended, "rhs_sandwich")
+    return _sandwich(be_a, be_xxT, p, p, left, right, ledger, intended,
+                     "rhs_sandwich")
 
 
 def norm_estimate(be_xxT: BlockEncoding, eps: float,
@@ -491,7 +454,7 @@ def init_heuristic(system: PolynomialSystem, candidates,
         raise InputError("need at least one candidate")
     n, p = system.n, system.p
     be_a = build_A_blockdiag(system, ledger)
-    eye = np.eye(n ** (p + 1))
+    eye = be_of_matrix(np.eye(n))
     values = []
     for c in cands:
         if c.shape != (n,):
@@ -499,7 +462,8 @@ def init_heuristic(system: PolynomialSystem, candidates,
         if np.linalg.norm(c) > 1.0 + 1e-12:
             raise InputError("candidates must have norm at most 1")
         be_c = be_from_vector(c, ledger)
-        op = _sandwich(be_a, be_c, p, p, eye, eye, ledger)
+        tens = be_tensor([eye] + [be_c] * p, ledger)
+        op = be_product(tens, be_product(be_a, tens, ledger), ledger)
         sq = be_product(op, be_transpose(op), ledger)
         m2 = max_eigenvalue(sq, 1e-6, ledger)
         nx2 = norm_estimate(be_c, 1e-6, ledger)

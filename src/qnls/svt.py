@@ -259,11 +259,12 @@ def sv_invert(be: BlockEncoding, cfg: InversionConfig,
               ledger: CostLedger | None = None) -> BlockEncoding:
     """Encoding of the sigma-scaled pseudoinverse of the normalized block.
 
-    The input block B = extract()/alpha must have its spectrum in
-    [sigma, 1] up to a hard cutoff at sigma/2 below which singular values
-    are treated as exact zeros.  Output block = sigma * B^+ (alpha = 1), so
-    chaining with the caller's own alpha bookkeeping reproduces the
-    sqrt(n)/gamma^{2p-1}-normalized inverse where needed.
+    The input block B = extract()/alpha has no singular value in
+    [sigma/2, sigma).  Exact output block = sigma * B^+ (alpha = 1), those
+    below sigma/2 taken as zeros.  Poly output = q^{SV}(B) (alpha = 1/h),
+    q on every singular value: within eps for a spectrum in [sigma, 1], as
+    on the solver path; below sigma a q over its unit cap off the grid can
+    raise CompositionError.
     """
     b = be.block
     if b.shape[0] != b.shape[1]:
@@ -283,7 +284,7 @@ def sv_invert(be: BlockEncoding, cfg: InversionConfig,
     polynomial = cfg.backend == "poly"
     if polynomial:
         q, headroom = backend_inverse_poly(sigma, cfg.eps)
-        g = np.where(alive, np.asarray(q(s), dtype=np.float64), 0.0)
+        g = np.asarray(q(s), dtype=np.float64)
         alpha_out = 1.0 / headroom
         if ledger is not None:
             ledger.charge("inverse_poly_degree", note=float(q.degree))

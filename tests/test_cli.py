@@ -771,3 +771,21 @@ def test_resources_without_out_prints_the_report(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert main(["resources", *run, "--out", str(rep)]) == 0
     assert printed == rep.read_text() and printed.startswith("problem.kind = ")
+
+
+def test_resources_says_why_it_halted(tmp_path, capsys):
+    # x0 = (0, 0.5) has no overlap with e1, so both commands halt at step 0
+    # and print the same reason
+    path = tmp_path / "lin.qnls"
+    path.write_text("version 1\nkind mixed\nn 2\np 1\ns 1\n"
+                    "equation 0\nlin 0 0.5\nlin 1 0.2\nconst 0.1\nend\n"
+                    "equation 1\nlin 0 0.2\nlin 1 0.5\nconst -0.15\nend\n")
+    guess = tmp_path / "lin0.x0"
+    guess.write_text("0\n0.5\n")
+    run = ["--problem", str(path), "--x0", str(guess), "--iters", "3",
+           "--gamma-ref", "e1"]
+    expected = (3, "halted: overlap 0.00e+00 below 0.0001\n")
+    assert (main(["solve", *run, "--trace", str(tmp_path / "t.csv")]),
+            capsys.readouterr().err) == expected
+    assert (main(["resources", *run, "--out", str(tmp_path / "r.txt")]),
+            capsys.readouterr().err) == expected

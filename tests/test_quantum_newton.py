@@ -18,8 +18,7 @@ from qnls.problems import (GpeParams, LvParams, gpe_default_guess,
                            gpe_discretize, lv_default_guess, lv_discretize,
                            random_system)
 from qnls.poly_system import _swap_factor
-from qnls.quantum_newton import (_built_once, _ChargeLog, _kron_apply,
-                                 system_evaluators)
+from qnls.quantum_newton import _built_once, _ChargeLog, system_evaluators
 
 from conftest import blockdiag, count_two_norms, merged_m_d, swap_matrices
 
@@ -407,25 +406,6 @@ def test_step_invariant_encodings_are_built_once_per_system(monkeypatch):
         r1.oracle_queries - r0.oracle_queries, rel=1e-12)
 
 
-@pytest.mark.parametrize("ref", ["e1", "x0", "previous"])
-def test_a_step_builds_its_corner_columns_once(monkeypatch, ref):
-    # both sandwiches read one frame, so a step builds the Householder
-    # columns of the reference and of the uniform state once each, and a
-    # step without a nonlinear part builds none
-    import qnls.quantum_newton as qn
-
-    calls = []
-    monkeypatch.setattr(qn, "_householder_column",
-                        _spy(calls, "column", qn._householder_column))
-    system, x0, steps = _lv_t3()
-    _, trace = newton_solve(system, x0, steps, CFG, gamma_reference=ref)
-    assert trace.halted is None and len(calls) == 2 * steps
-    calls.clear()
-    _, trace = newton_solve(_mirror_step_system(False), np.array([0.3, 0.3]),
-                            3, CFG, gamma_reference=ref)
-    assert trace.halted is None and len(trace.rows) == 4 and calls == []
-
-
 @pytest.mark.parametrize("ref", [[np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0]],
                          ids=["nan", "inf"])
 def test_a_non_finite_reference_is_degenerate(ref):
@@ -742,37 +722,6 @@ def test_sandwich_corners_match_the_dense_construction(monkeypatch, case):
         assert (out.alpha, out.eps, out.cost) == (alpha, eps, cost)
         assert led_fast == led_dense
         assert list(led_fast.notes) == list(led_dense.notes)
-
-
-def _dense_frame(n, p, refu):
-    """E and U as the dense Householders applied to unit columns."""
-    dims, vref = (n,) * (p + 1), _dense_householder(refu)
-    e = _kron_apply([None] + [vref] * p, np.kron(np.eye(n), np.eye(n ** p, 1)),
-                    dims)
-    u = _kron_apply([_dense_householder_uniform(n)] + [vref] * (p - 1) + [None],
-                    np.eye(n ** (p + 1), n), dims)
-    return e, u
-
-
-def test_frame_equals_the_dense_householder_columns():
-    # E and U from Kronecker products of the H e_0 vectors are bitwise the
-    # dense reflections applied to the unit corner columns
-    rng = np.random.default_rng(16)
-    cases = 0
-    for n in range(1, 7):
-        for p in range(1, 5):
-            if n ** (p + 1) > 4096:
-                continue
-            e1 = np.eye(n)[0]
-            for refu in (e1, np.full(n, 1.0 / np.sqrt(n)),
-                         *(r / np.linalg.norm(r)
-                           for r in rng.uniform(-1.0, 1.0, (3, n)))):
-                frame = StepFrame(refu, p, refu)
-                e, u = frame.columns
-                e_ref, u_ref = _dense_frame(n, p, frame.refu)
-                assert np.array_equal(e, e_ref) and np.array_equal(u, u_ref)
-                cases += 1
-    assert cases == 5 * 23
 
 
 def _summed_parts_m(system, ledger):

@@ -586,6 +586,22 @@ def test_invert_pseudoinverse_cutoff():
                        atol=1e-10)
 
 
+@pytest.mark.parametrize("rotated", [False, True], ids=["diag", "rotated"])
+def test_poly_invert_applies_q_to_every_singular_value(rotated):
+    # no sigma/2 cutoff on the poly path: the output is V q(S) U^T / h, and
+    # q(0.1) / h = 0.844 where the exact backend's cutoff gives 0
+    m = np.diag([1.0, 0.6, 0.1])
+    if rotated:
+        m = ortho_group.rvs(3, random_state=5) @ m @ ortho_group.rvs(
+            3, random_state=6).T
+    out = sv_invert(be_of_matrix(m), InversionConfig(0.5, 1e-4, "poly"))
+    q, h = backend_inverse_poly(0.5, 1e-4)
+    u, s, vh = np.linalg.svd(m)
+    expected = vh.T @ np.diag(q(s)) @ u.T / h
+    assert np.max(np.abs(out.extract() - expected)) <= 1e-12
+    assert q(0.1) / h == pytest.approx(0.844, abs=1e-3)
+
+
 def test_invert_dead_band_raises():
     m = np.diag([1.0, 0.3])      # 0.3 sits in [sigma/2, sigma) for sigma=0.5
     with pytest.raises(ConditioningError):
