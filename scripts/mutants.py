@@ -27,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BE = "src/qnls/block_encoding.py"
+PS = "src/qnls/poly_system.py"
 QN = "src/qnls/quantum_newton.py"
 SVT = "src/qnls/svt.py"
 
@@ -57,6 +58,10 @@ MUTANTS = [
      "/ (nx2 * _eps_units(cfg.eps)))", "/ nx2)"),
     ("invert-charge-without-cost", SVT,
      "charge = be.cost * degree_budget(", "charge = degree_budget("),
+    # the reads of a system's coefficients
+    ("spectral-norm-frobenius", PS,
+     "np.linalg.norm(block, 2)", "np.linalg.norm(block)"),
+    ("evaluate-cols-read-as-rows", PS, "xp[a.cols % d]", "xp[a.rows % d]"),
     # the step's sandwich corners and four-term update
     ("jacobian-kron-order", QN,
      "np.kron(np.eye(n), tensor_power(br, p)[:, None])",

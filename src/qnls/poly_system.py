@@ -141,12 +141,18 @@ class SparseMatrix:
                        np.bincount(self.cols).max()))
 
     def spectral_norm(self) -> float:
-        """Operator 2-norm by dense SVD (desk scale only)."""
-        if max(self.dim_rows, self.dim_cols) > DESK_SCALE_CAP:
+        """Operator 2-norm by dense SVD of the nonzero-row by nonzero-column
+        block (desk scale only); the other rows and columns add only zero
+        singular values."""
+        (rows, r), (cols, c) = (np.unique(ix, return_inverse=True)
+                                for ix in (self.rows, self.cols))
+        if max(rows.size, cols.size) > DESK_SCALE_CAP:
             raise DeskScaleError("matrix too large for dense spectral norm")
         if not self.nnz:
             return 0.0
-        return float(np.linalg.norm(self.to_dense(), 2))
+        block = np.zeros((rows.size, cols.size))
+        block[r, c] = self.vals
+        return float(np.linalg.norm(block, 2))
 
     # -- algebra -------------------------------------------------------
 
@@ -274,11 +280,10 @@ def evaluate(system: PolynomialSystem, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (system.n,):
         raise DimensionMismatchError(f"x must have length {system.n}")
-    xp = tensor_power(x, system.p)
-    out = np.empty(system.n)
-    for i, a in enumerate(system.equations):
-        out[i] = 0.5 * float(np.dot(a.vals, xp[a.rows] * xp[a.cols]))
-    return out
+    xp, a = tensor_power(x, system.p), system.a_blockdiag
+    d = xp.size            # entry ((i, R), (i, C)) adds v xp[R] xp[C] / 2 to f_i
+    terms = a.vals * (xp[a.rows % d] * xp[a.cols % d])
+    return 0.5 * np.bincount(a.rows // d, terms, minlength=system.n)
 
 
 def gradient_md(system: PolynomialSystem, i: int, x: np.ndarray) -> np.ndarray:
@@ -448,9 +453,10 @@ def monomials_to_matrix(nvars: int, p: int,
     for coef, powers in monomials:
         if coef == 0.0:
             continue
-        if len(powers) != nvars or sum(powers) != 2 * p:
-            raise InputError("monomial degree must equal 2p over nvars variables")
-        digits = [var for var, e in enumerate(powers) for _ in range(e)]
+        e = np.asarray(powers)
+        if e.shape != (nvars,) or e.sum() != 2 * p or np.any(e < 0):
+            raise InputError("monomial needs nvars nonnegative exponents of degree 2p")
+        digits = np.repeat(np.arange(nvars), e)
         row = col = 0
         for dgt in digits[:p]:
             row = row * nvars + dgt

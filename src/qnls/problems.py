@@ -80,13 +80,18 @@ class GpeParams:
             raise InputError("psi_prev must have nx entries")
 
 
-def _variable_scale(scale: float | None, root: np.ndarray) -> float:
-    """The given variable scale, or one that puts root at norm _TARGET_ROOT_NORM."""
+def _variable_scale(scale: float | None, root: np.ndarray, what: str) -> float:
+    """The given variable scale, or one that puts root at norm _TARGET_ROOT_NORM;
+    InputError naming `what` when that norm overflows."""
     if scale is not None:
         if scale <= 0:
             raise InputError("scale must be positive")
         return scale
-    return max(float(np.linalg.norm(root)) / _TARGET_ROOT_NORM, 1e-6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(root))
+    if not np.isfinite(norm):
+        raise InputError(f"the norm of the {what} overflows; give a --scale")
+    return max(norm / _TARGET_ROOT_NORM, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +111,8 @@ def lv_forward_orbit(params: LvParams) -> np.ndarray:
 
 
 def lv_scale(params: LvParams) -> float:
-    return _variable_scale(params.scale, lv_forward_orbit(params))
+    return _variable_scale(params.scale, lv_forward_orbit(params),
+                           "forward-Euler orbit")
 
 
 def lv_discretize(params: LvParams) -> MixedSystem:
@@ -169,7 +175,7 @@ def lv_default_guess(params: LvParams) -> np.ndarray:
 
 def gpe_scale(params: GpeParams) -> float:
     return _variable_scale(params.scale, np.concatenate(
-        [params.psi_prev.real, params.psi_prev.imag]))
+        [params.psi_prev.real, params.psi_prev.imag]), "previous slice")
 
 
 def gpe_discretize(params: GpeParams) -> MixedSystem:

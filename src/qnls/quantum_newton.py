@@ -99,8 +99,6 @@ def recover_vector(be_xxT: BlockEncoding,
 # ---------------------------------------------------------------------------
 
 def _require_canonical(system: PolynomialSystem) -> None:
-    if system.max_entry() > 1.0 + 1e-12:
-        raise RescaleRequiredError("coefficient entries exceed 1; canonicalize first")
     if system.p * system.max_norm() > np.sqrt(system.n) + 1e-9:
         raise RescaleRequiredError(
             "p * max ||A_i|| exceeds sqrt(n); canonicalize first")

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,24 @@ def test_gen_gpe_non_finite_parameter_is_input_error(tmp_path, capsys, option):
     assert rc == 1
     assert "error: parameters must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gen_lv_overflowing_orbit_asks_for_a_scale(tmp_path, capsys):
+    # from about 1128 steps the Euler orbit of these parameters squares past
+    # the float range, so the auto scale has no finite norm to read
+    out = tmp_path / "lv.qnls"
+    args = ["gen-lv", "--alpha", "1", "--beta", "1", "--gamma", "1",
+            "--delta", "1", "--dt", "0.1", "--steps", "1128", "--v0", "1.2",
+            "--p0", "0.9", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "error: the norm of the forward-Euler orbit overflows; "
+            "give a --scale\n")
+        assert not out.exists()
+        assert main(args + ["--scale", "4"]) == 0
+    assert out.exists()
 
 
 def test_gen_lv_non_finite_scale_is_input_error(tmp_path, capsys):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnls import (DimensionMismatchError, InputError, MixedSystem, ParseError,
-                  PolynomialSystem, SparseMatrix, be_from_sparse,
-                  canonicalize, euler_check, evaluate, gradient_md,
-                  homogenize_odd, jacobian, mixed_evaluate, mixed_jacobian,
-                  tensor_power)
-from qnls.poly_system import (_swap_factor, canonicalize_mixed,
+from qnls import (DeskScaleError, DimensionMismatchError, InputError,
+                  MixedSystem, ParseError, PolynomialSystem, SparseMatrix,
+                  be_from_sparse, canonicalize, euler_check, evaluate,
+                  gradient_md, homogenize_odd, jacobian, mixed_evaluate,
+                  mixed_jacobian, tensor_power)
+from qnls.poly_system import (DESK_SCALE_CAP, _swap_factor, canonicalize_mixed,
                               evaluate_monomials, monomials_to_matrix,
                               system_parts)
 from qnls.problem_io import parse_problem
@@ -33,6 +33,29 @@ def test_sparse_rejects_duplicates_and_out_of_range():
     with pytest.raises(InputError) as exc:
         SparseMatrix.from_entries(2, 2, [(1, 0, 1.0), (0, 1, 1.0), (1, 0, 2.0)])
     assert str(exc.value) == "duplicate (row, col) entry"
+
+
+@pytest.mark.parametrize("shape", [(7, 7), (5, 9), (12, 4)])
+def test_spectral_norm_is_the_dense_norm(shape):
+    # rectangular, with empty rows and columns the nonzero block leaves out
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for _ in range(20):
+        m = rng.uniform(-1, 1, shape) * (rng.random(shape) < 0.3)
+        m[rng.integers(shape[0])] = 0.0
+        m[:, rng.integers(shape[1])] = 0.0
+        dense = np.linalg.norm(m, 2)
+        assert abs(SparseMatrix.from_dense(m).spectral_norm() - dense) \
+            <= 1e-12 * dense
+
+
+def test_spectral_norm_caps_the_nonzero_block_not_the_shape():
+    cols = np.arange(DESK_SCALE_CAP + 1)
+    row = SparseMatrix(1, cols.size, np.zeros_like(cols), cols, np.ones(cols.size))
+    with pytest.raises(DeskScaleError, match="too large for dense spectral norm"):
+        row.spectral_norm()
+    big = 10 ** 6
+    corner = SparseMatrix(big, big, [0, big - 1], [big - 1, 0], [3.0, -4.0])
+    assert corner.spectral_norm() == 4.0
 
 
 def test_sparse_drops_a_zero_duplicate_before_the_duplicate_check():
@@ -358,6 +381,12 @@ def test_monomials_to_matrix_roundtrip():
         x = rng.uniform(-1, 1, 4)
         assert evaluate(system, x)[0] == pytest.approx(
             evaluate_monomials([monos], x)[0])
+
+
+def test_monomials_to_matrix_rejects_a_negative_exponent():
+    # degree 3 - 1 = 2p at p = 1, once stored as the entry 2 x_0^2
+    with pytest.raises(InputError, match="nonnegative exponents"):
+        monomials_to_matrix(2, 1, [(1.0, (3, -1))])
 
 
 # ---------------------------------------------------------------------------

@@ -602,6 +602,19 @@ def test_poly_invert_applies_q_to_every_singular_value(rotated):
     assert q(0.1) / h == pytest.approx(0.844, abs=1e-3)
 
 
+@pytest.mark.parametrize("backend", ["exact", "poly"])
+def test_invert_claims_the_input_eps_over_sigma(backend):
+    # B = diag(1, sigma + delta) encodes diag(1, sigma) within delta; the
+    # output misses sigma * diag(1, sigma)^+ by delta / (sigma + delta), more
+    # than delta, so only a claim of delta / sigma (plus the fit's eps) covers it
+    sigma, delta = 0.5, 1e-3
+    be = be_of_matrix(np.diag([1.0, sigma + delta]), eps=delta)
+    out = sv_invert(be, InversionConfig(sigma, 1e-4, backend))
+    err = np.linalg.norm(out.extract() - np.diag([sigma, 1.0]), 2)
+    assert err == pytest.approx(delta / (sigma + delta), abs=1e-4)
+    assert err <= out.eps
+
+
 def test_invert_dead_band_raises():
     m = np.diag([1.0, 0.3])      # 0.3 sits in [sigma/2, sigma) for sigma=0.5
     with pytest.raises(ConditioningError):
