@@ -61,20 +61,20 @@ MUTANTS = [
     # the reads of a system's coefficients
     ("spectral-norm-frobenius", PS,
      "np.linalg.norm(block, 2)", "np.linalg.norm(block)"),
-    ("evaluate-cols-read-as-rows", PS, "xp[a.cols % d]", "xp[a.rows % d]"),
+    ("contraction-cols-read-as-rows", PS,
+     "right[blocks.cols % d]", "right[blocks.rows % d]"),
+    ("contraction-open-digit-leading", PS,
+     "blocks.rows // d * k + r % k", "blocks.rows // d * k + r // (d // k)"),
     # the step's sandwich corners and four-term update
-    ("jacobian-kron-order", QN,
-     "np.kron(np.eye(n), tensor_power(br, p)[:, None])",
-     "np.kron(tensor_power(br, p)[:, None], np.eye(n))"),
-    ("rhs-kron-order", QN,
-     "np.kron(np.kron(u, tensor_power(br, p - 1))[:, None], be_xxT.block)",
-     "np.kron(be_xxT.block, np.kron(u, tensor_power(br, p - 1))[:, None])"),
+    ("jacobian-corner-untransposed", QN,
+     "_sandwich(jac.T / (", "_sandwich(jac / ("),
+    ("jacobian-corner-n-for-sqrt-n", QN,
+     "jac.T / (np.sqrt(n) * m.alpha)", "jac.T / (n * m.alpha)"),
+    ("rhs-corner-b-on-the-left", QN, "half_s @ b", "b @ half_s"),
     ("reference-is-e1", QN,
      "        r = self.refu\n", "        r = np.eye(self.refu.size)[0]\n"),
     ("gamma-power-2p", QN,
      "ghat = gamma ** (2 * p_half - 1)", "ghat = gamma ** (2 * p_half)"),
-    ("uniform-state-without-sqrt", QN,
-     "np.full(r.size, 1.0 / np.sqrt(r.size))", "np.full(r.size, 1.0 / r.size)"),
     ("linear-part-rootn-is-n", QN, "rootn = np.sqrt(n)", "rootn = float(n)"),
     ("four-term-dd-sign", QN, "[1, -1, -1, 1]", "[1, -1, -1, -1]"),
     ("four-term-transpose-sign", QN, "[1, -1, -1, 1]", "[1, -1, 1, 1]"),

@@ -22,8 +22,8 @@ from .errors import (ConditioningError, DegenerateReferenceError, InputError,
                      InvariantViolationError, ParseError, QnlsError,
                      SingularJacobianError)
 from .poly_system import (PolynomialSystem, canonicalize, canonicalize_mixed,
-                          euler_check, evaluate, system_evaluators,
-                          system_parts)
+                          contract_blocks, euler_check, evaluate, gradient_md,
+                          system_evaluators, system_parts, tensor_power)
 from .problem_io import (atomic_write, parse_problem_file, problem_kind,
                          write_problem_file)
 from .problems import (GpeParams, LvParams, gpe_default_guess, gpe_discretize,
@@ -331,18 +331,20 @@ def _run_check(name: str, problem, rng) -> tuple[bool, str]:
 
 def _check_gradient(system, rng) -> tuple[bool, str]:
     """Each row i of J against central differences of f_i, at one random x
-    per row."""
-    f_eval, j_eval = system_evaluators(system)
-    n, h = system.n, 1e-5
+    per row, reading only equation i's entries: a coordinate that is no
+    digit of their indices leaves f_i bit-identical, so its difference is 0."""
+    n, p, h = system.n, system.p, 1e-5
     worst = 0.0
-    for i in range(n):
+    for i, a in enumerate(system.equations):
         x = rng.uniform(-1.0, 1.0, n)
-        grad = j_eval(x)[i]
+        grad = gradient_md(system, i, x)
+        f_i = lambda y: 0.5 * contract_blocks(a, *[tensor_power(y, p)] * 2)[0, 0]
         fd = np.zeros(n)
-        for k in range(n):
+        for k in np.unique(np.concatenate([a.rows, a.cols])
+                           // n ** np.arange(p)[:, None] % n):
             e = np.zeros(n)
             e[k] = h
-            fd[k] = (f_eval(x + e)[i] - f_eval(x - e)[i]) / (2 * h)
+            fd[k] = (f_i(x + e) - f_i(x - e)) / (2 * h)
         worst = max(worst, np.linalg.norm(grad - fd)
                     / max(1.0, np.linalg.norm(fd)))
     return worst <= 1e-6, f"max relative FD gap = {worst:.3g}"

@@ -224,9 +224,6 @@ class PolynomialSystem:
                 raise InputError("declared sparsity exceeded after symmetrization")
         object.__setattr__(self, "equations", tuple(sym))
 
-    def max_norm(self) -> float:
-        return max(a.spectral_norm() for a in self.equations)
-
     def max_entry(self) -> float:
         return max(a.max_abs_entry() for a in self.equations)
 
@@ -241,14 +238,39 @@ class PolynomialSystem:
 
     @cached_property
     def m_blockdiag(self) -> SparseMatrix:
-        """M = blockdiag(M_D^1 .. M_D^n), M_D^i = sum_{j=1}^p Q_j A_i Q_j,
-        in one merge.  Q_j reads only the p low base-n digits of an index, so
-        on the block-diagonal index it acts as I x Q_j."""
-        n, p, a = self.n, self.p, self.a_blockdiag
-        swapped = lambda ix: np.concatenate(
-            [_swap_factor(ix, n, p, j) for j in range(1, p + 1)])
-        return SparseMatrix.summed(a.dim_rows, a.dim_cols, swapped(a.rows),
-                                   swapped(a.cols), np.tile(a.vals, p))
+        """M = blockdiag(M_D^1 .. M_D^n), M_D^i = sum_{j=1}^p Q_j A_i Q_j."""
+        return _merged_m(self.n, self.p, self.a_blockdiag)
+
+    def max_norm(self) -> float:
+        return self._max_norm
+
+    @cached_property
+    def _max_norm(self) -> float:
+        """max_i ||A_i||_2, one dense SVD per equation, on the first read."""
+        return max(a.spectral_norm() for a in self.equations)
+
+
+def _merged_m(n: int, p: int, a: SparseMatrix) -> SparseMatrix:
+    """sum_{j=1}^p Q_j a Q_j in one merge.  Q_j reads only the p low base-n
+    digits of an index, so on a block-diagonal index it acts as I x Q_j."""
+    swapped = lambda ix: np.concatenate(
+        [_swap_factor(ix, n, p, j) for j in range(1, p + 1)])
+    return SparseMatrix.summed(a.dim_rows, a.dim_cols, swapped(a.rows),
+                               swapped(a.cols), np.tile(a.vals, p))
+
+
+def contract_blocks(blocks: SparseMatrix, left: np.ndarray,
+                    right: np.ndarray) -> np.ndarray:
+    """Each diagonal block B_i contracted with left on its rows and right on
+    its columns, the rows' trailing k = d / left.size left open (d =
+    right.size, the blocks' side).  Entry ((i, H, t), (i, C)) adds v (left[H]
+    right[C]) to out[i, t] in stored order; k = 1 gives left^T B_i right."""
+    d = right.size
+    k = d // left.size
+    r = blocks.rows % d
+    terms = blocks.vals * (left[r // k] * right[blocks.cols % d])
+    return np.bincount(blocks.rows // d * k + r % k, terms,
+                       minlength=blocks.dim_rows // d * k).reshape(-1, k)
 
 
 def _canonical_factor(n: int, p: int, norm: float, ent: float) -> float:
@@ -280,20 +302,17 @@ def evaluate(system: PolynomialSystem, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (system.n,):
         raise DimensionMismatchError(f"x must have length {system.n}")
-    xp, a = tensor_power(x, system.p), system.a_blockdiag
-    d = xp.size            # entry ((i, R), (i, C)) adds v xp[R] xp[C] / 2 to f_i
-    terms = a.vals * (xp[a.rows % d] * xp[a.cols % d])
-    return 0.5 * np.bincount(a.rows // d, terms, minlength=system.n)
+    xp = tensor_power(x, system.p)
+    return 0.5 * contract_blocks(system.a_blockdiag, xp, xp)[:, 0]
 
 
 def gradient_md(system: PolynomialSystem, i: int, x: np.ndarray) -> np.ndarray:
-    """grad f_i(x), row i of the Jacobian; equation index i is 0-based."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (system.n,):
-        raise DimensionMismatchError(f"x must have length {system.n}")
+    """grad f_i(x), row i of the Jacobian, read off M_D^i alone; equation
+    index i is 0-based."""
     if not (0 <= i < system.n):
         raise InputError("equation index out of range")
-    return jacobian(system, x)[i]
+    m_d = _merged_m(system.n, system.p, system.equations[i])
+    return _gradients(system, m_d, x)[0]
 
 
 def jacobian(system: PolynomialSystem, x: np.ndarray) -> np.ndarray:
@@ -302,19 +321,19 @@ def jacobian(system: PolynomialSystem, x: np.ndarray) -> np.ndarray:
     D_i(x) is the contraction of M_D^i against (x x^T)^{(p-1)} on the
     leading p-1 tensor factors, read off the merged M in one scatter.
     """
+    return _gradients(system, system.m_blockdiag, x)
+
+
+def _gradients(system: PolynomialSystem, m: SparseMatrix,
+               x: np.ndarray) -> np.ndarray:
+    """The gradient rows of the equations whose M_D^i are m's blocks."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (system.n,):
         raise DimensionMismatchError(f"x must have length {system.n}")
     if not np.all(np.isfinite(x)):
         raise InputError("x must be finite")
-    n, d, m = system.n, system.n ** system.p, system.m_blockdiag
-    w = tensor_power(x, system.p - 1)       # over n^{p-1}
-    xp = tensor_power(x, system.p)          # over n^p
-    jac = np.zeros(n * n)
-    # entry ((i, head_r, a), (i, C)): contributes v * w[head_r] * xp[C] to J[i, a]
-    np.add.at(jac, m.rows // d * n + m.rows % n,
-              m.vals * w[m.rows // n % (d // n)] * xp[m.cols % d])
-    return jac.reshape(n, n)
+    return contract_blocks(m, tensor_power(x, system.p - 1),
+                           tensor_power(x, system.p))
 
 
 def euler_check(system: PolynomialSystem, x: np.ndarray) -> float:

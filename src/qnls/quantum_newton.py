@@ -1,8 +1,8 @@
 """The end-to-end simulated quantum Newton iteration.
 
-Builds the block-diagonal gradient operator M and value operator A, the
-P sandwich, the reference-state construction whose top-left block carries
-the gradient matrix elements, pseudo-inverts the scaled Jacobian and
+Reads the block-diagonal gradient operator M and value operator A only as
+entries: the corners of the P and A sandwiches at the prepared reference
+states are scatters over them.  It pseudo-inverts the scaled Jacobian and
 assembles the rank-one density update
 
     x' x'^T = x x^T - x d^T - d x^T + d d^T,     d = J^{-1} F(x),
@@ -29,8 +29,8 @@ from .errors import (CompositionError, ConditioningError,
                      InvariantViolationError, RescaleRequiredError,
                      SingularJacobianError)
 from .poly_system import (DESK_SCALE_CAP, PolynomialSystem, SparseMatrix,
-                          evaluate, jacobian, system_evaluators, system_parts,
-                          tensor_power)
+                          contract_blocks, evaluate, jacobian,
+                          system_evaluators, system_parts, tensor_power)
 from .svt import (InversionConfig, max_eigenvalue, min_singular_value,
                   sv_invert)
 
@@ -49,27 +49,6 @@ def _encode_matrix_auto(m: SparseMatrix,
     if ent <= 1.0:
         return be_from_sparse(m, s, ledger)
     return be_rescale(be_from_sparse(m.scaled(1.0 / ent), s, ledger), ent)
-
-
-class _ChargeLog(list):
-    """Ledger stand-in that records each charge's label and amounts."""
-
-    def charge(self, label: str, **amounts) -> None:
-        self.append((label, amounts))
-
-
-def _built_once(build, owner, ledger: CostLedger | None) -> BlockEncoding:
-    """build(owner), built once per owner and QNLS_DEBUG mode; every call
-    replays the build's ledger charges in their order.  The memo is kept in
-    the owner's instance dict, so it dies with the owner."""
-    memo = vars(owner).setdefault("_built", {})
-    key = (build, debug_enabled())
-    if key not in memo:
-        memo[key] = build(owner, ledger=(log := _ChargeLog())), log
-    be, log = memo[key]
-    for label, amounts in log if ledger is not None else ():
-        ledger.charge(label, **amounts)
-    return be
 
 
 def recover_vector(be_xxT: BlockEncoding,
@@ -98,23 +77,22 @@ def recover_vector(be_xxT: BlockEncoding,
 # Operator constructions
 # ---------------------------------------------------------------------------
 
-def _require_canonical(system: PolynomialSystem) -> None:
+def _m_budget(system: PolynomialSystem, ledger: CostLedger | None) -> _Budget:
+    """Budget and charges of M's encoding: those of the sum of the p sparse
+    encodings of blockdiag(Q_j A_i Q_j), each with the entries and row and
+    column counts of blockdiag(A_i), which are checked as theirs."""
     if system.p * system.max_norm() > np.sqrt(system.n) + 1e-9:
         raise RescaleRequiredError(
             "p * max ||A_i|| exceeds sqrt(n); canonicalize first")
+    return _sum_budget([_sparse_budget(system.a_blockdiag, system.sparsity,
+                                       ledger) for _ in range(system.p)], ledger)
 
 
 def build_M_blockdiag(system: PolynomialSystem,
                       ledger: CostLedger | None = None) -> BlockEncoding:
-    """Encoding of the system's merged M = blockdiag(M_D^1 .. M_D^n) / (p s),
-    with the budget and charges of the sum of the p sparse encodings of
-    blockdiag(Q_j A_i Q_j); each has the entries and row/column counts of
-    blockdiag(A_i), which are checked as theirs."""
-    _require_canonical(system)
-    p, s = system.p, system.sparsity
-    b = _sum_budget([_sparse_budget(system.a_blockdiag, s, ledger)
-                     for _ in range(p)], ledger)
-    return _from_entries(system.m_blockdiag, b)
+    """Dense encoding of the system's merged M = blockdiag(M_D^1 .. M_D^n)
+    / (p s).  A Newton step builds it only to verify it under QNLS_DEBUG=1."""
+    return _from_entries(system.m_blockdiag, _m_budget(system, ledger))
 
 
 def build_A_blockdiag(system: PolynomialSystem,
@@ -123,20 +101,18 @@ def build_A_blockdiag(system: PolynomialSystem,
     return be_from_sparse(system.a_blockdiag.scaled(0.5), system.sparsity, ledger)
 
 
-def _sandwich(be_mid: BlockEncoding, be_xxT: BlockEncoding, p: int, k: int,
-              left: np.ndarray, right: np.ndarray, ledger: CostLedger | None,
-              intended: np.ndarray | None, label: str) -> BlockEncoding:
-    """The n x n corner left^T Mid right of L Mid R, L = I x (xx^T)^{k} x
-    I^{p-k} and R = I x (xx^T)^{p}, whose n columns left and right carry
-    L^T and R already: one N x N by N x n product, N = n^{p+1}.  Budget and
-    charges are those of L (Mid R), L = R when k = p, plus 2 cost and the
-    label's 2 primitive ops."""
+def _sandwich(corner: np.ndarray, mid, be_xxT: BlockEncoding, p: int, k: int,
+              ledger: CostLedger | None, intended: np.ndarray | None,
+              label: str) -> BlockEncoding:
+    """Encoding of the n x n corner, read off Mid's entries, of L Mid R at
+    the prepared states, L = I x (xx^T)^{k} x I^{p-k}, R = I x (xx^T)^{p}.
+    Budget and charges are those of L (Mid R) for Mid's budget, L = R when
+    k = p, plus 2 cost and the label's 2 primitive ops."""
     eye = _Budget(1.0, 0.0, 1.0)          # an exact identity register
     lb = _tensor_budget([eye] + [be_xxT] * k + [eye] * (p - k), ledger)
     rb = lb if k == p else _tensor_budget([eye] + [be_xxT] * p, ledger)
-    b = _product_budget(lb, _product_budget(be_mid, rb, ledger), ledger)
-    out = _mk(left.T @ (be_mid.block @ right), b.alpha, b.eps, intended,
-              b.cost + 2.0)
+    b = _product_budget(lb, _product_budget(mid, rb, ledger), ledger)
+    out = _mk(corner, b.alpha, b.eps, intended, b.cost + 2.0)
     if ledger is not None:
         ledger.charge(label, primitive=2.0)
     return out
@@ -152,12 +128,12 @@ def build_P(be_m: BlockEncoding, be_xxT: BlockEncoding, p: int,
 
 
 class StepFrame:
-    """One Newton step's frame at the iterate x, for degree 2p: the unit
-    reference r (e_1 when x_ref is None) and gamma = r.x (an overlap below
-    GAMMA_FLOOR, or a zero or non-finite reference, raises
-    DegenerateReferenceError before any division)."""
+    """One Newton step's frame at the iterate x: the unit reference r (e_1
+    when x_ref is None) and gamma = r.x (an overlap below GAMMA_FLOOR, or a
+    zero or non-finite reference, raises DegenerateReferenceError before any
+    division)."""
 
-    def __init__(self, x: np.ndarray, p: int, x_ref: np.ndarray | None = None):
+    def __init__(self, x: np.ndarray, x_ref: np.ndarray | None = None):
         n = len(x)
         if x_ref is None:
             refu = np.zeros(n)
@@ -175,13 +151,13 @@ class StepFrame:
         gamma = float(np.dot(refu, x))
         if not abs(gamma) >= GAMMA_FLOOR:
             raise DegenerateReferenceError(f"overlap {gamma:.2e} below {GAMMA_FLOOR}")
-        self.x, self.p, self.refu, self.gamma = x, p, refu, gamma
+        self.x, self.refu, self.gamma = x, refu, gamma
 
     def states(self, b: np.ndarray):
-        """B r, B^T r and the uniform state u, for the reference r, since
-        (I x B^{k} x I)(e_j x r^{p}) = e_j x (B r)^{k} x r^{p-k}."""
+        """B r and B^T r for the reference r, since (I x B^{k} x I)(e_j x
+        r^{p}) = e_j x (B r)^{k} x r^{p-k}; the uniform state u is 1/sqrt(n)."""
         r = self.refu
-        return b @ r, b.T @ r, np.full(r.size, 1.0 / np.sqrt(r.size))
+        return b @ r, b.T @ r
 
 
 def _amplify_to_unit(be: BlockEncoding,
@@ -197,20 +173,19 @@ def jacobian_sandwich_be(system: PolynomialSystem, be_xxT: BlockEncoding,
                          ledger: CostLedger | None = None) -> BlockEncoding:
     """The U_m U_p construction around the P encoding of the iterate frame.x.
 
-    The corner is (u x (B^T r)^{p-1} x I)^T M (I x (B r)^{p}).  Matrix
-    element (i, k) of the returned top-left block equals gamma^{2p-1}
-    (grad f_k(x))_i / (sqrt(n) * alpha_P); with alpha = alpha_P the
-    extracted matrix is gamma^{2p-1} J(x)^T / sqrt(n), gamma = frame.gamma.
-    """
+    The corner (u x (B^T r)^{p-1} x I)^T M (I x (B r)^{p}) is the Jacobian's
+    scatter at (B^T r, B r), transposed and divided by sqrt(n) alpha_M.  Its
+    element (i, k) is gamma^{2p-1} (grad f_k(x))_i / (sqrt(n) alpha_P): the
+    extracted matrix is gamma^{2p-1} J(x)^T / sqrt(n), gamma = frame.gamma."""
     n, p, x = system.n, system.p, frame.x
-    be_m = _built_once(build_M_blockdiag, system, ledger)
-    br, btr, u = frame.states(be_xxT.block)
-    left = np.kron(np.kron(u, tensor_power(btr, p - 1))[:, None], np.eye(n))
-    right = np.kron(np.eye(n), tensor_power(br, p)[:, None])
+    m = (build_M_blockdiag if debug_enabled() else _m_budget)(system, ledger)
+    br, btr = frame.states(be_xxT.block)
+    jac = contract_blocks(system.m_blockdiag, tensor_power(btr, p - 1),
+                          tensor_power(br, p))
     intended = (frame.gamma ** (2 * p - 1) * jacobian(system, x).T / np.sqrt(n)
                 if debug_enabled() else None)
-    return _sandwich(be_m, be_xxT, p, p - 1, left, right, ledger, intended,
-                     "gradient_sandwich")
+    return _sandwich(jac.T / (np.sqrt(n) * m.alpha), m, be_xxT, p, p - 1,
+                     ledger, intended, "gradient_sandwich")
 
 
 def jacobian_be(system: PolynomialSystem, be_xxT: BlockEncoding,
@@ -223,17 +198,20 @@ def jacobian_be(system: PolynomialSystem, be_xxT: BlockEncoding,
 
 def rhs_be(system: PolynomialSystem, be_xxT: BlockEncoding, frame: StepFrame,
            *, ledger: CostLedger | None = None) -> BlockEncoding:
-    """Encoding of gamma^{2p-1} F(x) x^T / sqrt(n) via the A sandwich, whose
-    corner is (I x (B^T r)^{p})^T A (u x (B r)^{p-1} x B)."""
-    n, p, x = system.n, system.p, frame.x
-    be_a = _built_once(build_A_blockdiag, system, ledger)
-    br, btr, u = frame.states(be_xxT.block)
-    left = np.kron(np.eye(n), tensor_power(btr, p)[:, None])
-    right = np.kron(np.kron(u, tensor_power(br, p - 1))[:, None], be_xxT.block)
+    """Encoding of gamma^{2p-1} F(x) x^T / sqrt(n) via the A sandwich.  The
+    corner (I x (B^T r)^{p})^T A (u x (B r)^{p-1} x B) is S B / (sqrt(n)
+    alpha_A), S the scatter of F with A's last column factor left open,
+    which the contraction reads on A's rows, as A is symmetric."""
+    n, p, x, b = system.n, system.p, frame.x, be_xxT.block
+    a = (be_from_sparse if debug_enabled() else _sparse_budget)(
+        system.a_blockdiag.scaled(0.5), system.sparsity, ledger)
+    br, btr = frame.states(b)
+    half_s = 0.5 * contract_blocks(system.a_blockdiag, tensor_power(br, p - 1),
+                                   tensor_power(btr, p))
     intended = (frame.gamma ** (2 * p - 1) * np.outer(evaluate(system, x), x)
                 / np.sqrt(n) if debug_enabled() else None)
-    return _sandwich(be_a, be_xxT, p, p, left, right, ledger, intended,
-                     "rhs_sandwich")
+    return _sandwich(half_s @ b / (np.sqrt(n) * a.alpha), a, be_xxT, p, p,
+                     ledger, intended, "rhs_sandwich")
 
 
 def norm_estimate(be_xxT: BlockEncoding, eps: float,
@@ -313,12 +291,12 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
     floor = cfg.sigma_floor
     nx2 = norm_estimate(state.be_xxT, cfg.eps, led)
     x = state.x
-    frame = StepFrame(x, p_half, x_ref)
+    frame = StepFrame(x, x_ref)
     gamma = frame.gamma
     ghat = gamma ** (2 * p_half - 1)
     rootn = np.sqrt(n)
 
-    be_lin = _built_once(_encode_matrix_auto, lin, led) if lin is not None else None
+    be_lin = _encode_matrix_auto(lin, led) if lin is not None else None
 
     j_parts = []
     if poly is not None:

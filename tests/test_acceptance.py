@@ -121,7 +121,7 @@ def test_criterion_04_appendix_c_identity():
         system = random_system(n, p, 2, seed=3000 + trial)
         x = rng.uniform(-0.4, 0.4, n)
         x[0] = float(rng.uniform(0.3, 0.5))     # healthy e1 overlap
-        frame = StepFrame(x, system.p)
+        frame = StepFrame(x)
         sand = jacobian_sandwich_be(system, be_from_vector(x), frame)
         gamma = frame.gamma
         assert sand.alpha == pytest.approx(system.p * system.sparsity)

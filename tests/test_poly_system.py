@@ -243,7 +243,7 @@ def _stacked_gradient_rows(system, x):
     for i in range(n):
         md = merged_m_d(system, i)
         grad = np.zeros(n)
-        np.add.at(grad, md.rows % n, md.vals * w[md.rows // n] * xp[md.cols])
+        np.add.at(grad, md.rows % n, md.vals * (w[md.rows // n] * xp[md.cols]))
         rows.append(grad)
     return np.vstack(rows)
 

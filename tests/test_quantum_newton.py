@@ -18,7 +18,7 @@ from qnls.problems import (GpeParams, LvParams, gpe_default_guess,
                            gpe_discretize, lv_default_guess, lv_discretize,
                            random_system)
 from qnls.poly_system import _swap_factor
-from qnls.quantum_newton import _built_once, _ChargeLog, system_evaluators
+from qnls.quantum_newton import system_evaluators
 
 from conftest import blockdiag, count_two_norms, merged_m_d, swap_matrices
 
@@ -120,7 +120,7 @@ def test_build_p_random_matches_gradient_oracle():
 
 def test_jacobian_be_basis_point(diag_system):
     x = np.array([1.0, 0.0])
-    frame = StepFrame(x, diag_system.p)
+    frame = StepFrame(x)
     be_j, gamma = jacobian_be(diag_system, be_from_vector(x), frame), frame.gamma
     assert gamma == pytest.approx(1.0)
     expected = jacobian(diag_system, x) / np.sqrt(2)
@@ -129,7 +129,7 @@ def test_jacobian_be_basis_point(diag_system):
 
 def test_jacobian_be_diag_overlap(diag_system):
     x = np.array([0.6, 0.8])
-    frame = StepFrame(x, diag_system.p)
+    frame = StepFrame(x)
     be_j, gamma = jacobian_be(diag_system, be_from_vector(x), frame), frame.gamma
     assert gamma == pytest.approx(0.6)
     expected = 0.6 * jacobian(diag_system, x) / np.sqrt(2)
@@ -141,7 +141,7 @@ def test_jacobian_be_random_general_reference():
     rng = np.random.default_rng(10)
     x = rng.uniform(-0.4, 0.4, 3)
     ref = rng.uniform(0.2, 1.0, 3)
-    frame = StepFrame(x, system.p, ref)
+    frame = StepFrame(x, ref)
     be_j, gamma = jacobian_be(system, be_from_vector(x), frame), frame.gamma
     refu = ref / np.linalg.norm(ref)
     assert gamma == pytest.approx(float(refu @ x))
@@ -156,7 +156,7 @@ def test_appendix_c_matrix_elements():
     rng = np.random.default_rng(21)
     x = rng.uniform(-0.4, 0.4, 3)
     x[0] = 0.45
-    frame = StepFrame(x, system.p)
+    frame = StepFrame(x)
     sand = jacobian_sandwich_be(system, be_from_vector(x), frame)
     gamma, block = frame.gamma, sand.block
     for k in range(3):
@@ -172,7 +172,7 @@ def test_e1_reference_matches_default(p):
     x = np.array([0.45, -0.2, 0.3])
     be = be_from_vector(x)
     e1 = np.array([1.0, 0.0, 0.0])
-    frame, frame_e1 = StepFrame(x, p), StepFrame(x, p, e1)
+    frame, frame_e1 = StepFrame(x), StepFrame(x, e1)
     sand = jacobian_sandwich_be(system, be, frame)
     sand_e1 = jacobian_sandwich_be(system, be, frame_e1)
     assert frame.gamma == frame_e1.gamma == 0.45
@@ -184,15 +184,15 @@ def test_e1_reference_matches_default(p):
 def test_degenerate_reference_raises(diag_system):
     x = np.array([0.0, 0.7])
     with pytest.raises(DegenerateReferenceError):
-        jacobian_be(diag_system, be_from_vector(x), StepFrame(x, diag_system.p))
+        jacobian_be(diag_system, be_from_vector(x), StepFrame(x))
 
 
 def test_rhs_be_zero_and_diag(diag_system):
     be0 = be_from_vector(np.zeros(2))
     with pytest.raises(DegenerateReferenceError):
-        rhs_be(diag_system, be0, StepFrame(np.zeros(2), diag_system.p))  # gamma = 0
+        rhs_be(diag_system, be0, StepFrame(np.zeros(2)))  # gamma = 0
     x = np.array([0.6, 0.8])
-    be_r = rhs_be(diag_system, be_from_vector(x), StepFrame(x, diag_system.p))
+    be_r = rhs_be(diag_system, be_from_vector(x), StepFrame(x))
     gamma = x[0]
     f = evaluate(diag_system, x)
     expected = gamma * np.outer(f, x) / np.sqrt(2)
@@ -206,7 +206,7 @@ def test_rhs_be_random():
     rng = np.random.default_rng(31)
     x = rng.uniform(-0.4, 0.4, 3)
     x[0] = 0.4
-    be_r = rhs_be(system, be_from_vector(x), StepFrame(x, system.p))
+    be_r = rhs_be(system, be_from_vector(x), StepFrame(x))
     expected = x[0] ** 3 * np.outer(evaluate(system, x), x) / np.sqrt(3)
     assert np.linalg.norm(be_r.extract() - expected, 2) <= 1e-8
 
@@ -217,7 +217,7 @@ def test_factor_cancellation_invariant():
     rng = np.random.default_rng(34)
     x = rng.uniform(0.2, 0.6, 2)
     bex = be_from_vector(x)
-    frame = StepFrame(x, system.p)
+    frame = StepFrame(x)
     be_j = jacobian_be(system, bex, frame)
     sigma = 0.5 * np.linalg.svd(be_j.extract(), compute_uv=False)[-1]
     cfg = InversionConfig(sigma / be_j.alpha, 1e-8)
@@ -382,28 +382,54 @@ def _spy(calls, name, real):
     return counted
 
 
-def test_step_invariant_encodings_are_built_once_per_system(monkeypatch):
-    # M, A and the linear part (the last two sparse encodings) are built on
-    # the first step only; every later step replays their ledger charges
+def test_plain_steps_encode_only_the_linear_part_and_are_charged_alike(
+        monkeypatch):
+    # a plain step reads M and A as entries, so it builds neither encoding;
+    # its one sparse encoding is the n x n linear part, built on every step.
+    # M's and A's budgets are recomputed, so every step is charged alike
     import qnls.quantum_newton as qn
 
     monkeypatch.delenv("QNLS_DEBUG", raising=False)
     calls = []
-    for name in ("be_from_sparse", "build_M_blockdiag"):
+    for name in ("be_from_sparse", "build_M_blockdiag", "build_A_blockdiag"):
         monkeypatch.setattr(qn, name, _spy(calls, name, getattr(qn, name)))
-    counts, ledgers = {}, {}
-    for steps in (1, 3):
-        system, x0, _ = _gpe_nx3()
-        assert system.nonlinear.p == 2
-        calls.clear()
-        state, trace = newton_solve(system, x0, steps, CFG)
-        assert trace.halted is None and state.k == steps
-        counts[steps], ledgers[steps] = sorted(calls), trace.rows
-    assert counts[1] == counts[3] == ["be_from_sparse"] * 2 + ["build_M_blockdiag"]
-    # the second step is charged as the first
-    r0, r1, r2 = ledgers[3][:3]
-    assert r2.oracle_queries - r1.oracle_queries == pytest.approx(
-        r1.oracle_queries - r0.oracle_queries, rel=1e-12)
+    system, x0, _ = _gpe_nx3()
+    assert system.nonlinear.p == 2
+    state, trace = newton_solve(system, x0, 3, CFG)
+    assert trace.halted is None and state.k == 3
+    assert calls == ["be_from_sparse"] * 3
+    # step k + 1 is charged as step k
+    r0, r1, r2, r3 = trace.rows
+    for a, b, c in ((r0, r1, r2), (r1, r2, r3)):
+        assert c.oracle_queries - b.oracle_queries == pytest.approx(
+            b.oracle_queries - a.oracle_queries, rel=1e-12)
+
+
+@pytest.mark.parametrize("make, cfg", [
+    (_gpe_nx3, CFG), (_lv_t3, InversionConfig(0.03, 1e-3, "poly"))],
+    ids=["gpe-exact", "lv-poly"])
+def test_a_plain_step_builds_no_array_with_n_p1_rows(monkeypatch, make, cfg):
+    # M and A are read as entries: no sparse matrix of n^{p+1} rows is
+    # densified and no Kronecker product reaches n^{p+1} rows
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    system, x0, _ = make()
+    big = system.n ** (system.nonlinear.p + 1)
+    rows, to_dense, kron = [], SparseMatrix.to_dense, np.kron
+
+    def watched_to_dense(self):
+        rows.append(self.dim_rows)
+        return to_dense(self)
+
+    def watched_kron(a, b):
+        out = kron(a, b)
+        rows.extend(np.shape(m)[0] for m in (a, b, out))
+        return out
+
+    monkeypatch.setattr(SparseMatrix, "to_dense", watched_to_dense)
+    monkeypatch.setattr(np, "kron", watched_kron)
+    nxt = newton_step(system, state_for(x0), cfg)
+    assert nxt.k == 1
+    assert rows and max(rows) < big
 
 
 @pytest.mark.parametrize("ref", [[np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0]],
@@ -424,12 +450,12 @@ def test_a_non_finite_reference_is_rejected_before_dividing(ref):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateReferenceError, match="overlap nan below"):
-            StepFrame(np.array([0.45, -0.2, 0.3]), 1, x_ref=np.array(ref))
+            StepFrame(np.array([0.45, -0.2, 0.3]), x_ref=np.array(ref))
 
 
 def test_debug_after_a_plain_solve_still_verifies_m(monkeypatch):
-    # the memo is keyed on QNLS_DEBUG, so a debug solve of a system first
-    # solved without it still builds M with its intended matrix
+    # a plain solve builds no dense M; a debug solve of the same system
+    # builds it on every step, with its intended matrix, and verifies it
     import qnls.quantum_newton as qn
 
     built = []
@@ -443,11 +469,13 @@ def test_debug_after_a_plain_solve_still_verifies_m(monkeypatch):
     system, x0, steps = _lv_t3()
     monkeypatch.delenv("QNLS_DEBUG", raising=False)
     _, plain = newton_solve(system, x0, steps, CFG)
-    assert [be.intended for be in built] == [None]
+    assert built == []
     monkeypatch.setenv("QNLS_DEBUG", "1")
     _, debug = newton_solve(system, x0, steps, CFG)
-    assert len(built) == 2 and built[1].intended is not None
-    built[1].verify()
+    assert len(built) == steps
+    for be in built:
+        assert be.intended is not None
+        be.verify()
     assert plain.halted is None and debug.to_csv() == plain.to_csv()
 
 
@@ -472,19 +500,33 @@ def test_solver_path_builds_no_unitary(monkeypatch, debug):
 
 
 def test_certified_blocks_skip_the_norm_svd(monkeypatch):
-    # every n^{p+1}-dimensional block of a GPE step is certified a
-    # contraction by a cheap norm bound, so _mk runs no dense 2-norm on it
-    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    # a plain GPE step makes no n^{p+1}-dimensional block; a QNLS_DEBUG=1
+    # step makes M and A, and a cheap norm bound certifies each of them a
+    # contraction, so no dense 2-norm runs on a block that wide
+    import qnls.block_encoding as be_mod
+
     psi = np.array([0.3 + 0.1j, -0.2 + 0.25j, 0.15 - 0.3j])
     params = GpeParams(3, 0.5, 1.0, np.full(3, 0.2), 0.05, 0.5, psi)
     system = gpe_discretize(params)
     big = system.n ** (system.nonlinear.p + 1)
-    two_norms = count_two_norms(monkeypatch)
-    state, trace = newton_solve(system, gpe_default_guess(params), 1, CFG)
-    assert trace.halted is None
-    assert state.k == 1
-    assert two_norms                     # the n x n checks still run
-    assert all(s[0] != big for s in two_norms)
+    two_norms, widths = count_two_norms(monkeypatch), []
+
+    def watched_mk(block, *args):
+        widths.append(block.shape[0])
+        return mk(block, *args)
+
+    mk = be_mod._mk
+    monkeypatch.setattr(be_mod, "_mk", watched_mk)
+    for debug, built in (("", 0), ("1", 2)):
+        monkeypatch.setenv("QNLS_DEBUG", debug)
+        two_norms.clear()
+        widths.clear()
+        state, trace = newton_solve(system, gpe_default_guess(params), 1, CFG)
+        assert trace.halted is None
+        assert state.k == 1
+        assert widths.count(big) == built
+        assert two_norms                     # the n x n checks still run
+        assert all(s[0] != big for s in two_norms)
 
 
 def test_each_amplification_runs_one_dense_norm(monkeypatch):
@@ -638,8 +680,8 @@ def _dense_apply_right(mat, op, dims, axis):
 def _dense_jacobian_sandwich(system, be_xxT, x, x_ref, ledger):
     """Block, alpha, eps, cost of the sandwich corner from the whole P."""
     n, p = system.n, system.p
-    refu = StepFrame(x, p, x_ref).refu
-    be_m = _built_once(build_M_blockdiag, system, ledger)
+    refu = StepFrame(x, x_ref).refu
+    be_m = build_M_blockdiag(system, ledger)
     eye = be_of_matrix(np.eye(n))
     left = be_tensor([eye] + [be_xxT] * (p - 1) + [eye], ledger)
     right = be_tensor([eye] + [be_xxT] * p, ledger)
@@ -661,8 +703,8 @@ def _dense_jacobian_sandwich(system, be_xxT, x, x_ref, ledger):
 def _dense_rhs_sandwich(system, be_xxT, x, x_ref, ledger):
     """Block, alpha, eps, cost of the corner of the whole T A T."""
     n, p = system.n, system.p
-    refu = StepFrame(x, p, x_ref).refu
-    be_a = _built_once(build_A_blockdiag, system, ledger)
+    refu = StepFrame(x, x_ref).refu
+    be_a = build_A_blockdiag(system, ledger)
     tens = be_tensor([be_of_matrix(np.eye(n))] + [be_xxT] * p, ledger)
     be_r = be_product(tens, be_product(be_a, tens, ledger), ledger)
     dims = (n,) * (p + 1)
@@ -716,12 +758,19 @@ def test_sandwich_corners_match_the_dense_construction(monkeypatch, case):
     for fast, dense in ((jacobian_sandwich_be, _dense_jacobian_sandwich),
                         (rhs_be, _dense_rhs_sandwich)):
         led_fast, led_dense = CostLedger(), CostLedger()
-        out = fast(system, be, StepFrame(x, system.p, ref), ledger=led_fast)
+        out = fast(system, be, StepFrame(x, ref), ledger=led_fast)
         block, alpha, eps, cost = dense(system, be, x, ref, led_dense)
         assert np.max(np.abs(out.block - block)) <= 1e-12
         assert (out.alpha, out.eps, out.cost) == (alpha, eps, cost)
         assert led_fast == led_dense
         assert list(led_fast.notes) == list(led_dense.notes)
+
+
+class _ChargeLog(list):
+    """Ledger stand-in that records each charge's label and amounts."""
+
+    def charge(self, label, **amounts):
+        self.append((label, amounts))
 
 
 def _summed_parts_m(system, ledger):
@@ -821,26 +870,34 @@ def _gpe_nx5():
     return gpe_discretize(params).nonlinear
 
 
-@pytest.mark.parametrize("build", [build_M_blockdiag, build_A_blockdiag],
-                         ids=["M", "A"])
-def test_plain_sparse_encoding_holds_one_dense_copy(monkeypatch, build):
+@pytest.mark.parametrize("build, sandwich", [
+    (build_M_blockdiag, jacobian_sandwich_be), (build_A_blockdiag, rhs_be)],
+    ids=["M", "A"])
+def test_plain_sparse_encoding_holds_one_dense_copy(monkeypatch, build,
+                                                    sandwich):
     # a plain build holds the divided block and _norm_above's |.| temporary,
     # 2 N^2 doubles; a build that also densified the undivided matrix would
-    # hold 3
+    # hold 3.  Only criterion 1, QNLS_DEBUG=1, unitary, build_P and
+    # init_heuristic build it: the step's sandwich corner over the same
+    # operator, read off its entries, holds under 1 % of one N^2 copy
     import tracemalloc
 
+    def dim_and_peak(run):
+        system = _gpe_nx5()
+        tracemalloc.start()
+        try:
+            return run(system).logical_dim, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     monkeypatch.delenv("QNLS_DEBUG", raising=False)
-    system = _gpe_nx5()
-    big = system.n ** (system.p + 1)
-    assert big == 1331
-    tracemalloc.start()
-    try:
-        be = build(system)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert be.logical_dim == big
-    assert peak <= 2.5 * big * big * 8
+    copy = 1331 * 1331 * 8                 # bytes of one N x N block
+    dim, peak = dim_and_peak(build)
+    assert dim == 1331 and peak <= 2.5 * copy
+    x = np.array([0.5, 0.1, -0.2, 0.3, 0.0, 0.1, -0.1, 0.2, 0.1, -0.3, 0.2])
+    dim, peak = dim_and_peak(lambda system: sandwich(
+        system, be_from_vector(x), StepFrame(x), ledger=CostLedger()))
+    assert dim == 11 and peak <= 0.01 * copy
 
 
 def _widths(obj):
@@ -854,8 +911,8 @@ def _widths(obj):
 
 
 def test_newton_step_composes_no_block_wider_than_n(monkeypatch):
-    # once M and A are built, a p = 2 step composes only n x n blocks: the
-    # sandwiches keep their n columns and never form an n^{p+1}-square one
+    # a plain p = 2 step composes only n x n blocks: the sandwich corners
+    # are read off M's and A's entries, never an n^{p+1}-square block
     import qnls.block_encoding as be_mod
     import qnls.quantum_newton as qn
     import qnls.svt as svt_mod
@@ -863,7 +920,6 @@ def test_newton_step_composes_no_block_wider_than_n(monkeypatch):
     monkeypatch.delenv("QNLS_DEBUG", raising=False)
     system, x0, _ = _gpe_nx3()
     assert system.nonlinear.p == 2
-    state = newton_step(system, state_for(x0), CFG)      # builds M and A
     widths = []
 
     def watch(fn):
@@ -878,8 +934,8 @@ def test_newton_step_composes_no_block_wider_than_n(monkeypatch):
         for name in ("be_product", "be_tensor", "_mk"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, watch(getattr(mod, name)))
-    nxt = newton_step(system, state, CFG)
-    assert nxt.k == 2
+    nxt = newton_step(system, state_for(x0), CFG)
+    assert nxt.k == 1
     assert widths and max(widths) == system.n
 
 
