@@ -30,8 +30,8 @@ is how `tests/golden/` is regenerated:
         "import artifact_digest; artifact_digest.write_golden('tests/golden')"
 
 Compare only digests made at the same OpenBLAS thread count: the
-`lv_poly_cap.csv` and `lv_poly_cap.txt` hashes depend on it (71b4f35b… and
-1984097b… with OPENBLAS_NUM_THREADS=1, ddff0c49… and 3a54ab9a… with 2).
+`lv_poly_cap.csv` and `lv_poly_cap.txt` hashes depend on it (94ba4409… and
+1984097b… with OPENBLAS_NUM_THREADS=1, 8e62ee02… and a5fc5a84… with 2).
 """
 
 import contextlib

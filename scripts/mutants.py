@@ -35,7 +35,8 @@ SVT = "src/qnls/svt.py"
 MUTANTS = [
     # the cost and error budgets
     ("amplify-to-half-alpha", QN,
-     "factor = min(be.alpha, ", "factor = min(be.alpha / 2, "),
+     "factor = be.alpha if nrm is None else min(be.alpha, ",
+     "factor = be.alpha / 2 if nrm is None else min(be.alpha / 2, "),
     ("degree-budget-without-sigma-in-log", SVT,
      "_log2(1.0 / (sigma * _eps_units(eps)))", "_log2(1.0 / _eps_units(eps))"),
     ("product-eps-one-term", BE,
@@ -58,9 +59,23 @@ MUTANTS = [
      "/ (nx2 * _eps_units(cfg.eps)))", "/ nx2)"),
     ("invert-charge-without-cost", SVT,
      "charge = be.cost * degree_budget(", "charge = degree_budget("),
-    # the reads of a system's coefficients
+    # the one spectral norm and the bounds its callers ask it with
     ("spectral-norm-frobenius", PS,
-     "np.linalg.norm(block, 2)", "np.linalg.norm(block)"),
+     "nrm = np.linalg.norm(m, 2)", "nrm = np.linalg.norm(m)"),
+    ("overflowed-frobenius-answers-inf", PS,
+     "if not np.isfinite(fro) and not np.isfinite(m).all():",
+     "if not np.isfinite(fro):"),
+    ("canonical-bound-without-p", PS,
+     "spectral_norm(np.sqrt(n) / p * (1.0 - 1e-12))",
+     "spectral_norm(np.sqrt(n) * (1.0 - 1e-12))"),
+    ("amplify-bound-without-alpha", QN,
+     "(1.0 - 1e-6) / be.alpha * (1.0 - 1e-12)",
+     "(1.0 - 1e-6) * (1.0 - 1e-12)"),
+    ("canonical-bound-without-margin", PS,
+     "np.sqrt(n) / p * (1.0 - 1e-12))", "np.sqrt(n) / p)"),
+    ("amplify-bound-without-margin", QN,
+     "/ be.alpha * (1.0 - 1e-12))", "/ be.alpha)"),
+    # the reads of a system's coefficients
     ("contraction-cols-read-as-rows", PS,
      "right[blocks.cols % d]", "right[blocks.rows % d]"),
     ("contraction-open-digit-leading", PS,

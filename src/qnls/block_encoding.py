@@ -12,10 +12,10 @@ the dilation only when a caller reads it, and neither the solver path nor
 Products, tensor products and sums of contractions are contractions, so
 each new block is checked against norm 1 only as a guard against roundoff.
 That guard, ``verify``'s two checks, the overflow check of amplification
-and the Hermitian check of eigenvalue estimation all ask ``_norm_above``:
-two cheap upper bounds on the spectral norm (Frobenius, then
-sqrt(||B||_1 ||B||_inf)) first, and the dense spectral-norm SVD only for
-a matrix they cannot place below the bound.
+and the Hermitian check of eigenvalue estimation all ask ``poly_system``'s
+``_norm_above``, the package's one spectral norm: two cheap upper bounds
+(Frobenius, then sqrt(||B||_1 ||B||_inf)) first, and the dense
+spectral-norm SVD only for a matrix they cannot place below the bound.
 
 Only under QNLS_DEBUG=1 do the leaf constructors attach the intended
 matrix; every operation carries it through and re-checks the encoding.
@@ -34,7 +34,7 @@ import numpy as np
 from .errors import (AmplificationOverflowError, CompositionError,
                      DeskScaleError, DimensionMismatchError, InputError,
                      InvariantViolationError, RescaleRequiredError)
-from .poly_system import DESK_SCALE_CAP, SparseMatrix
+from .poly_system import DESK_SCALE_CAP, SparseMatrix, _norm_above
 
 _EPS_FLOOR = 1e-16
 _UNITARITY_TOL = 1e-10
@@ -147,38 +147,6 @@ class BlockEncoding:
             if err is not None:
                 raise InvariantViolationError(
                     f"encoded block off intended by {err:.3e} (budget {self.eps:.3e})")
-
-
-def _norm_above(m: np.ndarray, bound: float) -> float | None:
-    """||m||_2 when it exceeds bound, else None.
-
-    A cheap upper bound that proves ||m||_2 <= bound (1 - margin) answers
-    None at once: ||m||_F, then sqrt(||m||_1 ||m||_inf), each O(k^2) on a
-    k x k matrix.  Only when neither certifies does the dense
-    spectral-norm SVD run and decide.  A NaN bound certifies nothing, and
-    an m whose Frobenius norm is not finite answers inf before any SVD.
-
-    A certified m is one whose dense norm would also come out <= bound, so
-    skipping the SVD changes no verdict.  With u = 2^-53, the Frobenius norm
-    sums k^2 squares and is within (k^2/2) u of the true value, and the 1-
-    and inf-norm sums are within k u.  Underflow in the squares adds under
-    1e-300, far below the smallest squared bound here (1e-20).  The SVD's
-    own error is a small multiple of k u ||m||_2, so margin =
-    (k^2/2 + 64 k) u suffices: a certified m has ||m||_2 <= (1 - margin)
-    (1 + (k^2/2) u) bound < (1 - 64 k u) bound.  The margin is 3.5e-11 at
-    k = 729 and 9.6e-10 at the desk-scale cap k = 4096.
-    """
-    k = max(m.shape)
-    certified = bound * (1.0 - (k * k / 2 + 64 * k) * 2.0 ** -53)
-    if (fro := np.linalg.norm(m)) <= certified:
-        return None
-    if not np.isfinite(fro):
-        return math.inf
-    a = np.abs(m)
-    if np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()) <= certified:
-        return None
-    nrm = np.linalg.norm(m, 2)
-    return None if nrm <= bound else nrm
 
 
 def _mk(block: np.ndarray, alpha: float, eps: float, intended,

@@ -46,6 +46,39 @@ def tensor_power(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore")
+def _norm_above(m: np.ndarray, bound: float) -> float | None:
+    """||m||_2 when it exceeds bound, else None.
+
+    A cheap upper bound that proves ||m||_2 <= bound (1 - margin) answers
+    None at once: ||m||_F, then sqrt(||m||_1 ||m||_inf), each O(k^2) on a
+    k x k matrix.  Only when neither certifies does the dense
+    spectral-norm SVD run and decide.  A NaN bound, or a cheap bound that
+    overflows, certifies nothing; a non-finite entry answers inf at once.
+
+    A certified m is one whose dense norm would also come out <= bound, so
+    skipping the SVD changes no verdict.  With u = 2^-53, the Frobenius norm
+    sums k^2 squares and is within (k^2/2) u of the true value, and the 1-
+    and inf-norm sums are within k u.  Underflow in the squares adds under
+    1e-300, far below the smallest squared bound here (1e-20).  The SVD's
+    own error is a small multiple of k u ||m||_2, so margin =
+    (k^2/2 + 64 k) u suffices: a certified m has ||m||_2 <= (1 - margin)
+    (1 + (k^2/2) u) bound < (1 - 64 k u) bound.  The margin is 3.5e-11 at
+    k = 729 and 9.6e-10 at the desk-scale cap k = 4096.
+    """
+    k = max(m.shape)
+    certified = bound * (1.0 - (k * k / 2 + 64 * k) * 2.0 ** -53)
+    if (fro := np.linalg.norm(m)) <= certified:
+        return None
+    if not np.isfinite(fro) and not np.isfinite(m).all():
+        return math.inf
+    a = np.abs(m)
+    if np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()) <= certified:
+        return None
+    nrm = np.linalg.norm(m, 2)
+    return None if nrm <= bound else nrm
+
+
 @dataclass(frozen=True, eq=False)
 class SparseMatrix:
     """COO matrix with unique, in-range, nonzero entries."""
@@ -140,19 +173,19 @@ class SparseMatrix:
         return int(max(np.bincount(self.rows).max(),
                        np.bincount(self.cols).max()))
 
-    def spectral_norm(self) -> float:
-        """Operator 2-norm by dense SVD of the nonzero-row by nonzero-column
-        block (desk scale only); the other rows and columns add only zero
-        singular values."""
+    def spectral_norm(self, bound: float = math.nan) -> float | None:
+        """``_norm_above`` of the nonzero-row by nonzero-column block (desk
+        scale only; the other rows and columns add only zero singular
+        values): None when the norm is at most bound, never for NaN."""
         (rows, r), (cols, c) = (np.unique(ix, return_inverse=True)
                                 for ix in (self.rows, self.cols))
         if max(rows.size, cols.size) > DESK_SCALE_CAP:
             raise DeskScaleError("matrix too large for dense spectral norm")
         if not self.nnz:
-            return 0.0
+            return None if bound >= 0.0 else 0.0
         block = np.zeros((rows.size, cols.size))
         block[r, c] = self.vals
-        return float(np.linalg.norm(block, 2))
+        return _norm_above(block, bound)
 
     # -- algebra -------------------------------------------------------
 
@@ -224,9 +257,6 @@ class PolynomialSystem:
                 raise InputError("declared sparsity exceeded after symmetrization")
         object.__setattr__(self, "equations", tuple(sym))
 
-    def max_entry(self) -> float:
-        return max(a.max_abs_entry() for a in self.equations)
-
     @cached_property
     def a_blockdiag(self) -> SparseMatrix:
         """blockdiag(A_1 .. A_n), equation i at offset i n^p.  It and M are
@@ -273,12 +303,14 @@ def contract_blocks(blocks: SparseMatrix, left: np.ndarray,
                        minlength=blocks.dim_rows // d * k).reshape(-1, k)
 
 
-def _canonical_factor(n: int, p: int, norm: float, ent: float) -> float:
-    """min(1, sqrt(n) / (p norm), 1 / ent), a zero norm or entry imposing nothing."""
+def _canonical_factor(n: int, p: int, a: SparseMatrix) -> float:
+    """min(1, sqrt(n) / (p ||a||_2), 1 / max |a_ij|), a zero norm or entry
+    imposing nothing; the norm is asked only above sqrt(n)/p less 1e-12
+    relative, under which the float ratio is > 1 however it rounds."""
     c = 1.0
-    if norm > 0:
+    if (norm := a.spectral_norm(np.sqrt(n) / p * (1.0 - 1e-12))) is not None:
         c = min(c, np.sqrt(n) / (p * norm))
-    if ent > 0:
+    if (ent := a.max_abs_entry()) > 0:
         c = min(c, 1.0 / ent)
     return c
 
@@ -287,10 +319,10 @@ def canonicalize(system: PolynomialSystem) -> tuple[PolynomialSystem, float]:
     """Rescale all A_i by one common factor c <= 1 so that
     p * max_i ||A_i||_2 <= sqrt(n) and max |entry| <= 1.
 
-    The factor is returned; roots are unchanged by a common rescale.
+    The factor, returned, is the least per-equation factor: the ratios fall
+    monotonically in norm and entry.  A common rescale keeps the roots.
     """
-    c = _canonical_factor(system.n, system.p, system.max_norm(),
-                          system.max_entry())
+    c = min(_canonical_factor(system.n, system.p, a) for a in system.equations)
     if c >= 1.0:
         return system, 1.0
     eqs = tuple(a.scaled(c) for a in system.equations)
@@ -424,13 +456,10 @@ def canonicalize_mixed(ms: MixedSystem) -> tuple[MixedSystem, np.ndarray]:
     homogeneous case would not, since it changes the nonlinear/linear balance.
     Returns the scaled system and the per-row factors.
     """
-    factors = np.ones(ms.n)
     if ms.nonlinear is None:
-        return ms, factors
+        return ms, np.ones(ms.n)
     nl = ms.nonlinear
-    for i, a in enumerate(nl.equations):
-        factors[i] = _canonical_factor(nl.n, nl.p, a.spectral_norm(),
-                                       a.max_abs_entry())
+    factors = np.array([_canonical_factor(nl.n, nl.p, a) for a in nl.equations])
     if np.all(factors >= 1.0):
         return ms, np.ones(ms.n)
     eqs = tuple(a.scaled(f) for a, f in zip(nl.equations, factors))

@@ -29,7 +29,7 @@ from .errors import (CompositionError, ConditioningError,
                      InvariantViolationError, RescaleRequiredError,
                      SingularJacobianError)
 from .poly_system import (DESK_SCALE_CAP, PolynomialSystem, SparseMatrix,
-                          contract_blocks, evaluate, jacobian,
+                          _norm_above, contract_blocks, evaluate, jacobian,
                           system_evaluators, system_parts, tensor_power)
 from .svt import (InversionConfig, max_eigenvalue, min_singular_value,
                   sv_invert)
@@ -162,9 +162,10 @@ class StepFrame:
 
 def _amplify_to_unit(be: BlockEncoding,
                      ledger: CostLedger | None) -> BlockEncoding:
-    """Amplify toward alpha = 1 as far as the block norm leaves headroom."""
-    nrm = float(np.linalg.norm(be.block, 2))
-    factor = min(be.alpha, (1.0 - 1e-6) / max(nrm, 1e-300))
+    """Amplify toward alpha = 1 as far as the block norm leaves headroom; the
+    norm is asked only above (1 - 1e-6) / alpha less 1e-12 relative."""
+    nrm = _norm_above(be.block, (1.0 - 1e-6) / be.alpha * (1.0 - 1e-12))
+    factor = be.alpha if nrm is None else min(be.alpha, (1.0 - 1e-6) / nrm)
     return be_amplify(be, factor, ledger) if factor > 1.0 else be
 
 

@@ -22,9 +22,9 @@ from functools import lru_cache
 import numpy as np
 
 from .block_encoding import (BlockEncoding, CostLedger, _eps_units, _log2,
-                             _mk, _norm_above, be_product, be_transpose,
-                             debug_enabled)
+                             _mk, be_product, be_transpose, debug_enabled)
 from .errors import ConditioningError, ConfigError, InputError
+from .poly_system import _norm_above
 
 _DEGREE_CAP = 1200   # the search's limit, for memory: a fit or cap grid
                      # holds 2*degree**2 doubles, 23 MB at 1199
@@ -73,7 +73,9 @@ class OddPolynomial:
         return int(nz[-1]) if nz.size else 0
 
     def __call__(self, x):
-        return np.polynomial.chebyshev.chebval(x, self.cheb_coeffs)
+        x = np.asarray(x, dtype=np.float64)
+        odd = _odd_cheb_columns(x.ravel(), self.cheb_coeffs.size - 1)
+        return (odd @ self.cheb_coeffs[1::2]).reshape(x.shape)[()]
 
 
 def _odd_cheb_columns(xs: np.ndarray, degree: int) -> np.ndarray:
@@ -82,7 +84,7 @@ def _odd_cheb_columns(xs: np.ndarray, degree: int) -> np.ndarray:
     odd columns are, so the products take the same BLAS path and bytes."""
     rows = np.empty(((degree + 1) // 2, xs.size))
     x2, prev, cur = 2 * xs, np.ones_like(xs), xs          # T_0, T_1
-    rows[0] = cur
+    rows[:1] = cur                                         # none at degree 0
     for k in range(3, degree + 1, 2):
         prev = cur * x2 - prev                             # T_(k-1)
         cur = prev * x2 - cur                              # T_k

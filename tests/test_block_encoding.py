@@ -12,7 +12,8 @@ from qnls import (AmplificationOverflowError, BlockEncoding,
                   be_from_sparse, be_from_vector, be_of_matrix,
                   be_outer, be_product, be_rescale, be_sum, be_tensor,
                   be_transpose, min_eigenvalue)
-from qnls.block_encoding import _UNITARITY_TOL, _mk, _norm_above
+from qnls.block_encoding import _UNITARITY_TOL, _mk
+from qnls.poly_system import _norm_above
 
 from conftest import count_two_norms
 

@@ -486,7 +486,7 @@ NUMPY_EXTRAS = ("extras = {'.'.join(m.split('.')[:2]) for m in sys.modules\n"
 
 def test_exact_commands_import_no_scipy(tmp_path):
     # scipy is loaded only by the classical oracle,
-    # numpy.polynomial only by poly-backend fits, numpy.ma by no command
+    # numpy.polynomial and numpy.ma by no command
     lv, gpe = tmp_path / "lv.qnls", tmp_path / "gpe.qnls"
     commands = [
         ["gen-lv", "--alpha", "1", "--beta", "1", "--gamma", "1", "--delta",
@@ -513,12 +513,12 @@ def test_exact_commands_import_no_scipy(tmp_path):
 
 
 def assert_poly_solve_imports_no_scipy(command):
-    """Runs a poly-backend solve in a fresh process: it exits 0, loads
-    numpy.polynomial, and loads neither scipy nor numpy.ma."""
+    """Runs a poly-backend solve in a fresh process: it exits 0 and loads
+    none of scipy, numpy.polynomial and numpy.ma."""
     script = ("import sys\nfrom qnls.cli import main\n"
               f"assert main({command!r}) == 0\n"
               f"{NUMPY_EXTRAS}\n"
-              "assert 'numpy.polynomial' in extras, extras\n"
+              "assert 'numpy.polynomial' not in extras, extras\n"
               "assert 'numpy.ma' not in extras, extras\n"
               "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = {k: v for k, v in os.environ.items() if k != "QNLS_DEBUG"}
@@ -529,7 +529,8 @@ def assert_poly_solve_imports_no_scipy(command):
 
 
 def test_poly_solve_imports_no_scipy(tmp_path):
-    # the Remez exchange fits every degree; the fits load numpy.polynomial
+    # the Remez exchange fits every degree, and the fit is evaluated on the
+    # same odd Chebyshev columns, so neither loads numpy.polynomial
     lv = lv_file(tmp_path)
     assert_poly_solve_imports_no_scipy(
         ["solve", "--problem", str(lv), "--x0", f"{lv}.x0", "--backend",
@@ -586,6 +587,36 @@ def test_debug_mode_runs_clean(tmp_path):
          "--trace", str(tmp_path / "t.csv")],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_failed_debug_check_exits_4(tmp_path, capsys, monkeypatch):
+    # a QNLS_DEBUG=1 solve whose Jacobian sandwich is checked against a
+    # doubled J: the encoding's verify raises out of the step to main
+    import qnls.quantum_newton as qn
+
+    real = qn.jacobian
+    monkeypatch.setattr(qn, "jacobian", lambda system, x: 2.0 * real(system, x))
+    monkeypatch.setenv("QNLS_DEBUG", "1")
+    path = lv_file(tmp_path)
+    rc = main(["solve", "--problem", str(path), "--iters", "1",
+               "--x0", str(path) + ".x0", "--trace", str(tmp_path / "t.csv")])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith(
+        "invariant violation: encoded block off intended by ")
+
+
+def test_a_conditioning_error_out_of_a_command_exits_3(tmp_path, capsys,
+                                                       monkeypatch):
+    import qnls.cli as cli
+
+    def ill_conditioned(*args):
+        raise ConditioningError("injected")
+
+    monkeypatch.setattr(cli, "random_system", ill_conditioned)
+    rc = main(["gen-random", "--n", "2", "--p", "1", "--s", "1", "--seed", "1",
+               "--out", str(tmp_path / "r.qnls")])
+    assert rc == 3
+    assert capsys.readouterr().err == "numerical failure: injected\n"
 
 
 def test_trace_is_valid_csv_on_halt(tmp_path):

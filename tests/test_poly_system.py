@@ -10,14 +10,14 @@ from qnls import (DeskScaleError, DimensionMismatchError, InputError,
                   be_from_sparse, canonicalize, euler_check, evaluate,
                   gradient_md, homogenize_odd, jacobian, mixed_evaluate,
                   mixed_jacobian, tensor_power)
-from qnls.poly_system import (DESK_SCALE_CAP, _swap_factor, canonicalize_mixed,
-                              evaluate_monomials, monomials_to_matrix,
-                              system_parts)
+from qnls.poly_system import (DESK_SCALE_CAP, _norm_above, _swap_factor,
+                              canonicalize_mixed, evaluate_monomials,
+                              monomials_to_matrix, system_parts)
 from qnls.problem_io import parse_problem
 from qnls.problems import (GpeParams, LvParams, gpe_discretize, lv_discretize,
                            random_system)
 
-from conftest import fd_gradient, merged_m_d, swap_matrices
+from conftest import count_two_norms, fd_gradient, merged_m_d, swap_matrices
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +44,13 @@ def test_spectral_norm_is_the_dense_norm(shape):
         m[rng.integers(shape[0])] = 0.0
         m[:, rng.integers(shape[1])] = 0.0
         dense = np.linalg.norm(m, 2)
-        assert abs(SparseMatrix.from_dense(m).spectral_norm() - dense) \
-            <= 1e-12 * dense
+        a = SparseMatrix.from_dense(m)
+        assert abs(a.spectral_norm() - dense) <= 1e-12 * dense
+        # a bound answers None at or above the norm, and the norm below it
+        assert a.spectral_norm(1.001 * dense) is None
+        assert a.spectral_norm(0.999 * dense) == a.spectral_norm()
+    empty = SparseMatrix(*shape, [], [], [])
+    assert empty.spectral_norm() == 0.0 and empty.spectral_norm(0.0) is None
 
 
 def test_spectral_norm_caps_the_nonzero_block_not_the_shape():
@@ -323,10 +328,122 @@ def test_canonicalize_rescales_norm_and_entries():
     canon, factor = canonicalize(system)
     assert factor < 1.0
     assert canon.p * canon.max_norm() <= np.sqrt(2) + 1e-12
-    assert canon.max_entry() <= 1.0 + 1e-12
+    assert max(a.max_abs_entry() for a in canon.equations) <= 1.0 + 1e-12
     # roots are preserved: F_canon = factor * F
     x = np.array([0.3, -0.4])
     assert np.allclose(evaluate(canon, x), factor * evaluate(system, x))
+
+
+def _ratio_factor(n, p, mats):
+    """min(1, sqrt(n) / (p max ||A_i||_2), 1 / max |a|) over mats, every
+    norm by SVD, a zero norm or entry imposing nothing."""
+    c, norm = 1.0, max(a.spectral_norm() for a in mats)
+    ent = max(a.max_abs_entry() for a in mats)
+    if norm > 0:
+        c = min(c, np.sqrt(n) / (p * norm))
+    if ent > 0:
+        c = min(c, 1.0 / ent)
+    return c
+
+
+def _dense_system(rng, n, p, scale):
+    """n equations of seeded dense-ish coefficients uniform in +-scale."""
+    d = n ** p
+    mats = rng.uniform(-scale, scale, (n, d, d)) * (rng.random((n, d, d)) < 0.6)
+    return PolynomialSystem(n, p, d, tuple(map(SparseMatrix.from_dense, mats)))
+
+
+@pytest.mark.parametrize("n, p, scale, regimes", [
+    (2, 1, 0.2, {"settled"}), (3, 2, 0.05, {"settled"}),
+    (2, 2, 0.5, {"settled", "norm", "ulp"}), (2, 2, 3.0, {"norm", "ulp"}),
+    (3, 1, 5.0, {"entry"}), (2, 3, 0.5, {"norm", "ulp"})],
+    ids=["settled-p1", "settled-p2", "both-p2", "norm-p2", "entry", "norm-p3"])
+def test_canonical_factors_are_the_ratio_of_the_svd_norms(n, p, scale,
+                                                          regimes):
+    # a norm the cheap bounds settle under sqrt(n) / p (less 1e-12) gets no
+    # SVD; the factor is still the ratio's whether nothing binds, the norm
+    # or the entry does, and for a canonical system canonicalized again,
+    # whose norm sits at sqrt(n) / p and whose factor can be an ulp under 1;
+    # the mixed factors are each equation's own ratio
+    rng = np.random.default_rng(100 * n + 10 * p + int(scale))
+    seen = set()
+    for _ in range(6):
+        system = _dense_system(rng, n, p, scale)
+        canon, c = canonicalize(system)
+        assert c == _ratio_factor(n, p, system.equations)
+        again, c2 = canonicalize(canon)
+        assert c2 == _ratio_factor(n, p, canon.equations)
+        if c == 1.0:
+            seen.add("settled")
+        elif c == np.sqrt(n) / (p * system.max_norm()):
+            seen.add("norm")
+            assert abs(p * canon.max_norm() / np.sqrt(n) - 1.0) < 1e-12
+        else:
+            seen.add("entry")
+        if c2 < 1.0:
+            seen.add("ulp")
+        for ps in (system, canon):
+            ms = MixedSystem(n, np.ones(n), SparseMatrix.identity(n), ps)
+            _, factors = canonicalize_mixed(ms)
+            assert factors.tolist() == [_ratio_factor(n, p, [a])
+                                        for a in ps.equations]
+    assert seen == regimes
+
+
+def test_a_norm_rounding_to_sqrt_n_over_p_goes_through_the_ratio():
+    # at n = 13, p = 3 the norm b = sqrt(13) / 3 gives 3 b above sqrt(13) in
+    # floats, so the ratio picks a factor an ulp under 1, which the bound's
+    # 1e-12 margin keeps.  The block (b / 2) [[1, 1], [1, 1]] has 2-norm b
+    # by SVD and entries 0.6, which impose nothing
+    n, p = 13, 3
+    b = np.sqrt(n) / p
+    eqs = [SparseMatrix(n ** p, n ** p, [0, 0, 1, 1], [0, 1, 0, 1],
+                        np.full(4, b / 2))] + [
+        SparseMatrix(n ** p, n ** p, [], [], [])] * (n - 1)
+    system = PolynomialSystem(n, p, 2, tuple(eqs))
+    want = _ratio_factor(n, p, eqs)
+    assert want < 1.0
+    assert canonicalize(system)[1] == want
+    ms = MixedSystem(n, np.zeros(n), SparseMatrix.identity(n), system)
+    assert canonicalize_mixed(ms)[1].tolist() == [want] + [1.0] * (n - 1)
+
+
+def test_a_coefficient_past_the_frobenius_overflow_keeps_its_svd_norm():
+    # a 1e160 entry overflows ||A||_F (a sum of squares) though every entry
+    # is finite; the norm still comes from the SVD, so both factors are the
+    # ratio's, tiny but not 0, and the rescaled systems keep every entry
+    n, p = 2, 1
+    big = np.array([[1e160, 1.0], [1.0, 0.5]])
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.norm(big))
+    assert _norm_above(big, 1.0) == np.linalg.norm(big, 2) == 1e160
+    eqs = (SparseMatrix.from_dense(big),
+           SparseMatrix.from_dense(np.diag([0.25, -2.0])))
+    assert eqs[0].spectral_norm() == 1e160 and eqs[0].spectral_norm(1.0) == 1e160
+    system = PolynomialSystem(n, p, 2, eqs)
+    assert system.max_norm() == 1e160
+    canon, c = canonicalize(system)
+    assert c == _ratio_factor(n, p, eqs) and 0.0 < c < 1e-159
+    assert [a.nnz for a in canon.equations] == [a.nnz for a in eqs]
+    ms = MixedSystem(n, np.zeros(n), SparseMatrix.identity(n), system)
+    scaled, factors = canonicalize_mixed(ms)
+    assert factors.tolist() == [_ratio_factor(n, p, [a]) for a in eqs]
+    assert 0.0 < factors[0] < 1e-159
+    assert [a.nnz for a in scaled.nonlinear.equations] == [a.nnz for a in eqs]
+
+
+def test_canonicalizing_a_settled_system_runs_no_dense_norm(monkeypatch):
+    # p ||A_i||_2 <= sqrt(n) by the cheap bounds: random_system(16, 2, 2)
+    # has row sums under 2 = sqrt(16) / 2, so generating it and
+    # canonicalizing it, homogeneous or as a mixed part, takes no SVD
+    two_norms = count_two_norms(monkeypatch)
+    system = random_system(16, 2, 2, seed=0)
+    canon, c = canonicalize(system)
+    ms = MixedSystem(16, np.zeros(16), SparseMatrix.identity(16), system)
+    assert canonicalize_mixed(ms)[0] is ms
+    assert two_norms == []
+    assert canon is system and c == 1.0
+    assert 2 * system.max_norm() <= 4.0
 
 
 # ---------------------------------------------------------------------------

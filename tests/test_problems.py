@@ -195,7 +195,7 @@ def test_random_system_canonical_by_construction():
     for seed in range(8):
         system = random_system(3, 2, 3, seed=seed)
         assert system.p * system.max_norm() <= np.sqrt(3) + 1e-9
-        assert system.max_entry() <= 1.0 + 1e-12
+        assert max(a.max_abs_entry() for a in system.equations) <= 1.0 + 1e-12
         for a in system.equations:
             assert a.sparsity() <= system.sparsity
 

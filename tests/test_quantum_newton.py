@@ -8,7 +8,7 @@ from qnls import (BlockEncoding, CostLedger, DegenerateReferenceError,
                   DeskScaleError, InputError, InversionConfig, MixedSystem,
                   NewtonState, PolynomialSystem, RescaleRequiredError,
                   SparseMatrix, StepFrame, be_from_sparse, be_from_vector,
-                  be_of_matrix, be_product, be_sum, be_tensor,
+                  be_amplify, be_of_matrix, be_product, be_sum, be_tensor,
                   be_transpose, build_A_blockdiag,
                   build_M_blockdiag, build_P, classical_newton, evaluate,
                   gradient_md, init_heuristic, jacobian, jacobian_be,
@@ -502,7 +502,9 @@ def test_solver_path_builds_no_unitary(monkeypatch, debug):
 def test_certified_blocks_skip_the_norm_svd(monkeypatch):
     # a plain GPE step makes no n^{p+1}-dimensional block; a QNLS_DEBUG=1
     # step makes M and A, and a cheap norm bound certifies each of them a
-    # contraction, so no dense 2-norm runs on a block that wide
+    # contraction, so no dense 2-norm runs on a block that wide.  The only
+    # dense 2-norms left are M's canonical check, one per equation's
+    # coefficient block, taken once per system
     import qnls.block_encoding as be_mod
 
     psi = np.array([0.3 + 0.1j, -0.2 + 0.25j, 0.15 - 0.3j])
@@ -525,24 +527,69 @@ def test_certified_blocks_skip_the_norm_svd(monkeypatch):
         assert trace.halted is None
         assert state.k == 1
         assert widths.count(big) == built
-        assert two_norms                     # the n x n checks still run
-        assert all(s[0] != big for s in two_norms)
+        assert len(two_norms) <= system.n
+        assert all(max(s) <= big // system.n for s in two_norms)
 
 
-def test_each_amplification_runs_one_dense_norm(monkeypatch):
-    # _amplify_to_unit's 2-norm picks the factor; be_amplify's overflow
-    # check asks _norm_above, so it adds no second n x n 2-norm
+def _ratio_amplified(be):
+    """be amplified by min(alpha, (1 - 1e-6) / ||B||_2), the norm by SVD."""
+    nrm = float(np.linalg.norm(be.block, 2))
+    factor = min(be.alpha, (1.0 - 1e-6) / max(nrm, 1e-300))
+    return be_amplify(be, factor) if factor > 1.0 else be
+
+
+def test_each_amplification_picks_the_ratio_factor_with_no_dense_norm(
+        monkeypatch):
+    # at GPE nx=3 the cheap bounds place every block under (1 - 1e-6) /
+    # alpha, so each amplification goes to alpha = 1 with no n x n 2-norm,
+    # and its encoding is the one the ratio of the SVD norm picks
     import qnls.quantum_newton as qn
 
     monkeypatch.delenv("QNLS_DEBUG", raising=False)
     system, x0, _ = _gpe_nx3()
-    two_norms, amplified = count_two_norms(monkeypatch), []
-    monkeypatch.setattr(qn, "_amplify_to_unit", _spy(
-        amplified, "amplify", qn._amplify_to_unit))
+    amplified, real = [], qn._amplify_to_unit
+
+    def recorded(be, ledger):
+        amplified.append((be, real(be, ledger)))
+        return amplified[-1][1]
+
+    monkeypatch.setattr(qn, "_amplify_to_unit", recorded)
+    two_norms = count_two_norms(monkeypatch)
     state, trace = newton_solve(system, x0, 3, CFG)
     assert trace.halted is None and state.k == 3
     assert len(amplified) == 6                   # two per step
-    assert two_norms.count((system.n, system.n)) == 6
+    assert two_norms.count((system.n, system.n)) == 0
+    for be, got in amplified:
+        want = _ratio_amplified(be)
+        assert got.alpha == want.alpha == 1.0
+        assert np.array_equal(got.block, want.block)
+
+
+@pytest.mark.parametrize("alpha, scale, svds, basis", [
+    (4.0, 0.1, 0, "qr"), (4.0, 0.9, 2, "qr"), (4.0, (1.0 - 1e-6) / 4.0, 2, "qr"),
+    (1e3, 0.5, 2, "qr"), (7.089880548478633, (1.0 - 1e-6) / 7.089880548478633,
+                          1, "eye")],
+    ids=["settled", "binding", "at-threshold", "large-alpha", "ulp-under-alpha"])
+def test_amplify_to_unit_is_the_ratio_of_the_svd_norm(monkeypatch, alpha,
+                                                       scale, svds, basis):
+    # a block the cheap bounds cannot place under (1 - 1e-6) / alpha (less
+    # 1e-12) gets its 2-norm, and be_amplify's overflow check a second one
+    # on an amplified block at 1 - 1e-6 that is not a multiple of I (whose
+    # sqrt(||.||_1 ||.||_inf) is its norm).  A norm at the threshold goes
+    # through the ratio, which can pick a factor an ulp away from alpha: at
+    # this alpha, (1 - 1e-6) / ((1 - 1e-6) / alpha) rounds below alpha
+    from qnls.quantum_newton import _amplify_to_unit
+
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+    q = (np.eye(6) if basis == "eye" else
+         np.linalg.qr(np.random.default_rng(5).normal(size=(6, 6)))[0])
+    be = BlockEncoding(scale * q, alpha)
+    want = _ratio_amplified(be)
+    two_norms = count_two_norms(monkeypatch)
+    got = _amplify_to_unit(be, None)
+    assert len(two_norms) == svds
+    assert got.alpha == want.alpha
+    assert np.array_equal(got.block, want.block)
 
 
 def test_debug_verify_runs_no_dense_norm(monkeypatch):

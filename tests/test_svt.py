@@ -48,6 +48,21 @@ def test_odd_polynomial_owns_read_only_coefficients():
         q.cheb_coeffs[1] = 0.0
 
 
+@pytest.mark.parametrize("coeffs", [[0.0], [0.0, 0.5], [0.0, 0.3, 0.0],
+                                    [0.0, 0.4, 0.0, -0.2, 0.0, 0.1]])
+def test_odd_polynomial_evaluates_as_chebval_in_every_shape(coeffs):
+    # the odd Chebyshev columns the fits use, scalar in and scalar out, the
+    # shape kept, a size-1 coefficient array the zero polynomial
+    from numpy.polynomial.chebyshev import chebval
+
+    q = OddPolynomial(np.array(coeffs))
+    xs = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    assert np.allclose(q(xs), chebval(xs, coeffs), rtol=0.0, atol=1e-15)
+    assert q(xs).shape == (3, 4) and q(xs[0]).shape == (4,)
+    assert np.ndim(q(0.7)) == 0 and q(0.7) == q(np.array([0.7]))[0]
+    assert abs(q(0.7) - chebval(0.7, coeffs)) <= 1e-15
+
+
 def test_memoized_polynomial_cannot_be_corrupted():
     svt._search_inverse_poly.cache_clear()
     try:
