@@ -3,18 +3,19 @@
 
     python3 scripts/mutants.py [PYTEST_ARGS...]
 
-For each mutant it copies the tree to a temporary directory, checks that the
-mutated fragment occurs exactly once in its file, replaces it, and runs the
-tier-1 command there with `-x -q`:
+It first checks that every mutant's fragment occurs exactly once in its
+file, and exits 2 at once, naming each fragment that is missing or
+repeated, since the list no longer matches the source. Then for each
+mutant it copies the tree to a temporary directory, replaces the fragment,
+and runs the tier-1 command there with `-x -q`:
 
     PYTHONPATH=src python -m pytest -q --continue-on-collection-errors -x
 
 Extra arguments go to pytest after those, for example test files that
 narrow the run. It prints one `<mutant>: killed by <test>` or
-`<mutant>: survived` line per mutant, and exits 1 when any survived. A
-mutant whose fragment is missing or repeated stops the script with exit 2,
-since the list no longer matches the source. It imports only the standard
-library; the runs need pytest and the package's test dependencies.
+`<mutant>: survived` line per mutant, and exits 1 when any survived. It
+imports only the standard library; the runs need pytest and the package's
+test dependencies.
 """
 
 import os
@@ -63,11 +64,14 @@ MUTANTS = [
     ("spectral-norm-frobenius", PS,
      "nrm = np.linalg.norm(m, 2)", "nrm = np.linalg.norm(m)"),
     ("overflowed-frobenius-answers-inf", PS,
-     "if not np.isfinite(fro) and not np.isfinite(m).all():",
+     "if not np.isfinite(fro) and not np.isfinite(vals).all():",
      "if not np.isfinite(fro):"),
+    ("sparse-col-sums-read-as-rows", PS,
+     "(np.bincount(c, a), np.bincount(r, a))",
+     "(np.bincount(r, a), np.bincount(r, a))"),
     ("canonical-bound-without-p", PS,
-     "spectral_norm(np.sqrt(n) / p * (1.0 - 1e-12))",
-     "spectral_norm(np.sqrt(n) * (1.0 - 1e-12))"),
+     "_norm_above(a, np.sqrt(n) / p * (1.0 - 1e-12))",
+     "_norm_above(a, np.sqrt(n) * (1.0 - 1e-12))"),
     ("amplify-bound-without-alpha", QN,
      "(1.0 - 1e-6) / be.alpha * (1.0 - 1e-12)",
      "(1.0 - 1e-6) * (1.0 - 1e-12)"),
@@ -80,6 +84,9 @@ MUTANTS = [
      "right[blocks.cols % d]", "right[blocks.rows % d]"),
     ("contraction-open-digit-leading", PS,
      "blocks.rows // d * k + r % k", "blocks.rows // d * k + r // (d // k)"),
+    ("matvec-without-minlength", PS,
+     "self.vals * x[self.cols],\n                           minlength=self.dim_rows)",
+     "self.vals * x[self.cols])"),
     # the step's sandwich corners and four-term update
     ("jacobian-corner-untransposed", QN,
      "_sandwich(jac.T / (", "_sandwich(jac / ("),
@@ -93,6 +100,10 @@ MUTANTS = [
     ("linear-part-rootn-is-n", QN, "rootn = np.sqrt(n)", "rootn = float(n)"),
     ("four-term-dd-sign", QN, "[1, -1, -1, 1]", "[1, -1, -1, -1]"),
     ("four-term-transpose-sign", QN, "[1, -1, -1, 1]", "[1, -1, 1, 1]"),
+    # the exact step at the agreement criterion 7 asserts
+    ("exact-kernel-scaled-1e-10", SVT,
+     "np.clip(sigma / np.maximum(s, 1e-300), 0.0, 1.0)",
+     "np.clip(sigma / np.maximum(s, 1e-300), 0.0, 1.0) * (1 - 1e-10)"),
     # the inverse polynomial's exchange and search
     ("remez-signs-all-plus", SVT,
      "signs = (-1.0) ** np.arange(n + 1)", "signs = np.ones(n + 1)"),
@@ -129,10 +140,6 @@ def run_mutant(path: str, fragment: str, replacement: str,
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=_IGNORE)
         source = (tree / path).read_text()
-        if source.count(fragment) != 1:
-            print(f"{path}: fragment {fragment!r} occurs "
-                  f"{source.count(fragment)} times, not once", file=sys.stderr)
-            sys.exit(2)
         (tree / path).write_text(source.replace(fragment, replacement))
         env = dict(os.environ, PYTHONPATH="src")
         run = subprocess.run(
@@ -146,7 +153,22 @@ def run_mutant(path: str, fragment: str, replacement: str,
     return failed.group(1) if failed else f"pytest exit {run.returncode}"
 
 
+def stale_fragments() -> list[str]:
+    """One line per mutant whose fragment does not occur exactly once in
+    its file of this tree."""
+    stale = []
+    for name, path, fragment, _ in MUTANTS:
+        count = (ROOT / path).read_text().count(fragment)
+        if count != 1:
+            stale.append(f"{name}: {path}: fragment {fragment!r} occurs "
+                         f"{count} times, not once")
+    return stale
+
+
 def main(argv: list[str]) -> int:
+    if stale := stale_fragments():
+        print("\n".join(stale), file=sys.stderr)
+        return 2
     survivors = 0
     for name, path, fragment, replacement in MUTANTS:
         killer = run_mutant(path, fragment, replacement, argv)

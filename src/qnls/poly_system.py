@@ -47,34 +47,50 @@ def tensor_power(x: np.ndarray, k: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore")
-def _norm_above(m: np.ndarray, bound: float) -> float | None:
+def _norm_above(m: np.ndarray | SparseMatrix, bound: float) -> float | None:
     """||m||_2 when it exceeds bound, else None.
 
-    A cheap upper bound that proves ||m||_2 <= bound (1 - margin) answers
-    None at once: ||m||_F, then sqrt(||m||_1 ||m||_inf), each O(k^2) on a
-    k x k matrix.  Only when neither certifies does the dense
-    spectral-norm SVD run and decide.  A NaN bound, or a cheap bound that
-    overflows, certifies nothing; a non-finite entry answers inf at once.
+    A cheap upper bound that proves ||m||_2 <= bound (1 - margin) answers None
+    at once: ||m||_F, then sqrt(||m||_1 ||m||_inf).  Only when neither
+    certifies does the dense SVD run and decide.  A NaN bound, or a cheap
+    bound that overflows, certifies nothing; a non-finite entry answers inf
+    at once.  A SparseMatrix gives both bounds from its entries in O(nnz);
+    only the SVD builds its nonzero-row by nonzero-column block (the rest
+    adds only zero singular values), raising DeskScaleError above the cap.
 
     A certified m is one whose dense norm would also come out <= bound, so
-    skipping the SVD changes no verdict.  With u = 2^-53, the Frobenius norm
-    sums k^2 squares and is within (k^2/2) u of the true value, and the 1-
-    and inf-norm sums are within k u.  Underflow in the squares adds under
-    1e-300, far below the smallest squared bound here (1e-20).  The SVD's
-    own error is a small multiple of k u ||m||_2, so margin =
-    (k^2/2 + 64 k) u suffices: a certified m has ||m||_2 <= (1 - margin)
-    (1 + (k^2/2) u) bound < (1 - 64 k u) bound.  The margin is 3.5e-11 at
-    k = 729 and 9.6e-10 at the desk-scale cap k = 4096.
+    skipping the SVD changes no verdict.  With u = 2^-53 and k the larger side
+    of m (of its nonzero block if sparse), the Frobenius norm sums at most k^2
+    squares (nnz <= k^2) and is within (k^2/2) u of the true value, and the
+    1- and inf-norm sums, k terms each, are within k u.  Underflow in the
+    squares adds under 1e-300, far below the smallest squared bound here
+    (1e-20).  The SVD's own error is a small multiple of k u ||m||_2, so
+    margin = (k^2/2 + 64 k) u suffices: a certified m has ||m||_2 <=
+    (1 - margin) (1 + (k^2/2) u) bound < (1 - 64 k u) bound.  The margin is
+    3.5e-11 at k = 729 and 9.6e-10 at the cap k = 4096.
     """
-    k = max(m.shape)
+    if sparse := isinstance(m, SparseMatrix):
+        if not m.nnz:
+            return None if bound >= 0.0 else 0.0
+        (rows, r), (cols, c) = (np.unique(ix, return_inverse=True)
+                                for ix in (m.rows, m.cols))
+        k, vals = max(rows.size, cols.size), m.vals
+    else:
+        k, vals = max(m.shape), m
     certified = bound * (1.0 - (k * k / 2 + 64 * k) * 2.0 ** -53)
-    if (fro := np.linalg.norm(m)) <= certified:
+    if (fro := np.linalg.norm(vals)) <= certified:
         return None
-    if not np.isfinite(fro) and not np.isfinite(m).all():
+    if not np.isfinite(fro) and not np.isfinite(vals).all():
         return math.inf
-    a = np.abs(m)
-    if np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max()) <= certified:
+    a = np.abs(vals)
+    sums = (np.bincount(c, a), np.bincount(r, a)) if sparse else (a.sum(0), a.sum(1))
+    if np.sqrt(sums[0].max() * sums[1].max()) <= certified:
         return None
+    if sparse:
+        if k > DESK_SCALE_CAP:
+            raise DeskScaleError("matrix too large for dense spectral norm")
+        m = np.zeros((rows.size, cols.size))
+        m[r, c] = vals
     nrm = np.linalg.norm(m, 2)
     return None if nrm <= bound else nrm
 
@@ -130,11 +146,9 @@ class SparseMatrix:
     def summed(cls, dim_rows: int, dim_cols: int, rows: np.ndarray,
                cols: np.ndarray, vals: np.ndarray) -> "SparseMatrix":
         """Matrix whose entry at each position is the sum of the given values there."""
-        keys = rows * dim_cols + cols
-        uniq, inv = np.unique(keys, return_inverse=True)
-        acc = np.zeros(uniq.size)
-        np.add.at(acc, inv, vals)
-        return cls(dim_rows, dim_cols, uniq // dim_cols, uniq % dim_cols, acc)
+        uniq, inv = np.unique(rows * dim_cols + cols, return_inverse=True)
+        return cls(dim_rows, dim_cols, uniq // dim_cols, uniq % dim_cols,
+                   np.bincount(inv, vals))
 
     @classmethod
     def from_dense(cls, m: np.ndarray) -> "SparseMatrix":
@@ -173,20 +187,6 @@ class SparseMatrix:
         return int(max(np.bincount(self.rows).max(),
                        np.bincount(self.cols).max()))
 
-    def spectral_norm(self, bound: float = math.nan) -> float | None:
-        """``_norm_above`` of the nonzero-row by nonzero-column block (desk
-        scale only; the other rows and columns add only zero singular
-        values): None when the norm is at most bound, never for NaN."""
-        (rows, r), (cols, c) = (np.unique(ix, return_inverse=True)
-                                for ix in (self.rows, self.cols))
-        if max(rows.size, cols.size) > DESK_SCALE_CAP:
-            raise DeskScaleError("matrix too large for dense spectral norm")
-        if not self.nnz:
-            return None if bound >= 0.0 else 0.0
-        block = np.zeros((rows.size, cols.size))
-        block[r, c] = self.vals
-        return _norm_above(block, bound)
-
     # -- algebra -------------------------------------------------------
 
     def scaled(self, c: float) -> "SparseMatrix":
@@ -214,9 +214,9 @@ class SparseMatrix:
                                    np.concatenate([self.vals, self.vals]) * 0.5)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim_rows)
-        np.add.at(out, self.rows, self.vals * x[self.cols])
-        return out
+        # bincount over no entries gives integer zeros, whatever its weights
+        return np.bincount(self.rows, self.vals * x[self.cols],
+                           minlength=self.dim_rows).astype(np.float64)
 
 
 def _swap_factor(idx: np.ndarray, n: int, p: int, j: int) -> np.ndarray:
@@ -277,7 +277,7 @@ class PolynomialSystem:
     @cached_property
     def _max_norm(self) -> float:
         """max_i ||A_i||_2, one dense SVD per equation, on the first read."""
-        return max(a.spectral_norm() for a in self.equations)
+        return max(_norm_above(a, math.nan) for a in self.equations)
 
 
 def _merged_m(n: int, p: int, a: SparseMatrix) -> SparseMatrix:
@@ -308,7 +308,7 @@ def _canonical_factor(n: int, p: int, a: SparseMatrix) -> float:
     imposing nothing; the norm is asked only above sqrt(n)/p less 1e-12
     relative, under which the float ratio is > 1 however it rounds."""
     c = 1.0
-    if (norm := a.spectral_norm(np.sqrt(n) / p * (1.0 - 1e-12))) is not None:
+    if (norm := _norm_above(a, np.sqrt(n) / p * (1.0 - 1e-12))) is not None:
         c = min(c, np.sqrt(n) / (p * norm))
     if (ent := a.max_abs_entry()) > 0:
         c = min(c, 1.0 / ent)

@@ -35,6 +35,30 @@ def count_two_norms(monkeypatch) -> list:
     return shapes
 
 
+def spy_dense_blocks(monkeypatch) -> list:
+    """(call, shape) of each 2-D np.linalg.norm and np.zeros from here on;
+    SparseMatrix.to_dense raises."""
+    calls, real_norm, real_zeros = [], np.linalg.norm, np.zeros
+
+    def spied_norm(x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            calls.append(("norm", np.shape(x)))
+        return real_norm(x, *args, **kwargs)
+
+    def spied_zeros(shape, *args, **kwargs):
+        if np.size(shape) == 2:
+            calls.append(("zeros", tuple(shape)))
+        return real_zeros(shape, *args, **kwargs)
+
+    def refuse(self):
+        raise AssertionError(f"densified a {self.dim_rows} x {self.dim_cols} matrix")
+
+    monkeypatch.setattr(np.linalg, "norm", spied_norm)
+    monkeypatch.setattr(np, "zeros", spied_zeros)
+    monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
+    return calls
+
+
 def fd_gradient(system, i, x, h=1e-5):
     """Central finite differences of f_i, the pre-build gradient oracle."""
     x = np.asarray(x, dtype=np.float64)

@@ -200,15 +200,18 @@ def quadratic_tail_ok(resids, c=100.0, noise=1e-13):
 
 def test_criterion_07_trace_equivalence():
     """Exact-backend quantum traces match classical Newton on the LV and GPE
-    instances within 1e-6 per iterate for T = 5, with quadratic tails,
-    in under 60 s."""
+    instances for T = 5, with every sandwich reference that runs there,
+    within 1e-12 relative per iterate, state and residual, with quadratic
+    tails, in under 60 s."""
     t0 = time.perf_counter()
     # Lotka-Volterra, alpha=beta=gamma=delta=1, dt=0.1, 3 steps
     params = LvParams(1.0, 1.0, 1.0, 1.0, 0.1, 3, 1.2, 0.9)
     lv = lv_discretize(params)
     x0 = lv_scaled_root(params) + 0.45 * np.array([1, -1, 1, -1, 1, -1]) / np.sqrt(6)
-    _run_trace_comparison(lv, x0, "previous")
-    # 4-point GPE instance
+    for reference in ("e1", "x0", "previous"):
+        _run_trace_comparison(lv, x0, reference)
+    # 4-point GPE instance; with e1 its scaled Jacobian is below the 1e-3
+    # floor at step 0, so only the x0 and previous references run
     rng = np.random.default_rng(42)
     psi = rng.uniform(-0.5, 0.5, 4) + 1j * rng.uniform(-0.5, 0.5, 4)
     gpe = gpe_discretize(GpeParams(4, 0.5, 1.0, np.full(4, 0.2), 0.05, 0.5, psi))
@@ -216,7 +219,8 @@ def test_criterion_07_trace_equivalence():
     x0g = gpe_default_guess(
         GpeParams(4, 0.5, 1.0, np.full(4, 0.2), 0.05, 0.5, psi))
     x0g = x0g + 0.35 * d / np.linalg.norm(d)
-    _run_trace_comparison(gpe, x0g, "previous")
+    for reference in ("x0", "previous"):
+        _run_trace_comparison(gpe, x0g, reference)
     elapsed = time.perf_counter() - t0
     # per-operation verification in QNLS_DEBUG mode is outside the budget
     from qnls import debug_enabled
@@ -226,6 +230,10 @@ def test_criterion_07_trace_equivalence():
 
 
 def _run_trace_comparison(system, x0, gamma_reference):
+    """Iterates within 1e-12 ||x||, states x x^T within 1e-12 ||x||^2 in
+    spectral norm (x the classical iterate), and residuals within 1e-12 of
+    the classical row-0 residual, as scripts/trace_drift.py scales them:
+    the measured gaps are at most 1e-14 of each scale."""
     f_eval, j_eval = system_evaluators(system)
     classical = classical_newton(f_eval, j_eval, x0, 5, tol=0.0)
     led = CostLedger()
@@ -233,18 +241,19 @@ def _run_trace_comparison(system, x0, gamma_reference):
                         float(np.dot(x0, x0)), None, None, led)
     states = [state]
     for k in range(5):
-        ref = states[-1].x if gamma_reference == "previous" else None
+        ref = {"e1": None, "x0": x0, "previous": states[-1].x}[gamma_reference]
         states.append(newton_step(system, states[-1],
                                   InversionConfig(1e-3, 1e-6 / 15, "exact"),
                                   x_ref=ref))
     quantum_resids = []
     for st, cx in zip(states, classical.iterates):
-        assert np.linalg.norm(st.x - cx) <= 1e-6
+        scale = np.dot(cx, cx)
+        assert np.linalg.norm(st.x - cx) <= 1e-12 * np.sqrt(scale)
         assert np.linalg.norm(st.be_xxT.extract() - np.outer(cx, cx),
-                              2) <= 1e-6
+                              2) <= 1e-12 * scale
         quantum_resids.append(residual_of(f_eval, st.x))
     for rq, rc in zip(quantum_resids, classical.residuals):
-        assert abs(rq - rc) <= 1e-6
+        assert abs(rq - rc) <= 1e-12 * classical.residuals[0]
     quadratic_tail_ok(quantum_resids)
 
 

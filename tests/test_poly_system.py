@@ -1,4 +1,5 @@
 import io
+from math import nan
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from qnls.problem_io import parse_problem
 from qnls.problems import (GpeParams, LvParams, gpe_discretize, lv_discretize,
                            random_system)
 
-from conftest import count_two_norms, fd_gradient, merged_m_d, swap_matrices
+from conftest import (fd_gradient, merged_m_d, spy_dense_blocks,
+                      swap_matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -45,22 +47,82 @@ def test_spectral_norm_is_the_dense_norm(shape):
         m[:, rng.integers(shape[1])] = 0.0
         dense = np.linalg.norm(m, 2)
         a = SparseMatrix.from_dense(m)
-        assert abs(a.spectral_norm() - dense) <= 1e-12 * dense
+        assert abs(_norm_above(a, nan) - dense) <= 1e-12 * dense
         # a bound answers None at or above the norm, and the norm below it
-        assert a.spectral_norm(1.001 * dense) is None
-        assert a.spectral_norm(0.999 * dense) == a.spectral_norm()
+        assert _norm_above(a, 1.001 * dense) is None
+        assert _norm_above(a, 0.999 * dense) == _norm_above(a, nan)
     empty = SparseMatrix(*shape, [], [], [])
-    assert empty.spectral_norm() == 0.0 and empty.spectral_norm(0.0) is None
+    assert _norm_above(empty, nan) == 0.0 and _norm_above(empty, 0.0) is None
 
 
 def test_spectral_norm_caps_the_nonzero_block_not_the_shape():
     cols = np.arange(DESK_SCALE_CAP + 1)
     row = SparseMatrix(1, cols.size, np.zeros_like(cols), cols, np.ones(cols.size))
     with pytest.raises(DeskScaleError, match="too large for dense spectral norm"):
-        row.spectral_norm()
+        _norm_above(row, nan)
     big = 10 ** 6
     corner = SparseMatrix(big, big, [0, big - 1], [big - 1, 0], [3.0, -4.0])
-    assert corner.spectral_norm() == 4.0
+    assert _norm_above(corner, nan) == 4.0
+
+
+def _nonzero_block(m):
+    """m's nonzero-row by nonzero-column block, dense."""
+    return m[np.ix_(m.any(axis=1), m.any(axis=0))]
+
+
+def _sparse_norm_cases():
+    rng = np.random.default_rng(38)
+    half = rng.uniform(-1, 1, (9, 9)) * (rng.random((9, 9)) < 0.3)
+    symmetric = np.pad(half + half.T, ((0, 3), (0, 3)))
+    # ||.||_2 = 4 = ||.||_1, row sums 1: read as row sums twice, the
+    # sqrt(||.||_1 ||.||_inf) bound would certify 1
+    column = np.zeros((16, 16))
+    column[:, 3] = 1.0
+    wide = rng.uniform(-1, 1, (5, 11)) * (rng.random((5, 11)) < 0.4)
+    wide[2] = 0.0
+    # norm 1 = ||.||_F = sqrt(||.||_1 ||.||_inf): at a bound of 1 no cheap
+    # bound certifies, and the SVD decides
+    threshold = np.full((2, 2), 0.5)
+    big = np.array([[1e160, 1.0], [1.0, 0.5]])
+    return [symmetric, column, wide, threshold, big]
+
+
+@pytest.mark.parametrize("m", _sparse_norm_cases(),
+                         ids=["symmetric", "column", "wide", "threshold",
+                              "1e160"])
+def test_a_sparse_matrix_gets_the_verdict_of_its_dense_block(m):
+    # the bounds read from the entries settle, bind or defer to the SVD
+    # exactly where the dense nonzero block's answer says
+    a, block = SparseMatrix.from_dense(m), _nonzero_block(m)
+    nrm = np.linalg.norm(block, 2)
+    for bound in (nan, 0.5 * nrm, nrm, nrm * (1 + 1e-9), 1.5 * nrm, 4 * nrm):
+        assert _norm_above(a, bound) == _norm_above(block, bound)
+    assert _norm_above(a, nan) == nrm and _norm_above(a, 0.5 * nrm) == nrm
+    assert _norm_above(a, nrm * (1 + 1e-9)) is None
+
+
+@pytest.mark.parametrize("shape, count, seed", [
+    ((9, 6), 40, 0), ((9, 6), 40, 1), ((12, 3), 8, 2), ((4, 4), 0, 3)])
+def test_summed_and_matvec_add_as_add_at_does(shape, count, seed):
+    # both scatters add in index order, so they equal np.add.at bit for
+    # bit; the last 3 rows stay empty, and matvec still has all of them
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, shape[0] - 3, count)
+    cols = rng.integers(0, shape[1], count)
+    vals = rng.uniform(-1, 1, count) * 10.0 ** rng.integers(-8, 9, count)
+    uniq, inv = np.unique(rows * shape[1] + cols, return_inverse=True)
+    acc = np.zeros(uniq.size)
+    np.add.at(acc, inv, vals)
+    want = SparseMatrix(*shape, uniq // shape[1], uniq % shape[1], acc)
+    a = SparseMatrix.summed(*shape, rows, cols, vals)
+    for got, ref in ((a.rows, want.rows), (a.cols, want.cols),
+                     (a.vals, want.vals)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    x = rng.uniform(-1, 1, shape[1])
+    out = np.zeros(shape[0])
+    np.add.at(out, a.rows, a.vals * x[a.cols])
+    got = a.matvec(x)
+    assert got.dtype == out.dtype and got.tobytes() == out.tobytes()
 
 
 def test_sparse_drops_a_zero_duplicate_before_the_duplicate_check():
@@ -72,7 +134,7 @@ def test_sparse_symmetrize_and_norm():
     a = SparseMatrix.from_entries(2, 2, [(0, 1, 2.0)])
     sym = a.symmetrized()
     assert np.allclose(sym.to_dense(), [[0, 1], [1, 0]])
-    assert sym.spectral_norm() == pytest.approx(1.0)
+    assert _norm_above(sym, nan) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("shape, density, seed", [
@@ -337,7 +399,7 @@ def test_canonicalize_rescales_norm_and_entries():
 def _ratio_factor(n, p, mats):
     """min(1, sqrt(n) / (p max ||A_i||_2), 1 / max |a|) over mats, every
     norm by SVD, a zero norm or entry imposing nothing."""
-    c, norm = 1.0, max(a.spectral_norm() for a in mats)
+    c, norm = 1.0, max(_norm_above(a, nan) for a in mats)
     ent = max(a.max_abs_entry() for a in mats)
     if norm > 0:
         c = min(c, np.sqrt(n) / (p * norm))
@@ -419,7 +481,7 @@ def test_a_coefficient_past_the_frobenius_overflow_keeps_its_svd_norm():
     assert _norm_above(big, 1.0) == np.linalg.norm(big, 2) == 1e160
     eqs = (SparseMatrix.from_dense(big),
            SparseMatrix.from_dense(np.diag([0.25, -2.0])))
-    assert eqs[0].spectral_norm() == 1e160 and eqs[0].spectral_norm(1.0) == 1e160
+    assert _norm_above(eqs[0], nan) == _norm_above(eqs[0], 1.0) == 1e160
     system = PolynomialSystem(n, p, 2, eqs)
     assert system.max_norm() == 1e160
     canon, c = canonicalize(system)
@@ -435,14 +497,16 @@ def test_a_coefficient_past_the_frobenius_overflow_keeps_its_svd_norm():
 def test_canonicalizing_a_settled_system_runs_no_dense_norm(monkeypatch):
     # p ||A_i||_2 <= sqrt(n) by the cheap bounds: random_system(16, 2, 2)
     # has row sums under 2 = sqrt(16) / 2, so generating it and
-    # canonicalizing it, homogeneous or as a mixed part, takes no SVD
-    two_norms = count_two_norms(monkeypatch)
+    # canonicalizing it, homogeneous or as a mixed part, takes no SVD and
+    # builds no dense block: the bounds come from the entries
+    dense_blocks = spy_dense_blocks(monkeypatch)
     system = random_system(16, 2, 2, seed=0)
     canon, c = canonicalize(system)
     ms = MixedSystem(16, np.zeros(16), SparseMatrix.identity(16), system)
     assert canonicalize_mixed(ms)[0] is ms
-    assert two_norms == []
+    assert dense_blocks == []
     assert canon is system and c == 1.0
+    monkeypatch.undo()
     assert 2 * system.max_norm() <= 4.0
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qnls import (DeskScaleError, InputError, SparseMatrix, classical_newton,
-                  gradient_md, mixed_evaluate)
+from qnls import (DeskScaleError, InputError, classical_newton, gradient_md,
+                  mixed_evaluate)
 from qnls.problems import (GPE_AUX_VALUE, GpeParams, LvParams,
                            gpe_default_guess, gpe_discretize, gpe_scale,
                            lv_default_guess, lv_discretize, lv_scaled_root,
@@ -10,7 +10,7 @@ from qnls.problems import (GPE_AUX_VALUE, GpeParams, LvParams,
 from qnls.problem_io import dumps_problem, parse_problem
 from qnls.quantum_newton import system_evaluators
 
-from conftest import fd_gradient
+from conftest import fd_gradient, spy_dense_blocks
 
 import io
 
@@ -160,23 +160,13 @@ def test_generators_refuse_an_over_cap_size_before_building(discretize,
 
 
 def test_lv_canonicalization_never_densifies_an_equation(monkeypatch):
-    # an LV equation has 2 nonzeros, so its norm is a 2 x 2 block's SVD,
-    # not one of the whole 600 x 600 matrix
-    shapes, norm = [], np.linalg.norm
-
-    def spy(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return norm(a, *args, **kwargs)
-
-    def refuse(self):
-        raise AssertionError(f"densified a {self.dim_rows} x {self.dim_cols} matrix")
-
-    monkeypatch.setattr(np.linalg, "norm", spy)
-    monkeypatch.setattr(SparseMatrix, "to_dense", refuse)
+    # an LV equation has 2 nonzeros, and its norm bounds come from those
+    # entries, so canonicalizing a 600-equation chain takes no 2-D norm and
+    # builds no dense block, not even a 2 x 2 one
+    dense_blocks = spy_dense_blocks(monkeypatch)
     ms = lv_discretize(LvParams(1.0, 1.0, 1.0, 1.0, 0.1, 300, 1.2, 0.9, 4.0))
     assert ms.n == 600
-    blocks = [s for s in shapes if len(s) == 2]
-    assert blocks and max(map(max, blocks)) <= 2
+    assert dense_blocks == []
 
 
 # ---------------------------------------------------------------------------
