@@ -60,6 +60,9 @@ MUTANTS = [
      "/ (nx2 * _eps_units(cfg.eps)))", "/ nx2)"),
     ("invert-charge-without-cost", SVT,
      "charge = be.cost * degree_budget(", "charge = degree_budget("),
+    # the one desk-scale guard
+    ("cap-guard-refuses-the-cap", PS,
+     "d <= DESK_SCALE_CAP", "d < DESK_SCALE_CAP"),
     # the one spectral norm and the bounds its callers ask it with
     ("spectral-norm-frobenius", PS,
      "nrm = np.linalg.norm(m, 2)", "nrm = np.linalg.norm(m)"),
@@ -84,6 +87,8 @@ MUTANTS = [
      "right[blocks.cols % d]", "right[blocks.rows % d]"),
     ("contraction-open-digit-leading", PS,
      "blocks.rows // d * k + r % k", "blocks.rows // d * k + r // (d // k)"),
+    ("contraction-without-float-cast", PS,
+     ").astype(np.float64).reshape(-1, k)", ").reshape(-1, k)"),
     ("matvec-without-minlength", PS,
      "self.vals * x[self.cols],\n                           minlength=self.dim_rows)",
      "self.vals * x[self.cols])"),

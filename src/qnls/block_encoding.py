@@ -32,9 +32,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (AmplificationOverflowError, CompositionError,
-                     DeskScaleError, DimensionMismatchError, InputError,
+                     DimensionMismatchError, InputError,
                      InvariantViolationError, RescaleRequiredError)
-from .poly_system import DESK_SCALE_CAP, SparseMatrix, _norm_above
+from .poly_system import SparseMatrix, _norm_above, capped_dim
 
 _EPS_FLOOR = 1e-16
 _UNITARITY_TOL = 1e-10
@@ -114,9 +114,7 @@ class BlockEncoding:
         b = self.block
         if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] == 0:
             raise InputError("block must be a non-empty square matrix")
-        if b.shape[0] > DESK_SCALE_CAP:
-            raise DeskScaleError(
-                f"logical_dim {b.shape[0]} exceeds cap {DESK_SCALE_CAP}")
+        capped_dim(b.shape[0], 1)
         if not self.alpha > 0:
             raise InputError("alpha must be positive")
         if not self.eps >= 0:

@@ -27,8 +27,9 @@ from .poly_system import (PolynomialSystem, canonicalize, canonicalize_mixed,
 from .problem_io import (atomic_write, parse_problem_file, problem_kind,
                          write_problem_file)
 from .problems import (GpeParams, LvParams, gpe_default_guess, gpe_discretize,
-                       lv_default_guess, lv_discretize, random_system)
-from .quantum_newton import NewtonTrace, TraceRow, newton_solve
+                       gpe_scale, lv_default_guess, lv_discretize, lv_scale,
+                       random_system)
+from .quantum_newton import NORM_FLOOR, NewtonTrace, TraceRow, newton_solve
 from .svt import InversionConfig, degree_budget
 
 EXIT_OK = 0
@@ -316,17 +317,15 @@ def _run_check(name: str, problem, rng) -> tuple[bool, str]:
         return worst <= 1e-10, f"max relative Euler defect = {worst:.3g}"
     if name == "gradient":
         return _check_gradient(nl, rng)
-    if name == "scaling":
-        worst = 0.0
-        for _ in range(10):
-            x = rng.normal(size=nl.n)
-            lam = rng.uniform(0.2, 2.0)
-            lhs = evaluate(nl, lam * x)
-            rhs = lam ** (2 * nl.p) * evaluate(nl, x)
-            worst = max(worst, np.linalg.norm(lhs - rhs)
-                        / max(1.0, np.linalg.norm(rhs)))
-        return worst <= 1e-10, f"max relative scaling defect = {worst:.3g}"
-    raise InputError(f"unknown check {name}")
+    worst = 0.0                   # "scaling", the one name _SUITES has left
+    for _ in range(10):
+        x = rng.normal(size=nl.n)
+        lam = rng.uniform(0.2, 2.0)
+        lhs = evaluate(nl, lam * x)
+        rhs = lam ** (2 * nl.p) * evaluate(nl, x)
+        worst = max(worst, np.linalg.norm(lhs - rhs)
+                    / max(1.0, np.linalg.norm(rhs)))
+    return worst <= 1e-10, f"max relative scaling defect = {worst:.3g}"
 
 
 def _check_gradient(system, rng) -> tuple[bool, str]:
@@ -350,16 +349,24 @@ def _check_gradient(system, rng) -> tuple[bool, str]:
     return worst <= 1e-6, f"max relative FD gap = {worst:.3g}"
 
 
-def _write_with_guess(problem, guess: np.ndarray, out: str) -> None:
-    """Write the problem file and its one-value-per-line `.x0` guess file."""
-    write_problem_file(problem, out)
-    atomic_write(out + ".x0", "\n".join(f"{v:.17g}" for v in guess) + "\n")
+def _write_with_guess(problem, guess: np.ndarray, args, scale: float) -> None:
+    """Write the problem file and its one-value-per-line `.x0` guess file; a
+    note on stderr when a solve from that guess would halt at once."""
+    write_problem_file(problem, args.out)
+    atomic_write(args.out + ".x0", "\n".join(f"{v:.17g}" for v in guess) + "\n")
+    if (nx2 := float(np.dot(guess, guess))) < NORM_FLOOR:
+        how = "automatic" if args.scale is None else "given"
+        print(f"note: the written guess has ||x||^2 = {nx2:.2g}, below the "
+              f"{NORM_FLOOR:g} at which a solve halts, as the {how} variable "
+              f"scale is {scale:.2g}; give a --scale or a smaller --dt",
+              file=sys.stderr)
 
 
 def _cmd_gen_lv(args) -> int:
     params = LvParams(args.alpha, args.beta, args.gamma, args.delta,
                       args.dt, args.steps, args.v0, args.p0, args.scale)
-    _write_with_guess(lv_discretize(params), lv_default_guess(params), args.out)
+    _write_with_guess(lv_discretize(params), lv_default_guess(params), args,
+                      lv_scale(params))
     return EXIT_OK
 
 
@@ -369,8 +376,8 @@ def _cmd_gen_gpe(args) -> int:
     params = GpeParams(args.nx, args.hbar2m, args.g,
                        np.full(args.nx, args.vconst), args.dt, args.dx, psi,
                        args.scale)
-    _write_with_guess(gpe_discretize(params), gpe_default_guess(params),
-                      args.out)
+    _write_with_guess(gpe_discretize(params), gpe_default_guess(params), args,
+                      gpe_scale(params))
     return EXIT_OK
 
 

@@ -28,14 +28,17 @@ Monomial = tuple[float, tuple[int, ...]]
 
 
 def capped_dim(n: int, p: int) -> int:
-    """n^p, the p-fold tensor dimension; DeskScaleError above DESK_SCALE_CAP."""
+    """n^p, the p-fold tensor dimension; DeskScaleError above DESK_SCALE_CAP.
+    The package's one desk-scale guard: of a homogeneous part's n^p, a
+    solve's n^{p+1}, and (with p = 1) a block's side or an SVD block's."""
     if n <= 0 or p <= 0:
         raise InputError("n and p must be positive")
     d = n ** min(p, DESK_SCALE_CAP.bit_length())     # n >= 2: n^13 is above the cap
     if d <= DESK_SCALE_CAP:
         return d
-    shown = n ** p if p * math.log10(n) < 4000 else f"{n}^{p}"    # printable digits
-    raise DeskScaleError(f"n^p = {shown} exceeds desk-scale cap {DESK_SCALE_CAP}")
+    shown = (f"{n}^{p}" if p * math.log10(n) >= 4000      # too many digits to print
+             else f"{n}^{p} = {n ** p}" if p > 1 else str(n))
+    raise DeskScaleError(f"{shown} exceeds desk-scale cap {DESK_SCALE_CAP}")
 
 
 def tensor_power(x: np.ndarray, k: int) -> np.ndarray:
@@ -87,8 +90,7 @@ def _norm_above(m: np.ndarray | SparseMatrix, bound: float) -> float | None:
     if np.sqrt(sums[0].max() * sums[1].max()) <= certified:
         return None
     if sparse:
-        if k > DESK_SCALE_CAP:
-            raise DeskScaleError("matrix too large for dense spectral norm")
+        capped_dim(k, 1)
         m = np.zeros((rows.size, cols.size))
         m[r, c] = vals
     nrm = np.linalg.norm(m, 2)
@@ -300,7 +302,8 @@ def contract_blocks(blocks: SparseMatrix, left: np.ndarray,
     r = blocks.rows % d
     terms = blocks.vals * (left[r // k] * right[blocks.cols % d])
     return np.bincount(blocks.rows // d * k + r % k, terms,
-                       minlength=blocks.dim_rows // d * k).reshape(-1, k)
+                       minlength=blocks.dim_rows // d * k    # int zeros if empty
+                       ).astype(np.float64).reshape(-1, k)
 
 
 def _canonical_factor(n: int, p: int, a: SparseMatrix) -> float:

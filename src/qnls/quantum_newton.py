@@ -25,16 +25,17 @@ from .block_encoding import (BlockEncoding, CostLedger, _Budget, _eps_units,
                              be_of_matrix, be_outer, be_product, be_rescale,
                              be_sum, be_tensor, be_transpose, debug_enabled)
 from .errors import (CompositionError, ConditioningError,
-                     DegenerateReferenceError, DeskScaleError, InputError,
+                     DegenerateReferenceError, InputError,
                      InvariantViolationError, RescaleRequiredError,
                      SingularJacobianError)
-from .poly_system import (DESK_SCALE_CAP, PolynomialSystem, SparseMatrix,
-                          _norm_above, contract_blocks, evaluate, jacobian,
+from .poly_system import (PolynomialSystem, SparseMatrix, _norm_above,
+                          capped_dim, contract_blocks, evaluate, jacobian,
                           system_evaluators, system_parts, tensor_power)
 from .svt import (InversionConfig, max_eigenvalue, min_singular_value,
                   sv_invert)
 
 GAMMA_FLOOR = 1e-4
+NORM_FLOOR = 1e-12       # |x|^2 below which a step halts: the norm collapsed
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +332,7 @@ def newton_step(system, state: NewtonState, cfg: InversionConfig, *,
 
     t2 = be_product(be_inv, be_r, led)                     # scale * d x^T
     t3 = be_transpose(t2)
-    if nx2 < 1e-12:
+    if nx2 < NORM_FLOOR:
         raise SingularJacobianError("iterate norm collapsed to zero")
     be_ff = be_rescale(be_product(be_r, be_transpose(be_r), led), 1.0 / nx2)
     led.charge("norm_removal",
@@ -367,8 +368,8 @@ def newton_solve(system, x0: np.ndarray, t: int, cfg: InversionConfig, *,
     failure (singular Jacobian, degenerate overlap, failed composition,
     conditioning or linear algebra) stops early and is recorded on the
     trace as the halt reason instead of raising.  A system whose sandwich
-    dimension n^{p+1} (n without a nonlinear part) exceeds DESK_SCALE_CAP
-    raises DeskScaleError before any encoding is built.
+    dimension n^{p+1} (n without a nonlinear part) exceeds the desk-scale
+    cap raises DeskScaleError before any encoding is built.
     """
     if t < 0:
         raise InputError("iteration count must be non-negative")
@@ -377,14 +378,8 @@ def newton_solve(system, x0: np.ndarray, t: int, cfg: InversionConfig, *,
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (system.n,):
         raise InputError(f"x0 must have length {system.n}")
-    if not np.all(np.isfinite(x0)):
-        raise InputError("x0 must be finite")
-    if np.linalg.norm(x0) > 1.0 + 1e-12:
-        raise InputError("||x0|| must be at most 1")
     poly = system_parts(system)[0]
-    dim = system.n ** (poly.p + 1) if poly is not None else system.n
-    if dim > DESK_SCALE_CAP:
-        raise DeskScaleError(f"logical_dim {dim} exceeds cap {DESK_SCALE_CAP}")
+    capped_dim(system.n, poly.p + 1 if poly is not None else 1)
     led = CostLedger()
     be0 = be_from_vector(x0, led)
     eps_step = cfg.eps / (3.0 * max(t, 1))
@@ -436,8 +431,6 @@ def init_heuristic(system: PolynomialSystem, candidates,
     for c in cands:
         if c.shape != (n,):
             raise InputError("candidate of wrong length")
-        if np.linalg.norm(c) > 1.0 + 1e-12:
-            raise InputError("candidates must have norm at most 1")
         be_c = be_from_vector(c, ledger)
         tens = be_tensor([eye] + [be_c] * p, ledger)
         op = be_product(tens, be_product(be_a, tens, ledger), ledger)

@@ -269,8 +269,6 @@ def sv_invert(be: BlockEncoding, cfg: InversionConfig,
     raise CompositionError.
     """
     b = be.block
-    if b.shape[0] != b.shape[1]:
-        raise InputError("inversion needs a square block")
     sigma = cfg.sigma_floor
     u, s, vh = np.linalg.svd(b)
     alive = s >= 0.5 * sigma

@@ -316,10 +316,23 @@ def test_non_finite_blocks_raise_a_typed_error_before_any_svd(monkeypatch):
     assert two_norms == []
 
 
-def test_desk_scale_cap():
+def test_desk_scale_cap(monkeypatch):
     from qnls import DeskScaleError
-    with pytest.raises(DeskScaleError):
-        BlockEncoding(np.eye(5000), 1.0)
+    from qnls.poly_system import capped_dim
+    monkeypatch.delenv("QNLS_DEBUG", raising=False)    # verify reads no block
+    # a broadcast zero holds one float however large its square view
+    side = lambda d: np.broadcast_to(0.0, (d, d))
+    with pytest.raises(DeskScaleError,
+                       match="^5000 exceeds desk-scale cap 4096$"):
+        BlockEncoding(side(5000), 1.0)
+    # the boundary: a side of 4096 is admitted, 4097 refused
+    assert capped_dim(4096, 1) == 4096
+    assert BlockEncoding(side(4096), 1.0).logical_dim == 4096
+    for refused in (lambda: capped_dim(4097, 1),
+                    lambda: BlockEncoding(side(4097), 1.0)):
+        with pytest.raises(DeskScaleError,
+                           match="^4097 exceeds desk-scale cap 4096$"):
+            refused()
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def test_gen_gpe_above_the_cap_is_refused(tmp_path, capsys):
                "--dx", "0.5", "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: n^p = 16008001 exceeds desk-scale cap 4096\n")
+        "error: 4001^2 = 16008001 exceeds desk-scale cap 4096\n")
     assert not out.exists()
 
 
@@ -95,6 +95,28 @@ def test_gen_lv_overflowing_orbit_asks_for_a_scale(tmp_path, capsys):
         assert not out.exists()
         assert main(args + ["--scale", "4"]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("command, shown", [
+    (["gen-lv", "--alpha", "1", "--beta", "1", "--gamma", "1", "--delta", "1",
+      "--dt", "1", "--steps", "20", "--v0", "1.2", "--p0", "0.9"],
+     "2.2e-261, below the 1e-12 at which a solve halts, as the automatic "
+     "variable scale is 1.4e+131"),
+    (["gen-gpe", "--nx", "3", "--g", "0", "--dt", "0.05", "--dx", "0.5",
+      "--scale", "1e10"],
+     "7.8e-21, below the 1e-12 at which a solve halts, as the given "
+     "variable scale is 1e+10"),
+], ids=["gen-lv-automatic-scale", "gen-gpe-given-scale"])
+def test_a_guess_under_the_norm_floor_is_noted(tmp_path, capsys, command,
+                                               shown):
+    from qnls.quantum_newton import NORM_FLOOR
+    out = tmp_path / "g.qnls"
+    assert main(command + ["--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        f"note: the written guess has ||x||^2 = {shown}; give a --scale or "
+        "a smaller --dt\n")
+    guess = np.loadtxt(f"{out}.x0")
+    assert np.dot(guess, guess) < NORM_FLOOR
 
 
 def test_gen_lv_non_finite_scale_is_input_error(tmp_path, capsys):
@@ -412,13 +434,45 @@ def test_cap_rejected_before_the_first_step(tmp_path, capsys, monkeypatch):
         rc = main([command, "--problem", str(path), "--iters", "1",
                    flag, str(out)])
         assert rc == 1
-        assert ("error: logical_dim 4225 exceeds cap 4096"
+        assert ("error: 65^2 = 4225 exceeds desk-scale cap 4096"
                 in capsys.readouterr().err)
         assert not out.exists()
     rc = main(["solve", "--problem", str(path), "--iters", "1",
                "--backend", "classical", "--trace", str(out)])
     assert rc in (0, 3)
     assert len(read_rows(out)) >= 1
+
+
+def _mixed_file(n, p):
+    """A mixed problem over n variables whose nonlinear part has degree 2p."""
+    return (f"version 1\nkind mixed\nn {n}\np {p}\ns 1\nequation 0\n"
+            "a 0 0 1\nend\n" + "".join(f"equation {i}\nend\n"
+                                         for i in range(1, n)))
+
+
+@pytest.mark.parametrize("command, refused", [
+    (["solve", "--problem", "{file}", "--iters", "1"], "3^8 = 6561"),
+    (["gen-lv", "--alpha", "1", "--beta", "1", "--gamma", "1", "--delta", "1",
+      "--dt", "0.1", "--steps", "2049", "--v0", "1.2", "--p0", "0.9"], "4098"),
+    (["gen-gpe", "--nx", "32", "--g", "1", "--dt", "0.05", "--dx", "0.5"],
+     "65^2 = 4225"),
+    (["gen-random", "--n", "2", "--p", "13", "--s", "1", "--seed", "0"],
+     "2^13 = 8192"),
+    (["solve", "--problem", "{sandwich}", "--iters", "1"], "17^3 = 4913"),
+], ids=["problem-file-n^p", "gen-lv", "gen-gpe", "gen-random",
+        "solve-n^(p+1)"])
+def test_every_refusal_above_the_cap_has_the_one_message(tmp_path, capsys,
+                                                         command, refused):
+    (tmp_path / "file.qnls").write_text(_mixed_file(3, 8))
+    (tmp_path / "sandwich.qnls").write_text(_mixed_file(17, 2))
+    out = tmp_path / "out"
+    args = [a.format(file=tmp_path / "file.qnls",
+                     sandwich=tmp_path / "sandwich.qnls") for a in command]
+    flag = "--trace" if args[0] == "solve" else "--out"
+    assert main(args + [flag, str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {refused} exceeds desk-scale cap 4096\n")
+    assert not out.exists()
 
 
 def test_problem_file_above_the_cap_is_input_error(tmp_path, capsys):
@@ -428,7 +482,7 @@ def test_problem_file_above_the_cap_is_input_error(tmp_path, capsys):
     rc = main(["solve", "--problem", str(path), "--iters", "1"])
     assert rc == 1
     assert capsys.readouterr().err.startswith(
-        f"error: n^p = {2 ** 100} exceeds desk-scale cap 4096")
+        f"error: 2^100 = {2 ** 100} exceeds desk-scale cap 4096")
 
 
 def test_problem_file_far_above_the_cap_is_input_error(tmp_path, capsys):
@@ -438,7 +492,7 @@ def test_problem_file_far_above_the_cap_is_input_error(tmp_path, capsys):
     rc = main(["solve", "--problem", str(path), "--iters", "1"])
     assert rc == 1
     assert capsys.readouterr().err.startswith(
-        "error: n^p = 2^100000 exceeds desk-scale cap 4096")
+        "error: 2^100000 exceeds desk-scale cap 4096")
 
 
 @pytest.mark.parametrize("kind, block, room", [

@@ -58,7 +58,7 @@ def test_spectral_norm_is_the_dense_norm(shape):
 def test_spectral_norm_caps_the_nonzero_block_not_the_shape():
     cols = np.arange(DESK_SCALE_CAP + 1)
     row = SparseMatrix(1, cols.size, np.zeros_like(cols), cols, np.ones(cols.size))
-    with pytest.raises(DeskScaleError, match="too large for dense spectral norm"):
+    with pytest.raises(DeskScaleError, match="4097 exceeds desk-scale cap 4096"):
         _norm_above(row, nan)
     big = 10 ** 6
     corner = SparseMatrix(big, big, [0, big - 1], [big - 1, 0], [3.0, -4.0])
@@ -300,6 +300,18 @@ def test_jacobian_rows_and_zero_point(diag_system):
     assert np.allclose(jacobian(diag_system, np.zeros(2)), 0.0)
     rows = [gradient_md(diag_system, i, x) for i in range(2)]
     assert np.allclose(jacobian(diag_system, x), np.vstack(rows))
+
+
+def test_a_system_with_no_entries_evaluates_to_float_zeros():
+    # bincount over no entries gives integer zeros, whatever its weights
+    empty = SparseMatrix(2, 2, [], [], [])
+    system = PolynomialSystem(2, 1, 1, (empty, empty))
+    x = np.array([0.3, 0.4])
+    for value, shape in ((jacobian(system, x), (2, 2)),
+                         (gradient_md(system, 0, x), (2,)),
+                         (evaluate(system, x), (2,))):
+        assert value.dtype == np.float64 and value.shape == shape
+        assert not value.any()
 
 
 def _stacked_gradient_rows(system, x):

@@ -111,7 +111,7 @@ def _two_equation_file(kind, p, a_line):
 def test_parse_checks_the_cap_before_building(kind, p):
     text = _two_equation_file(kind, p, "a 0 0 1\n")
     with pytest.raises(DeskScaleError,
-                       match=f"n\\^p = {2 ** p} exceeds desk-scale cap 4096"):
+                       match=f"2\\^{p} = {2 ** p} exceeds desk-scale cap 4096"):
         parse_problem(io.StringIO(text))
 
 
@@ -120,7 +120,7 @@ def test_parse_names_an_unprintable_power_above_the_cap(kind):
     # 2^100000 has more digits than int-to-str conversion allows
     text = _two_equation_file(kind, 100000, "a 0 0 1\n")
     with pytest.raises(DeskScaleError,
-                       match="n\\^p = 2\\^100000 exceeds desk-scale cap 4096"):
+                       match="2\\^100000 exceeds desk-scale cap 4096"):
         parse_problem(io.StringIO(text))
 
 

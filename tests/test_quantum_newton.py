@@ -656,7 +656,7 @@ def test_solve_checks_the_cap_before_any_encoding(monkeypatch):
     x0 = np.full(65, 0.1)
     system = random_system(65, 1, 1, seed=4)        # n^{p+1} = 4225
     with pytest.raises(DeskScaleError,
-                       match="logical_dim 4225 exceeds cap 4096"):
+                       match="65\\^2 = 4225 exceeds desk-scale cap 4096"):
         newton_solve(system, x0, 1, CFG)
     # without a nonlinear part the encoded dimension is n itself
     linear = MixedSystem(65, np.zeros(65), SparseMatrix.identity(65), None)
