@@ -31,6 +31,7 @@ BE = "src/qnls/block_encoding.py"
 PS = "src/qnls/poly_system.py"
 QN = "src/qnls/quantum_newton.py"
 SVT = "src/qnls/svt.py"
+CO = "src/qnls/classical_oracle.py"
 
 # (name, file, fragment, replacement): each fragment occurs once in its file
 MUTANTS = [
@@ -82,6 +83,8 @@ MUTANTS = [
      "np.sqrt(n) / p * (1.0 - 1e-12))", "np.sqrt(n) / p)"),
     ("amplify-bound-without-margin", QN,
      "/ be.alpha * (1.0 - 1e-12))", "/ be.alpha)"),
+    ("debug-m-bound-without-alpha", QN,
+     "b.alpha * (1.0 + 1e-9)", "(1.0 + 1e-9)"),
     # the reads of a system's coefficients
     ("contraction-cols-read-as-rows", PS,
      "right[blocks.cols % d]", "right[blocks.rows % d]"),
@@ -105,6 +108,9 @@ MUTANTS = [
     ("linear-part-rootn-is-n", QN, "rootn = np.sqrt(n)", "rootn = float(n)"),
     ("four-term-dd-sign", QN, "[1, -1, -1, 1]", "[1, -1, -1, -1]"),
     ("four-term-transpose-sign", QN, "[1, -1, -1, 1]", "[1, -1, 1, 1]"),
+    # the classical route's halt on a non-finite F or J
+    ("classical-without-finiteness-check", CO,
+     "if not (np.isfinite(fx).all() and np.isfinite(j).all()):", "if False:"),
     # the exact step at the agreement criterion 7 asserts
     ("exact-kernel-scaled-1e-10", SVT,
      "np.clip(sigma / np.maximum(s, 1e-300), 0.0, 1.0)",

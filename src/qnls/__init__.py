@@ -9,8 +9,8 @@ from .classical_oracle import ClassicalTrace, classical_newton, residual
 from .errors import (AmplificationOverflowError, CompositionError,
                      ConditioningError, ConfigError, DegenerateReferenceError,
                      DeskScaleError, DimensionMismatchError, InputError,
-                     InvariantViolationError, ParseError, QnlsError,
-                     RescaleRequiredError, SingularJacobianError)
+                     InvariantViolationError, NumericalFailure, ParseError,
+                     QnlsError, RescaleRequiredError, SingularJacobianError)
 from .poly_system import (MixedSystem, PolynomialSystem, SparseMatrix,
                           canonicalize, canonicalize_mixed, euler_check,
                           evaluate, gradient_md, homogenize_odd, jacobian,

@@ -217,7 +217,8 @@ def be_from_vector(x: np.ndarray,
         raise InputError("x must be a vector")
     if not np.all(np.isfinite(x)):
         raise InputError("x must be finite")
-    nrm = float(np.linalg.norm(x))
+    with np.errstate(over="ignore"):     # a norm past the float range is inf
+        nrm = float(np.linalg.norm(x))
     if nrm > 1.0 + 1e-12:
         raise InputError(f"||x|| = {nrm:.6f} exceeds 1")
     block = np.outer(x, x)

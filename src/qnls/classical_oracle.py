@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, SingularJacobianError
+from .errors import InputError, NumericalFailure, SingularJacobianError
 
 _PIVOT_TOL = 1e-12
 
@@ -34,29 +34,33 @@ def classical_newton(f: Callable, jac: Callable, x0: np.ndarray, t: int,
                      tol: float = 0.0) -> ClassicalTrace:
     """Plain Newton iteration x <- x - J(x)^{-1} F(x), at most t steps.
 
-    Stops early once the residual drops to tol.  A pivot below 1e-12 in the
-    LU factorization raises SingularJacobianError carrying the partial trace.
+    Stops early once the residual drops to tol.  A non-finite F(x) or J(x)
+    raises NumericalFailure, and a pivot below 1e-12 in the LU factorization
+    SingularJacobianError, each carrying the partial trace.
     """
     from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
     if t < 0:
         raise InputError("iteration count must be non-negative")
     x = np.atleast_1d(np.asarray(x0, dtype=np.float64)).copy()
-    iterates = [x.copy()]
-    residuals = [residual(f, x)]
-    for _ in range(t):
-        if residuals[-1] <= tol:
-            break
-        j = np.atleast_2d(np.asarray(jac(x), dtype=np.float64))
-        with warnings.catch_warnings():
-            # singularity is detected by the pivot check below
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(j)
-        if np.min(np.abs(np.diag(lu))) < _PIVOT_TOL:
-            raise SingularJacobianError(
-                "Jacobian pivot below 1e-12",
-                partial=ClassicalTrace(tuple(iterates), tuple(residuals)))
-        delta = lu_solve((lu, piv), np.atleast_1d(np.asarray(f(x), dtype=np.float64)))
-        x = x - delta
-        iterates.append(x.copy())
-        residuals.append(residual(f, x))
+    iterates, residuals = [], []
+    with np.errstate(over="ignore", invalid="ignore"):   # inf and NaN halt below
+        for k in range(t + 1):
+            iterates.append(x)
+            fx = np.atleast_1d(np.asarray(f(x), dtype=np.float64))
+            residuals.append(float(np.linalg.norm(fx)))
+            if k == t or residuals[-1] <= tol:
+                break
+            j = np.atleast_2d(np.asarray(jac(x), dtype=np.float64))
+            partial = ClassicalTrace(tuple(iterates), tuple(residuals))
+            if not (np.isfinite(fx).all() and np.isfinite(j).all()):
+                raise NumericalFailure(f"F(x) or J(x) not finite at iterate {k}",
+                                       partial=partial)
+            with warnings.catch_warnings():
+                # singularity is detected by the pivot check below
+                warnings.simplefilter("ignore", LinAlgWarning)
+                lu, piv = lu_factor(j)
+            if np.min(np.abs(np.diag(lu))) < _PIVOT_TOL:
+                raise SingularJacobianError("Jacobian pivot below 1e-12",
+                                            partial=partial)
+            x = x - lu_solve((lu, piv), fx)
     return ClassicalTrace(tuple(iterates), tuple(residuals))

@@ -18,9 +18,8 @@ import numpy as np
 from . import __version__
 from .block_encoding import CostLedger
 from .classical_oracle import classical_newton
-from .errors import (ConditioningError, DegenerateReferenceError, InputError,
-                     InvariantViolationError, ParseError, QnlsError,
-                     SingularJacobianError)
+from .errors import (InputError, InvariantViolationError, NumericalFailure,
+                     ParseError, QnlsError)
 from .poly_system import (PolynomialSystem, canonicalize, canonicalize_mixed,
                           contract_blocks, euler_check, evaluate, gradient_md,
                           system_evaluators, system_parts, tensor_power)
@@ -164,7 +163,7 @@ def _run_solver(problem, args):
         f_eval, j_eval = system_evaluators(problem)
         try:
             tr, halted = classical_newton(f_eval, j_eval, x0, args.iters), None
-        except SingularJacobianError as exc:
+        except NumericalFailure as exc:
             tr, halted = exc.partial, str(exc)
         lu, grad, ev = _classical_counts(problem)
         steps = len(tr.iterates) - 1
@@ -173,9 +172,10 @@ def _run_solver(problem, args):
         ledger.charge("classical_evaluate", oracle=float(steps * ev))
         # the counts are integers far below 2^53 for any n whose dense
         # Jacobian fits in memory, so these products equal the running sums
-        rows = [TraceRow(k, float(r), float(np.dot(x, x)), None, None,
-                         float(k * ev), float(k * (lu + grad)), 0.0)
-                for k, (x, r) in enumerate(zip(tr.iterates, tr.residuals))]
+        with np.errstate(over="ignore"):    # a diverged iterate's |x|^2 is inf
+            rows = [TraceRow(k, float(r), float(np.dot(x, x)), None, None,
+                             float(k * ev), float(k * (lu + grad)), 0.0)
+                    for k, (x, r) in enumerate(zip(tr.iterates, tr.residuals))]
         return NewtonTrace(rows, halted), ledger, 0.0
     inv_cfg = InversionConfig(args.sigma_floor, args.eps, args.backend)
     state, trace = newton_solve(problem, x0, args.iters, inv_cfg,
@@ -408,8 +408,7 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    except (SingularJacobianError, DegenerateReferenceError,
-            ConditioningError) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ParseError as exc:

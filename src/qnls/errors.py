@@ -21,7 +21,16 @@ class RescaleRequiredError(InputError):
     """Coefficients violate the canonical-rescaling preconditions."""
 
 
-class CompositionError(QnlsError):
+class NumericalFailure(QnlsError):
+    """A failure that ends a run early (CLI exit 3); carries whatever
+    partial trace the caller accumulated in ``partial``."""
+
+    def __init__(self, message: str, partial=None):
+        super().__init__(message)
+        self.partial = partial
+
+
+class CompositionError(NumericalFailure):
     """Block encodings cannot be composed as requested."""
 
 
@@ -29,7 +38,7 @@ class AmplificationOverflowError(CompositionError):
     """Requested amplification factor would push the block past unit norm."""
 
 
-class ConditioningError(QnlsError):
+class ConditioningError(NumericalFailure):
     """Spectrum incompatible with the configured inversion threshold."""
 
 
@@ -37,19 +46,12 @@ class ConfigError(QnlsError):
     """Unattainable or inconsistent configuration."""
 
 
-class DegenerateReferenceError(QnlsError):
+class DegenerateReferenceError(NumericalFailure):
     """Reference state nearly orthogonal to the iterate (overlap ~ 0)."""
 
 
-class SingularJacobianError(QnlsError):
-    """Jacobian (or its scaled encoding) is singular below the floor.
-
-    Carries whatever partial trace the caller accumulated in ``partial``.
-    """
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
+class SingularJacobianError(NumericalFailure):
+    """Jacobian (or its scaled encoding) is singular below the floor."""
 
 
 class InvariantViolationError(QnlsError):

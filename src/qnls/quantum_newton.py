@@ -24,10 +24,9 @@ from .block_encoding import (BlockEncoding, CostLedger, _Budget, _eps_units,
                              be_amplify, be_from_sparse, be_from_vector,
                              be_of_matrix, be_outer, be_product, be_rescale,
                              be_sum, be_tensor, be_transpose, debug_enabled)
-from .errors import (CompositionError, ConditioningError,
-                     DegenerateReferenceError, InputError,
-                     InvariantViolationError, RescaleRequiredError,
-                     SingularJacobianError)
+from .errors import (DegenerateReferenceError, InputError,
+                     InvariantViolationError, NumericalFailure,
+                     RescaleRequiredError, SingularJacobianError)
 from .poly_system import (PolynomialSystem, SparseMatrix, _norm_above,
                           capped_dim, contract_blocks, evaluate, jacobian,
                           system_evaluators, system_parts, tensor_power)
@@ -81,24 +80,29 @@ def recover_vector(be_xxT: BlockEncoding,
 def _m_budget(system: PolynomialSystem, ledger: CostLedger | None) -> _Budget:
     """Budget and charges of M's encoding: those of the sum of the p sparse
     encodings of blockdiag(Q_j A_i Q_j), each with the entries and row and
-    column counts of blockdiag(A_i), which are checked as theirs."""
+    column counts of blockdiag(A_i), checked as theirs; QNLS_DEBUG=1 checks
+    ||M||_2 <= alpha_M on M's entries."""
     if system.p * system.max_norm() > np.sqrt(system.n) + 1e-9:
         raise RescaleRequiredError(
             "p * max ||A_i|| exceeds sqrt(n); canonicalize first")
-    return _sum_budget([_sparse_budget(system.a_blockdiag, system.sparsity,
-                                       ledger) for _ in range(system.p)], ledger)
+    b = _sum_budget([_sparse_budget(system.a_blockdiag, system.sparsity,
+                                    ledger) for _ in range(system.p)], ledger)
+    if debug_enabled() and _norm_above(system.m_blockdiag, b.alpha * (1.0 + 1e-9)):
+        raise InvariantViolationError(f"||M||_2 exceeds alpha_M = {b.alpha:.6g}")
+    return b
 
 
 def build_M_blockdiag(system: PolynomialSystem,
                       ledger: CostLedger | None = None) -> BlockEncoding:
-    """Dense encoding of the system's merged M = blockdiag(M_D^1 .. M_D^n)
-    / (p s).  A Newton step builds it only to verify it under QNLS_DEBUG=1."""
+    """Dense encoding of the merged M = blockdiag(M_D^1 .. M_D^n) / (p s): a
+    test reference and the bench tracer's build_M span; no step builds it."""
     return _from_entries(system.m_blockdiag, _m_budget(system, ledger))
 
 
 def build_A_blockdiag(system: PolynomialSystem,
                       ledger: CostLedger | None = None) -> BlockEncoding:
-    """Encoding of the system's blockdiag(A_1 .. A_n), scaled by 1/2, / s."""
+    """Dense encoding of blockdiag(A_1 .. A_n) / (2 s): init_heuristic's
+    operator, a reference for tests and the bench tracer's build_A span."""
     return be_from_sparse(system.a_blockdiag.scaled(0.5), system.sparsity, ledger)
 
 
@@ -180,7 +184,7 @@ def jacobian_sandwich_be(system: PolynomialSystem, be_xxT: BlockEncoding,
     element (i, k) is gamma^{2p-1} (grad f_k(x))_i / (sqrt(n) alpha_P): the
     extracted matrix is gamma^{2p-1} J(x)^T / sqrt(n), gamma = frame.gamma."""
     n, p, x = system.n, system.p, frame.x
-    m = (build_M_blockdiag if debug_enabled() else _m_budget)(system, ledger)
+    m = _m_budget(system, ledger)
     br, btr = frame.states(be_xxT.block)
     jac = contract_blocks(system.m_blockdiag, tensor_power(btr, p - 1),
                           tensor_power(br, p))
@@ -205,8 +209,7 @@ def rhs_be(system: PolynomialSystem, be_xxT: BlockEncoding, frame: StepFrame,
     alpha_A), S the scatter of F with A's last column factor left open,
     which the contraction reads on A's rows, as A is symmetric."""
     n, p, x, b = system.n, system.p, frame.x, be_xxT.block
-    a = (be_from_sparse if debug_enabled() else _sparse_budget)(
-        system.a_blockdiag.scaled(0.5), system.sparsity, ledger)
+    a = _sparse_budget(system.a_blockdiag.scaled(0.5), system.sparsity, ledger)
     br, btr = frame.states(b)
     half_s = 0.5 * contract_blocks(system.a_blockdiag, tensor_power(br, p - 1),
                                    tensor_power(btr, p))
@@ -364,12 +367,12 @@ def newton_solve(system, x0: np.ndarray, t: int, cfg: InversionConfig, *,
     gamma_reference picks the sandwich reference state: 'e1' (first basis
     vector, gamma = first iterate component), 'x0' (frozen initial state),
     or 'previous' (re-referenced to the current iterate each step).
-    Returns the final state and the per-iteration trace.  A numerical
-    failure (singular Jacobian, degenerate overlap, failed composition,
-    conditioning or linear algebra) stops early and is recorded on the
-    trace as the halt reason instead of raising.  A system whose sandwich
-    dimension n^{p+1} (n without a nonlinear part) exceeds the desk-scale
-    cap raises DeskScaleError before any encoding is built.
+    Returns the final state and the per-iteration trace.  A
+    NumericalFailure (singular Jacobian, degenerate overlap, failed
+    composition, conditioning) or a LinAlgError stops early and is
+    recorded on the trace as the halt reason instead of raising.  A system
+    whose sandwich dimension n^{p+1} (n without a nonlinear part) exceeds
+    the desk-scale cap raises DeskScaleError before any encoding is built.
     """
     if t < 0:
         raise InputError("iteration count must be non-negative")
@@ -396,9 +399,7 @@ def newton_solve(system, x0: np.ndarray, t: int, cfg: InversionConfig, *,
             ref = states[-1].x
         try:
             states.append(newton_step(system, states[-1], step_cfg, x_ref=ref))
-        except (SingularJacobianError, DegenerateReferenceError,
-                CompositionError, ConditioningError,
-                np.linalg.LinAlgError) as exc:
+        except (NumericalFailure, np.linalg.LinAlgError) as exc:
             halted = str(exc)
             break
     f_eval, _ = system_evaluators(system)

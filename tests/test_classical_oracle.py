@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qnls import (ClassicalTrace, SingularJacobianError, classical_newton,
-                  residual)
+from qnls import (ClassicalTrace, NumericalFailure, SingularJacobianError,
+                  classical_newton, residual)
 from qnls.problems import (LvParams, lv_default_guess, lv_discretize,
                            lv_scaled_root)
 from qnls.quantum_newton import system_evaluators
@@ -77,6 +77,19 @@ def test_singular_jacobian_partial_trace():
     partial = info.value.partial
     assert isinstance(partial, ClassicalTrace)
     assert len(partial.iterates) == 1
+
+
+@pytest.mark.parametrize("bad", ["value", "jacobian"])
+def test_non_finite_value_or_jacobian_halts_with_partial_trace(bad):
+    # Newton on x^2 halves x; at x = 0.5 the value or the Jacobian is not
+    # finite, which lu_solve or lu_factor refused with a bare ValueError
+    f = lambda x: np.array([np.nan if bad == "value" and x[0] <= 0.5
+                            else x[0] ** 2])
+    j = lambda x: np.array([[np.inf if bad == "jacobian" and x[0] <= 0.5
+                             else 2.0 * x[0]]])
+    with pytest.raises(NumericalFailure, match="not finite at iterate 1") as info:
+        classical_newton(f, j, np.array([1.0]), 3)
+    assert [x[0] for x in info.value.partial.iterates] == [1.0, 0.5]
 
 
 def test_stops_early_at_tolerance():

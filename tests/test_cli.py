@@ -826,23 +826,59 @@ def test_gen_given_scale_divides_the_guess(tmp_path, command, base):
         assert guesses["2"][-1] == guesses["4"][-1]
 
 
-def test_solve_classical_singular_jacobian_halts_with_partial_trace(tmp_path,
-                                                                   capsys):
-    # f = x^2 + 0.01 has no real root; from x0 = 0.1 the first Newton step
-    # lands on x = 0 (to roundoff), where the Jacobian 2x is singular
+def noroot_solve(tmp_path, guess, *args):
+    """main's exit code on f = x^2 + 0.01 (no real root) from the guess."""
     path = tmp_path / "noroot.qnls"
     path.write_text("version 1\nkind mixed\nn 1\np 1\ns 1\n"
                     "equation 0\nconst 0.01\na 0 0 2\nend\n")
-    guess = tmp_path / "x0.txt"
-    guess.write_text("0.1\n")
+    (tmp_path / "x0.txt").write_text(f"{guess}\n")
+    return main(["solve", "--problem", str(path), "--iters", "3", "--x0",
+                 str(tmp_path / "x0.txt"), *args])
+
+
+def test_solve_classical_singular_jacobian_halts_with_partial_trace(tmp_path,
+                                                                   capsys):
+    # from x0 = 0.1 the first Newton step lands on x = 0 (to roundoff),
+    # where the Jacobian 2x is singular
     trace = tmp_path / "t.csv"
-    rc = main(["solve", "--problem", str(path), "--iters", "3", "--x0",
-               str(guess), "--backend", "classical", "--trace", str(trace)])
+    rc = noroot_solve(tmp_path, 0.1, "--backend", "classical",
+                      "--trace", str(trace))
     assert rc == 3
     assert "halted: Jacobian pivot below 1e-12" in capsys.readouterr().err
     rows = read_rows(trace)
     assert [r["iter"] for r in rows] == ["0", "1"]
     assert abs(float(rows[1]["x_norm_sq"])) < 1e-24
+
+
+NOROOT_NOTE = "note: per-row canonical factors in [0.5, 0.5]\n"
+
+
+def test_solve_classical_non_finite_residual_halts_with_partial_trace(
+        tmp_path, capsys):
+    # F(1e160) overflows to inf; the classical route halts at that iterate,
+    # keeps its row and warns of nothing (scipy's lu_solve raised a
+    # ValueError on the inf, after numpy's overflow warnings)
+    trace = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = noroot_solve(tmp_path, 1e160, "--backend", "classical",
+                          "--trace", str(trace))
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        NOROOT_NOTE + "halted: F(x) or J(x) not finite at iterate 0\n")
+    rows = read_rows(trace)
+    assert [(r["iter"], r["residual"], r["x_norm_sq"]) for r in rows] == [
+        ("0", "inf", "inf")]
+
+
+def test_a_guess_whose_norm_overflows_is_one_input_error(tmp_path, capsys):
+    # ||1e160||^2 overflows inside the norm, which warned before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = noroot_solve(tmp_path, 1e160, "--backend", "exact")
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        NOROOT_NOTE + "error: ||x|| = inf exceeds 1\n")
 
 
 def test_classical_trace_stops_at_an_exact_root(tmp_path):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qnls import (BlockEncoding, CostLedger, DegenerateReferenceError,
-                  DeskScaleError, InputError, InversionConfig, MixedSystem,
+                  DeskScaleError, InputError, InvariantViolationError,
+                  InversionConfig, MixedSystem,
                   NewtonState, PolynomialSystem, RescaleRequiredError,
                   SparseMatrix, StepFrame, be_from_sparse, be_from_vector,
                   be_amplify, be_of_matrix, be_product, be_sum, be_tensor,
@@ -358,8 +359,8 @@ def _gpe_nx3():
     (_gpe_nx3, "previous")], ids=["lv-e1", "lv-x0", "lv-previous",
                                   "gpe-previous"])
 def test_debug_checks_pass_and_leave_the_trace(monkeypatch, make, ref):
-    # QNLS_DEBUG=1 runs M's intended assembly, the sandwiches' intended
-    # matrices and the classical-step check on every step
+    # QNLS_DEBUG=1 runs M's norm check, the sandwiches' intended matrices
+    # and the classical-step check on every step
     system, x0, steps = make()
     monkeypatch.delenv("QNLS_DEBUG", raising=False)
     _, plain = newton_solve(system, x0, steps, CFG, gamma_reference=ref)
@@ -405,13 +406,19 @@ def test_plain_steps_encode_only_the_linear_part_and_are_charged_alike(
             b.oracle_queries - a.oracle_queries, rel=1e-12)
 
 
-@pytest.mark.parametrize("make, cfg", [
-    (_gpe_nx3, CFG), (_lv_t3, InversionConfig(0.03, 1e-3, "poly"))],
-    ids=["gpe-exact", "lv-poly"])
-def test_a_plain_step_builds_no_array_with_n_p1_rows(monkeypatch, make, cfg):
-    # M and A are read as entries: no sparse matrix of n^{p+1} rows is
-    # densified and no Kronecker product reaches n^{p+1} rows
-    monkeypatch.delenv("QNLS_DEBUG", raising=False)
+LV_POLY = InversionConfig(0.03, 1e-3, "poly")
+
+
+@pytest.mark.parametrize("make, cfg, debug", [
+    (_gpe_nx3, CFG, ""), (_lv_t3, LV_POLY, ""),
+    (_gpe_nx3, CFG, "1"), (_lv_t3, LV_POLY, "1")],
+    ids=["gpe-exact", "lv-poly", "gpe-exact-debug", "lv-poly-debug"])
+def test_a_plain_step_builds_no_array_with_n_p1_rows(monkeypatch, make, cfg,
+                                                     debug):
+    # M and A are read as entries, with or without QNLS_DEBUG: no sparse
+    # matrix of n^{p+1} rows is densified and no Kronecker product reaches
+    # n^{p+1} rows
+    monkeypatch.setenv("QNLS_DEBUG", debug)
     system, x0, _ = make()
     big = system.n ** (system.nonlinear.p + 1)
     rows, to_dense, kron = [], SparseMatrix.to_dense, np.kron
@@ -453,30 +460,32 @@ def test_a_non_finite_reference_is_rejected_before_dividing(ref):
             StepFrame(np.array([0.45, -0.2, 0.3]), x_ref=np.array(ref))
 
 
-def test_debug_after_a_plain_solve_still_verifies_m(monkeypatch):
-    # a plain solve builds no dense M; a debug solve of the same system
-    # builds it on every step, with its intended matrix, and verifies it
+def test_debug_checks_m_against_its_alpha_from_its_entries(monkeypatch):
+    # neither a plain nor a debug solve builds a dense M or A; the debug
+    # solve checks ||M||_2 <= alpha_M on M's entries, so a budget cut to
+    # alpha / 4 is an invariant violation, not a halted run
     import qnls.quantum_newton as qn
 
-    built = []
-
-    def recording(*args, **kwargs):
-        built.append(real(*args, **kwargs))
-        return built[-1]
-
-    real = qn.build_M_blockdiag
-    monkeypatch.setattr(qn, "build_M_blockdiag", recording)
+    calls = []
+    for name in ("build_M_blockdiag", "build_A_blockdiag"):
+        monkeypatch.setattr(qn, name, _spy(calls, name, getattr(qn, name)))
     system, x0, steps = _lv_t3()
     monkeypatch.delenv("QNLS_DEBUG", raising=False)
     _, plain = newton_solve(system, x0, steps, CFG)
-    assert built == []
     monkeypatch.setenv("QNLS_DEBUG", "1")
     _, debug = newton_solve(system, x0, steps, CFG)
-    assert len(built) == steps
-    for be in built:
-        assert be.intended is not None
-        be.verify()
+    assert calls == []
     assert plain.halted is None and debug.to_csv() == plain.to_csv()
+
+    real_sum = qn._sum_budget
+
+    def cut_sum(terms, ledger):
+        b = real_sum(terms, ledger)
+        return b._replace(alpha=b.alpha / 4)
+
+    monkeypatch.setattr(qn, "_sum_budget", cut_sum)
+    with pytest.raises(InvariantViolationError, match="exceeds alpha_M"):
+        newton_solve(system, x0, steps, CFG)
 
 
 @pytest.mark.parametrize("debug", [False, True], ids=["plain", "debug"])
@@ -500,11 +509,11 @@ def test_solver_path_builds_no_unitary(monkeypatch, debug):
 
 
 def test_certified_blocks_skip_the_norm_svd(monkeypatch):
-    # a plain GPE step makes no n^{p+1}-dimensional block; a QNLS_DEBUG=1
-    # step makes M and A, and a cheap norm bound certifies each of them a
-    # contraction, so no dense 2-norm runs on a block that wide.  The only
-    # dense 2-norms left are M's canonical check, one per equation's
-    # coefficient block, taken once per system
+    # a GPE step makes no n^{p+1}-dimensional block, with or without
+    # QNLS_DEBUG=1, and a cheap bound on M's entries settles the debug
+    # check of M's norm, so no dense 2-norm runs on a block that wide.
+    # The only dense 2-norms left are M's canonical check, one per
+    # equation's coefficient block, taken once per system
     import qnls.block_encoding as be_mod
 
     psi = np.array([0.3 + 0.1j, -0.2 + 0.25j, 0.15 - 0.3j])
@@ -519,14 +528,14 @@ def test_certified_blocks_skip_the_norm_svd(monkeypatch):
 
     mk = be_mod._mk
     monkeypatch.setattr(be_mod, "_mk", watched_mk)
-    for debug, built in (("", 0), ("1", 2)):
+    for debug in ("", "1"):
         monkeypatch.setenv("QNLS_DEBUG", debug)
         two_norms.clear()
         widths.clear()
         state, trace = newton_solve(system, gpe_default_guess(params), 1, CFG)
         assert trace.halted is None
         assert state.k == 1
-        assert widths.count(big) == built
+        assert widths and max(widths) < big
         assert len(two_norms) <= system.n
         assert all(max(s) <= big // system.n for s in two_norms)
 
@@ -924,9 +933,9 @@ def test_plain_sparse_encoding_holds_one_dense_copy(monkeypatch, build,
                                                     sandwich):
     # a plain build holds the divided block and _norm_above's |.| temporary,
     # 2 N^2 doubles; a build that also densified the undivided matrix would
-    # hold 3.  Only criterion 1, QNLS_DEBUG=1, unitary, build_P and
-    # init_heuristic build it: the step's sandwich corner over the same
-    # operator, read off its entries, holds under 1 % of one N^2 copy
+    # hold 3.  Only criterion 1, unitary, build_P and init_heuristic build
+    # it: the step's sandwich corner over the same operator, read off its
+    # entries, holds under 1 % of one N^2 copy
     import tracemalloc
 
     def dim_and_peak(run):
