@@ -6,7 +6,7 @@ and GPE), a 3-step GPE solve (whose later steps reuse the encodings built
 on the first), a classical `resources` run, an LV solve and the 3-step
 GPE solve with QNLS_DEBUG=1 (set for those commands only), a solve and a
 check of the random homogeneous problem, a one-step poly-backend LV solve
-and a 3-step one whose fits are scaled under the unit cap, an LV
+and a 3-step one whose polynomials are scaled under the unit cap, an LV
 generation with a given `--scale`, a `resources` run that prints its
 report, a solve of a mixed problem with entries above 1 that is rescaled
 on load, and a solve of a mixed problem with only linear and constant
@@ -28,10 +28,6 @@ is how `tests/golden/` is regenerated:
 
     PYTHONPATH=src:scripts python3 -c \
         "import artifact_digest; artifact_digest.write_golden('tests/golden')"
-
-Compare only digests made at the same OpenBLAS thread count: the
-`lv_poly_cap.csv` and `lv_poly_cap.txt` hashes depend on it (94ba4409… and
-1984097b… with OPENBLAS_NUM_THREADS=1, 8e62ee02… and a5fc5a84… with 2).
 """
 
 import contextlib
@@ -111,11 +107,11 @@ COMMANDS = [
     ("solve-random", "solve --problem rnd.qnls --iters 2 --trace rnd.csv "
                      "--report rnd.txt"),
     ("check-random", "check --problem rnd.qnls --suite all"),
-    # degree-67 inverse polynomial, one search
+    # one degree-85 inverse polynomial
     ("solve-lv-poly", f"solve {LV_RUN} --iters 1 --backend poly "
                       "--sigma-floor 0.07 --eps 0.3 --trace lv_poly.csv "
                       "--report lv_poly.txt"),
-    # the fits break the unit cap and are scaled under it
+    # the degree-327 polynomials break the unit cap and are scaled under it
     ("solve-lv-poly-cap", f"solve {LV_RUN} --iters 3 --backend poly "
                           "--sigma-floor 0.05 --eps 5e-3 "
                           "--trace lv_poly_cap.csv --report lv_poly_cap.txt"),

@@ -115,28 +115,15 @@ MUTANTS = [
     ("exact-kernel-scaled-1e-10", SVT,
      "np.clip(sigma / np.maximum(s, 1e-300), 0.0, 1.0)",
      "np.clip(sigma / np.maximum(s, 1e-300), 0.0, 1.0) * (1 - 1e-10)"),
-    # the inverse polynomial's exchange and search
-    ("remez-signs-all-plus", SVT,
-     "signs = (-1.0) ** np.arange(n + 1)", "signs = np.ones(n + 1)"),
-    ("remez-settle-1e-3", SVT,
-     "floor * (1.0 + 1e-9)", "floor * (1.0 + 1e-3)"),
-    ("remez-one-exchange", SVT,
-     "_REMEZ_EXCHANGES = 12", "_REMEZ_EXCHANGES = 1"),
-    ("remez-floor-is-the-sup", SVT,
-     "floor = float(lows[first])", "floor = float(size[peaks[top]])"),
-    ("remez-window-max", SVT,
-     "(size[peaks], n + 1).min(1)", "(size[peaks], n + 1).max(1)"),
-    ("remez-start-at-t", SVT, "y = np.sqrt(t)", "y = t"),
-    ("remez-no-repeat-settle", SVT,
-     "or np.array_equal(ref, levelled)):", "or False):"),
-    ("odd-columns-row-major", SVT,
-     "    return rows.T", "    return np.ascontiguousarray(rows.T)"),
-    ("search-predict-with-sigma", SVT,
-     "/ np.arctanh(sigma)", "/ sigma"),
-    ("search-predict-without-shrink", SVT,
-     "np.log(shrink / eps)", "np.log(1.0 / eps)"),
-    ("search-no-gallop", SVT, "step = 2 * step", "step = step"),
-    ("search-bisect-to-gap-4", SVT, "if hi - lo <= 2:", "if hi - lo <= 4:"),
+    # the closed-form inverse polynomial and its unit-cap certificate
+    ("degree-from-sigma-not-atanh", SVT,
+     "(2.0 * np.arctanh(sigma)))", "(2.0 * sigma))"),
+    ("recurrence-z-is-a-plus-by", SVT,
+     "w = 2.0 * b * (s - x) * (s + x)", "w = 2.0 * b * (s * s + x * x)"),
+    ("certificate-without-bernstein-margin", SVT,
+     "max(above, on_grid / (1.0 - c))", "max(above, on_grid)"),
+    ("cap-scaling-keeps-h", SVT,
+     "scale * q.scale), _HEADROOM * scale", "scale * q.scale), _HEADROOM"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",

@@ -26,8 +26,8 @@ from .quantum_newton import (NewtonState, NewtonTrace, StepFrame, TraceRow,
                              init_heuristic, jacobian_be, jacobian_sandwich_be,
                              newton_solve, newton_step, norm_estimate,
                              recover_vector, rhs_be)
-from .svt import (InversionConfig, OddPolynomial, backend_inverse_poly,
-                  degree_budget, max_eigenvalue, min_eigenvalue,
-                  min_singular_value, sv_invert)
+from .svt import (InversionConfig, backend_inverse_poly, degree_budget,
+                  max_eigenvalue, min_eigenvalue, min_singular_value,
+                  sv_invert)
 
 __version__ = "0.1.0"

@@ -26,8 +26,16 @@ class ClassicalTrace:
 
 
 def residual(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> float:
-    """||F(x)||_2."""
-    return float(np.linalg.norm(np.atleast_1d(np.asarray(f(x), dtype=np.float64))))
+    """||F(x)||_2, the package's one residual norm.  Only where the plain
+    norm's sum of squares overflows on a finite F(x) is it taken of
+    F(x)/max|F_i| and scaled back, so every finite plain norm is kept."""
+    fx = np.atleast_1d(np.asarray(f(x), dtype=np.float64))
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(fx))
+        if nrm == np.inf and np.isfinite(fx).all():
+            top = np.max(np.abs(fx))
+            nrm = float(top * np.linalg.norm(fx / top))
+    return nrm
 
 
 def classical_newton(f: Callable, jac: Callable, x0: np.ndarray, t: int,
@@ -47,7 +55,7 @@ def classical_newton(f: Callable, jac: Callable, x0: np.ndarray, t: int,
         for k in range(t + 1):
             iterates.append(x)
             fx = np.atleast_1d(np.asarray(f(x), dtype=np.float64))
-            residuals.append(float(np.linalg.norm(fx)))
+            residuals.append(residual(lambda _: fx, x))
             if k == t or residuals[-1] <= tol:
                 break
             j = np.atleast_2d(np.asarray(jac(x), dtype=np.float64))

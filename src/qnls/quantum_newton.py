@@ -24,6 +24,7 @@ from .block_encoding import (BlockEncoding, CostLedger, _Budget, _eps_units,
                              be_amplify, be_from_sparse, be_from_vector,
                              be_of_matrix, be_outer, be_product, be_rescale,
                              be_sum, be_tensor, be_transpose, debug_enabled)
+from .classical_oracle import residual
 from .errors import (DegenerateReferenceError, InputError,
                      InvariantViolationError, NumericalFailure,
                      RescaleRequiredError, SingularJacobianError)
@@ -403,7 +404,7 @@ def newton_solve(system, x0: np.ndarray, t: int, cfg: InversionConfig, *,
             halted = str(exc)
             break
     f_eval, _ = system_evaluators(system)
-    rows = [TraceRow(st.k, float(np.linalg.norm(f_eval(st.x))), st.x_norm_sq,
+    rows = [TraceRow(st.k, residual(f_eval, st.x), st.x_norm_sq,
                      nxt.sigma_k if nxt else None,
                      nxt.gamma_k if nxt else None,
                      st.ledger.oracle_queries, st.ledger.primitive_ops,

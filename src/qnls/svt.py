@@ -5,19 +5,18 @@ polynomial backend approximating h*sigma/x, h <= 0.75, whose 1/h goes into
 the output alpha), plus extremal eigenvalue and singular value estimation
 with the matching symbolic cost charges.
 
-The polynomial's degree is predicted from the Chebyshev rate: the minimax
-deviation falls about as ((1 - sigma)/(1 + sigma))**(d/2), so the search
-first fits the odd ceiling of ln(shrink/eps)/atanh(sigma).  It gallops from
-there, down while the fits pass or up while they fail, and bisects the
-bracket: it ends on a passing fit at d above a failing degree d - 2.
-Each visited degree is fitted once, by a Remez exchange; only the returned
-fit is measured against the unit cap, and scaled under it with h if needed.
+The polynomial is closed-form: q(x) = h*sigma*(1 - P_k(x^2))/x, where
+P_k(y) = T_k(a - b*y)/T_k(a), a = (1 + sigma^2)/(1 - sigma^2) and
+b = 2/(1 - sigma^2) map [sigma^2, 1] onto [-1, 1], of degree 2k - 1.  On
+[sigma, 1], |q/h - sigma/x| = sigma*|P_k|/x <= 1/T_k(a) = 1/cosh(2k
+atanh(sigma)) at every point, so k = ceil(acosh(1/eps)/(2 atanh(sigma)))
+meets eps with no search (Chebyshev semi-iteration on the normal equations;
+Golub and Varga, Numer. Math. 3, 1961).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,11 +25,13 @@ from .block_encoding import (BlockEncoding, CostLedger, _eps_units, _log2,
 from .errors import ConditioningError, ConfigError, InputError
 from .poly_system import _norm_above
 
-_DEGREE_CAP = 1200   # the search's limit, for memory: a fit or cap grid
-                     # holds 2*degree**2 doubles, 23 MB at 1199
+# the largest degree the poly backend builds, for run time: a degree-4095
+# build took 18-133 ms at eps 1e-1 to 1e-15 on one core, nearly all of it
+# the unit-cap certificate's 2048 passes over its 2-18 thousand points
+_DEGREE_CAP = 4095
 _HERMITIAN_TOL = 1e-9
-_UNIT_CAP = 1.0 - 1e-9     # the bound on |q| over the cap grid
-_REMEZ_EXCHANGES = 12      # exchange steps before `_remez_exchange` gives up
+_UNIT_CAP = 1.0 - 1e-9     # the certified bound on |q| over [-1, 1]
+_BERNSTEIN_MARGIN = 1e-3   # the certificate's allowance between its points
 
 
 @dataclass(frozen=True)
@@ -50,174 +51,69 @@ class InversionConfig:
             raise InputError(f"unknown backend {self.backend!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class OddPolynomial:
-    """Odd Chebyshev-basis polynomial.  The poly backend keeps |q| <= 1 - 1e-9
-    on the cap grid only: between its points q can pass 1 slightly."""
+@dataclass(frozen=True)
+class _InversePolynomial:
+    """q(x) = scale*(1 - P_k(x^2))/x, of degree 2k - 1 (module docstring)."""
 
-    cheb_coeffs: np.ndarray
-
-    def __post_init__(self):
-        # a copy: the search memo hands this polynomial to every caller
-        c = np.array(self.cheb_coeffs, dtype=np.float64)
-        if c.ndim != 1 or c.size == 0:
-            raise InputError("need a 1-d coefficient array")
-        if np.any(c[0::2] != 0.0):
-            raise InputError("even-index Chebyshev coefficients must vanish")
-        c.flags.writeable = False
-        object.__setattr__(self, "cheb_coeffs", c)
+    sigma: float
+    k: int
+    scale: float
 
     @property
     def degree(self) -> int:
-        nz = np.nonzero(self.cheb_coeffs)[0]
-        return int(nz[-1]) if nz.size else 0
+        return 2 * self.k - 1
 
     def __call__(self, x):
+        """q at x by the recurrence of R_j(y) = (1 - P_j(y))/y, never by the
+        difference 1 - P_k, which cancels at small x.  With tau_j = T_j(a),
+        tau_(j+1) R_(j+1) = 2 tau_j (b + z R_j) - tau_(j-1) R_(j-1) at
+        z = a - b x^2, run in Reinsch's form: E_j = R_j - r_(j-1) R_(j-1),
+        r_j = tau_j/tau_(j+1), and w = 2(z - 1) = 2b(sigma - x)(sigma + x),
+        with a - 1 = b sigma^2 kept apart from 1 in r_j, so that the rounding
+        of a and z does not enter where z is near 1."""
         x = np.asarray(x, dtype=np.float64)
-        odd = _odd_cheb_columns(x.ravel(), self.cheb_coeffs.size - 1)
-        return (odd @ self.cheb_coeffs[1::2]).reshape(x.shape)[()]
-
-
-def _odd_cheb_columns(xs: np.ndarray, degree: int) -> np.ndarray:
-    """T_1, T_3, ..., T_degree at xs: chebvander's recurrence T_k = T_(k-1)*2x
-    - T_(k-2), keeping the odd columns only.  Column-major, as chebvander's
-    odd columns are, so the products take the same BLAS path and bytes."""
-    rows = np.empty(((degree + 1) // 2, xs.size))
-    x2, prev, cur = 2 * xs, np.ones_like(xs), xs          # T_0, T_1
-    rows[:1] = cur                                         # none at degree 0
-    for k in range(3, degree + 1, 2):
-        prev = cur * x2 - prev                             # T_(k-1)
-        cur = prev * x2 - cur                              # T_k
-        rows[k // 2] = cur
-    return rows.T
-
-
-def _fit_grids(sigma: float, degree: int,
-               shrink: float) -> tuple[np.ndarray, ...]:
-    """The minimax fit's grid: max(600, 4*degree) Chebyshev nodes xs of
-    [sigma, 1] (decreasing), the target shrink*sigma/xs, and the odd
-    Chebyshev columns at xs."""
-    m_fit = max(600, 4 * degree)
-    nodes = np.cos(np.pi * (np.arange(m_fit) + 0.5) / m_fit)
-    xs = 0.5 * (sigma + 1.0) + 0.5 * (1.0 - sigma) * nodes
-    return xs, shrink * sigma / xs, _odd_cheb_columns(xs, degree)
-
-
-def _cap_sup(coeffs: np.ndarray) -> float:
-    """max |q| on the cap grid of degree d: max(600, 4d) points of (0, 1]."""
-    degree = coeffs.size - 1
-    ys = np.linspace(0.0, 1.0, max(600, 4 * degree) + 1)[1:]
-    phi_cap = _odd_cheb_columns(ys, degree)
-    return float(np.max(np.abs(phi_cap @ np.ascontiguousarray(coeffs[1::2]))))
-
-
-def _remez_exchange(sigma: float, grids: tuple[np.ndarray, ...]
-                    ) -> tuple[np.ndarray, float, float] | None:
-    """Discrete Remez exchange for the odd Chebyshev basis on the fit grid.
-
-    Odd polynomials on [sigma, 1], sigma > 0, form a Haar system (Descartes'
-    rule of signs), so by de la Vallee Poussin every odd polynomial of the
-    degree deviates on the fit grid by at least the floor min |target - p|
-    over n + 1 grid points where the error of any one such p alternates in
-    sign (n = (degree + 1)/2 coefficients).  The exchange starts from the
-    grid points nearest the Chebyshev extrema in x^2 of [sigma^2, 1], levels
-    the error on the reference, and moves the reference to n + 1
-    alternating error peaks that include the largest.  Once p's sup
-    deviation on the grid is within 1e-9 relative of the floor, or the
-    reference repeats (a fixed point: the gap left is roundoff), it returns
-    p's odd-index coefficients, the floor and p's deviation; an exchange
-    that does not settle, or a reference the solve cannot level, gives None.
-    """
-    xs, target, phi_fit = grids
-    n = phi_fit.shape[1]
-    t = 0.5 * (1.0 + sigma ** 2) + 0.5 * (1.0 - sigma ** 2) * np.cos(
-        np.pi * np.arange(n + 1) / n)
-    # the nearer of the two nodes around each sqrt(t), the first on a tie
-    y = np.sqrt(t)
-    j = np.clip(np.searchsorted(-xs, -y), 1, xs.size - 1)
-    nearest = j - (np.abs(xs[j - 1] - y) <= np.abs(xs[j] - y))
-    ref = np.flatnonzero(np.bincount(nearest, minlength=xs.size))
-    signs = (-1.0) ** np.arange(n + 1)
-    for _ in range(_REMEZ_EXCHANGES):
-        if ref.size != n + 1:
-            return None
-        try:
-            sol = np.linalg.solve(np.column_stack([phi_fit[ref], signs]),
-                                  target[ref])
-        except np.linalg.LinAlgError:
-            return None
-        err = target - phi_fit @ sol[:-1]
-        # the largest |err| of each run of one sign: the alternating peaks
-        size, flip = np.abs(err), np.r_[True, np.diff(err >= 0.0)]
-        peaks = np.lexsort((-size, np.cumsum(flip)))[np.flatnonzero(flip)]
-        if peaks.size < n + 1:
-            return None
-        # the n + 1 consecutive peaks with the largest floor, the top among them
-        top = int(np.argmax(size[peaks]))
-        lows = np.lib.stride_tricks.sliding_window_view(size[peaks], n + 1).min(1)
-        first = max(0, top - n) + int(np.argmax(lows[max(0, top - n):top + 1]))
-        levelled, ref = ref, peaks[first:first + n + 1]
-        floor = float(lows[first])
-        if (size[peaks[top]] <= floor * (1.0 + 1e-9)
-                or np.array_equal(ref, levelled)):
-            return sol[:-1], floor, float(size[peaks[top]])
-    return None
+        s = self.sigma
+        b = 2.0 / ((1.0 - s) * (1.0 + s))
+        u = 2.0 * b * s * s                          # 2(a - 1)
+        w = 2.0 * b * (s - x) * (s + x)
+        # R_0 = 0, and E_0 = -b makes the first pass give R_1 = b/a
+        rho, big_r, e = -0.5 * u, np.zeros_like(x), np.full_like(x, -b)
+        for _ in range(self.k):
+            r = 1.0 / (1.0 + u + rho)                # r_j = 1/(2a - r_(j-1))
+            rho = (u + rho) * r                      # 1 - r_j
+            e = r * (w * big_r + e + 2.0 * b)
+            big_r = r * big_r + e
+        return (self.scale * x * big_r)[()]
 
 
 def _minimax_fit(sigma: float, degree: int,
-                 shrink: float) -> tuple[np.ndarray, float]:
-    """Best odd-Chebyshev fit to shrink*sigma/x on [sigma, 1] and its
-    deviation on the fit grid, from a settled `_remez_exchange` (unique up
-    to the gap it settled at: odd polynomials form a Haar system there), or
-    zeros and deviation inf where the exchange does not settle."""
-    coeffs = np.zeros(degree + 1)
-    levelled = _remez_exchange(sigma, _fit_grids(sigma, degree, shrink))
-    if levelled is None:
-        return coeffs, np.inf
-    coeffs[1::2], _, deviation = levelled
-    return coeffs, deviation
+                 shrink: float) -> _InversePolynomial:
+    """The odd q of the degree (2k - 1 for some k >= 1) whose q/shrink is
+    minimax in the relative error to sigma/x on [sigma, 1]: x*q/(shrink
+    sigma) - 1 = -P_k(x^2), the shifted Chebyshev polynomial of least sup
+    on [sigma^2, 1] among degree-k polynomials equal to 1 at 0."""
+    return _InversePolynomial(float(sigma), (degree + 1) // 2,
+                              shrink * float(sigma))
 
 
-@lru_cache(maxsize=64)
-def _search_inverse_poly(sigma: float, eps: float, shrink: float,
-                         degree_cap: int) -> tuple[OddPolynomial, float] | None:
-    """Smallest passing odd degree near the Chebyshev rate's prediction,
-    and its fit's sup on the cap grid.
+def _unit_sup(q: _InversePolynomial) -> float:
+    """A bound on max |q| over [-1, 1].
 
-    The first fit goes to d0, the odd ceiling of ln(shrink/eps)/atanh(sigma)
-    (the deviation falls about as shrink*((1 - sigma)/(1 + sigma))**(d/2)),
-    clamped to [3, top], top the largest odd degree within degree_cap.  The
-    search gallops from d0 with strides 2, 4, 8, ...: down while the fits
-    pass (degree 1 counts as failing and is never fitted), or up while they
-    fail, never past top.  It then bisects until a passing fit at d has a
-    failing d - 2: the smallest passing degree when the deviation falls
-    monotonically in the degree.  None when top < 3 or the fit at top fails.
+    q is odd.  On [sigma, 1], |q| <= (scale/sigma)(1 + 1/T_k(a)) from the
+    module docstring's bound.  On [0, sigma] the bound is certified on the
+    grid x = sin(phi), phi spaced h_phi apart on [0, asin(sigma)]: by
+    Bernstein's inequality, |q'(x)| <= d*sup/sqrt(1 - x^2) at degree d, so
+    |dq/dphi| <= d*sup, and between the points |q| exceeds their max by at
+    most c*sup, c = d*h_phi/2 <= _BERNSTEIN_MARGIN.  Where sup is reached
+    on [0, sigma], sup <= max/(1 - c).
     """
-    top = (degree_cap - 1) | 1
-    if top < 3:
-        return None
-    d = min(max(int(np.ceil(np.log(shrink / eps) / np.arctanh(sigma))), 3) | 1,
-            top)
-    # the bracket: lo fails and hi passes, and 1 and top + 2 are never fitted
-    lo, hi, best, step = 1, top + 2, None, 2      # best: the fit at hi
-    while True:
-        coeffs, dev = _minimax_fit(sigma, d, shrink)
-        if dev <= eps:
-            hi, best = d, coeffs
-        else:
-            lo = d
-        if hi - lo <= 2:
-            break
-        if best is None:                    # gallop up
-            d = min(lo + step, top)
-        elif lo == 1 and hi - step > 1:     # gallop down
-            d = hi - step
-        else:                               # bisect
-            d = (lo + hi) // 2 | 1
-        step = 2 * step
-    if best is None:
-        return None
-    return OddPolynomial(best), _cap_sup(best)
+    top = np.arcsin(q.sigma)
+    m = int(np.ceil(q.degree * top / (2.0 * _BERNSTEIN_MARGIN)))
+    on_grid = float(np.max(np.abs(q(np.sin(np.linspace(0.0, top, m + 1))))))
+    c = q.degree * top / (2.0 * m)
+    g = np.exp(-2.0 * q.k * np.arctanh(q.sigma))   # 1/T_k(a) = 2g/(1 + g^2)
+    above = q.scale / q.sigma * (1.0 + 2.0 * g / (1.0 + g * g))
+    return max(above, on_grid / (1.0 - c))
 
 
 def degree_budget(sigma: float, eps: float) -> float:
@@ -225,36 +121,41 @@ def degree_budget(sigma: float, eps: float) -> float:
     return (1.0 / sigma) * _log2(1.0 / (sigma * _eps_units(eps)))
 
 
+def _inverse_poly_degree(sigma: float, eps: float) -> float:
+    """2k - 1, k = max(1, ceil(acosh(1/eps)/(2 atanh(sigma)))): the degree of
+    the poly backend's q, in float, so that a huge one is compared, not built."""
+    k = np.ceil(np.arccosh(max(1.0 / eps, 1.0)) / (2.0 * np.arctanh(sigma)))
+    return 2.0 * max(float(k), 1.0) - 1.0
+
+
 _HEADROOM = 0.75
 
 
-def backend_inverse_poly(sigma: float, eps: float) -> tuple[OddPolynomial, float]:
+def backend_inverse_poly(sigma: float,
+                         eps: float) -> tuple[_InversePolynomial, float]:
     """Odd q of the poly backend, with its headroom h (0.75 at most).
 
-    The fit targets 0.75*sigma/x, not the saturated sigma/x whose value 1
-    at the threshold collides with the unit sup-norm cap; the output
-    subnormalization absorbs 1/h.  A fit whose sup s on the cap grid breaks
-    the cap 1 - 1e-9 is scaled by cap/s, and so is h, the usual rescaling
-    of a QSVT polynomial under |q| <= 1.  Both |q(x)/h - sigma/x| <= eps
-    and the cap hold only at the grid points, so between them q can exceed
-    both by a small fraction: the degree-229 polynomial for sigma 0.025,
-    eps 3e-2/9 is 1.3 % over eps off the grid.
+    q/h approximates sigma/x, not the saturated sigma/x whose value 1 at
+    the threshold collides with the unit sup-norm cap; the output
+    subnormalization absorbs 1/h.  |q(x)/h - sigma/x| <= eps at every x of
+    [sigma, 1].  Where the certified sup of |q| on [-1, 1] breaks the cap
+    1 - 1e-9, q is scaled by cap/sup, and so is h, the usual rescaling of a
+    QSVT polynomial under |q| <= 1.  A degree above _DEGREE_CAP is refused
+    before anything is built.
     """
     InversionConfig(sigma, eps, "poly")          # range-checks sigma and eps
-    cap = min(max(int(np.ceil(4.0 * degree_budget(sigma, eps))), 3),
-              _DEGREE_CAP)
-    found = _search_inverse_poly(float(sigma), float(_HEADROOM * eps),
-                                 _HEADROOM, cap)
-    if found is None:
+    degree = _inverse_poly_degree(sigma, eps)
+    if degree > _DEGREE_CAP:
         raise ConfigError(
             f"inverse polynomial for sigma={sigma:.3g}, eps={eps:.3g} needs "
-            f"degree beyond the search cap {cap} (4 x degree_budget, at most "
-            f"{_DEGREE_CAP}); raise sigma_floor or eps, or use the exact backend")
-    q, sup = found
+            f"degree {degree:.3g}, above the ceiling {_DEGREE_CAP}; raise "
+            "sigma_floor or eps, or use the exact backend")
+    q = _minimax_fit(sigma, int(degree), _HEADROOM)
+    sup = _unit_sup(q)
     if sup <= _UNIT_CAP:
         return q, _HEADROOM
     scale = _UNIT_CAP / sup
-    return OddPolynomial(scale * q.cheb_coeffs), _HEADROOM * scale
+    return replace(q, scale=scale * q.scale), _HEADROOM * scale
 
 
 def sv_invert(be: BlockEncoding, cfg: InversionConfig,
@@ -264,9 +165,8 @@ def sv_invert(be: BlockEncoding, cfg: InversionConfig,
     The input block B = extract()/alpha has no singular value in
     [sigma/2, sigma).  Exact output block = sigma * B^+ (alpha = 1), those
     below sigma/2 taken as zeros.  Poly output = q^{SV}(B) (alpha = 1/h),
-    q on every singular value: within eps for a spectrum in [sigma, 1], as
-    on the solver path; below sigma a q over its unit cap off the grid can
-    raise CompositionError.
+    q on every singular value: within eps of sigma/s at every s in
+    [sigma, 1], as on the solver path, and under its unit cap at every s.
     """
     b = be.block
     sigma = cfg.sigma_floor
@@ -294,8 +194,8 @@ def sv_invert(be: BlockEncoding, cfg: InversionConfig,
         ledger.charge("inversion", primitive=charge)
     intended = ((vh.conj().T * g_exact) @ u.conj().T if debug_enabled()
                 else None)
-    # cfg.eps bounds the polynomial's error on the fit grid only; off the
-    # grid it can be slightly larger (see backend_inverse_poly)
+    # cfg.eps bounds the polynomial's error at every point of [sigma, 1]
+    # (see backend_inverse_poly)
     eps_out = be.eps / sigma + (cfg.eps if polynomial else 0.0)
     return _mk(out_block, alpha_out, eps_out, intended, charge)
 

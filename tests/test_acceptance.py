@@ -15,7 +15,7 @@ from qnls import (CostLedger, InversionConfig, NewtonState, StepFrame,
                   be_of_matrix, be_product, be_rescale, be_sum, be_transpose,
                   classical_newton, degree_budget, evaluate, gradient_md,
                   homogenize_odd, jacobian, jacobian_sandwich_be,
-                  newton_solve, newton_step, sv_invert)
+                  newton_solve, newton_step, sv_invert, svt)
 from qnls.classical_oracle import residual as residual_of
 from qnls.poly_system import evaluate_monomials
 from qnls.problems import (GpeParams, LvParams, gpe_default_guess,
@@ -156,6 +156,17 @@ def test_criterion_05_inversion_backends():
         assert gap <= 1e-3
     assert led.notes["inverse_poly_degree"] / 50 <= 4.0 * degree_budget(0.3, 1e-3)
     report(5, "inversion backends agree within eps, degree within budget")
+
+
+def test_inverse_poly_degree_within_four_budgets_on_a_sweep():
+    """The closed form's degree never exceeds max(3, ceil(4 degree_budget))
+    on 300 x 200 pairs, sigma in [1e-6, 0.999] and eps in [1e-15, 10], the
+    degrees above the ceiling included, so the backend needs no cap of its
+    own at 4 budgets."""
+    for sigma in np.geomspace(1e-6, 0.999, 300):
+        for eps in np.geomspace(1e-15, 10.0, 200):
+            cap = max(3.0, np.ceil(4.0 * degree_budget(sigma, eps)))
+            assert svt._inverse_poly_degree(sigma, eps) <= cap, (sigma, eps)
 
 
 def test_criterion_06_homogeneous_contraction():

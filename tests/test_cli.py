@@ -583,8 +583,8 @@ def assert_poly_solve_imports_no_scipy(command):
 
 
 def test_poly_solve_imports_no_scipy(tmp_path):
-    # the Remez exchange fits every degree, and the fit is evaluated on the
-    # same odd Chebyshev columns, so neither loads numpy.polynomial
+    # the closed-form inverse polynomial is built and evaluated by its own
+    # recurrence, with no Chebyshev basis, so it loads no numpy.polynomial
     lv = lv_file(tmp_path)
     assert_poly_solve_imports_no_scipy(
         ["solve", "--problem", str(lv), "--x0", f"{lv}.x0", "--backend",
@@ -593,13 +593,30 @@ def test_poly_solve_imports_no_scipy(tmp_path):
 
 
 def test_poly_solve_at_the_default_eps_needs_no_lp(tmp_path):
-    # per-step target 0.75 * 6.7e-8 at sigma 0.025: the fits break the unit
-    # cap and are scaled under it, where a capped LP took 15 s and 800 MB
+    # per-step target 6.7e-8 at sigma 0.025: the degree-689 q breaks the unit
+    # cap and is scaled under it, where a capped LP took 15 s and 800 MB
     lv = lv_file(tmp_path)
     assert_poly_solve_imports_no_scipy(
         ["solve", "--problem", str(lv), "--x0", f"{lv}.x0", "--backend",
          "poly", "--sigma-floor", "0.05", "--iters", "5",
          "--trace", str(tmp_path / "t.csv")])
+
+
+def test_a_poly_solve_whose_degree_passes_the_ceiling_is_one_error(tmp_path):
+    # sigma' below 1e-30 needs degree about 1e31: refused before any build,
+    # where a degree-3 q near 0 let the residuals grow to 1e11 with exit 0
+    lv = lv_file(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "QNLS_DEBUG"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qnls.cli", "solve", "--problem", str(lv),
+         "--x0", f"{lv}.x0", "--backend", "poly", "--sigma-floor", "1e-30",
+         "--iters", "2"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "error: inverse polynomial for sigma=")
+    assert "above the ceiling 4095" in lines[0]
 
 
 def test_resources_inversion_scales_with_floor(tmp_path):
@@ -869,6 +886,22 @@ def test_solve_classical_non_finite_residual_halts_with_partial_trace(
     rows = read_rows(trace)
     assert [(r["iter"], r["residual"], r["x_norm_sq"]) for r in rows] == [
         ("0", "inf", "inf")]
+
+
+def test_a_residual_past_the_plain_norms_overflow_stays_finite(tmp_path,
+                                                               capsys):
+    # F(1e154) = 5e307 is finite but its square overflows: the residual is
+    # read through max|F_i|, where the plain norm wrote inf on every row
+    trace = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = noroot_solve(tmp_path, 1e154, "--backend", "classical",
+                          "--trace", str(trace))
+    assert rc == 0
+    assert capsys.readouterr().err == NOROOT_NOTE
+    residuals = [float(r["residual"]) for r in read_rows(trace)]
+    assert residuals == pytest.approx([5e307, 1.25e307, 3.125e306, 7.8125e305],
+                                      rel=1e-12)
 
 
 def test_a_guess_whose_norm_overflows_is_one_input_error(tmp_path, capsys):

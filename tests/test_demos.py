@@ -88,3 +88,28 @@ def test_trace_drift_prints_each_column(tmp_path):
     assert got["gamma_k"] == "inf"          # an empty cell became a number
     proc = _drift(tmp_path, old, header + "0,0.01,0.5,0.25,0.5\n")
     assert proc.returncode == 2 and "row count" in proc.stderr
+
+
+def test_lv_poly_cap_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the digest's `solve-lv-poly-cap`, in one process per OpenBLAS thread
+    # count: the inverse polynomial is closed-form, built by no linear solve,
+    # so the trace and report match byte for byte
+    script = ("import sys\nsys.path.insert(0, sys.argv[1])\n"
+              "from artifact_digest import COMMANDS\nfrom qnls import cli\n"
+              "commands = dict(COMMANDS)\n"
+              "for name in ('gen-lv', 'solve-lv-poly-cap'):\n"
+              "    assert cli.main(commands[name].split()) == 0, name\n")
+    artifacts = []
+    for threads in ("1", "2"):
+        work = tmp_path / f"threads{threads}"
+        work.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   OPENBLAS_NUM_THREADS=threads)
+        env.pop("QNLS_DEBUG", None)
+        proc = subprocess.run([sys.executable, "-c", script,
+                               str(ROOT / "scripts")], cwd=work, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        artifacts.append([(work / name).read_bytes()
+                          for name in ("lv_poly_cap.csv", "lv_poly_cap.txt")])
+    assert artifacts[0] == artifacts[1]
